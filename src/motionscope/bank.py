@@ -13,35 +13,26 @@ import json
 
 import numpy as np
 
+from .layers import init_weight, registry
 from .tensor import Parameter, Tensor, concat
-from .perceiver import init_weight
 
 
 class ContrastiveProjector:
     """Two-layer MLP followed by L2 normalization."""
 
-    def __init__(self, channels: int, out_channels: int | None = None,
-                 rng: np.random.Generator | None = None, prefix: str = "projector"):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        out_channels = out_channels if out_channels is not None else channels
-        self.out_channels = out_channels
+    def __init__(self, channels: int, rng: np.random.Generator, prefix: str = "projector"):
         self.params: list[Parameter] = []
-
-        def p(name, arr):
-            param = Parameter(f"{prefix}.{name}", arr)
-            self.params.append(param)
-            return param
-
+        p = registry(prefix, self.params)
         self.w1 = p("w1", init_weight(rng, channels, channels))
         self.b1 = p("b1", np.zeros(channels))
-        self.w2 = p("w2", init_weight(rng, channels, out_channels))
-        self.b2 = p("b2", np.zeros(out_channels))
+        self.w2 = p("w2", init_weight(rng, channels, channels))
+        self.b2 = p("b2", np.zeros(channels))
 
     def project(self, token: Tensor) -> Tensor:
-        """Project a single token [C] to a unit vector [C_proj]."""
+        """Project a single token [C] to a unit vector [C]."""
         x = token.reshape(1, -1)
         h = (x @ self.w1.tensor + self.b1.tensor).relu()
-        out = (h @ self.w2.tensor + self.b2.tensor).reshape(self.out_channels)
+        out = (h @ self.w2.tensor + self.b2.tensor).reshape(-1)
         norm = (out * out).sum().sqrt() + 1e-12
         return out / norm
 
@@ -58,10 +49,9 @@ class MemoryBank:
         self.vectors = np.zeros((self.size, channels))
         self.initialized = np.zeros(self.size, dtype=bool)
 
-    def update(self, slot: int, vector: np.ndarray, beta: float,
-               renormalize: bool = True) -> None:
+    def update(self, slot: int, vector: np.ndarray, beta: float) -> None:
         """First touch copies the vector; later touches blend with retention
-        factor beta and (by default) re-normalize the stored centroid."""
+        factor beta and re-normalize the stored centroid."""
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {beta}")
         if not 0 <= slot < self.size:
@@ -72,10 +62,9 @@ class MemoryBank:
             self.initialized[slot] = True
             return
         blended = beta * self.vectors[slot] + (1.0 - beta) * vec
-        if renormalize:
-            norm = np.linalg.norm(blended)
-            if norm > 0:
-                blended = blended / norm
+        norm = np.linalg.norm(blended)
+        if norm > 0:
+            blended = blended / norm
         self.vectors[slot] = blended
 
     def sample_negatives(self, anchor_slot: int, n_negatives: int,

@@ -17,12 +17,13 @@ stored target ids always equal the semantic matches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .language import ADJ, ADV, NOUN, OTHER, PREP, VERB, ExprToken, TaggedExpression
+from .language import (ADJ, ADV, NOUN, OTHER, PREP, VERB, ExprToken, TaggedExpression,
+                       expression_from_json, expression_to_json)
 from .perceiver import sinusoidal_grid
 
 MAGIC = b"MSCOPE01"
@@ -119,7 +120,7 @@ class BenchmarkConfig:
     probe: bool = False  # probe scenes contrast long-horizon vs short-burst movers
     ensure_contrast: bool = True
 
-    def validate(self, rng_unused=None) -> None:
+    def validate(self) -> None:
         travel = min(self.width, self.height) - self.object_size
         long_min = -(-3 * self.frames // 4)  # ceil
         if long_min > min(self.frames, travel):
@@ -406,14 +407,7 @@ def save_scene(scene: Scene, directory) -> None:
             }
             for o in scene.objects
         ],
-        "expressions": [
-            {
-                "tokens": [[t.surface, t.tag, t.vocab_id] for t in e.tokens],
-                "target_ids": e.target_ids,
-                "video": e.video,
-            }
-            for e in scene.expressions
-        ],
+        "expressions": [expression_to_json(e) for e in scene.expressions],
     }
     with open(directory / f"{scene.seed}.json", "w") as fh:
         json.dump(meta, fh)
@@ -437,23 +431,21 @@ def load_scene(directory, seed: int) -> Scene:
         )
         for o in meta["objects"]
     ]
-    expressions = [
-        TaggedExpression(
-            tokens=[ExprToken(s, tag, int(v)) for s, tag, v in e["tokens"]],
-            target_ids=[int(i) for i in e["target_ids"]],
-            video=e["video"],
-        )
-        for e in meta["expressions"]
-    ]
-    raw = (directory / f"{seed}.bin").read_bytes()
+    expressions = [expression_from_json(e) for e in meta["expressions"]]
+    bin_path = directory / f"{seed}.bin"
+    raw = bin_path.read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{seed}.bin does not start with the {MAGIC!r} header")
+        raise ValueError(f"{bin_path} does not start with the {MAGIC!r} header")
     t, h, w, c = cfg.frames, cfg.height, cfg.width, cfg.channels
     n = len(objects)
-    body = np.frombuffer(raw, dtype="<f8", offset=len(MAGIC))
     n_feat = t * h * w * c
+    expected = len(MAGIC) + 8 * (n_feat + n * t * h * w)
+    if len(raw) != expected:
+        raise ValueError(f"{bin_path} holds {len(raw)} bytes, but a {t}x{h}x{w}x{c} scene "
+                         f"with {n} objects needs {expected}")
+    body = np.frombuffer(raw, dtype="<f8", offset=len(MAGIC))
     features = body[:n_feat].reshape(t, h, w, c).copy()
-    masks = body[n_feat:n_feat + n * t * h * w].reshape(n, t, h, w).copy()
+    masks = body[n_feat:].reshape(n, t, h, w).copy()
     return Scene(seed=meta["seed"], config=cfg, objects=objects, expressions=expressions,
                  features=features, masks=masks, probe=meta.get("probe", False))
 

@@ -8,12 +8,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .benchmark import BenchmarkConfig, VOCAB_SIZE, generate, load_dataset, save_scene
+from .benchmark import BenchmarkConfig, generate, load_dataset, save_scene
 from .config import TrainConfig
-from .model import MotionSegModel, load_model_weights
-from .trainer import Trainer, ablate, write_ablation_csv
+from .model import load_model_weights
+from .trainer import Trainer, ablate, write_ablation_csv, write_csv
 
 
 def _parse_seed_range(text: str) -> range:
@@ -92,11 +90,8 @@ def cmd_report(args) -> int:
     if not rows:
         print(f"no run summaries under {runs}", file=sys.stderr)
         return 1
-    columns = ["run", "j", "f", "jf", "ident_acc", "probe_acc", "separation_margin"]
-    with open(args.csv, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(c, "")) for c in columns) + "\n")
+    write_csv(args.csv, ("run", "j", "f", "jf", "ident_acc", "probe_acc", "separation_margin"),
+              rows)
     print(f"wrote {args.csv} ({len(rows)} runs)")
     return 0
 

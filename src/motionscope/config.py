@@ -4,7 +4,7 @@ ablation switches, serializable to/from JSON."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 QUERY_VARIANTS = ("ds", "sentence_only", "ds_no_sentence", "ds_no_query")
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, attention, linear, standardize
-from .perceiver import init_weight
+from .layers import Attention, FeedForward, init_weight, registry
+from .tensor import Parameter, Tensor, linear, standardize
 
 
 @dataclass
@@ -23,24 +23,9 @@ class MotionDecoder:
                  prefix: str = "decoder"):
         c = channels
         self.params: list[Parameter] = []
-
-        def p(name, arr):
-            param = Parameter(f"{prefix}.{name}", arr)
-            self.params.append(param)
-            return param
-
-        self.wq = p("attn.wq", init_weight(rng, c, c))
-        self.bq = p("attn.bq", np.zeros(c))
-        self.wk = p("attn.wk", init_weight(rng, c, c))
-        self.bk = p("attn.bk", np.zeros(c))
-        self.wv = p("attn.wv", init_weight(rng, c, c))
-        self.bv = p("attn.bv", np.zeros(c))
-        self.wo = p("attn.wo", 0.1 * init_weight(rng, c, c))
-        self.bo = p("attn.bo", np.zeros(c))
-        self.w1 = p("ffn.w1", init_weight(rng, c, hidden))
-        self.b1 = p("ffn.b1", np.zeros(hidden))
-        self.w2 = p("ffn.w2", 0.1 * init_weight(rng, hidden, c))
-        self.b2 = p("ffn.b2", np.zeros(c))
+        p = registry(prefix, self.params)
+        self.attend = Attention(p, rng, c)
+        self.ffn = FeedForward(p, rng, c, hidden)
         self.ws = p("score.w", init_weight(rng, c, 1))
         self.bs = p("score.b", np.zeros(1))
 
@@ -57,12 +42,8 @@ class MotionDecoder:
             keys = motion_tokens
         # key/value tokens arrive from a residual stack, so read them standardized
         keys = standardize(keys)
-        q = linear(q_hat, self.wq.tensor, self.bq.tensor)
-        k = linear(keys, self.wk.tensor, self.bk.tensor)
-        v = linear(keys, self.wv.tensor, self.bv.tensor)
-        hidden = q_hat + linear(attention(q, k, v), self.wo.tensor, self.bo.tensor)
-        h = linear(standardize(hidden), self.w1.tensor, self.b1.tensor).relu()
-        tokens = hidden + linear(h, self.w2.tensor, self.b2.tensor)
+        hidden = q_hat + self.attend(q_hat, keys, keys)
+        tokens = hidden + self.ffn(standardize(hidden))
         logits = linear(tokens, self.ws.tensor, self.bs.tensor).reshape(q_hat.shape[0])
         return VideoTokens(tokens=tokens, score_logits=logits, scores=logits.sigmoid())
 

@@ -2,9 +2,10 @@
 
 Each block runs temporal self-attention, a hierarchical cross-attention that
 repeatedly highlights motion-relevant frames and merges neighbouring tokens
-(halving the temporal length per stage), and a feed-forward layer.  All three
-branches are residual with output projections, so a block with zeroed
-projections is the identity on its input.
+(halving the temporal length per stage), and a feed-forward layer.  The
+self-attention and feed-forward branches are the shared blocks of `layers`.
+All three branches are residual with output projections, so a block with
+zeroed projections is the identity on its input.
 
 Shapes: trajectories are [..., T, C] with motion cues [K_m, C]; the batched
 case stacks trajectories on the leading axis and every op stays per-trajectory.
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .layers import Attention, FeedForward, init_weight, registry
 from .tensor import Parameter, Tensor, linear, repeat, softmax, standardize, take
-from .perceiver import init_weight
 
 
 def highlight(traj: Tensor, motion_cues: Tensor):
@@ -63,8 +64,8 @@ def pad_to_multiple(traj: Tensor, multiple: int) -> Tensor:
 
 
 def hierarchical_stages(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Tensor:
-    """Run highlight -> enrich -> merge `n_stages` times; length becomes
-    ceil(T / 2^n)/... T/2^n after internal padding."""
+    """Run highlight -> enrich -> merge `n_stages` times.  The input is first
+    padded to a multiple of 2^n frames, so the output has ceil(T / 2^n) frames."""
     x = pad_to_multiple(traj, 2 ** n_stages)
     for _ in range(n_stages):
         attn, frame_weight = highlight(x, motion_cues)
@@ -72,19 +73,15 @@ def hierarchical_stages(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Ten
     return x
 
 
-def hierarchical_cross_attention(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Tensor:
-    """Residual hierarchical branch: coarse tokens are expanded back to the
-    input length by nearest-neighbour repetition and added to the input.
-    With zero stages the hierarchy is off and the input passes through."""
-    if n_stages == 0:
-        return traj
-    coarse = hierarchical_stages(traj, motion_cues, n_stages)
-    expanded = repeat(coarse, 2 ** n_stages, axis=-2)
+def hierarchical_branch(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Tensor:
+    """Coarse tokens of `hierarchical_stages`, expanded back to the input
+    length by nearest-neighbour repetition.  Frames added by padding are
+    dropped after expansion, without renormalizing."""
+    expanded = repeat(hierarchical_stages(traj, motion_cues, n_stages), 2 ** n_stages, axis=-2)
     t_len = traj.shape[-2]
     if expanded.shape[-2] != t_len:
-        # padded frames are dropped after expansion, without renormalizing
         expanded = take(expanded, np.arange(t_len), axis=-2)
-    return traj + expanded
+    return expanded
 
 
 class HmpBlock:
@@ -93,49 +90,23 @@ class HmpBlock:
         self.n_stages = n_stages
         c = channels
         self.params: list[Parameter] = []
-
-        def p(name, arr):
-            param = Parameter(f"{prefix}.{name}", arr)
-            self.params.append(param)
-            return param
-
-        self.wq = p("attn.wq", init_weight(rng, c, c))
-        self.bq = p("attn.bq", np.zeros(c))
-        self.wk = p("attn.wk", init_weight(rng, c, c))
-        self.bk = p("attn.bk", np.zeros(c))
-        self.wv = p("attn.wv", init_weight(rng, c, c))
-        self.bv = p("attn.bv", np.zeros(c))
-        # residual-branch outputs start small so the stream scale stays stable
-        self.wo = p("attn.wo", 0.1 * init_weight(rng, c, c))
-        self.bo = p("attn.bo", np.zeros(c))
+        p = registry(prefix, self.params)
+        # attn, hier, ffn: this order is both the checkpoint order and the
+        # order of the seeded weight draws
+        self.attend = Attention(p, rng, c)
         self.wh = p("hier.wo", 0.1 * init_weight(rng, c, c))
         self.bh = p("hier.bo", np.zeros(c))
-        self.w1 = p("ffn.w1", init_weight(rng, c, hidden))
-        self.b1 = p("ffn.b1", np.zeros(hidden))
-        self.w2 = p("ffn.w2", 0.1 * init_weight(rng, hidden, c))
-        self.b2 = p("ffn.b2", np.zeros(c))
-
-    def _self_attention(self, x: Tensor) -> Tensor:
-        scale = 1.0 / np.sqrt(x.shape[-1])
-        q = linear(x, self.wq.tensor, self.bq.tensor)
-        k = linear(x, self.wk.tensor, self.bk.tensor)
-        v = linear(x, self.wv.tensor, self.bv.tensor)
-        mixed = softmax((q @ k.swapaxes(-1, -2)) * scale, axis=-1) @ v
-        return linear(mixed, self.wo.tensor, self.bo.tensor)
+        self.ffn = FeedForward(p, rng, c, hidden)
 
     def forward(self, traj: Tensor, motion_cues: Tensor) -> Tensor:
         # branches read a standardized view of the stream so attention logits
         # and cue similarities keep their scale across cascaded blocks
-        y = traj + self._self_attention(standardize(traj))
+        x = standardize(traj)
+        y = traj + self.attend(x, x, x)
         if self.n_stages > 0:
-            coarse = hierarchical_stages(standardize(y), motion_cues, self.n_stages)
-            expanded = repeat(coarse, 2 ** self.n_stages, axis=-2)
-            t_len = y.shape[-2]
-            if expanded.shape[-2] != t_len:
-                expanded = take(expanded, np.arange(t_len), axis=-2)
+            expanded = hierarchical_branch(standardize(y), motion_cues, self.n_stages)
             y = y + linear(expanded, self.wh.tensor, self.bh.tensor)
-        h = linear(standardize(y), self.w1.tensor, self.b1.tensor).relu()
-        return y + linear(h, self.w2.tensor, self.b2.tensor)
+        return y + self.ffn(standardize(y))
 
 
 class HmpStack:

@@ -8,7 +8,6 @@ keeps sentence context.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,22 +106,7 @@ def expression_to_json(expr: TaggedExpression) -> dict:
 def expression_from_json(obj: dict) -> TaggedExpression:
     return TaggedExpression(
         tokens=[ExprToken(s, tag, int(v)) for s, tag, v in obj["tokens"]],
-        target_ids=[int(i) for i in obj.get("target_ids", [])],
-        video=str(obj.get("video", "")),
+        target_ids=[int(i) for i in obj["target_ids"]],
+        video=str(obj["video"]),
     )
 
-
-def save_expressions(path, exprs) -> None:
-    with open(path, "w") as fh:
-        for expr in exprs:
-            fh.write(json.dumps(expression_to_json(expr)) + "\n")
-
-
-def load_expressions(path) -> list[TaggedExpression]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(expression_from_json(json.loads(line)))
-    return out

@@ -95,14 +95,14 @@ class MotionSegModel:
 
         self.perceiver = StaticPerceiver(c, config.img_channels, 2 * c, rng)
         if config.img_channels == c:
-            self.perceiver.wv.tensor.data[...] = np.eye(c)
+            self.perceiver.attend.wv.tensor.data[...] = np.eye(c)
             self.perceiver.wm.tensor.data[...] = np.eye(c)
         register(self.perceiver.params)
         self.hmp = HmpStack(c, 2 * c, config.hmp_blocks, config.effective_hmp_stages, rng)
         register(self.hmp.params)
         self.decoder = MotionDecoder(c, 2 * c, rng)
         register(self.decoder.params)
-        self.projector = ContrastiveProjector(c, c, rng)
+        self.projector = ContrastiveProjector(c, rng)
         register(self.projector.params)
 
         names = [p.name for p in self.params]
@@ -184,17 +184,30 @@ def save_model(model: MotionSegModel, path) -> None:
 
 
 def load_model_weights(model: MotionSegModel, path) -> None:
+    """Read a `save_model` checkpoint into `model`; a truncated file, trailing
+    bytes, an unknown or missing name or a shape mismatch raise ValueError."""
     by_name = {p.name: p for p in model.params}
     with open(path, "rb") as fh:
-        (count,) = struct.unpack("<Q", fh.read(8))
+
+        def read(n: int, what: str) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path} is truncated: reading {what} needs {n} bytes, "
+                                 f"{len(data)} are left")
+            return data
+
+        (count,) = struct.unpack("<Q", read(8, "the parameter count"))
         seen = set()
-        for _ in range(count):
-            (name_len,) = struct.unpack("<Q", fh.read(8))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<Q", fh.read(8))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+        for index in range(count):
+            what = f"parameter #{index}"
+            (name_len,) = struct.unpack("<Q", read(8, f"the name length of {what}"))
+            name = read(name_len, f"the name of {what}").decode("utf-8")
+            what = f"parameter {name!r}"
+            (ndim,) = struct.unpack("<Q", read(8, f"the rank of {what}"))
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"the shape of {what}"))
             size = int(np.prod(shape)) if ndim else 1
-            values = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
+            values = np.frombuffer(read(8 * size, f"the values of {what}"),
+                                   dtype="<f8").reshape(shape)
             if name not in by_name:
                 raise ValueError(f"unknown parameter {name!r} in checkpoint")
             if by_name[name].data.shape != tuple(shape):
@@ -203,6 +216,8 @@ def load_model_weights(model: MotionSegModel, path) -> None:
                     f"model {by_name[name].data.shape}")
             by_name[name].tensor.data[...] = values
             seen.add(name)
+        if fh.read(1):
+            raise ValueError(f"{path} has trailing bytes after its last parameter")
     missing = set(by_name) - seen
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {sorted(missing)}")

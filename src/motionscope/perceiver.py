@@ -1,16 +1,17 @@
 """Per-frame candidate perception: cue-injected queries over pixel features.
 
-One residual cross-attention layer plus a feed-forward block stands in for a
-full segmentation backbone; it emits per-frame object tokens, a mask feature
-grid and a per-token objectness logit.  The positional code is added to the
-attention keys only, so the values (and the attention contribution) vanish on
-an all-zero grid with zero biases.
+One residual cross-attention layer plus a feed-forward block, both the shared
+blocks of `layers`, stand in for a full segmentation backbone; it emits
+per-frame object tokens, a mask feature grid and a per-token objectness
+logit.  The positional code is added to the attention keys only, so the values
+(and the attention contribution) vanish on an all-zero grid with zero biases.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .layers import Attention, FeedForward, init_weight, registry
 from .tensor import Parameter, Tensor, attention, linear
 
 
@@ -40,38 +41,20 @@ def sinusoidal_grid(height: int, width: int, channels: int) -> np.ndarray:
     return code[:, :channels]
 
 
-def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    return rng.normal(scale=1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-
-
 class StaticPerceiver:
     def __init__(self, channels: int, img_channels: int, hidden: int,
                  rng: np.random.Generator, prefix: str = "perceiver"):
         self.channels = channels
         self.img_channels = img_channels
         c, ci = channels, img_channels
-
-        def p(name, arr):
-            param = Parameter(f"{prefix}.{name}", arr)
-            self.params.append(param)
-            return param
-
         self.params: list[Parameter] = []
+        p = registry(prefix, self.params)
         # query and key projections start equal: spatial codes placed in the
         # query initialization then line up with pixel position codes at init
-        wk0 = init_weight(rng, ci, c)
-        self.wq = p("attn.wq", wk0.copy() if ci == c else init_weight(rng, c, c))
-        self.bq = p("attn.bq", np.zeros(c))
-        self.wk = p("attn.wk", wk0)
-        self.bk = p("attn.bk", np.zeros(c))
-        self.wv = p("attn.wv", init_weight(rng, ci, c))
-        self.bv = p("attn.bv", np.zeros(c))
-        self.wo = p("attn.wo", 0.1 * init_weight(rng, c, c))
-        self.bo = p("attn.bo", np.zeros(c))
-        self.w1 = p("ffn.w1", init_weight(rng, c, hidden))
-        self.b1 = p("ffn.b1", np.zeros(hidden))
-        self.w2 = p("ffn.w2", 0.1 * init_weight(rng, hidden, c))
-        self.b2 = p("ffn.b2", np.zeros(c))
+        wk = init_weight(rng, ci, c)
+        wq = wk.copy() if ci == c else init_weight(rng, c, c)
+        self.attend = Attention(p, rng, c, kv_channels=ci, wq=wq, wk=wk)
+        self.ffn = FeedForward(p, rng, c, hidden)
         self.wm = p("mask.w", init_weight(rng, ci, c))
         self.bm = p("mask.b", np.zeros(c))
         self.wc = p("cls.w", init_weight(rng, c, 1))
@@ -87,18 +70,6 @@ class StaticPerceiver:
                 height, width, self.img_channels)
         return self._pos_cache[key]
 
-    def cross_attend(self, pixels: Tensor, position: np.ndarray, q_hat: Tensor) -> Tensor:
-        """Attention contribution of the flattened pixels for each query.
-
-        `pixels` is [..., P, C_img].  Keys see pixel + position, values see the
-        raw pixel features only, so constant grids contribute the same vector
-        to every query.
-        """
-        q = linear(q_hat, self.wq.tensor, self.bq.tensor)
-        k = linear(pixels + Tensor(position), self.wk.tensor, self.bk.tensor)
-        v = linear(pixels, self.wv.tensor, self.bv.tensor)
-        return linear(attention(q, k, v), self.wo.tensor, self.bo.tensor)
-
     def perceive(self, frames: np.ndarray, q_hat: Tensor):
         """Batched perception over a [T, H, W, C_img] feature video.
 
@@ -107,9 +78,11 @@ class StaticPerceiver:
         """
         t, h, w, ci = frames.shape
         pixels = Tensor(frames.reshape(t, h * w, ci))
-        hidden = q_hat + self.cross_attend(pixels, self._position_code(h, w), q_hat)
-        tokens = hidden + linear(linear(hidden, self.w1.tensor, self.b1.tensor).relu(),
-                                 self.w2.tensor, self.b2.tensor)
+        # keys see pixel + position, values the raw pixel features only, so a
+        # constant grid contributes the same vector to every query
+        keys = pixels + Tensor(self._position_code(h, w))
+        hidden = q_hat + self.attend(q_hat, keys, pixels)
+        tokens = hidden + self.ffn(hidden)
         mask_features = linear(pixels, self.wm.tensor, self.bm.tensor)
         class_logits = linear(tokens, self.wc.tensor, self.bc.tensor)
         n = q_hat.shape[0]
@@ -119,14 +92,6 @@ class StaticPerceiver:
             class_logits.reshape(t, n),
         )
 
-    def perceive_frame(self, frame: np.ndarray, q_hat: Tensor):
-        tokens, mask_features, class_logits = self.perceive(frame[None], q_hat)
-        return (
-            tokens.reshape(tokens.shape[1], tokens.shape[2]),
-            mask_features.reshape(frame.shape[0], frame.shape[1], self.channels),
-            class_logits.reshape(q_hat.shape[0]),
-        )
-
 
 def frame_mask_logits(tokens: Tensor, mask_features: Tensor) -> Tensor:
     """Dot-product mask logits: [..., N, C] x [..., H, W, C] -> [..., N, H*W]."""
@@ -134,9 +99,3 @@ def frame_mask_logits(tokens: Tensor, mask_features: Tensor) -> Tensor:
     flat = mask_features.reshape(*shape[:-3], shape[-3] * shape[-2], shape[-1])
     return tokens @ flat.swapaxes(-1, -2)
 
-
-def predict_frame_masks(tokens: Tensor, mask_features: Tensor) -> Tensor:
-    """Per-token mask probabilities [N, H, W] for one frame."""
-    n = tokens.shape[0]
-    h, w, _ = mask_features.shape
-    return frame_mask_logits(tokens, mask_features).sigmoid().reshape(n, h, w)

@@ -9,18 +9,7 @@ bit-reproducible for a fixed seed.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_debug_checks = bool(int(os.environ.get("MOTIONSCOPE_DEBUG", "0")))
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle finiteness checks on every op output (slow, used by tests)."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
-
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
@@ -84,8 +73,6 @@ class Tensor:
             out.requires_grad = False
             out._parents = ()
             out._backward_fn = None
-        if _debug_checks and not np.all(np.isfinite(data)):
-            raise FloatingPointError("non-finite value produced by an op")
         return out
 
     # -- basic introspection ------------------------------------------------
@@ -358,10 +345,6 @@ class Tensor:
                 b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
         return Tensor._op(data, (a, b), bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return a @ b
 
 
 def take(x: Tensor, indices, axis: int = 0) -> Tensor:

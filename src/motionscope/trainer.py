@@ -87,8 +87,6 @@ class Trainer:
                         categories.append(scene.objects[obj_idx].category)
                         videos.append(video_idx)
         self.bank = MemoryBank(categories or [0], videos or [0], config.channels)
-        if not categories:
-            self.bank.initialized[:] = False
 
         self.velocity = {p.name: np.zeros_like(p.data) for p in self.model.params}
         self.pairs = [
@@ -115,19 +113,6 @@ class Trainer:
                 best = min(ml.matches, key=lambda m: m[2])
                 pos_slot = slots[best[1]]
         return out, lf, ml, anchor, pos_slot, slots
-
-    def frozen_step_loss(self, scene: Scene, expr: TaggedExpression, step: int,
-                         negatives: np.ndarray | None = None) -> Tensor:
-        """The training objective at `step` with the bank held constant and
-        negatives supplied by the caller (used by gradient checks)."""
-        _, lf, ml, anchor, pos_slot, _ = self._losses_and_anchor(scene, expr)
-        total = lf + ml.loss
-        if anchor is not None and step >= self.cfg.warmup_steps and negatives is not None \
-                and len(negatives) and self.bank.initialized[pos_slot]:
-            con = contrastive_loss(anchor, self.bank.vectors[pos_slot].copy(),
-                                   negatives, self.cfg.tau)
-            total = total + self.cfg.lambda_contrastive * con
-        return total
 
     def train_step(self, scene: Scene, expr: TaggedExpression, step: int) -> dict:
         cfg = self.cfg
@@ -197,6 +182,8 @@ class Trainer:
 
     def evaluate(self, scenes: list[Scene] | None = None) -> EvalMetrics:
         scenes = scenes if scenes is not None else self.val_scenes
+        if not any(scene.expressions for scene in scenes):
+            raise ValueError("evaluation needs at least one expression, the scenes hold none")
         js, fs, idents = [], [], []
         probe_idents = []
         token_groups: dict[tuple[int, int], list[np.ndarray]] = {}
@@ -233,6 +220,8 @@ class Trainer:
 
     def run(self, out_dir=None, quiet: bool = True) -> RunResult:
         cfg = self.cfg
+        if not self.pairs:
+            raise ValueError("training needs at least one expression, the training scenes hold none")
         order: list[tuple[int, int]] = []
         while len(order) < cfg.steps:
             order.extend(self.pairs[i] for i in self.order_rng.permutation(len(self.pairs)))
@@ -275,7 +264,7 @@ class Trainer:
         if out_dir is not None:
             out_dir = Path(out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            write_report_csv(rows, out_dir / "report.csv")
+            write_csv(out_dir / "report.csv", REPORT_COLUMNS, rows)
             save_model(self.model, out_dir / "model.bin")
             self.bank.save_json(out_dir / "bank.json")
             cfg.to_json(out_dir / "config.json")
@@ -294,12 +283,17 @@ REPORT_COLUMNS = ("step", "loss_total", "loss_frame", "loss_video", "loss_contra
                   "j", "f", "jf", "ident_acc", "probe_acc")
 
 
-def write_report_csv(rows: list[dict], path) -> None:
+def write_csv(path, columns, rows: list[dict], footer: list[str] = ()) -> None:
+    """Header, one line per row and then the `footer` lines.  Floats are
+    written with repr, so they read back bit-exactly; a column a row lacks
+    is left empty."""
     with open(path, "w") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in REPORT_COLUMNS) + "\n")
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+                              for v in (row.get(c, "") for c in columns)) + "\n")
+        for line in footer:
+            fh.write(line + "\n")
 
 
 # -- ablation harness -----------------------------------------------------------------
@@ -364,14 +358,10 @@ def write_ablation_csv(rows: list[dict], path) -> None:
     summary: dict[tuple[str, str], list[dict]] = {}
     for row in rows:
         summary.setdefault((row["axis"], row["variant"]), []).append(row)
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in columns) + "\n")
-        fh.write("# mean +/- std over seeds\n")
-        for (axis, variant), group in summary.items():
-            jf = np.array([g["jf"] for g in group])
-            ident = np.array([g["ident_acc"] for g in group])
-            fh.write(f"# {axis}/{variant}: jf={jf.mean():.4f}+/-{jf.std():.4f} "
-                     f"ident={ident.mean():.4f}+/-{ident.std():.4f}\n")
+    footer = ["# mean +/- std over seeds"]
+    for (axis, variant), group in summary.items():
+        jf = np.array([g["jf"] for g in group])
+        ident = np.array([g["ident_acc"] for g in group])
+        footer.append(f"# {axis}/{variant}: jf={jf.mean():.4f}+/-{jf.std():.4f} "
+                      f"ident={ident.mean():.4f}+/-{ident.std():.4f}")
+    write_csv(path, columns, rows, footer)

@@ -59,17 +59,22 @@ class TestMemoryBankUpdate:
         assert np.array_equal(bank.vectors[0], v)
 
     @pytest.mark.parametrize("beta", [0.0, 0.2, 0.9, 1.0])
-    def test_geometric_decay_closed_form(self, beta):
+    def test_normalized_ema_closed_form(self, beta):
         rng = np.random.default_rng(7)
         bank = MemoryBank([0], [0], 8)
         m0 = unit(rng.normal(size=8))
         v = unit(rng.normal(size=8))
         bank.update(0, m0, beta=beta)
-        start = np.linalg.norm(bank.vectors[0] - v)
-        for n in range(1, 101):
-            bank.update(0, v, beta=beta, renormalize=False)
-            expected = beta ** n * start
-            assert abs(np.linalg.norm(bank.vectors[0] - v) - expected) < 1e-9
+        gap = np.linalg.norm(bank.vectors[0] - v)
+        for _ in range(100):
+            expected = unit(beta * bank.vectors[0] + (1.0 - beta) * v)
+            bank.update(0, v, beta=beta)
+            assert np.allclose(bank.vectors[0], expected, atol=1e-12)
+            new_gap = np.linalg.norm(bank.vectors[0] - v)
+            assert new_gap <= gap + 1e-12
+            gap = new_gap
+        if beta < 1.0:
+            assert gap < 1e-3
 
     def test_other_slots_untouched(self):
         rng = np.random.default_rng(8)

@@ -131,6 +131,20 @@ class TestSceneIO:
         with pytest.raises(ValueError):
             load_scene(tmp_path, 6)
 
+    @pytest.mark.parametrize("edit", ["trailing", "truncated"])
+    def test_bin_size_mismatch_names_file_and_byte_counts(self, tmp_path, edit):
+        scene = generate(6, small_config())
+        save_scene(scene, tmp_path)
+        path = tmp_path / "6.bin"
+        raw = path.read_bytes()
+        bad = raw + b"\0" * 8 if edit == "trailing" else raw[:-10]
+        path.write_bytes(bad)
+        with pytest.raises(ValueError) as exc:
+            load_scene(tmp_path, 6)
+        message = str(exc.value)
+        assert str(path) in message
+        assert str(len(raw)) in message and str(len(bad)) in message
+
     def test_load_dataset_sorted(self, tmp_path):
         for seed in (11, 2, 7):
             save_scene(generate(seed, small_config()), tmp_path)

@@ -1,0 +1,41 @@
+import json
+
+import pytest
+
+from motionscope.cli import main
+from motionscope.config import TrainConfig
+
+OUTPUTS = ("report.csv", "model.bin", "bank.json")
+
+
+def test_gen_train_eval_report(tmp_path, capsys):
+    train, val, runs = tmp_path / "train", tmp_path / "val", tmp_path / "runs"
+    assert main(["gen", "--seeds", "0..2", "--out", str(train)]) == 0
+    assert main(["gen", "--seeds", "10..11", "--out", str(val)]) == 0
+    config = tmp_path / "config.json"
+    TrainConfig(steps=4, eval_every=2, train_dir=str(train), val_dir=str(val)).to_json(config)
+
+    for run in ("a", "b"):
+        assert main(["train", "--config", str(config), "--out", str(runs / run)]) == 0
+    for name in OUTPUTS:
+        assert (runs / "a" / name).read_bytes() == (runs / "b" / name).read_bytes(), name
+    assert len((runs / "a" / "report.csv").read_text().splitlines()) == 1 + 2
+
+    capsys.readouterr()
+    assert main(["eval", "--model", str(runs / "a" / "model.bin"), "--data", str(val)]) == 0
+    summary = json.loads((runs / "a" / "summary.json").read_text())
+    assert f"J={summary['j']:.4f} F={summary['f']:.4f}" in capsys.readouterr().out
+
+    report = tmp_path / "report.csv"
+    assert main(["report", "--runs", str(runs), "--csv", str(report)]) == 0
+    lines = report.read_text().splitlines()
+    assert lines[0] == "run,j,f,jf,ident_acc,probe_acc,separation_margin"
+    assert [line.split(",")[0] for line in lines[1:]] == ["a", "b"]
+
+
+def test_config_json_roundtrip_and_validation(tmp_path):
+    cfg = TrainConfig(steps=7, channels=24, query_variant="ds_no_query", train_dir="x")
+    cfg.to_json(tmp_path / "config.json")
+    assert TrainConfig.from_json(tmp_path / "config.json") == cfg
+    with pytest.raises(ValueError, match="threshold"):
+        cfg.replace(threshold=1.5)

@@ -37,21 +37,23 @@ class TestDecode:
         tokens = Tensor(rng.normal(size=(1, 1, 6)))
         out = decoder.decode(q_hat, tokens)
         # every query receives the same attended value
-        v = self._std(tokens.data.reshape(1, 6)) @ decoder.wv.data + decoder.bv.data
-        contribution = v @ decoder.wo.data + decoder.bo.data
+        attn, mlp = decoder.attend, decoder.ffn
+        v = self._std(tokens.data.reshape(1, 6)) @ attn.wv.data + attn.bv.data
+        contribution = v @ attn.wo.data + attn.bo.data
         hidden = q_hat.data + contribution
-        ffn = np.maximum(self._std(hidden) @ decoder.w1.data + decoder.b1.data, 0) \
-            @ decoder.w2.data + decoder.b2.data
+        ffn = np.maximum(self._std(hidden) @ mlp.w1.data + mlp.b1.data, 0) \
+            @ mlp.w2.data + mlp.b2.data
         assert np.allclose(out.tokens.data, hidden + ffn, atol=1e-12)
 
     def test_zero_output_projection_reduces_to_ffn_residual(self, decoder):
-        decoder.wo.tensor.data[...] = 0.0
-        decoder.bo.tensor.data[...] = 0.0
+        decoder.attend.wo.tensor.data[...] = 0.0
+        decoder.attend.bo.tensor.data[...] = 0.0
         rng = np.random.default_rng(4)
         q_hat = Tensor(rng.normal(size=(3, 6)))
         out = decoder.decode(q_hat, Tensor(rng.normal(size=(2, 4, 6))))
-        expected = q_hat.data + np.maximum(self._std(q_hat.data) @ decoder.w1.data + decoder.b1.data, 0) \
-            @ decoder.w2.data + decoder.b2.data
+        mlp = decoder.ffn
+        expected = q_hat.data + np.maximum(self._std(q_hat.data) @ mlp.w1.data + mlp.b1.data, 0) \
+            @ mlp.w2.data + mlp.b2.data
         assert np.allclose(out.tokens.data, expected, atol=1e-12)
 
     def test_key_order_invariance(self, decoder):

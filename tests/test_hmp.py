@@ -5,13 +5,13 @@ from motionscope.hmp import (
     HmpBlock,
     HmpStack,
     enrich,
-    hierarchical_cross_attention,
+    hierarchical_branch,
     hierarchical_stages,
     highlight,
     merge,
     pad_to_multiple,
 )
-from motionscope.tensor import Tensor, grad_check, softmax
+from motionscope.tensor import Tensor, grad_check, softmax, standardize
 
 
 def make_stack(n_blocks=2, n_stages=2, channels=6, seed=0):
@@ -113,8 +113,8 @@ class TestHierarchicalCrossAttention:
     def test_zero_stages_is_identity(self):
         rng = np.random.default_rng(10)
         traj = Tensor(rng.normal(size=(4, 3)))
-        out = hierarchical_cross_attention(traj, Tensor(rng.normal(size=(2, 3))), 0)
-        assert out is traj
+        out = hierarchical_branch(traj, Tensor(rng.normal(size=(2, 3))), 0)
+        assert np.array_equal(out.data, traj.data)
 
     def test_full_collapse_and_expansion(self):
         rng = np.random.default_rng(11)
@@ -122,15 +122,15 @@ class TestHierarchicalCrossAttention:
         cues = Tensor(rng.normal(size=(2, 4)))
         coarse = hierarchical_stages(traj, cues, 3)
         assert coarse.shape == (1, 4)
-        out = hierarchical_cross_attention(traj, cues, 3)
+        out = hierarchical_branch(traj, cues, 3)
         assert out.shape == (8, 4)
-        assert np.allclose(out.data, traj.data + coarse.data[0], atol=1e-12)
+        assert np.array_equal(out.data, np.broadcast_to(coarse.data[0], (8, 4)))
 
     def test_matches_hand_rolled_composition(self):
         rng = np.random.default_rng(12)
         traj = rng.normal(size=(4, 5))
         cues = rng.normal(size=(2, 5))
-        out = hierarchical_cross_attention(Tensor(traj), Tensor(cues), 1).data
+        out = hierarchical_branch(Tensor(traj), Tensor(cues), 1).data
 
         attn = np.exp(traj @ cues.T / np.sqrt(5) - (traj @ cues.T / np.sqrt(5)).max(axis=0))
         attn = attn / attn.sum(axis=0)
@@ -140,14 +140,14 @@ class TestHierarchicalCrossAttention:
             (fw[0] * enriched[0] + fw[1] * enriched[1]) / (fw[0] + fw[1]),
             (fw[2] * enriched[2] + fw[3] * enriched[3]) / (fw[2] + fw[3]),
         ])
-        expected = traj + np.repeat(coarse, 2, axis=0)
+        expected = np.repeat(coarse, 2, axis=0)
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_padding_is_dropped_losslessly(self):
         rng = np.random.default_rng(13)
         traj = Tensor(rng.normal(size=(5, 4)))
         cues = Tensor(rng.normal(size=(2, 4)))
-        out = hierarchical_cross_attention(traj, cues, 2)
+        out = hierarchical_branch(traj, cues, 2)
         assert out.shape == (5, 4)
         padded = pad_to_multiple(traj, 4)
         assert padded.shape == (8, 4)
@@ -158,9 +158,9 @@ class TestHierarchicalCrossAttention:
         rng = np.random.default_rng(14)
         trajs = rng.normal(size=(3, 8, 4))
         cues = Tensor(rng.normal(size=(2, 4)))
-        batched = hierarchical_cross_attention(Tensor(trajs), cues, 2).data
+        batched = hierarchical_branch(Tensor(trajs), cues, 2).data
         for i in range(3):
-            single = hierarchical_cross_attention(Tensor(trajs[i]), cues, 2).data
+            single = hierarchical_branch(Tensor(trajs[i]), cues, 2).data
             assert np.allclose(batched[i], single, atol=1e-12)
 
 
@@ -187,16 +187,28 @@ class TestHmpBlock:
         x = rng.normal(size=(1, 4))
         out = block.forward(Tensor(x), Tensor(rng.normal(size=(2, 4))))
         # with one frame the attention mixes nothing: attended value is the token's own value path
-        v = std(x) @ block.wv.data + block.bv.data
-        y = x + (v @ block.wo.data + block.bo.data)
-        expected = y + np.maximum(std(y) @ block.w1.data + block.b1.data, 0) @ block.w2.data + block.b2.data
+        attn, ffn = block.attend, block.ffn
+        v = std(x) @ attn.wv.data + attn.bv.data
+        y = x + (v @ attn.wo.data + attn.bo.data)
+        expected = y + np.maximum(std(y) @ ffn.w1.data + ffn.b1.data, 0) @ ffn.w2.data + ffn.b2.data
         assert np.allclose(out.data, expected, atol=1e-12)
         # and with a zeroed attention output projection only the FFN residual remains
-        block.wo.tensor.data[...] = 0.0
-        block.bo.tensor.data[...] = 0.0
+        attn.wo.tensor.data[...] = 0.0
+        attn.bo.tensor.data[...] = 0.0
         out2 = block.forward(Tensor(x), Tensor(rng.normal(size=(2, 4))))
-        expected2 = x + np.maximum(std(x) @ block.w1.data + block.b1.data, 0) @ block.w2.data + block.b2.data
+        expected2 = x + np.maximum(std(x) @ ffn.w1.data + ffn.b1.data, 0) @ ffn.w2.data + ffn.b2.data
         assert np.allclose(out2.data, expected2, atol=1e-12)
+
+    def test_hierarchical_branch_is_projected_and_added(self):
+        block = HmpBlock(4, 8, 2, np.random.default_rng(23), prefix="b")
+        for param in (block.attend.wo, block.attend.bo, block.ffn.w2, block.ffn.b2):
+            param.tensor.data[...] = 0.0
+        rng = np.random.default_rng(24)
+        traj = Tensor(rng.normal(size=(3, 6, 4)))
+        cues = Tensor(rng.normal(size=(2, 4)))
+        branch = hierarchical_branch(standardize(traj), cues, 2).data
+        expected = traj.data + branch @ block.wh.data + block.bh.data
+        assert np.allclose(block.forward(traj, cues).data, expected, atol=1e-12)
 
     def test_gradcheck_full_block(self):
         stack = HmpStack(6, 12, 1, 2, np.random.default_rng(18))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,7 @@ from motionscope.language import (
     TaggedExpression,
     decouple,
     expression_from_json,
-    load_expressions,
-    save_expressions,
+    expression_to_json,
 )
 from motionscope.tensor import Parameter, Tensor, grad_check
 
@@ -129,14 +130,13 @@ class TestDecouple:
 
 
 class TestExpressionIO:
-    def test_jsonl_roundtrip(self, tmp_path):
+    def test_json_roundtrip(self):
         exprs = [
             make_expr(BIRD_SENTENCE, targets=[1], video="scene-7"),
             make_expr([("circle", NOUN), ("drifting", VERB)], targets=[], video="scene-8"),
         ]
-        path = tmp_path / "expressions.jsonl"
-        save_expressions(path, exprs)
-        loaded = load_expressions(path)
+        loaded = [expression_from_json(json.loads(json.dumps(expression_to_json(e))))
+                  for e in exprs]
         assert len(loaded) == 2
         assert loaded[0].tokens == exprs[0].tokens
         assert loaded[0].target_ids == [1]
@@ -146,3 +146,10 @@ class TestExpressionIO:
         obj = {"tokens": [["bird", "NOUN", 0]], "target_ids": [2], "video": "v"}
         expr = expression_from_json(obj)
         assert expr.tokens[0] == ExprToken("bird", "NOUN", 0)
+
+    @pytest.mark.parametrize("missing", ["tokens", "target_ids", "video"])
+    def test_missing_key_rejected(self, missing):
+        obj = {"tokens": [["bird", "NOUN", 0]], "target_ids": [2], "video": "v"}
+        del obj[missing]
+        with pytest.raises(KeyError):
+            expression_from_json(obj)

@@ -107,17 +107,35 @@ class TestSerialization:
             assert np.array_equal(a.data, b.data)
 
     def test_missing_parameter_rejected(self, tmp_path):
-        import struct
+        cfg, model = make()
+        path = tmp_path / "model.bin"
+        dropped = model.params.pop()
+        save_model(model, path)
+        _, fresh = make()
+        with pytest.raises(ValueError, match="missing") as exc:
+            load_model_weights(fresh, path)
+        assert dropped.name in str(exc.value)
 
+    @pytest.mark.parametrize("cut", [4, 8, 100, 10_000])
+    def test_truncated_checkpoint_names_path_and_parameter(self, tmp_path, cut):
         cfg, model = make()
         path = tmp_path / "model.bin"
         save_model(model, path)
-        raw = path.read_bytes()
-        (count,) = struct.unpack("<Q", raw[:8])
-        path.write_bytes(struct.pack("<Q", count - 1) + raw[8:])
+        path.write_bytes(path.read_bytes()[:-cut])
         _, fresh = make()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncated") as exc:
             load_model_weights(fresh, path)
+        assert str(path) in str(exc.value) and "parameter" in str(exc.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cfg, model = make()
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        _, fresh = make()
+        with pytest.raises(ValueError, match="trailing") as exc:
+            load_model_weights(fresh, path)
+        assert str(path) in str(exc.value)
 
     def test_format_layout(self, tmp_path):
         import struct

@@ -5,10 +5,21 @@ from motionscope.perceiver import (
     StaticPerceiver,
     frame_mask_logits,
     inject_cues,
-    predict_frame_masks,
     sinusoidal_grid,
 )
 from motionscope.tensor import Tensor, attention, grad_check
+
+
+def perceive_frame(perceiver, frame, q_hat):
+    """One [H, W, C_img] frame through `perceive` as a video with T=1."""
+    tokens, mask_features, logits = perceiver.perceive(frame[None], q_hat)
+    return tokens.data[0], mask_features.data[0], logits.data[0]
+
+
+def frame_masks(tokens, mask_features):
+    """Per-token mask probabilities [N, H, W] of one frame."""
+    h, w, _ = mask_features.shape
+    return frame_mask_logits(tokens, mask_features).sigmoid().reshape(tokens.shape[0], h, w)
 
 
 @pytest.fixture
@@ -53,12 +64,13 @@ class TestPerceiveFrame:
         frame = np.broadcast_to(rng.normal(size=8), (4, 4, 8)).copy()
         q_hat = Tensor(rng.normal(size=(3, 8)))
         pix = Tensor(frame.reshape(1, 16, 8))
-        contrib = perceiver.cross_attend(pix, perceiver._position_code(4, 4), q_hat).data[0]
+        keys = pix + Tensor(perceiver._position_code(4, 4))
+        contrib = perceiver.attend(q_hat, keys, pix).data[0]
         assert np.allclose(contrib, contrib[0], atol=1e-12)
         # with identical queries the tokens themselves coincide
         same_q = Tensor(np.broadcast_to(q_hat.data[0], (3, 8)).copy())
-        tokens, _, _ = perceiver.perceive_frame(frame, same_q)
-        assert np.allclose(tokens.data, tokens.data[0], atol=1e-12)
+        tokens, _, _ = perceive_frame(perceiver, frame, same_q)
+        assert np.allclose(tokens, tokens[0], atol=1e-12)
 
     def test_zero_grid_zero_biases_reduces_to_ffn_of_queries(self, perceiver):
         for param in perceiver.params:
@@ -66,19 +78,20 @@ class TestPerceiveFrame:
                 param.tensor.data[...] = 0.0
         rng = np.random.default_rng(6)
         q_hat = Tensor(rng.normal(size=(4, 8)))
-        tokens, _, _ = perceiver.perceive_frame(np.zeros((4, 4, 8)), q_hat)
-        expected = q_hat.data + np.maximum(q_hat.data @ perceiver.w1.data, 0) @ perceiver.w2.data
-        assert np.allclose(tokens.data, expected, atol=1e-12)
+        tokens, _, _ = perceive_frame(perceiver, np.zeros((4, 4, 8)), q_hat)
+        ffn = perceiver.ffn
+        expected = q_hat.data + np.maximum(q_hat.data @ ffn.w1.data, 0) @ ffn.w2.data
+        assert np.allclose(tokens, expected, atol=1e-12)
 
     def test_query_permutation_equivariance(self, perceiver):
         rng = np.random.default_rng(7)
         frame = rng.normal(size=(4, 4, 8))
         q_hat = rng.normal(size=(5, 8))
         pi = rng.permutation(5)
-        tokens, _, logits = perceiver.perceive_frame(frame, Tensor(q_hat))
-        tokens_p, _, logits_p = perceiver.perceive_frame(frame, Tensor(q_hat[pi]))
-        assert np.allclose(tokens.data[pi], tokens_p.data, atol=1e-12)
-        assert np.allclose(logits.data[pi], logits_p.data, atol=1e-12)
+        tokens, _, logits = perceive_frame(perceiver, frame, Tensor(q_hat))
+        tokens_p, _, logits_p = perceive_frame(perceiver, frame, Tensor(q_hat[pi]))
+        assert np.allclose(tokens[pi], tokens_p, atol=1e-12)
+        assert np.allclose(logits[pi], logits_p, atol=1e-12)
 
     def test_batched_matches_per_frame(self, perceiver):
         rng = np.random.default_rng(8)
@@ -86,10 +99,10 @@ class TestPerceiveFrame:
         q_hat = Tensor(rng.normal(size=(2, 8)))
         tokens, mask_features, logits = perceiver.perceive(frames, q_hat)
         for t in range(3):
-            tok_t, mf_t, lg_t = perceiver.perceive_frame(frames[t], q_hat)
-            assert np.allclose(tokens.data[t], tok_t.data, atol=1e-12)
-            assert np.allclose(mask_features.data[t], mf_t.data, atol=1e-12)
-            assert np.allclose(logits.data[t], lg_t.data, atol=1e-12)
+            tok_t, mf_t, lg_t = perceive_frame(perceiver, frames[t], q_hat)
+            assert np.allclose(tokens.data[t], tok_t, atol=1e-12)
+            assert np.allclose(mask_features.data[t], mf_t, atol=1e-12)
+            assert np.allclose(logits.data[t], lg_t, atol=1e-12)
 
     def test_gradcheck_small_frame(self, perceiver):
         rng = np.random.default_rng(9)
@@ -98,8 +111,8 @@ class TestPerceiveFrame:
         target = rng.normal(size=(2, 8))
 
         def loss():
-            tokens, mask_features, logits = perceiver.perceive_frame(frame, Tensor(q_hat_base))
-            masks = predict_frame_masks(tokens, mask_features)
+            tokens, mask_features, logits = perceiver.perceive(frame[None], Tensor(q_hat_base))
+            masks = frame_mask_logits(tokens, mask_features).sigmoid()
             d = tokens - Tensor(target)
             return (d * d).sum() + masks.sum() * 0.1 + (logits * logits).sum()
 
@@ -110,21 +123,21 @@ class TestMaskPrediction:
     def test_zero_token_gives_half_everywhere(self):
         rng = np.random.default_rng(10)
         mf = Tensor(rng.normal(size=(3, 3, 4)))
-        masks = predict_frame_masks(Tensor(np.zeros((2, 4))), mf)
+        masks = frame_masks(Tensor(np.zeros((2, 4))), mf)
         assert np.array_equal(masks.data, np.full((2, 3, 3), 0.5))
 
     def test_aligned_token_peaks_at_matching_pixel(self):
         mf = np.zeros((2, 2, 4))
         mf[1, 0] = np.array([3.0, 0.0, 0.0, 0.0])
         token = np.array([[2.0, 0.0, 0.0, 0.0]])
-        masks = predict_frame_masks(Tensor(token), Tensor(mf)).data
+        masks = frame_masks(Tensor(token), Tensor(mf)).data
         assert np.unravel_index(masks.argmax(), masks.shape) == (0, 1, 0)
 
     def test_matches_per_pixel_loop(self):
         rng = np.random.default_rng(11)
         tokens = rng.normal(size=(3, 5))
         mf = rng.normal(size=(4, 4, 5))
-        masks = predict_frame_masks(Tensor(tokens), Tensor(mf)).data
+        masks = frame_masks(Tensor(tokens), Tensor(mf)).data
         for i in range(3):
             for y in range(4):
                 for x in range(4):
@@ -133,7 +146,7 @@ class TestMaskPrediction:
 
     def test_probabilities_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(12)
-        masks = predict_frame_masks(Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(3, 3, 4))))
+        masks = frame_masks(Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(3, 3, 4))))
         assert np.all(masks.data > 0.0) and np.all(masks.data < 1.0)
 
     def test_batched_logits_shape(self):
