@@ -20,9 +20,9 @@ from .tensor import Parameter, Tensor, concat
 class ContrastiveProjector:
     """Two-layer MLP followed by L2 normalization."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, prefix: str = "projector"):
+    def __init__(self, channels: int, rng: np.random.Generator):
         self.params: list[Parameter] = []
-        p = registry(prefix, self.params)
+        p = registry("projector", self.params)
         self.w1 = p("w1", init_weight(rng, channels, channels))
         self.b1 = p("b1", np.zeros(channels))
         self.w2 = p("w2", init_weight(rng, channels, channels))

@@ -144,10 +144,6 @@ class Scene:
     masks: np.ndarray  # [n_objects, T, H, W], {0, 1}
     probe: bool = False
 
-    @property
-    def video_id(self) -> str:
-        return f"scene-{self.seed}"
-
     def target_masks(self, expr: TaggedExpression) -> np.ndarray:
         return self.masks[list(expr.target_ids)]
 
@@ -451,8 +447,14 @@ def load_scene(directory, seed: int) -> Scene:
 
 
 def load_dataset(directory) -> list[Scene]:
+    """Every scene of `directory` in seed order.  A missing directory, or one
+    that holds no `*.json` scene, raises ValueError naming it."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ValueError(f"scene directory {directory} does not exist")
     seeds = sorted(int(p.stem) for p in directory.glob("*.json"))
+    if not seeds:
+        raise ValueError(f"scene directory {directory} holds no *.json scene")
     return [load_scene(directory, s) for s in seeds]
 
 

@@ -31,16 +31,23 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = TrainConfig.from_json(args.config)
+def _load_splits(args, cfg: TrainConfig, command: str):
+    """Training and validation scenes from `--data`/`--val-data`, else from the
+    config's directories; None, after a message, when either is not given."""
     train_dir = args.data or cfg.train_dir
     val_dir = args.val_data or cfg.val_dir
     if not train_dir or not val_dir:
-        print("training needs train/val data directories (config or flags)", file=sys.stderr)
+        print(f"{command} needs train/val data directories (config or flags)", file=sys.stderr)
+        return None
+    return load_dataset(train_dir), load_dataset(val_dir)
+
+
+def cmd_train(args) -> int:
+    cfg = TrainConfig.from_json(args.config)
+    splits = _load_splits(args, cfg, "training")
+    if splits is None:
         return 2
-    train_scenes = load_dataset(train_dir)
-    val_scenes = load_dataset(val_dir)
-    result = Trainer(cfg, train_scenes, val_scenes).run(out_dir=args.out, quiet=False)
+    result = Trainer(cfg, *splits).run(out_dir=args.out, quiet=False)
     final = result.final
     print(f"final: J={final.j:.4f} F={final.f:.4f} J&F={final.jf:.4f} "
           f"ident={final.ident_acc:.4f} margin={result.margin:.4f}")
@@ -63,14 +70,10 @@ def cmd_ablate(args) -> int:
     cfg = TrainConfig.from_json(args.config) if args.config else TrainConfig()
     if args.steps:
         cfg = cfg.replace(steps=args.steps)
-    train_dir = args.data or cfg.train_dir
-    val_dir = args.val_data or cfg.val_dir
-    if not train_dir or not val_dir:
-        print("ablation needs train/val data directories (config or flags)", file=sys.stderr)
+    splits = _load_splits(args, cfg, "ablation")
+    if splits is None:
         return 2
-    train_scenes = load_dataset(train_dir)
-    val_scenes = load_dataset(val_dir)
-    rows = ablate(cfg, args.axis, args.seeds, train_scenes, val_scenes, quiet=False)
+    rows = ablate(cfg, args.axis, args.seeds, *splits, quiet=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"ablate_{args.axis.replace('-', '_')}.csv"

@@ -4,7 +4,7 @@ ablation switches, serializable to/from JSON."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 QUERY_VARIANTS = ("ds", "sentence_only", "ds_no_sentence", "ds_no_query")
 
@@ -19,7 +19,7 @@ class TrainConfig:
     n_static_queries: int = 8
     n_motion_queries: int = 4
     hmp_blocks: int = 3
-    hmp_stages: int = 3
+    hmp_stages: int = 3  # 0 turns the hierarchical branch (HMP) off
     # contrastive memory
     n_negatives: int = 100
     ema_beta: float = 0.2
@@ -39,11 +39,9 @@ class TrainConfig:
     eval_every: int = 500
     threshold: float = 0.5
     # component switches and variants
-    decouple_sentence: bool = True
-    hmp_enabled: bool = True
     contrastive_enabled: bool = True
     hungarian_enabled: bool = True
-    query_variant: str = "ds"
+    query_variant: str = "ds"  # "sentence_only" turns cue decoupling off
     # data locations (used by the CLI)
     train_dir: str = ""
     val_dir: str = ""
@@ -73,14 +71,6 @@ class TrainConfig:
             raise ValueError("max_grad_norm must be >= 0")
 
     @property
-    def effective_query_variant(self) -> str:
-        return self.query_variant if self.decouple_sentence else "sentence_only"
-
-    @property
-    def effective_hmp_stages(self) -> int:
-        return self.hmp_stages if self.hmp_enabled else 0
-
-    @property
     def warmup_steps(self) -> int:
         return int(round(self.warmup_frac * self.steps))
 
@@ -92,6 +82,9 @@ class TrainConfig:
     def from_json(cls, path) -> "TrainConfig":
         with open(path) as fh:
             data = json.load(fh)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"{path} holds unknown config keys {unknown}")
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -107,10 +100,6 @@ class TrainConfig:
         """Key identifying runs that are guaranteed bit-identical: resolved
         component semantics rather than raw switch values."""
         data = asdict(self)
-        data["query_variant"] = self.effective_query_variant
-        data["decouple_sentence"] = self.effective_query_variant != "sentence_only"
-        data["hmp_stages"] = self.effective_hmp_stages
-        data["hmp_enabled"] = self.effective_hmp_stages > 0
         if not self.contrastive_enabled or self.n_negatives == 0:
             data["contrastive_enabled"] = False
             data["n_negatives"] = 0

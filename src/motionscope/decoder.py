@@ -19,11 +19,10 @@ class VideoTokens:
 
 
 class MotionDecoder:
-    def __init__(self, channels: int, hidden: int, rng: np.random.Generator,
-                 prefix: str = "decoder"):
+    def __init__(self, channels: int, hidden: int, rng: np.random.Generator):
         c = channels
         self.params: list[Parameter] = []
-        p = registry(prefix, self.params)
+        p = registry("decoder", self.params)
         self.attend = Attention(p, rng, c)
         self.ffn = FeedForward(p, rng, c, hidden)
         self.ws = p("score.w", init_weight(rng, c, 1))

@@ -113,13 +113,13 @@ class HmpStack:
     """Cascade of motion perception blocks applied per trajectory."""
 
     def __init__(self, channels: int, hidden: int, n_blocks: int, n_stages: int,
-                 rng: np.random.Generator, prefix: str = "hmp"):
+                 rng: np.random.Generator):
         if n_blocks < 1:
             raise ValueError(f"need at least one block, got {n_blocks}")
         if n_stages < 0:
             raise ValueError(f"stage count must be non-negative, got {n_stages}")
         self.blocks = [
-            HmpBlock(channels, hidden, n_stages, rng, prefix=f"{prefix}.block{i}")
+            HmpBlock(channels, hidden, n_stages, rng, prefix=f"hmp.block{i}")
             for i in range(n_blocks)
         ]
         self.params = [p for block in self.blocks for p in block.params]

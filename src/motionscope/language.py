@@ -39,9 +39,6 @@ class TaggedExpression:
     target_ids: list[int] = field(default_factory=list)
     video: str = ""
 
-    def surfaces(self, tags) -> list[str]:
-        return [t.surface for t in self.tokens if t.tag in tags]
-
 
 @dataclass
 class CueSet:

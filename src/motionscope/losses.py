@@ -1,5 +1,6 @@
-"""Set-prediction losses: optimal matching of predictions to ground truth at
-frame level and video level, with class, mask and dice terms."""
+"""Set-prediction losses: optimal matching of predictions to ground truth,
+then class, mask and dice terms.  Frame level and video level are the same
+loss, one prediction set per frame or one per video."""
 
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ from .tensor import Tensor, bce_with_logits, take
 
 DICE_SMOOTH = 1.0
 
+Match = tuple[int, int, float]  # (prediction index, target index, cost)
+
 
 def dice_loss(probs: Tensor, targets: np.ndarray) -> Tensor:
     """Mean soft dice loss over the leading axis; last axis is pixels."""
@@ -20,10 +23,6 @@ def dice_loss(probs: Tensor, targets: np.ndarray) -> Tensor:
     inter = (probs * t).sum(axis=-1)
     denom = probs.sum(axis=-1) + Tensor(targets.sum(axis=-1))
     return (1.0 - (inter * 2.0 + DICE_SMOOTH) / (denom + DICE_SMOOTH)).mean()
-
-
-def _np_softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
 
 
 def _match_costs(mask_logits: np.ndarray, class_logits: np.ndarray, gt: np.ndarray,
@@ -34,92 +33,79 @@ def _match_costs(mask_logits: np.ndarray, class_logits: np.ndarray, gt: np.ndarr
     class_logits [..., n_pred]."""
     n_pixels = mask_logits.shape[-1]
     gt_t = gt.swapaxes(-1, -2)
-    bce_pos = _np_softplus(mask_logits).mean(axis=-1, keepdims=True)
+    bce_pos = np.logaddexp(0.0, mask_logits).mean(axis=-1, keepdims=True)
     cross = mask_logits @ gt_t / n_pixels
     bce = bce_pos - cross
     probs = 1.0 / (1.0 + np.exp(-np.clip(mask_logits, -500, 500)))
     inter = probs @ gt_t
     denom = probs.sum(axis=-1, keepdims=True) + gt.sum(axis=-1)[..., None, :]
     dice = 1.0 - (2.0 * inter + DICE_SMOOTH) / (denom + DICE_SMOOTH)
-    cls = _np_softplus(class_logits) - class_logits  # cost of predicting "object"
+    cls = np.logaddexp(0.0, class_logits) - class_logits  # cost of predicting "object"
     return lambda_cls * cls[..., None] + lambda_mask * bce + lambda_dice * dice
 
 
-def _assign(costs: np.ndarray, n_pred: int) -> list[tuple[int, int, float]]:
-    """Hungarian assignment of predictions to ground-truth columns, on a
-    zero-padded square matrix.  Returns (pred, gt, cost) per real pair."""
-    n_gt = costs.shape[1]
-    padded = np.zeros((n_pred, n_pred))
-    padded[:, :n_gt] = costs
-    perm = hungarian(padded)
-    return [(i, int(perm[i]), float(costs[i, perm[i]])) for i in range(n_pred) if perm[i] < n_gt]
+def _assign(costs: np.ndarray) -> list[Match]:
+    """Hungarian assignment of prediction rows to ground-truth columns.
+    Returns (pred, gt, cost) per matched pair, in prediction order."""
+    cols = hungarian(costs)
+    return [(i, int(j), float(costs[i, j])) for i, j in enumerate(cols) if j < costs.shape[1]]
 
 
 @dataclass
 class MatchedLoss:
     loss: Tensor
-    matches: list[tuple[int, int, float]]  # (prediction index, target index, cost)
+    matches: list[Match]
+
+
+def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_cls: float,
+              lambda_mask: float, lambda_dice: float) -> tuple[Tensor, list[list[Match]]]:
+    """Matched set loss of B independent prediction sets.
+
+    mask_logits [B, N, P], class_logits [B, N], gt [B, G, P].  Each leading
+    index matches its N predictions to its G targets on detached logits;
+    matched predictions take mask + dice + positive class terms, unmatched
+    ones are pushed to the negative class.  The terms are assembled in one
+    batched expression.  Returns the loss and the matches of each index.
+    """
+    n_sets, n_pred, n_pixels = mask_logits.shape
+    matches: list[list[Match]] = [[] for _ in range(n_sets)]
+    if gt.shape[1] > 0:
+        costs = _match_costs(mask_logits.data, class_logits.data, gt,
+                             lambda_cls, lambda_mask, lambda_dice)
+        matches = [_assign(c) for c in costs]
+    # set, prediction and target index of every matched pair, in set order
+    pairs = [(s, p, t) for s, set_matches in enumerate(matches) for p, t, _ in set_matches]
+    b, i, j = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+    class_targets = np.zeros((n_sets, n_pred))
+    class_targets[b, i] = 1.0
+    loss = lambda_cls * bce_with_logits(class_logits, class_targets).mean()
+    if len(b):
+        flat = mask_logits.reshape(n_sets * n_pred, n_pixels)
+        logits = take(flat, b * n_pred + i, axis=0)
+        matched_gt = gt[b, j]
+        loss = loss + lambda_mask * bce_with_logits(logits, matched_gt).mean()
+        loss = loss + lambda_dice * dice_loss(logits.sigmoid(), matched_gt)
+    return loss, matches
 
 
 def frame_loss(output: ForwardOutput, gt_masks: np.ndarray, lambda_cls: float,
                lambda_mask: float, lambda_dice: float) -> Tensor:
-    """Per-frame matching loss against all annotated objects.
-
-    Every frame matches its candidate tokens to the objects present; matched
-    tokens take mask + dice + positive class terms, unmatched tokens are
-    pushed to the negative class.  Matching runs per frame on detached
-    logits; the loss terms are assembled in one batched expression.
-    """
+    """Per-frame set loss: every frame matches its candidate tokens to the
+    annotated objects present."""
     n_objects, t_frames, h, w = gt_masks.shape
-    gt_flat = gt_masks.reshape(n_objects, t_frames, h * w)
-    n_pred = output.class_logits.shape[1]
-    detached_logits = output.frame_logits.data
-    detached_class = output.class_logits.data
-
-    class_targets = np.zeros((t_frames, n_pred))
-    matched_rows: list[int] = []
-    matched_gt: list[np.ndarray] = []
-    if n_objects > 0:
-        costs = _match_costs(detached_logits, detached_class, gt_flat.swapaxes(0, 1),
-                             lambda_cls, lambda_mask, lambda_dice)
-        for t in range(t_frames):
-            for i, j, _ in _assign(costs[t], n_pred):
-                class_targets[t, i] = 1.0
-                matched_rows.append(t * n_pred + i)
-                matched_gt.append(gt_flat[j, t])
-
-    loss = lambda_cls * bce_with_logits(output.class_logits, class_targets).mean()
-    if matched_rows:
-        flat = output.frame_logits.reshape(t_frames * n_pred, h * w)
-        logits = take(flat, np.array(matched_rows, dtype=np.intp), axis=0)
-        gt = np.stack(matched_gt)
-        loss = loss + lambda_mask * bce_with_logits(logits, gt).mean()
-        loss = loss + lambda_dice * dice_loss(logits.sigmoid(), gt)
+    gt = gt_masks.reshape(n_objects, t_frames, h * w).swapaxes(0, 1)
+    loss, _ = _set_loss(output.frame_logits, output.class_logits, gt,
+                        lambda_cls, lambda_mask, lambda_dice)
     return loss
 
 
 def video_loss(output: ForwardOutput, target_masks: np.ndarray, lambda_cls: float,
                lambda_mask: float, lambda_dice: float) -> MatchedLoss:
-    """Video-level matching loss of motion queries against expression targets."""
+    """Video-level set loss of the motion queries against the expression's
+    targets, as one prediction set."""
     n_queries = output.video.score_logits.shape[0]
-    n_targets = target_masks.shape[0]
-    logits_flat = output.video_logits.reshape(n_queries, -1)
-    class_targets = np.zeros(n_queries)
-    matches: list[tuple[int, int, float]] = []
-    term = None
-    if n_targets > 0:
-        gt_flat = target_masks.reshape(n_targets, -1)
-        costs = _match_costs(logits_flat.data, output.video.score_logits.data, gt_flat,
-                             lambda_cls, lambda_mask, lambda_dice)
-        matches = _assign(costs, n_queries)
-        pred_idx = np.array([m[0] for m in matches], dtype=np.intp)
-        gt_idx = np.array([m[1] for m in matches], dtype=np.intp)
-        class_targets[pred_idx] = 1.0
-        matched_logits = take(logits_flat, pred_idx, axis=0)
-        matched_gt = gt_flat[gt_idx]
-        mask_term = bce_with_logits(matched_logits, matched_gt).mean()
-        dice_term = dice_loss(matched_logits.sigmoid(), matched_gt)
-        term = lambda_mask * mask_term + lambda_dice * dice_term
-    cls_term = lambda_cls * bce_with_logits(output.video.score_logits, class_targets).mean()
-    loss = cls_term if term is None else term + cls_term
-    return MatchedLoss(loss=loss, matches=matches)
+    logits = output.video_logits.reshape(1, n_queries, -1)
+    gt = target_masks.reshape(1, len(target_masks), logits.shape[-1])
+    loss, matches = _set_loss(logits, output.video.score_logits.reshape(1, n_queries), gt,
+                              lambda_cls, lambda_mask, lambda_dice)
+    return MatchedLoss(loss=loss, matches=matches[0])

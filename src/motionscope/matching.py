@@ -5,7 +5,8 @@ The solver is the O(n^3) shortest-augmenting-path algorithm run over pairs
 permutation sequence in base n, so among all minimum-cost assignments the
 lexicographically smallest permutation is returned deterministically; the
 integer arithmetic is exact, so ties between literally equal costs resolve
-the same way on every run.
+the same way on every run.  A rectangular matrix is zero-padded to a square
+here and nowhere else: a padded column stands for "unmatched".
 """
 
 from __future__ import annotations
@@ -20,17 +21,19 @@ _INF = float("inf")
 
 
 def hungarian(costs: np.ndarray) -> np.ndarray:
-    """Minimum-total-cost row->column assignment of a square cost matrix."""
+    """Minimum-total-cost row->column assignment of an [n_rows, n_cols] cost
+    matrix, solved on its zero-padded square.  Returns one column per row; a
+    column >= n_cols means the row is unmatched."""
     a = np.asarray(costs, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"hungarian needs a square matrix, got shape {a.shape}")
+    if a.ndim != 2:
+        raise ShapeError(f"hungarian needs a 2-d matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("hungarian needs finite costs")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.intp)
-
-    cost = a.tolist()
+    n_rows, n_cols = a.shape
+    n = max(n_rows, n_cols)
+    padded = np.zeros((n, n))
+    padded[:n_rows, :n_cols] = a
+    cost = padded.tolist()
     # tiebreak[i][j] = j * n^(n-1-i): summed over an assignment this is the
     # base-n encoding of the permutation sequence, so minimizing it picks the
     # lexicographically smallest permutation among equal-cost ones.
@@ -90,7 +93,7 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
     perm = np.zeros(n, dtype=np.intp)
     for j in range(1, n + 1):
         perm[match[j] - 1] = j - 1
-    return perm
+    return perm[:n_rows]
 
 
 def cosine_cost(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:

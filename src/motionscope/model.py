@@ -98,7 +98,7 @@ class MotionSegModel:
             self.perceiver.attend.wv.tensor.data[...] = np.eye(c)
             self.perceiver.wm.tensor.data[...] = np.eye(c)
         register(self.perceiver.params)
-        self.hmp = HmpStack(c, 2 * c, config.hmp_blocks, config.effective_hmp_stages, rng)
+        self.hmp = HmpStack(c, 2 * c, config.hmp_blocks, config.hmp_stages, rng)
         register(self.hmp.params)
         self.decoder = MotionDecoder(c, 2 * c, rng)
         register(self.decoder.params)
@@ -116,7 +116,7 @@ class MotionSegModel:
         return take(rows, idx, axis=0)
 
     def build_queries(self, cues: CueSet):
-        variant = self.config.effective_query_variant
+        variant = self.config.query_variant
         if variant == "sentence_only":
             static_cues = cues.sentence.reshape(1, -1)
             motion_cues = static_cues
@@ -134,7 +134,7 @@ class MotionSegModel:
 
     def forward(self, features: np.ndarray, expr: TaggedExpression) -> ForwardOutput:
         cfg = self.config
-        add_sentence = cfg.effective_query_variant != "ds_no_sentence"
+        add_sentence = cfg.query_variant != "ds_no_sentence"
         cues = decouple(expr, self.embedding.tensor, add_sentence=add_sentence)
         q_static, q_motion, motion_cues = self.build_queries(cues)
 

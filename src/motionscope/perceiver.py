@@ -43,12 +43,12 @@ def sinusoidal_grid(height: int, width: int, channels: int) -> np.ndarray:
 
 class StaticPerceiver:
     def __init__(self, channels: int, img_channels: int, hidden: int,
-                 rng: np.random.Generator, prefix: str = "perceiver"):
+                 rng: np.random.Generator):
         self.channels = channels
         self.img_channels = img_channels
         c, ci = channels, img_channels
         self.params: list[Parameter] = []
-        p = registry(prefix, self.params)
+        p = registry("perceiver", self.params)
         # query and key projections start equal: spatial codes placed in the
         # query initialization then line up with pixel position codes at init
         wk = init_weight(rng, ci, c)

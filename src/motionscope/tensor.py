@@ -94,9 +94,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     # -- autodiff -----------------------------------------------------------
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -263,12 +260,7 @@ class Tensor:
         return Tensor._op(data, (a,), bw)
 
     def mean(self, axis=None, keepdims: bool = False):
-        if axis is None:
-            n = self.data.size
-        elif isinstance(axis, tuple):
-            n = int(np.prod([self.data.shape[i] for i in axis]))
-        else:
-            n = self.data.shape[axis]
+        n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- elementwise nonlinearities --------------------------------------------
@@ -315,15 +307,6 @@ class Tensor:
 
         def bw(g):
             a._accumulate(g * (a.data > 0.0))
-
-        return Tensor._op(data, (a,), bw)
-
-    def softplus(self):
-        a = self
-        data = np.logaddexp(0.0, a.data)
-
-        def bw(g):
-            a._accumulate(g * stable_sigmoid(a.data))
 
         return Tensor._op(data, (a,), bw)
 

@@ -64,6 +64,11 @@ def separation_margin(token_groups: dict) -> float:
     return float(np.mean(intra) - np.mean(inter))
 
 
+def _require_expressions(scenes: list[Scene]) -> None:
+    if not any(scene.expressions for scene in scenes):
+        raise ValueError("evaluation needs at least one expression, the scenes hold none")
+
+
 class Trainer:
     def __init__(self, config: TrainConfig, train_scenes: list[Scene], val_scenes: list[Scene]):
         config.validate()
@@ -154,36 +159,26 @@ class Trainer:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def _score_scene(self, pred_masks: np.ndarray, gt_masks: np.ndarray):
-        n_pred, n_gt = len(pred_masks), len(gt_masks)
+    def _score_scene(self, pred_masks: np.ndarray, gt_masks: np.ndarray, iou: np.ndarray):
+        """Mean J, mean F and identification of predictions matched one-to-one
+        to targets by video IoU (`iou` is [n_pred, n_gt]).  An unmatched
+        prediction or target scores 0 on both and fails identification."""
+        n_pred, n_gt = iou.shape
         if n_pred == 0 and n_gt == 0:
             return 1.0, 1.0, True
         n = max(n_pred, n_gt)
-        iou = np.zeros((n_pred, n_gt))
-        for s in range(n_pred):
-            for k in range(n_gt):
-                iou[s, k] = video_iou(pred_masks[s], gt_masks[k])
-        costs = np.zeros((n, n))
-        costs[:n_pred, :n_gt] = -iou
-        perm = hungarian(costs)
-        js, fs, correct = [], [], True
-        for i in range(n):
-            k = perm[i]
-            if i < n_pred and k < n_gt:
-                js.append(metric_j(pred_masks[i], gt_masks[k]))
-                fs.append(metric_f(pred_masks[i], gt_masks[k]))
-                if iou[i, k] < 0.5:
-                    correct = False
-            else:
-                js.append(0.0)
-                fs.append(0.0)
-                correct = False
-        return float(np.mean(js)), float(np.mean(fs)), correct
+        js, fs = np.zeros(n), np.zeros(n)
+        correct = n_pred == n_gt
+        for i, k in enumerate(hungarian(-iou)):
+            if k < n_gt:
+                js[i] = metric_j(pred_masks[i], gt_masks[k])
+                fs[i] = metric_f(pred_masks[i], gt_masks[k])
+                correct = correct and iou[i, k] >= 0.5
+        return float(np.mean(js)), float(np.mean(fs)), bool(correct)
 
     def evaluate(self, scenes: list[Scene] | None = None) -> EvalMetrics:
         scenes = scenes if scenes is not None else self.val_scenes
-        if not any(scene.expressions for scene in scenes):
-            raise ValueError("evaluation needs at least one expression, the scenes hold none")
+        _require_expressions(scenes)
         js, fs, idents = [], [], []
         probe_idents = []
         token_groups: dict[tuple[int, int], list[np.ndarray]] = {}
@@ -194,15 +189,14 @@ class Trainer:
                                                       self.cfg.threshold)
                 binary = probs.data > 0.5
                 gt = scene.target_masks(expr).astype(bool)
-                j, f, ident = self._score_scene(binary[selected], gt)
+                iou = np.array([[video_iou(q, g) for g in gt] for q in binary])
+                j, f, ident = self._score_scene(binary[selected], gt, iou[selected])
                 js.append(j)
                 fs.append(f)
                 idents.append(ident)
                 if scene.probe:
                     probe_idents.append(ident)
-                for pos, obj_idx in enumerate(expr.target_ids):
-                    ious = [video_iou(binary[q], gt[pos]) for q in range(binary.shape[0])]
-                    best_q = int(np.argmax(ious))
+                for obj_idx, best_q in zip(expr.target_ids, iou.argmax(axis=0)):
                     projected = self.model.projector.project(
                         Tensor(out.video.tokens.data[best_q].copy()))
                     token_groups.setdefault((scene.seed, obj_idx), []).append(projected.data.copy())
@@ -222,6 +216,7 @@ class Trainer:
         cfg = self.cfg
         if not self.pairs:
             raise ValueError("training needs at least one expression, the training scenes hold none")
+        _require_expressions(self.val_scenes)
         order: list[tuple[int, int]] = []
         while len(order) < cfg.steps:
             order.extend(self.pairs[i] for i in self.order_rng.permutation(len(self.pairs)))
@@ -302,18 +297,19 @@ def write_csv(path, columns, rows: list[dict], footer: list[str] = ()) -> None:
 def axis_variants(base: TrainConfig, axis: str) -> list[tuple[str, TrainConfig]]:
     if axis == "components":
         out = []
-        for index, (ds, hmp, cl) in enumerate(itertools.product((False, True), repeat=3)):
+        for ds, hmp, cl in itertools.product((False, True), repeat=3):
             label = "+".join(n for n, on in (("ds", ds), ("hmp", hmp), ("cl", cl)) if on) or "none"
-            out.append((label, base.replace(decouple_sentence=ds, hmp_enabled=hmp,
-                                            contrastive_enabled=cl)))
+            out.append((label, base.replace(
+                query_variant=base.query_variant if ds else "sentence_only",
+                hmp_stages=base.hmp_stages if hmp else 0, contrastive_enabled=cl)))
         return out
     if axis == "input-query":
         return [
-            (variant, base.replace(decouple_sentence=True, query_variant=variant))
+            (variant, base.replace(query_variant=variant))
             for variant in ("sentence_only", "ds_no_sentence", "ds_no_query", "ds")
         ]
     if axis == "nh":
-        return [(str(n), base.replace(hmp_enabled=True, hmp_stages=n)) for n in (0, 1, 2, 3)]
+        return [(str(n), base.replace(hmp_stages=n)) for n in (0, 1, 2, 3)]
     if axis == "nn":
         return [(str(n), base.replace(contrastive_enabled=True, n_negatives=n))
                 for n in (0, 10, 100, 200)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,14 @@ class TestSceneIO:
             save_scene(generate(seed, small_config()), tmp_path)
         scenes = load_dataset(tmp_path)
         assert [s.seed for s in scenes] == [2, 7, 11]
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["missing", "empty"])
+    def test_load_dataset_rejects_directory_without_scenes(self, tmp_path, exists):
+        directory = tmp_path / "scenes"
+        if exists:
+            directory.mkdir()
+        with pytest.raises(ValueError, match=re.escape(str(directory))):
+            load_dataset(directory)
 
 
 class TestMetricJ:

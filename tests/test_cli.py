@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -39,3 +40,21 @@ def test_config_json_roundtrip_and_validation(tmp_path):
     assert TrainConfig.from_json(tmp_path / "config.json") == cfg
     with pytest.raises(ValueError, match="threshold"):
         cfg.replace(threshold=1.5)
+
+
+def test_config_with_unknown_keys_rejected(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"steps": 3, "hmp_enabled": False, "decouple_sentence": True}))
+    with pytest.raises(ValueError) as exc:
+        TrainConfig.from_json(path)
+    assert str(path) in str(exc.value)
+    assert "decouple_sentence" in str(exc.value) and "hmp_enabled" in str(exc.value)
+
+
+def test_train_names_a_missing_data_directory(tmp_path):
+    config = tmp_path / "config.json"
+    TrainConfig(steps=2, eval_every=1).to_json(config)
+    typo = tmp_path / "typo"
+    with pytest.raises(ValueError, match=re.escape(str(typo))):
+        main(["train", "--config", str(config), "--out", str(tmp_path / "run"),
+              "--data", str(typo), "--val-data", str(typo)])

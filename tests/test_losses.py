@@ -69,7 +69,7 @@ class TestMatching:
             cls = rng.normal(size=4)
             gt = (rng.random((2, 12)) > 0.5).astype(float)
             costs = _match_costs(logits, cls, gt, 2.0, 5.0, 5.0)
-            matches = _assign(costs, 4)
+            matches = _assign(costs)
             got = sum(c for _, _, c in matches)
             best = min(
                 costs[a, 0] + costs[b, 1]
@@ -80,7 +80,7 @@ class TestMatching:
     def test_assignment_is_injective(self):
         rng = np.random.default_rng(3)
         costs = rng.normal(size=(5, 3))
-        matches = _assign(costs, 5)
+        matches = _assign(costs)
         preds = [m[0] for m in matches]
         gts = sorted(m[1] for m in matches)
         assert len(set(preds)) == len(preds)
@@ -175,3 +175,17 @@ class TestVideoLoss:
         )
         got = sum(c for _, _, c in result.matches)
         assert abs(got - best) < 1e-12
+
+    def test_more_targets_than_queries_matches_every_query(self):
+        rng = np.random.default_rng(8)
+        cfg, model = small_model(seed=9)
+        scene = small_scene(seed=10)
+        out = model.forward(scene.features, scene.expressions[0])
+        targets = (rng.random((3,) + scene.masks.shape[1:]) > 0.7).astype(float)
+        result = video_loss(out, targets, 2.0, 5.0, 5.0)
+        costs = _match_costs(out.video_logits.data.reshape(cfg.n_motion_queries, -1),
+                             out.video.score_logits.data, targets.reshape(3, -1), 2.0, 5.0, 5.0)
+        best = min(sum(costs[q, t] for q, t in enumerate(chosen))
+                   for chosen in itertools.permutations(range(3), cfg.n_motion_queries))
+        assert [m[0] for m in result.matches] == list(range(cfg.n_motion_queries))
+        assert abs(sum(c for _, _, c in result.matches) - best) < 1e-12

@@ -64,9 +64,20 @@ class TestHungarian:
             for c in (-3.0, 0.25, 10.0):
                 assert np.array_equal(hungarian(costs + c), base)
 
-    def test_non_square_rejected(self):
+    @pytest.mark.parametrize("shape", [(6, 3), (3, 6), (4, 1), (1, 4), (0, 3), (3, 0)])
+    def test_rectangular_equals_zero_padded_square(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            costs = rng.integers(-2, 3, size=shape).astype(float)
+            n = max(shape)
+            padded = np.zeros((n, n))
+            padded[:shape[0], :shape[1]] = costs
+            assert hungarian(costs).tolist() == hungarian(padded)[:shape[0]].tolist()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 3), ()])
+    def test_non_matrix_rejected(self, shape):
         with pytest.raises(ShapeError):
-            hungarian(np.zeros((3, 4)))
+            hungarian(np.zeros(shape))
 
     def test_non_finite_rejected(self):
         costs = np.zeros((2, 2))

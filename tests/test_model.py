@@ -65,14 +65,6 @@ class TestQueryVariants:
         assert out.motion_cues.shape == (1, 8)
         assert np.array_equal(out.motion_cues.data[0], out.cues.sentence.data)
 
-    def test_ds_off_equals_sentence_only(self):
-        cfg_a, model_a = make(seed=5, decouple_sentence=False)
-        cfg_b, model_b = make(seed=5, query_variant="sentence_only")
-        scene = scene_for(cfg_a)
-        out_a = model_a.forward(scene.features, scene.expressions[0])
-        out_b = model_b.forward(scene.features, scene.expressions[0])
-        assert np.array_equal(out_a.video.scores.data, out_b.video.scores.data)
-
     def test_no_sentence_variant_drops_sentence_add(self):
         cfg, model = make(query_variant="ds_no_sentence")
         scene = scene_for(cfg)

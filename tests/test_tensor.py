@@ -180,15 +180,6 @@ class TestAutodiff:
 
         assert grad_check([w], loss) < 1e-8
 
-    def test_softplus_gradcheck(self):
-        rng = np.random.default_rng(12)
-        w = Parameter("w", rng.normal(scale=3.0, size=(8,)))
-
-        def loss():
-            return w.tensor.softplus().sum()
-
-        assert grad_check([w], loss) < 1e-8
-
     def test_take_repeat_concat_gradcheck(self):
         rng = np.random.default_rng(13)
         w = Parameter("w", rng.normal(size=(5, 3)))

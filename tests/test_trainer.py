@@ -2,10 +2,13 @@ import dataclasses
 import signal
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
+from motionscope import trainer as trainer_module
 from motionscope.benchmark import generate
 from motionscope.config import TrainConfig
+from motionscope.tensor import Tensor
 from motionscope.trainer import Trainer
 
 
@@ -41,3 +44,46 @@ def test_evaluate_without_expressions_raises(scenes):
     trainer = Trainer(TrainConfig(), [], [])
     with pytest.raises(ValueError, match="expression"):
         trainer.evaluate(scenes)
+
+
+@pytest.mark.parametrize("val_scenes", [[], [speechless(3)]], ids=["no-scenes", "no-expressions"])
+def test_run_without_validation_expressions_raises_before_training(val_scenes):
+    trainer = Trainer(TrainConfig(steps=4, eval_every=2), [generate(0)], val_scenes)
+    before = [p.data.copy() for p in trainer.model.params]
+    with deadline(20), pytest.raises(ValueError, match="evaluation"):
+        trainer.run()
+    assert all(np.array_equal(a, p.data) for a, p in zip(before, trainer.model.params))
+
+
+# (scene seed, selected queries, query copying each target, expected J = F, ident)
+# scene 0's first expression has one target, scene 5's has two
+SCORING_CASES = {
+    "more-predictions": (0, [0, 2], [2], 0.5, 0.0),
+    "fewer-predictions": (5, [1], [3, 1], 0.5, 0.0),
+    "one-to-one": (5, [1, 3], [3, 1], 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", SCORING_CASES.values(), ids=SCORING_CASES.keys())
+def test_evaluate_scores_unmatched_predictions_and_targets_zero(monkeypatch, case):
+    """Forged masks: a selected query either copies a target or is empty.  An
+    unmatched prediction or target scores 0, and each target's token comes
+    from the query that copies it, selected or not."""
+    seed, selected, copies, expected, ident = case
+    scene = generate(seed)
+    expr = scene.expressions[0]
+    scene = dataclasses.replace(scene, expressions=[expr])
+    trainer = Trainer(TrainConfig(), [], [scene])
+    gt = scene.target_masks(expr)
+    probs = np.zeros((trainer.cfg.n_motion_queries,) + gt.shape[1:])
+    for target, query in enumerate(copies):
+        probs[query] = gt[target]
+    monkeypatch.setattr(trainer_module, "predict_video_masks",
+                        lambda video, mask_features, threshold: (Tensor(probs), np.array(selected)))
+    metrics = trainer.evaluate()
+    assert (metrics.j, metrics.f, metrics.ident_acc) == (expected, expected, ident)
+    tokens = trainer.model.forward(scene.features, expr).video.tokens.data
+    for target, query in enumerate(copies):
+        projected = trainer.model.projector.project(Tensor(tokens[query].copy())).data
+        key = (scene.seed, expr.target_ids[target])
+        assert np.array_equal(metrics.token_groups[key][0], projected)
