@@ -7,6 +7,9 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 QUERY_VARIANTS = ("ds", "sentence_only", "ds_no_sentence", "ds_no_query")
+# the Python values each annotated field type accepts; bool is an int subclass,
+# so it is excluded from the number types
+ACCEPTED_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
 @dataclass
@@ -47,6 +50,11 @@ class TrainConfig:
     val_dir: str = ""
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, ACCEPTED_TYPES[f.type])
+                    or (f.type != "bool" and isinstance(value, bool))):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.hmp_blocks < 1:
             raise ValueError(f"hmp_blocks must be >= 1, got {self.hmp_blocks}")
         if self.hmp_stages < 0:
@@ -82,11 +90,17 @@ class TrainConfig:
     def from_json(cls, path) -> "TrainConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{path} must hold a JSON object of config fields, "
+                             f"got {type(data).__name__}")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{path} holds unknown config keys {unknown}")
         cfg = cls(**data)
-        cfg.validate()
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return cfg
 
     def replace(self, **overrides) -> "TrainConfig":

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Attention, FeedForward, init_weight, registry
+from .perceiver import MaskFeatures
 from .tensor import Parameter, Tensor, linear, standardize
 
 
@@ -47,14 +48,13 @@ class MotionDecoder:
         return VideoTokens(tokens=tokens, score_logits=logits, scores=logits.sigmoid())
 
 
-def video_mask_logits(video_tokens: Tensor, mask_features: Tensor) -> Tensor:
-    """[N_m, C] x [T, H, W, C] -> logits [N_m, T, H*W]."""
-    t, h, w, c = mask_features.shape
-    flat = mask_features.reshape(t, h * w, c)
-    return (video_tokens @ flat.swapaxes(-1, -2)).swapaxes(0, 1)
+def video_mask_logits(video_tokens: Tensor, mask_features: MaskFeatures) -> Tensor:
+    """[N_m, C] tokens -> logits [N_m, T, H*W]."""
+    return mask_features.logits(video_tokens).swapaxes(0, 1)
 
 
-def predict_video_masks(video: VideoTokens, mask_features: Tensor, threshold: float = 0.5):
+def predict_video_masks(video: VideoTokens, mask_features: MaskFeatures,
+                        threshold: float = 0.5):
     """Per-query video mask probabilities plus the indices selected by score.
 
     Selection is empty when every score falls at or below the threshold.

@@ -4,13 +4,15 @@ perceiver, the HMP blocks and the motion decoder share.
 Parameter names are the checkpoint format: a module registers its attention
 block as `attn.wq`, `attn.bq` ... `attn.wo`, `attn.bo` and its feed-forward
 block as `ffn.w1` ... `ffn.b2`, under the module's prefix and in that order.
+`attn.bk` stays registered only because parameter names are the checkpoint
+format; attention never reads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, attention, linear
+from .tensor import Parameter, Tensor, linear, softmax
 
 
 def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -33,7 +35,13 @@ class Attention:
     """Projected attention: queries from `q_in`, keys from `k_in` and values
     from `v_in` (the last two with `kv_channels` inputs), then an output
     projection.  Weights are drawn in the order wq, wk, wv, wo; a caller that
-    passes `wq` or `wk` in draws those itself."""
+    passes `wq` or `wk` in draws those itself.
+
+    The key and value projections are reassociated onto the query side, so no
+    projection of the key/value rows is ever built: scores are
+    (q·wkᵀ)·k_inᵀ/√C and the context is (softmax·v_in)·wv + bv.  `bk` would add
+    q·bk to every key's score alike, which softmax cancels, and `bv` passes
+    through unchanged because attention rows sum to 1."""
 
     def __init__(self, p, rng: np.random.Generator, channels: int,
                  kv_channels: int | None = None, wq: np.ndarray | None = None,
@@ -49,12 +57,14 @@ class Attention:
         # residual-branch outputs start small so the stream scale stays stable
         self.wo = p("attn.wo", 0.1 * init_weight(rng, c, c))
         self.bo = p("attn.bo", np.zeros(c))
+        self.scale = 1.0 / np.sqrt(c)  # of the projected channels, not of k_in's
 
     def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor) -> Tensor:
         q = linear(q_in, self.wq.tensor, self.bq.tensor)
-        k = linear(k_in, self.wk.tensor, self.bk.tensor)
-        v = linear(v_in, self.wv.tensor, self.bv.tensor)
-        return linear(attention(q, k, v), self.wo.tensor, self.bo.tensor)
+        q_keys = (q @ self.wk.tensor.swapaxes(-1, -2)) * self.scale
+        weights = softmax(q_keys @ k_in.swapaxes(-1, -2), axis=-1)
+        context = linear(weights @ v_in, self.wv.tensor, self.bv.tensor)
+        return linear(context, self.wo.tensor, self.bo.tensor)
 
 
 class FeedForward:

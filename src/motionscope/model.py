@@ -20,7 +20,13 @@ from .decoder import MotionDecoder, VideoTokens, video_mask_logits
 from .hmp import HmpStack
 from .language import CueSet, TaggedExpression, decouple
 from .matching import TrajectorySet, identity_trajectories, link
-from .perceiver import StaticPerceiver, frame_mask_logits, inject_cues, sinusoidal_grid
+from .perceiver import (
+    MaskFeatures,
+    StaticPerceiver,
+    frame_mask_logits,
+    inject_cues,
+    sinusoidal_grid,
+)
 from .tensor import Parameter, Tensor, take
 
 
@@ -29,7 +35,7 @@ class ForwardOutput:
     cues: CueSet
     motion_cues: Tensor          # cues actually fed to the motion path [K, C]
     object_tokens: Tensor        # [T, N_s, C]
-    mask_features: Tensor        # [T, H, W, C]
+    mask_features: MaskFeatures  # stands for [T, H, W, C]
     class_logits: Tensor         # [T, N_s]
     frame_logits: Tensor         # [T, N_s, H*W]
     trajectories: TrajectorySet  # tokens re-indexed to [N_s, T, C]

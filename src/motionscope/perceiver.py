@@ -2,12 +2,19 @@
 
 One residual cross-attention layer plus a feed-forward block, both the shared
 blocks of `layers`, stand in for a full segmentation backbone; it emits
-per-frame object tokens, a mask feature grid and a per-token objectness
-logit.  The positional code is added to the attention keys only, so the values
-(and the attention contribution) vanish on an all-zero grid with zero biases.
+per-frame object tokens, the mask head's `MaskFeatures` and a per-token
+objectness logit.  The positional code is added to the attention keys only, so
+the values (and the attention contribution) vanish on an all-zero grid with
+zero biases.
+
+No per-pixel projection is built: attention multiplies its key and value
+weights into the queries, and a mask logit x·(p·wm + bm) is computed as
+(x·wmᵀ)·pᵀ + x·bm, so the pixel features stay a gradient-free constant.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +51,6 @@ def sinusoidal_grid(height: int, width: int, channels: int) -> np.ndarray:
 class StaticPerceiver:
     def __init__(self, channels: int, img_channels: int, hidden: int,
                  rng: np.random.Generator):
-        self.channels = channels
         self.img_channels = img_channels
         c, ci = channels, img_channels
         self.params: list[Parameter] = []
@@ -73,29 +79,49 @@ class StaticPerceiver:
     def perceive(self, frames: np.ndarray, q_hat: Tensor):
         """Batched perception over a [T, H, W, C_img] feature video.
 
-        Returns object tokens [T, N, C], mask features [T, H, W, C] and
+        Returns object tokens [T, N, C], the mask head's `MaskFeatures` and
         objectness logits [T, N].
         """
         t, h, w, ci = frames.shape
-        pixels = Tensor(frames.reshape(t, h * w, ci))
+        pixels = Tensor(frames)
+        flat = pixels.reshape(t, h * w, ci)
         # keys see pixel + position, values the raw pixel features only, so a
         # constant grid contributes the same vector to every query
-        keys = pixels + Tensor(self._position_code(h, w))
-        hidden = q_hat + self.attend(q_hat, keys, pixels)
+        keys = flat + Tensor(self._position_code(h, w))
+        hidden = q_hat + self.attend(q_hat, keys, flat)
         tokens = hidden + self.ffn(hidden)
-        mask_features = linear(pixels, self.wm.tensor, self.bm.tensor)
         class_logits = linear(tokens, self.wc.tensor, self.bc.tensor)
         n = q_hat.shape[0]
         return (
             tokens,
-            mask_features.reshape(t, h, w, self.channels),
+            MaskFeatures(pixels, self.wm.tensor, self.bm.tensor),
             class_logits.reshape(t, n),
         )
 
 
-def frame_mask_logits(tokens: Tensor, mask_features: Tensor) -> Tensor:
-    """Dot-product mask logits: [..., N, C] x [..., H, W, C] -> [..., N, H*W]."""
-    shape = mask_features.shape
-    flat = mask_features.reshape(*shape[:-3], shape[-3] * shape[-2], shape[-1])
-    return tokens @ flat.swapaxes(-1, -2)
+@dataclass(frozen=True)
+class MaskFeatures:
+    """The mask head over a [T, H, W, C_img] pixel video, kept factored: the
+    mask features p·wm + bm of each pixel are never formed."""
 
+    pixels: Tensor  # [T, H, W, C_img], gradient-free
+    w: Tensor  # mask.w [C_img, C]
+    b: Tensor  # mask.b [C]
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        """(T, H, W, C) of the mask features this value stands for."""
+        return self.pixels.shape[:3] + self.w.shape[1:]
+
+    def logits(self, tokens: Tensor) -> Tensor:
+        """Tokens [N, C] or [T, N, C] -> mask logits [T, N, H*W], as
+        (x·wmᵀ)·pᵀ + x·bm."""
+        t, *_, ci = self.pixels.shape
+        flat = self.pixels.reshape(t, -1, ci)
+        by_pixel = (tokens @ self.w.swapaxes(-1, -2)) @ flat.swapaxes(-1, -2)
+        return by_pixel + tokens @ self.b.reshape(-1, 1)
+
+
+def frame_mask_logits(tokens: Tensor, mask_features: MaskFeatures) -> Tensor:
+    """Dot-product mask logits: [T, N, C] tokens -> [T, N, H*W]."""
+    return mask_features.logits(tokens)

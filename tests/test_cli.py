@@ -51,6 +51,38 @@ def test_config_with_unknown_keys_rejected(tmp_path):
     assert "decouple_sentence" in str(exc.value) and "hmp_enabled" in str(exc.value)
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("steps", "10", "int"),
+    ("steps", True, "int"),  # bool is an int subclass, but not a count
+    ("learning_rate", "0.1", "float"),
+    ("contrastive_enabled", 1, "bool"),
+    ("query_variant", 3, "str"),
+])
+def test_config_field_of_wrong_type_rejected(tmp_path, key, value, expected):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ValueError) as exc:
+        TrainConfig.from_json(path)
+    assert str(path) in str(exc.value)
+    assert f"{key} must be of type {expected}" in str(exc.value)
+
+
+def test_config_int_accepted_for_float_field(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"learning_rate": 1, "tau": 2}))
+    cfg = TrainConfig.from_json(path)
+    assert (cfg.learning_rate, cfg.tau) == (1, 2)
+
+
+def test_config_top_level_must_be_an_object(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps([1]))
+    with pytest.raises(ValueError) as exc:
+        TrainConfig.from_json(path)
+    assert str(path) in str(exc.value) and "JSON object" in str(exc.value)
+    assert "unknown config keys" not in str(exc.value)
+
+
 def test_train_names_a_missing_data_directory(tmp_path):
     config = tmp_path / "config.json"
     TrainConfig(steps=2, eval_every=1).to_json(config)

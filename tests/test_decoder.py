@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from motionscope.decoder import MotionDecoder, predict_video_masks, video_mask_logits
-from motionscope.perceiver import inject_cues
+from motionscope.perceiver import MaskFeatures, inject_cues
 from motionscope.tensor import Tensor, grad_check
+
+
+def identity_head(grid):
+    """`MaskFeatures` whose [T, H, W, C] mask features are exactly `grid`: an
+    identity `mask.w` and a zero `mask.b`."""
+    c = grid.shape[-1]
+    return MaskFeatures(Tensor(grid), Tensor(np.eye(c)), Tensor(np.zeros(c)))
 
 
 @pytest.fixture
@@ -89,14 +96,15 @@ class TestVideoMasks:
         rng = np.random.default_rng(8)
         out = decoder.decode(Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(2, 2, 6))))
         out.scores.data[...] = 0.2
-        _, selected = predict_video_masks(out, Tensor(rng.normal(size=(2, 3, 3, 6))), threshold=0.5)
+        _, selected = predict_video_masks(out, identity_head(rng.normal(size=(2, 3, 3, 6))),
+                                          threshold=0.5)
         assert selected.size == 0
 
     def test_zero_token_gives_half_masks(self, decoder):
         rng = np.random.default_rng(9)
         out = decoder.decode(Tensor(rng.normal(size=(2, 6))), Tensor(rng.normal(size=(1, 2, 6))))
         out.tokens.data[0, :] = 0.0
-        mf = Tensor(rng.normal(size=(2, 3, 3, 6)))
+        mf = identity_head(rng.normal(size=(2, 3, 3, 6)))
         probs, _ = predict_video_masks(out, mf)
         assert np.array_equal(probs.data[0], np.full((2, 3, 3), 0.5))
 
@@ -104,7 +112,7 @@ class TestVideoMasks:
         rng = np.random.default_rng(10)
         tokens = rng.normal(size=(2, 4))
         mf = rng.normal(size=(3, 2, 2, 4))
-        logits = video_mask_logits(Tensor(tokens), Tensor(mf)).data.reshape(2, 3, 2, 2)
+        logits = video_mask_logits(Tensor(tokens), identity_head(mf)).data.reshape(2, 3, 2, 2)
         for j in range(2):
             for t in range(3):
                 for y in range(2):
@@ -114,7 +122,7 @@ class TestVideoMasks:
     def test_threshold_monotonicity(self, decoder):
         rng = np.random.default_rng(11)
         out = decoder.decode(Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(2, 3, 6))))
-        mf = Tensor(rng.normal(size=(2, 3, 3, 6)))
+        mf = identity_head(rng.normal(size=(2, 3, 3, 6)))
         previous = None
         for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
             _, selected = predict_video_masks(out, mf, threshold=threshold)

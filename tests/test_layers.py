@@ -1,0 +1,97 @@
+import numpy as np
+import pytest
+
+from motionscope.layers import Attention, registry
+from motionscope.tensor import Parameter, Tensor, attention, grad_check, linear
+
+
+def block(channels, kv_channels=None, seed=0):
+    """An `Attention` block whose biases, `bk` included, are random and non-zero."""
+    rng = np.random.default_rng(seed)
+    params: list[Parameter] = []
+    attn = Attention(registry("m", params), rng, channels, kv_channels=kv_channels)
+    for param in (attn.bq, attn.bk, attn.bv, attn.bo):
+        param.tensor.data[...] = rng.normal(size=channels)
+    return attn, params
+
+
+def projected(attn, q_in, k_in, v_in):
+    """The textbook formula: project queries, keys and values, attend, project out."""
+    q = linear(q_in, attn.wq.tensor, attn.bq.tensor)
+    k = linear(k_in, attn.wk.tensor, attn.bk.tensor)
+    v = linear(v_in, attn.wv.tensor, attn.bv.tensor)
+    return linear(attention(q, k, v), attn.wo.tensor, attn.bo.tensor)
+
+
+# name -> (channels, kv_channels, query shape, key/value shape, self-attention)
+CASES = {
+    # HMP: trajectories [N_s, T, C] attend over their own frames
+    "hmp_self": (8, None, (5, 6, 8), (5, 6, 8), True),
+    # decoder: motion queries over the flattened trajectory-frame tokens
+    "decoder_cross": (8, None, (4, 8), (40, 8), False),
+    # perceiver: shared queries over each frame's pixels, img_channels != channels;
+    # keys carry a position code the values lack
+    "perceiver_pixels": (8, 5, (3, 8), (2, 12, 5), False),
+}
+# the same callers at sizes a finite-difference check runs through quickly
+TOY = {
+    "hmp_self": (3, None, (2, 3, 3), (2, 3, 3), True),
+    "decoder_cross": (3, None, (2, 3), (4, 3), False),
+    "perceiver_pixels": (3, 2, (2, 3), (2, 3, 2), False),
+}
+
+
+def inputs(case, rng):
+    """(q_in, k_in, v_in) arrays; keys and values differ unless self-attention."""
+    _, _, q_shape, kv_shape, self_attention = case
+    q_in = rng.normal(size=q_shape)
+    if self_attention:
+        return q_in, q_in, q_in
+    return q_in, rng.normal(size=kv_shape), rng.normal(size=kv_shape)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_equals_projected_formula(name):
+    attn, _ = block(*CASES[name][:2])
+    q_in, k_in, v_in = (Tensor(x) for x in inputs(CASES[name], np.random.default_rng(1)))
+    got = attn(q_in, k_in, v_in).data
+    expected = projected(attn, q_in, k_in, v_in).data
+    assert got.shape == expected.shape
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", TOY)
+def test_gradcheck(name):
+    """Gradients of the block's weights and of its inputs."""
+    attn, params = block(*TOY[name][:2], seed=2)
+    rng = np.random.default_rng(3)
+    arrays = inputs(TOY[name], rng)
+    q_in = Parameter("q_in", arrays[0])
+    k_in, v_in = (q_in, q_in) if TOY[name][4] else (Parameter("k_in", arrays[1]),
+                                                    Parameter("v_in", arrays[2]))
+    target = rng.normal(size=attn(q_in.tensor, k_in.tensor, v_in.tensor).shape)
+
+    def loss():
+        d = attn(q_in.tensor, k_in.tensor, v_in.tensor) - Tensor(target)
+        return (d * d).sum()
+
+    leaves = params + list({id(p): p for p in (q_in, k_in, v_in)}.values())
+    assert grad_check(leaves, loss) < 1e-6
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_bk_has_no_effect(name):
+    """Softmax cancels q·bk, the same for every key: shifting `bk` leaves the
+    output as it is, and `bk` gets a zero gradient."""
+    channels, kv_channels = CASES[name][:2]
+    attn, params = block(channels, kv_channels)
+    q_in, k_in, v_in = (Tensor(x) for x in inputs(CASES[name], np.random.default_rng(4)))
+    before = attn(q_in, k_in, v_in)
+    attn.bk.tensor.data[...] += 10.0
+    after = attn(q_in, k_in, v_in)
+    assert np.array_equal(before.data, after.data)
+    for param in params:
+        param.zero_grad()
+    (after * after).sum().backward()
+    assert np.array_equal(attn.bk.grad, np.zeros(channels))
+    assert np.any(attn.bq.grad != 0.0)

@@ -189,3 +189,30 @@ class TestVideoLoss:
                    for chosen in itertools.permutations(range(3), cfg.n_motion_queries))
         assert [m[0] for m in result.matches] == list(range(cfg.n_motion_queries))
         assert abs(sum(c for _, _, c in result.matches) - best) < 1e-12
+
+
+def test_no_per_pixel_projection_is_differentiated():
+    """Structural guard, no timing: on a 32x32 scene no node of the training
+    graph that needs a gradient holds T*H*W rows of channel vectors, so keys,
+    values and mask features are never projected per pixel."""
+    cfg, model = small_model(grid_height=32, grid_width=32, img_channels=6)
+    scene = small_scene(height=32, width=32, channels=6)
+    out = model.forward(scene.features, scene.expressions[0])
+    loss = (frame_loss(out, scene.masks, 2.0, 5.0, 5.0)
+            + video_loss(out, scene.target_masks(scene.expressions[0]), 2.0, 5.0, 5.0).loss)
+    t, h, w, _ = scene.features.shape
+    per_pixel = []
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        assert node.requires_grad
+        shape = node.shape
+        if (len(shape) >= 2 and shape[-1] in (cfg.channels, cfg.img_channels)
+                and int(np.prod(shape[:-1])) == t * h * w):
+            per_pixel.append(shape)
+        stack.extend(node._parents)
+    assert len(seen) > 100
+    assert per_pixel == []

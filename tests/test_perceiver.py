@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from motionscope.perceiver import (
+    MaskFeatures,
     StaticPerceiver,
     frame_mask_logits,
     inject_cues,
@@ -10,15 +11,29 @@ from motionscope.perceiver import (
 from motionscope.tensor import Tensor, attention, grad_check
 
 
+def dense(mask_features):
+    """The [T, H, W, C] mask features a `MaskFeatures` value stands for."""
+    return mask_features.pixels.data @ mask_features.w.data + mask_features.b.data
+
+
+def identity_head(grid):
+    """`MaskFeatures` whose mask features are exactly `grid` ([T, H, W, C] or
+    one [H, W, C] frame): an identity `mask.w` and a zero `mask.b`."""
+    grid = np.asarray(grid, dtype=float)
+    c = grid.shape[-1]
+    return MaskFeatures(Tensor(grid.reshape(-1, *grid.shape[-3:])), Tensor(np.eye(c)),
+                        Tensor(np.zeros(c)))
+
+
 def perceive_frame(perceiver, frame, q_hat):
     """One [H, W, C_img] frame through `perceive` as a video with T=1."""
     tokens, mask_features, logits = perceiver.perceive(frame[None], q_hat)
-    return tokens.data[0], mask_features.data[0], logits.data[0]
+    return tokens.data[0], dense(mask_features)[0], logits.data[0]
 
 
 def frame_masks(tokens, mask_features):
     """Per-token mask probabilities [N, H, W] of one frame."""
-    h, w, _ = mask_features.shape
+    h, w = mask_features.shape[1:3]
     return frame_mask_logits(tokens, mask_features).sigmoid().reshape(tokens.shape[0], h, w)
 
 
@@ -101,7 +116,7 @@ class TestPerceiveFrame:
         for t in range(3):
             tok_t, mf_t, lg_t = perceive_frame(perceiver, frames[t], q_hat)
             assert np.allclose(tokens.data[t], tok_t, atol=1e-12)
-            assert np.allclose(mask_features.data[t], mf_t, atol=1e-12)
+            assert np.allclose(dense(mask_features)[t], mf_t, atol=1e-12)
             assert np.allclose(logits.data[t], lg_t, atol=1e-12)
 
     def test_gradcheck_small_frame(self, perceiver):
@@ -122,7 +137,7 @@ class TestPerceiveFrame:
 class TestMaskPrediction:
     def test_zero_token_gives_half_everywhere(self):
         rng = np.random.default_rng(10)
-        mf = Tensor(rng.normal(size=(3, 3, 4)))
+        mf = identity_head(rng.normal(size=(3, 3, 4)))
         masks = frame_masks(Tensor(np.zeros((2, 4))), mf)
         assert np.array_equal(masks.data, np.full((2, 3, 3), 0.5))
 
@@ -130,14 +145,14 @@ class TestMaskPrediction:
         mf = np.zeros((2, 2, 4))
         mf[1, 0] = np.array([3.0, 0.0, 0.0, 0.0])
         token = np.array([[2.0, 0.0, 0.0, 0.0]])
-        masks = frame_masks(Tensor(token), Tensor(mf)).data
+        masks = frame_masks(Tensor(token), identity_head(mf)).data
         assert np.unravel_index(masks.argmax(), masks.shape) == (0, 1, 0)
 
     def test_matches_per_pixel_loop(self):
         rng = np.random.default_rng(11)
         tokens = rng.normal(size=(3, 5))
         mf = rng.normal(size=(4, 4, 5))
-        masks = frame_masks(Tensor(tokens), Tensor(mf)).data
+        masks = frame_masks(Tensor(tokens), identity_head(mf)).data
         for i in range(3):
             for y in range(4):
                 for x in range(4):
@@ -146,13 +161,13 @@ class TestMaskPrediction:
 
     def test_probabilities_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(12)
-        masks = frame_masks(Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(3, 3, 4))))
+        masks = frame_masks(Tensor(rng.normal(size=(2, 4))), identity_head(rng.normal(size=(3, 3, 4))))
         assert np.all(masks.data > 0.0) and np.all(masks.data < 1.0)
 
     def test_batched_logits_shape(self):
         rng = np.random.default_rng(13)
         tokens = Tensor(rng.normal(size=(2, 3, 4)))
-        mf = Tensor(rng.normal(size=(2, 5, 5, 4)))
+        mf = identity_head(rng.normal(size=(2, 5, 5, 4)))
         assert frame_mask_logits(tokens, mf).shape == (2, 3, 25)
 
 
