@@ -42,15 +42,11 @@ def merge(enriched: Tensor, frame_weight: Tensor) -> Tensor:
     t_len = enriched.shape[-2]
     if t_len % 2 != 0:
         raise ValueError(f"merge needs an even temporal length, got {t_len}")
-    even = np.arange(0, t_len, 2)
-    odd = np.arange(1, t_len, 2)
-    x0 = take(enriched, even, axis=-2)
-    x1 = take(enriched, odd, axis=-2)
-    w0 = take(frame_weight, even, axis=-1)
-    w1 = take(frame_weight, odd, axis=-1)
-    w0e = w0.reshape(*w0.shape, 1)
-    w1e = w1.reshape(*w1.shape, 1)
-    return (x0 * w0e + x1 * w1e) / (w0e + w1e)
+    # [..., T, C] -> [..., T/2, 2, C]: each pair on its own axis, summed as
+    # x0*w0 + x1*w1 over (w0 + w1)
+    pairs = enriched.reshape(*enriched.shape[:-2], t_len // 2, 2, enriched.shape[-1])
+    weights = frame_weight.reshape(*frame_weight.shape[:-1], t_len // 2, 2, 1)
+    return (pairs * weights).sum(axis=-2) / weights.sum(axis=-2)
 
 
 def pad_to_multiple(traj: Tensor, multiple: int) -> Tensor:

@@ -7,6 +7,12 @@ lexicographically smallest permutation is returned deterministically; the
 integer arithmetic is exact, so ties between literally equal costs resolve
 the same way on every run.  A rectangular matrix is zero-padded to a square
 here and nowhere else: a padded column stands for "unmatched".
+
+A square matrix whose rows have pairwise distinct first minima skips the
+search: the algorithm would give each row one relaxation against zero
+potentials and take its first minimum, so those columns are its answer.
+They are also the only optimal assignment, since any other gives each row a
+minimum at or after its first one, and two permutations cannot differ that way.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("hungarian needs finite costs")
     n_rows, n_cols = a.shape
+    if n_rows == n_cols > 0:
+        first = a.argmin(axis=1)
+        if len(set(first.tolist())) == n_rows:
+            return first
     n = max(n_rows, n_cols)
     padded = np.zeros((n, n))
     padded[:n_rows, :n_cols] = a
@@ -97,12 +107,13 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
 
 
 def cosine_cost(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """Negative cosine similarity between token rows; zero rows score 0."""
-    pn = np.linalg.norm(prev, axis=1, keepdims=True)
-    cn = np.linalg.norm(cur, axis=1, keepdims=True)
+    """Negative cosine similarity between token rows, [..., N, C] against
+    [..., M, C] -> [..., N, M]; zero rows score 0."""
+    pn = np.linalg.norm(prev, axis=-1, keepdims=True)
+    cn = np.linalg.norm(cur, axis=-1, keepdims=True)
     a = np.divide(prev, pn, out=np.zeros_like(prev), where=pn > 0)
     b = np.divide(cur, cn, out=np.zeros_like(cur), where=cn > 0)
-    return -(a @ b.T)
+    return -(a @ b.swapaxes(-1, -2))
 
 
 @dataclass
@@ -122,13 +133,13 @@ def link(tokens: Tensor) -> TrajectorySet:
     """
     t_frames, n, c = tokens.shape
     values = tokens.data
+    # costs[t - 1] scores frame t-1's slots against frame t's; its rows are
+    # taken in the order the previous frame was assigned
+    costs = cosine_cost(values[:-1], values[1:])
     assignments = np.zeros((t_frames, n), dtype=np.intp)
     assignments[0] = np.arange(n)
-    prev = values[0]
     for t in range(1, t_frames):
-        perm = hungarian(cosine_cost(prev, values[t]))
-        assignments[t] = perm
-        prev = values[t][perm]
+        assignments[t] = hungarian(costs[t - 1][assignments[t - 1]])
     # one gather over the flattened (frame, slot) axis: trajectory i at frame
     # t comes from flat row t*n + assignments[t, i]
     flat_idx = (np.arange(t_frames)[None, :] * n + assignments.T).reshape(-1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +38,21 @@ class ForwardOutput:
     object_tokens: Tensor        # [T, N_s, C]
     mask_features: MaskFeatures  # stands for [T, H, W, C]
     class_logits: Tensor         # [T, N_s]
-    frame_logits: Tensor         # [T, N_s, H*W]
     trajectories: TrajectorySet  # tokens re-indexed to [N_s, T, C]
     motion_tokens: Tensor        # [N_s, T, C]
     video: VideoTokens
-    video_logits: Tensor         # [N_m, T, H*W]
+
+    # mask logits are built on first read: the losses read each once, and
+    # evaluation reads neither (it predicts video masks from `video`)
+    @cached_property
+    def frame_logits(self) -> Tensor:
+        """[T, N_s, H*W]"""
+        return frame_mask_logits(self.object_tokens, self.mask_features)
+
+    @cached_property
+    def video_logits(self) -> Tensor:
+        """[N_m, T, H*W]"""
+        return video_mask_logits(self.video.tokens, self.mask_features)
 
 
 def _grounded_embedding_init(vocab_size: int, channels: int,
@@ -145,7 +156,6 @@ class MotionSegModel:
         q_static, q_motion, motion_cues = self.build_queries(cues)
 
         tokens, mask_features, class_logits = self.perceiver.perceive(features, q_static)
-        frame_logits = frame_mask_logits(tokens, mask_features)
 
         if cfg.hungarian_enabled:
             trajectories = link(tokens)
@@ -154,18 +164,15 @@ class MotionSegModel:
 
         motion_tokens = self.hmp.forward(trajectories.trajectories, motion_cues)
         video = self.decoder.decode(q_motion, motion_tokens)
-        video_logits = video_mask_logits(video.tokens, mask_features)
         return ForwardOutput(
             cues=cues,
             motion_cues=motion_cues,
             object_tokens=tokens,
             mask_features=mask_features,
             class_logits=class_logits,
-            frame_logits=frame_logits,
             trajectories=trajectories,
             motion_tokens=motion_tokens,
             video=video,
-            video_logits=video_logits,
         )
 
     # -- optimization helpers ------------------------------------------------------

@@ -339,7 +339,13 @@ def take(x: Tensor, indices, axis: int = 0) -> Tensor:
 
     def bw(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, (slice(None),) * ax + (idx,), g)
+        where = (slice(None),) * ax + (idx,)
+        # distinct slices (a negative index names the slice it wraps to) each
+        # take their gradient once, so a plain store equals the accumulation
+        if len(set((idx % a.data.shape[ax]).ravel().tolist())) == idx.size:
+            full[where] = g
+        else:
+            np.add.at(full, where, g)
         a._accumulate(full)
 
     return Tensor._op(data, (a,), bw)

@@ -11,7 +11,7 @@ from motionscope.hmp import (
     merge,
     pad_to_multiple,
 )
-from motionscope.tensor import Tensor, grad_check, softmax, standardize
+from motionscope.tensor import Tensor, grad_check, softmax, standardize, take
 
 
 def make_stack(n_blocks=2, n_stages=2, channels=6, seed=0):
@@ -107,6 +107,29 @@ class TestMerge:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             merge(Tensor(np.zeros((5, 2))), Tensor(np.ones(5)))
+
+    def test_equals_gathered_pairs_bit_for_bit(self):
+        """Values and gradients equal the graph that gathers even and odd
+        frames and forms (x0*w0 + x1*w1) / (w0 + w1)."""
+        rng = np.random.default_rng(10)
+        x0, w0 = rng.normal(size=(3, 8, 5)), rng.uniform(0.1, 2.0, size=(3, 8))
+        g = rng.normal(size=(3, 4, 5))
+
+        def run(merge_fn):
+            x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+            out = merge_fn(x, w)
+            (out * Tensor(g)).sum().backward()
+            return out.data, x.grad, w.grad
+
+        def gathered(x, w):
+            even, odd = np.arange(0, 8, 2), np.arange(1, 8, 2)
+            xa, xb = take(x, even, axis=-2), take(x, odd, axis=-2)
+            wa = take(w, even, axis=-1).reshape(3, 4, 1)
+            wb = take(w, odd, axis=-1).reshape(3, 4, 1)
+            return (xa * wa + xb * wb) / (wa + wb)
+
+        for got, want in zip(run(merge), run(gathered)):
+            assert np.array_equal(got, want)
 
 
 class TestHierarchicalCrossAttention:

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from motionscope.matching import TrajectorySet, cosine_cost, hungarian, identity_trajectories, link
 from motionscope.tensor import Parameter, ShapeError, Tensor, grad_check
@@ -19,6 +22,28 @@ def brute_force_min(costs):
 
 def total_cost(costs, perm):
     return sum(costs[i, perm[i]] for i in range(costs.shape[0]))
+
+
+def lexicographic_optimum(costs):
+    """The lexicographically smallest of all minimum-cost permutations."""
+    n = costs.shape[0]
+    best_total, _ = brute_force_min(costs)
+    return min(p for p in itertools.permutations(range(n)) if total_cost(costs, p) == best_total)
+
+
+def link_by_frame(values):
+    """Reference linking: one cosine cost and one solve per frame, each
+    against the previous frame's tokens in their linked order."""
+    t_frames, n, _ = values.shape
+    assignments = [np.arange(n)]
+    prev = values[0]
+    for t in range(1, t_frames):
+        perm = hungarian(cosine_cost(prev, values[t]))
+        assignments.append(perm)
+        prev = values[t][perm]
+    assignments = np.stack(assignments)
+    trajectories = np.stack([values[t][assignments[t]] for t in range(t_frames)], axis=1)
+    return assignments, trajectories
 
 
 class TestHungarian:
@@ -56,6 +81,28 @@ class TestHungarian:
             ]
             assert tuple(perm.tolist()) == min(optimal)
 
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6)).map(lambda s: s * 2),
+                  elements=st.sampled_from([0.0, 1.0, 2.0])))
+    def test_square_tie_rich_matrices_give_lexicographic_optimum(self, costs):
+        assert tuple(hungarian(costs).tolist()) == lexicographic_optimum(costs)
+
+    def test_tied_row_minimum_takes_first_column(self):
+        # distinct first minima: row 0 ties columns 1 and 2 and takes 1
+        costs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        assert hungarian(costs).tolist() == [1, 0, 2]
+        assert tuple(hungarian(costs).tolist()) == lexicographic_optimum(costs)
+
+    @pytest.mark.parametrize("costs", [
+        [[0.0, 1.0], [0.0, 5.0]],
+        [[0.0, 0.0, 1.0], [0.0, 2.0, 2.0], [3.0, 0.0, 0.0]],
+        [[1.0, 2.0, 3.0], [1.0, 4.0, 6.0], [1.0, 6.0, 9.0]],
+    ])
+    def test_colliding_row_minima_run_the_full_search(self, costs):
+        costs = np.array(costs)
+        first = costs.argmin(axis=1)
+        assert len(set(first.tolist())) < len(first)
+        assert tuple(hungarian(costs).tolist()) == lexicographic_optimum(costs)
+
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -64,7 +111,8 @@ class TestHungarian:
             for c in (-3.0, 0.25, 10.0):
                 assert np.array_equal(hungarian(costs + c), base)
 
-    @pytest.mark.parametrize("shape", [(6, 3), (3, 6), (4, 1), (1, 4), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("shape",
+                             [(6, 3), (3, 6), (4, 1), (1, 4), (0, 3), (3, 0), (0, 0), (1, 1)])
     def test_rectangular_equals_zero_padded_square(self, shape):
         rng = np.random.default_rng(sum(shape))
         for _ in range(20):
@@ -98,6 +146,15 @@ class TestCosineCost:
         rng = np.random.default_rng(3)
         prev, cur = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         assert np.allclose(cosine_cost(prev, cur), cosine_cost(prev * 7.0, cur * 0.2))
+
+    def test_stacked_equals_per_matrix(self):
+        rng = np.random.default_rng(4)
+        prev, cur = rng.normal(size=(5, 3, 4)), rng.normal(size=(5, 2, 4))
+        prev[1, 0] = 0.0
+        stacked = cosine_cost(prev, cur)
+        assert stacked.shape == (5, 3, 2)
+        for k in range(5):
+            assert np.array_equal(stacked[k], cosine_cost(prev[k], cur[k]))
 
 
 class TestLink:
@@ -158,6 +215,25 @@ class TestLink:
             return (out.trajectories * out.trajectories).sum()
 
         assert grad_check([w], loss) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_frame_linking(self, seed):
+        """Tokens that drift slowly, with zero rows and near-duplicate rows,
+        give the same assignments and trajectories as solving each frame
+        against the previous frame's linked tokens.  The frames mix solves
+        whose row minima are distinct with solves whose minima collide."""
+        rng = np.random.default_rng(seed)
+        tokens = rng.normal(size=(6, 5)) + 0.1 * rng.normal(size=(9, 6, 5))
+        tokens[4:7, 2] = tokens[4:7, 1] + 1e-12 * rng.normal(size=(3, 5))
+        tokens[rng.integers(0, 9, size=2), rng.integers(0, 6, size=2)] = 0.0
+        tokens = np.stack([frame[rng.permutation(6)] for frame in tokens])
+        out = link(Tensor(tokens))
+        assignments, trajectories = link_by_frame(tokens)
+        assert np.array_equal(out.assignments, assignments)
+        assert np.array_equal(out.trajectories.data, trajectories)
+        minima = [cosine_cost(trajectories[:, t - 1], tokens[t]).argmin(axis=1) for t in range(1, 9)]
+        distinct = sum(len(set(m.tolist())) == 6 for m in minima)
+        assert 0 < distinct < 8
 
     def test_identity_trajectories(self):
         rng = np.random.default_rng(5)

@@ -193,6 +193,24 @@ class TestAutodiff:
 
         assert grad_check([w], loss) < 1e-9
 
+    @pytest.mark.parametrize("idx, axis", [
+        ([3, 0, 4, 1], 0),    # distinct
+        ([0, 2, 2, 4], 0),    # repeated
+        ([4, -1], 0),         # -1 wraps to 4
+        ([[2], [0]], 1),      # 2-d, distinct, on a later axis
+        ([[1, 0], [2, 1]], 1),  # 2-d, repeated
+        ([], 0),
+    ])
+    def test_take_gradient_equals_scatter_add(self, idx, axis):
+        rng = np.random.default_rng(15)
+        w = Parameter("w", rng.normal(size=(5, 3)))
+        idx = np.array(idx, dtype=np.intp)
+        g = rng.normal(size=np.take(w.data, idx, axis=axis).shape)
+        (take(w.tensor, idx, axis=axis) * Tensor(g)).sum().backward()
+        expected = np.zeros((5, 3))
+        np.add.at(expected, (slice(None),) * axis + (idx,), g)
+        assert np.array_equal(w.grad, expected)
+
     def test_broadcast_add_gradcheck(self):
         rng = np.random.default_rng(14)
         b = Parameter("b", rng.normal(size=(4,)))

@@ -8,6 +8,7 @@ import pytest
 from motionscope import trainer as trainer_module
 from motionscope.benchmark import generate
 from motionscope.config import TrainConfig
+from motionscope.perceiver import MaskFeatures
 from motionscope.tensor import Tensor
 from motionscope.trainer import Trainer
 
@@ -87,3 +88,24 @@ def test_evaluate_scores_unmatched_predictions_and_targets_zero(monkeypatch, cas
         projected = trainer.model.projector.project(Tensor(tokens[query].copy())).data
         key = (scene.seed, expr.target_ids[target])
         assert np.array_equal(metrics.token_groups[key][0], projected)
+
+
+def test_mask_logits_are_built_only_where_read(monkeypatch):
+    """Evaluation builds one set of mask logits per expression (the video
+    masks it scores); a training step builds the frame and the video logits
+    once each."""
+    calls = []
+    logits = MaskFeatures.logits
+
+    def counted(self, tokens):
+        calls.append(tokens.shape)
+        return logits(self, tokens)
+
+    monkeypatch.setattr(MaskFeatures, "logits", counted)
+    scene = generate(5)
+    trainer = Trainer(TrainConfig(), [scene], [scene])
+    trainer.evaluate()
+    assert len(calls) == len(scene.expressions) > 1
+    calls.clear()
+    trainer.train_step(scene, scene.expressions[0], 0)
+    assert len(calls) == 2
