@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .language import (ADJ, ADV, NOUN, OTHER, PREP, VERB, ExprToken, TaggedExpression,
-                       expression_from_json, expression_to_json)
+from .language import (ADJ, ADV, ALL_TAGS, NOUN, OTHER, PREP, VERB, ExprToken,
+                       TaggedExpression, expression_from_json, expression_to_json)
 from .perceiver import sinusoidal_grid
 
 MAGIC = b"MSCOPE01"
@@ -68,7 +68,6 @@ VOCAB: list[tuple[str, str]] = (
     + [(w, ADV) for w in ADVERB_DIRECTIONS]
 )
 VOCAB_IDS = {surface: i for i, (surface, _) in enumerate(VOCAB)}
-VOCAB_SIZE = len(VOCAB)
 
 
 class GenerationError(ValueError):
@@ -414,8 +413,15 @@ def save_scene(scene: Scene, directory) -> None:
 
 
 def load_scene(directory, seed: int) -> Scene:
+    """Read the scene `<seed>.json` and `<seed>.bin` of `directory`.
+
+    Raises ValueError, naming the file and the field, for a `.bin` without
+    the header or whose size does not fit the scene, non-finite features,
+    mask values other than 0 and 1, a token tag outside `ALL_TAGS`, a vocab
+    id outside the vocabulary and a target id that names no object."""
     directory = Path(directory)
-    with open(directory / f"{seed}.json") as fh:
+    json_path = directory / f"{seed}.json"
+    with open(json_path) as fh:
         meta = json.load(fh)
     cfg = BenchmarkConfig(**meta["config"])
     objects = [
@@ -428,6 +434,17 @@ def load_scene(directory, seed: int) -> Scene:
         for o in meta["objects"]
     ]
     expressions = [expression_from_json(e) for e in meta["expressions"]]
+    for index, expr in enumerate(expressions):
+        where = f"{json_path}: expression {index}"
+        for tok in expr.tokens:
+            if tok.tag not in ALL_TAGS:
+                raise ValueError(f"{where}: token {tok.surface!r} has unknown tag {tok.tag!r}")
+            if not 0 <= tok.vocab_id < len(VOCAB):
+                raise ValueError(f"{where}: token {tok.surface!r} has vocab id {tok.vocab_id}, "
+                                 f"outside [0, {len(VOCAB)})")
+        for obj_idx in expr.target_ids:
+            if not 0 <= obj_idx < len(objects):
+                raise ValueError(f"{where}: target id {obj_idx} is outside [0, {len(objects)})")
     bin_path = directory / f"{seed}.bin"
     raw = bin_path.read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
@@ -442,6 +459,10 @@ def load_scene(directory, seed: int) -> Scene:
     body = np.frombuffer(raw, dtype="<f8", offset=len(MAGIC))
     features = body[:n_feat].reshape(t, h, w, c).copy()
     masks = body[n_feat:].reshape(n, t, h, w).copy()
+    if not np.all(np.isfinite(features)):
+        raise ValueError(f"{bin_path}: features hold a non-finite value")
+    if not np.all((masks == 0.0) | (masks == 1.0)):
+        raise ValueError(f"{bin_path}: masks hold a value other than 0 and 1")
     return Scene(seed=meta["seed"], config=cfg, objects=objects, expressions=expressions,
                  features=features, masks=masks, probe=meta.get("probe", False))
 

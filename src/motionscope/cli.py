@@ -11,7 +11,7 @@ from pathlib import Path
 from .benchmark import BenchmarkConfig, generate, load_dataset, save_scene
 from .config import TrainConfig
 from .model import load_model_weights
-from .trainer import Trainer, ablate, write_ablation_csv, write_csv
+from .trainer import SCORES, Trainer, ablate, write_ablation_csv, write_csv
 
 
 def _parse_seed_range(text: str) -> range:
@@ -93,8 +93,7 @@ def cmd_report(args) -> int:
     if not rows:
         print(f"no run summaries under {runs}", file=sys.stderr)
         return 1
-    write_csv(args.csv, ("run", "j", "f", "jf", "ident_acc", "probe_acc", "separation_margin"),
-              rows)
+    write_csv(args.csv, ("run", *SCORES, "separation_margin"), rows)
     print(f"wrote {args.csv} ({len(rows)} runs)")
     return 0
 

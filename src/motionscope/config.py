@@ -111,11 +111,6 @@ class TrainConfig:
         return cfg
 
     def canonical_key(self) -> str:
-        """Key identifying runs that are guaranteed bit-identical: resolved
-        component semantics rather than raw switch values."""
-        data = asdict(self)
-        if not self.contrastive_enabled or self.n_negatives == 0:
-            data["contrastive_enabled"] = False
-            data["n_negatives"] = 0
-            data["lambda_contrastive"] = 0.0
-        return json.dumps(data, sort_keys=True)
+        """Every field as one JSON object with sorted keys, which identifies a
+        run's config (the benchmark records its SHA-256)."""
+        return json.dumps(asdict(self), sort_keys=True)

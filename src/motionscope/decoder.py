@@ -32,16 +32,12 @@ class MotionDecoder:
     def decode(self, q_hat: Tensor, motion_tokens: Tensor) -> VideoTokens:
         """Cross-attend the queries over all trajectory-frame tokens.
 
-        `motion_tokens` is [N_s, T, C] (or already flat [M, C]); the key/value
-        set is order-free, so any flattening order gives the same output.
+        `motion_tokens` is [N_s, T, C]; the key/value set is order-free, so any
+        flattening order gives the same output.
         """
-        if motion_tokens.ndim == 3:
-            n, t, c = motion_tokens.shape
-            keys = motion_tokens.reshape(n * t, c)
-        else:
-            keys = motion_tokens
+        n, t, c = motion_tokens.shape
         # key/value tokens arrive from a residual stack, so read them standardized
-        keys = standardize(keys)
+        keys = standardize(motion_tokens.reshape(n * t, c))
         hidden = q_hat + self.attend(q_hat, keys, keys)
         tokens = hidden + self.ffn(standardize(hidden))
         logits = linear(tokens, self.ws.tensor, self.bs.tensor).reshape(q_hat.shape[0])

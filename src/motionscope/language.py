@@ -47,8 +47,6 @@ class CueSet:
     static: Tensor
     motion: Tensor
     sentence: Tensor
-    static_surfaces: list[str] = field(default_factory=list)
-    motion_surfaces: list[str] = field(default_factory=list)
 
 
 def decouple(expr: TaggedExpression, embedding: Tensor, add_sentence: bool = True) -> CueSet:
@@ -87,8 +85,6 @@ def decouple(expr: TaggedExpression, embedding: Tensor, add_sentence: bool = Tru
         static=cue_rows(static_pos),
         motion=cue_rows(motion_pos),
         sentence=sentence,
-        static_surfaces=[expr.tokens[i].surface for i in static_pos],
-        motion_surfaces=[expr.tokens[i].surface for i in motion_pos],
     )
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .matching import hungarian
 from .model import ForwardOutput
-from .tensor import Tensor, bce_with_logits, take
+from .tensor import Tensor, bce_with_logits, stable_sigmoid, take
 
 DICE_SMOOTH = 1.0
 
@@ -36,7 +36,7 @@ def _match_costs(mask_logits: np.ndarray, class_logits: np.ndarray, gt: np.ndarr
     bce_pos = np.logaddexp(0.0, mask_logits).mean(axis=-1, keepdims=True)
     cross = mask_logits @ gt_t / n_pixels
     bce = bce_pos - cross
-    probs = 1.0 / (1.0 + np.exp(-np.clip(mask_logits, -500, 500)))
+    probs = stable_sigmoid(mask_logits)
     inter = probs @ gt_t
     denom = probs.sum(axis=-1, keepdims=True) + gt.sum(axis=-1)[..., None, :]
     dice = 1.0 - (2.0 * inter + DICE_SMOOTH) / (denom + DICE_SMOOTH)

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .bank import ContrastiveProjector
+from .benchmark import COLORS, NOUNS, VOCAB, base_appearance
 from .config import TrainConfig
 from .decoder import MotionDecoder, VideoTokens, video_mask_logits
 from .hmp import HmpStack
@@ -55,24 +56,19 @@ class ForwardOutput:
         return video_mask_logits(self.video.tokens, self.mask_features)
 
 
-def _grounded_embedding_init(vocab_size: int, channels: int,
-                             rng: np.random.Generator) -> np.ndarray:
+def _grounded_embedding_init(channels: int, rng: np.random.Generator) -> np.ndarray:
     """Word embedding init: nouns and colours start on their appearance axes
-    (the pretrained-grounding stand-in); all other words start random."""
-    from .benchmark import COLORS, NOUNS, VOCAB, base_appearance
-
-    table = rng.normal(scale=0.5, size=(vocab_size, channels))
-    if vocab_size >= len(VOCAB):
-        for idx, (surface, tag) in enumerate(VOCAB):
-            if tag == "NOUN" and surface in NOUNS:
-                vec = base_appearance(NOUNS.index(surface), 0, channels)
-                vec[len(NOUNS):len(NOUNS) + len(COLORS)] = 0.0  # category part only
-                table[idx] = vec
-            elif tag == "ADJ" and surface in COLORS:
-                vec = np.zeros(channels)
-                if channels >= len(NOUNS) + len(COLORS) + 2:
-                    vec[len(NOUNS) + COLORS.index(surface)] = 1.0
-                    table[idx] = vec
+    (the pretrained-grounding stand-in); all other words start random.  In a
+    feature space too narrow for a colour block, colours start random too."""
+    table = rng.normal(scale=0.5, size=(len(VOCAB), channels))
+    for idx, (surface, tag) in enumerate(VOCAB):
+        if tag == "NOUN":
+            vec = base_appearance(NOUNS.index(surface), 0, channels)
+            vec[len(NOUNS):len(NOUNS) + len(COLORS)] = 0.0  # category part only
+            table[idx] = vec
+        elif tag == "ADJ" and channels >= len(NOUNS) + len(COLORS) + 2:
+            table[idx] = 0.0
+            table[idx, len(NOUNS) + COLORS.index(surface)] = 1.0
     return table
 
 
@@ -90,7 +86,7 @@ def _query_anchor_codes(n_queries: int, height: int, width: int, channels: int) 
 
 
 class MotionSegModel:
-    def __init__(self, config: TrainConfig, vocab_size: int, rng: np.random.Generator):
+    def __init__(self, config: TrainConfig, rng: np.random.Generator):
         config.validate()
         self.config = config
         c = config.channels
@@ -100,7 +96,7 @@ class MotionSegModel:
             self.params.extend(param_list)
 
         self.embedding = Parameter(
-            "embed.table", _grounded_embedding_init(vocab_size, c, rng))
+            "embed.table", _grounded_embedding_init(c, rng))
         self.static_queries = Parameter(
             "queries.static",
             rng.normal(scale=0.2, size=(config.n_static_queries, c))

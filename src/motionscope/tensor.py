@@ -15,18 +15,10 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -50,7 +42,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = _as_array(data)
+        arr = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor values must be finite")
         self.data = arr
@@ -86,9 +78,6 @@ class Tensor:
         return self.data.ndim
 
     def item(self) -> float:
-        return float(self.data)
-
-    def __float__(self) -> float:
         return float(self.data)
 
     def __repr__(self):
@@ -213,18 +202,9 @@ class Tensor:
 
         return Tensor._op(data, (a, b), bw)
 
-    def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
-
-    def __neg__(self):
-        a = self
-        return Tensor._op(-a.data, (a,), lambda g: a._accumulate(-g) if a.requires_grad else None)
-
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         a = self
         data = a.data.reshape(shape)
 

@@ -8,13 +8,14 @@ every emitted file (report.csv, model.bin, bank.json) is bit-reproducible.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .bank import MemoryBank, contrastive_loss
-from .benchmark import VOCAB_SIZE, Scene, metric_f, metric_j, video_iou
+from .benchmark import Scene, metric_f, metric_j, video_iou
 from .config import TrainConfig
 from .decoder import predict_video_masks
 from .language import TaggedExpression
@@ -30,6 +31,10 @@ class TrainingDiverged(RuntimeError):
         self.step = step
 
 
+# the scores of an evaluation, in the column order of every file that holds them
+SCORES = ("j", "f", "jf", "ident_acc", "probe_acc")
+
+
 @dataclass
 class EvalMetrics:
     j: float
@@ -39,13 +44,14 @@ class EvalMetrics:
     probe_acc: float  # nan when the split has no probe scenes
     token_groups: dict = field(default_factory=dict, repr=False)
 
+    def scores(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in SCORES}
+
 
 @dataclass
 class RunResult:
-    rows: list[dict]
     final: EvalMetrics
     margin: float
-    config: TrainConfig
 
 
 def separation_margin(token_groups: dict) -> float:
@@ -72,13 +78,19 @@ def _require_expressions(scenes: list[Scene]) -> None:
 class Trainer:
     def __init__(self, config: TrainConfig, train_scenes: list[Scene], val_scenes: list[Scene]):
         config.validate()
+        grid = (config.grid_height, config.grid_width, config.img_channels)
+        for scene in itertools.chain(train_scenes, val_scenes):
+            if scene.features.shape[1:] != grid:
+                raise ValueError(
+                    f"scene {scene.seed} has {scene.features.shape[1:]} (H, W, C) features, "
+                    f"but the config expects {grid}")
         self.cfg = config
         self.train_scenes = train_scenes
         self.val_scenes = val_scenes
         init_seed, order_seed, negative_seed = np.random.SeedSequence(config.seed).spawn(3)
         self.order_rng = np.random.default_rng(order_seed)
         self.negative_rng = np.random.default_rng(negative_seed)
-        self.model = MotionSegModel(config, VOCAB_SIZE, np.random.default_rng(init_seed))
+        self.model = MotionSegModel(config, np.random.default_rng(init_seed))
 
         # one bank slot per distinct target object in the training set
         self.slot_ids: dict[tuple[int, int], int] = {}
@@ -91,7 +103,7 @@ class Trainer:
                         self.slot_ids[key] = len(categories)
                         categories.append(scene.objects[obj_idx].category)
                         videos.append(video_idx)
-        self.bank = MemoryBank(categories or [0], videos or [0], config.channels)
+        self.bank = MemoryBank(categories, videos, config.channels)
 
         self.velocity = {p.name: np.zeros_like(p.data) for p in self.model.params}
         self.pairs = [
@@ -109,14 +121,13 @@ class Trainer:
         ml = video_loss(out, scene.target_masks(expr), cfg.lambda_cls, cfg.lambda_mask,
                         cfg.lambda_dice)
         anchor, pos_slot, slots = None, None, []
-        if cfg.contrastive_enabled and ml.matches and expr.target_ids:
-            keyed = [self.slot_ids.get((scene.seed, o)) for o in expr.target_ids]
-            if None not in keyed:
-                slots = keyed
-                rows = take(out.video.tokens, np.array([m[0] for m in ml.matches]), axis=0)
-                anchor = self.model.projector.project(rows.mean(axis=0))
-                best = min(ml.matches, key=lambda m: m[2])
-                pos_slot = slots[best[1]]
+        # every training target has a slot, and a target always gets a match
+        if cfg.contrastive_enabled and expr.target_ids:
+            slots = [self.slot_ids[(scene.seed, o)] for o in expr.target_ids]
+            rows = take(out.video.tokens, np.array([m[0] for m in ml.matches]), axis=0)
+            anchor = self.model.projector.project(rows.mean(axis=0))
+            best = min(ml.matches, key=lambda m: m[2])
+            pos_slot = slots[best[1]]
         return out, lf, ml, anchor, pos_slot, slots
 
     def train_step(self, scene: Scene, expr: TaggedExpression, step: int) -> dict:
@@ -239,11 +250,7 @@ class Trainer:
                     "loss_frame": sums["frame"] / count,
                     "loss_video": sums["video"] / count,
                     "loss_contrastive": sums["contrastive"] / count,
-                    "j": final.j,
-                    "f": final.f,
-                    "jf": final.jf,
-                    "ident_acc": final.ident_acc,
-                    "probe_acc": final.probe_acc,
+                    **final.scores(),
                 }
                 rows.append(row)
                 sums = dict.fromkeys(sums, 0.0)
@@ -255,7 +262,6 @@ class Trainer:
             margin = separation_margin(final.token_groups)
         except ValueError:
             margin = float("nan")
-        result = RunResult(rows=rows, final=final, margin=margin, config=cfg)
         if out_dir is not None:
             out_dir = Path(out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,18 +270,13 @@ class Trainer:
             self.bank.save_json(out_dir / "bank.json")
             cfg.to_json(out_dir / "config.json")
             with open(out_dir / "summary.json", "w") as fh:
-                import json
-
-                json.dump({
-                    "j": final.j, "f": final.f, "jf": final.jf,
-                    "ident_acc": final.ident_acc, "probe_acc": final.probe_acc,
-                    "separation_margin": margin,
-                }, fh, indent=2, sort_keys=True)
-        return result
+                json.dump({**final.scores(), "separation_margin": margin}, fh, indent=2,
+                          sort_keys=True)
+        return RunResult(final=final, margin=margin)
 
 
 REPORT_COLUMNS = ("step", "loss_total", "loss_frame", "loss_video", "loss_contrastive",
-                  "j", "f", "jf", "ident_acc", "probe_acc")
+                  *SCORES)
 
 
 def write_csv(path, columns, rows: list[dict], footer: list[str] = ()) -> None:
@@ -320,37 +321,21 @@ def axis_variants(base: TrainConfig, axis: str) -> list[tuple[str, TrainConfig]]
 
 
 def ablate(base: TrainConfig, axis: str, seeds: int, train_scenes: list[Scene],
-           val_scenes: list[Scene], cache: dict | None = None,
-           quiet: bool = True) -> list[dict]:
-    """Run every variant of `axis` over `seeds` run seeds; identical resolved
-    configs share one run via `cache`."""
-    cache = cache if cache is not None else {}
+           val_scenes: list[Scene], quiet: bool = True) -> list[dict]:
+    """Run every variant of `axis` over `seeds` run seeds."""
     rows = []
     for label, cfg in axis_variants(base, axis):
         for seed in range(seeds):
-            seeded = cfg.replace(seed=seed)
-            key = (seeded.canonical_key(),)
-            if key not in cache:
-                if not quiet:
-                    print(f"[ablate] {axis}/{label} seed {seed}")
-                cache[key] = Trainer(seeded, train_scenes, val_scenes).run()
-            result = cache[key]
-            rows.append({
-                "axis": axis,
-                "variant": label,
-                "seed": seed,
-                "j": result.final.j,
-                "f": result.final.f,
-                "jf": result.final.jf,
-                "ident_acc": result.final.ident_acc,
-                "probe_acc": result.final.probe_acc,
-                "margin": result.margin,
-            })
+            if not quiet:
+                print(f"[ablate] {axis}/{label} seed {seed}")
+            result = Trainer(cfg.replace(seed=seed), train_scenes, val_scenes).run()
+            rows.append({"axis": axis, "variant": label, "seed": seed,
+                         **result.final.scores(), "margin": result.margin})
     return rows
 
 
 def write_ablation_csv(rows: list[dict], path) -> None:
-    columns = ("axis", "variant", "seed", "j", "f", "jf", "ident_acc", "probe_acc", "margin")
+    columns = ("axis", "variant", "seed", *SCORES, "margin")
     summary: dict[tuple[str, str], list[dict]] = {}
     for row in rows:
         summary.setdefault((row["axis"], row["variant"]), []).append(row)

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -8,7 +9,6 @@ from motionscope.benchmark import (
     SHORT_BURST,
     STATIC,
     VOCAB,
-    VOCAB_SIZE,
     BenchmarkConfig,
     GenerationError,
     boundary,
@@ -101,7 +101,7 @@ class TestGenerator:
         scene = generate(3, small_config())
         for expr in scene.expressions:
             for tok in expr.tokens:
-                assert 0 <= tok.vocab_id < VOCAB_SIZE
+                assert 0 <= tok.vocab_id < len(VOCAB)
                 assert VOCAB[tok.vocab_id] == (tok.surface, tok.tag)
             tags = {t.tag for t in expr.tokens}
             assert tags & STATIC_TAGS
@@ -146,6 +146,35 @@ class TestSceneIO:
         message = str(exc.value)
         assert str(path) in message
         assert str(len(raw)) in message and str(len(bad)) in message
+
+    @pytest.mark.parametrize("edit", ["nan_feature", "half_mask"])
+    def test_bad_bin_values_name_file_and_field(self, tmp_path, edit):
+        scene = generate(6, small_config())
+        save_scene(scene, tmp_path)
+        path = tmp_path / "6.bin"
+        body = np.frombuffer(path.read_bytes(), dtype="<f8", offset=8).copy()
+        if edit == "nan_feature":
+            body[3], field = np.nan, "features"
+        else:
+            body[scene.features.size + 5], field = 0.5, "masks"
+        path.write_bytes(b"MSCOPE01" + body.tobytes())
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {field}"):
+            load_scene(tmp_path, 6)
+
+    @pytest.mark.parametrize("field,value", [("tag", "NUON"), ("vocab id", 999),
+                                             ("target id", 42)])
+    def test_bad_expression_names_file_and_field(self, tmp_path, field, value):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        expr = meta["expressions"][1]
+        if field == "target id":
+            expr["target_ids"] = [value]
+        else:
+            expr["tokens"][0][1 if field == "tag" else 2] = value
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: expression 1: .*{field}"):
+            load_scene(tmp_path, 6)
 
     def test_load_dataset_sorted(self, tmp_path):
         for seed in (11, 2, 7):

@@ -67,8 +67,9 @@ class TestDecode:
         rng = np.random.default_rng(5)
         q_hat = Tensor(rng.normal(size=(3, 6)))
         flat = rng.normal(size=(8, 6))
-        out = decoder.decode(q_hat, Tensor(flat))
-        out_p = decoder.decode(q_hat, Tensor(flat[rng.permutation(8)]))
+        # [M, 1, C]: one trajectory frame per key, so permuting M permutes the keys
+        out = decoder.decode(q_hat, Tensor(flat[:, None]))
+        out_p = decoder.decode(q_hat, Tensor(flat[rng.permutation(8), None]))
         assert np.allclose(out.tokens.data, out_p.tokens.data, atol=1e-12)
         assert np.allclose(out.scores.data, out_p.scores.data, atol=1e-12)
 

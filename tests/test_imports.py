@@ -1,7 +1,8 @@
 """Unused-import and dead-API guards over the package sources, using the
 standard library only: a name bound by an import must be read somewhere in its
-module, and a function, class or method the package defines must be referenced
-somewhere in `src/` or `bench/`."""
+module, a function, class or method the package defines must be referenced
+somewhere in `src/` or `bench/`, and so must every dataclass field be read as
+an attribute there."""
 
 import ast
 from pathlib import Path
@@ -14,6 +15,11 @@ SOURCES = sorted(Path(motionscope.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
 # defined for the tests alone: the finite-difference oracle of every gradient test
 UNREFERENCED_ALLOWED = {"grad_check"}
+# forward-pass intermediates the package never reads back: test_model checks
+# through the first three how each ablation switch routes the forward pass, and
+# a linked-trajectory IoU of the video masks needs the linker's assignments
+UNREAD_FIELDS_ALLOWED = {"ForwardOutput.cues", "ForwardOutput.motion_cues",
+                         "ForwardOutput.motion_tokens", "TrajectorySet.assignments"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -73,6 +79,47 @@ def test_guard_flags_unreferenced_definitions():
     assert unreferenced(defining, [caller, "x.dead"]) == []
 
 
+def repo_sources() -> list[str]:
+    """Every Python source under `src/` and `bench/`."""
+    return [p.read_text() for d in ("src", "bench") for p in sorted((REPO / d).rglob("*.py"))]
+
+
 def test_no_unreferenced_definitions():
-    referencing = [p.read_text() for d in ("src", "bench") for p in sorted((REPO / d).rglob("*.py"))]
-    assert unreferenced({p.name: p.read_text() for p in SOURCES}, referencing) == []
+    assert unreferenced({p.name: p.read_text() for p in SOURCES}, repo_sources()) == []
+
+
+def dataclass_fields(source: str) -> list[tuple[str, str, int]]:
+    """(class, field, line) of every annotated field of every `@dataclass`
+    class in `source`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            continue
+        out.extend((node.name, item.target.id, item.lineno) for item in node.body
+                   if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+    return out
+
+
+def unread_fields(defining: dict[str, str], referencing: list[str]) -> list[str]:
+    """`module:line: Class.field` of each dataclass field in `defining` whose
+    name no source in `referencing` reads as an attribute."""
+    read = {node.attr for source in referencing for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}:{line}: {cls}.{name}" for module, source in sorted(defining.items())
+            for cls, name, line in dataclass_fields(source)
+            if name not in read and f"{cls}.{name}" not in UNREAD_FIELDS_ALLOWED]
+
+
+def test_guard_flags_unread_dataclass_fields():
+    defining = {"m": "@dataclass\nclass D:\n    read: int\n    stored: int\n"
+                     "@dataclasses.dataclass(frozen=True)\nclass ForwardOutput:\n    cues: int\n"
+                     "class Plain:\n    never: int\n"}
+    assert unread_fields(defining, ["d.read\nd.stored = 1\n"]) == ["m:4: D.stored"]
+    assert unread_fields(defining, ["d.read\nd.stored\n"]) == []
+
+
+def test_no_unread_dataclass_fields():
+    assert unread_fields({p.name: p.read_text() for p in SOURCES}, repo_sources()) == []

@@ -42,8 +42,11 @@ class TestDecouple:
         rng = np.random.default_rng(0)
         emb = Tensor(rng.normal(size=(7, 4)))
         cues = decouple(make_expr(BIRD_SENTENCE), emb)
-        assert cues.static_surfaces == ["bird", "on", "hand"]
-        assert cues.motion_surfaces == ["standing", "flying", "away"]
+        sentence = emb.data.mean(axis=0)
+        # vocab id = position: static rows are bird, on, hand; motion rows are
+        # standing, flying, away, each plus the sentence embedding
+        assert np.allclose(cues.static.data, emb.data[[0, 2, 3]] + sentence, atol=1e-12)
+        assert np.allclose(cues.motion.data, emb.data[[1, 5, 6]] + sentence, atol=1e-12)
         assert cues.static.shape == (3, 4)
         assert cues.motion.shape == (3, 4)
 

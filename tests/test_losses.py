@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from motionscope.benchmark import VOCAB_SIZE, BenchmarkConfig, generate
+from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.losses import _assign, _match_costs, dice_loss, frame_loss, video_loss
 from motionscope.model import MotionSegModel
@@ -15,7 +15,7 @@ def small_model(seed=0, **overrides):
                 n_static_queries=4, n_motion_queries=2, hmp_blocks=1, hmp_stages=1)
     base.update(overrides)
     cfg = TrainConfig(**base)
-    return cfg, MotionSegModel(cfg, VOCAB_SIZE, np.random.default_rng(seed))
+    return cfg, MotionSegModel(cfg, np.random.default_rng(seed))
 
 
 def small_scene(seed=0, **overrides):

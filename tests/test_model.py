@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from motionscope.benchmark import VOCAB_SIZE, BenchmarkConfig, generate
+from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.model import MotionSegModel, load_model_weights, save_model
 
@@ -11,7 +11,7 @@ def make(seed=0, **overrides):
                 n_static_queries=4, n_motion_queries=2, hmp_blocks=2, hmp_stages=1)
     base.update(overrides)
     cfg = TrainConfig(**base)
-    return cfg, MotionSegModel(cfg, VOCAB_SIZE, np.random.default_rng(seed))
+    return cfg, MotionSegModel(cfg, np.random.default_rng(seed))
 
 
 def scene_for(cfg, seed=0):

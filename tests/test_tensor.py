@@ -12,6 +12,7 @@ from motionscope.tensor import (
     grad_check,
     repeat,
     softmax,
+    stable_sigmoid,
     take,
 )
 
@@ -254,3 +255,22 @@ class TestTensorInvariants:
         b = Tensor(np.ones((2, 2)))
         out = a @ b + a
         assert out._parents == () and not out.requires_grad
+
+
+def two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_stable_sigmoid_is_bitwise_the_two_branch_form():
+    rng = np.random.default_rng(0)
+    edges = [0.0, -0.0, 710.0, -710.0, 745.0, -745.0, 1e308, -1e308, 5e-324, -5e-324, 2e-308]
+    x = np.concatenate([rng.normal(scale=s, size=1000) for s in (0.1, 1.0, 30.0, 300.0)]
+                       + [np.array(edges)]).reshape(3, 7, -1)
+    got = stable_sigmoid(x)
+    assert got.shape == x.shape
+    assert np.array_equal(got.view(np.int64), two_branch_sigmoid(x).view(np.int64))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import signal
 from contextlib import contextmanager
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from motionscope import trainer as trainer_module
-from motionscope.benchmark import generate
+from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.perceiver import MaskFeatures
 from motionscope.tensor import Tensor
@@ -38,6 +39,17 @@ def test_run_without_training_expressions_raises():
     trainer = Trainer(TrainConfig(steps=4, eval_every=2), [speechless(0)], [generate(1)])
     with deadline(20), pytest.raises(ValueError, match="training"):
         trainer.run()
+
+
+@pytest.mark.parametrize("scene_config,split", [(BenchmarkConfig(height=32, width=32), "train"),
+                                                 (BenchmarkConfig(channels=16), "val")],
+                         ids=["grid-train", "channels-val"])
+def test_scene_config_mismatch_names_seed_and_shapes(scene_config, split):
+    scene = generate(4, scene_config)
+    splits = ([scene], []) if split == "train" else ([], [scene])
+    expected = re.escape(f"scene 4 has {scene.features.shape[1:]}") + ".*" + re.escape("(16, 16, 32)")
+    with pytest.raises(ValueError, match=expected):
+        Trainer(TrainConfig(), *splits)
 
 
 @pytest.mark.parametrize("scenes", [[], [speechless(2)]], ids=["no-scenes", "no-expressions"])
