@@ -17,7 +17,7 @@ stored target ids always equal the semantic matches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -415,14 +415,18 @@ def save_scene(scene: Scene, directory) -> None:
 def load_scene(directory, seed: int) -> Scene:
     """Read the scene `<seed>.json` and `<seed>.bin` of `directory`.
 
-    Raises ValueError, naming the file and the field, for a `.bin` without
-    the header or whose size does not fit the scene, non-finite features,
-    mask values other than 0 and 1, a token tag outside `ALL_TAGS`, a vocab
-    id outside the vocabulary and a target id that names no object."""
+    Raises ValueError, naming the file and the field, for a config key that
+    `BenchmarkConfig` does not have, a `.bin` without the header or whose size
+    does not fit the scene, non-finite features, mask values other than 0 and
+    1, a token tag outside `ALL_TAGS`, a vocab id outside the vocabulary and a
+    target id that names no object."""
     directory = Path(directory)
     json_path = directory / f"{seed}.json"
     with open(json_path) as fh:
         meta = json.load(fh)
+    unknown = sorted(set(meta["config"]) - {f.name for f in fields(BenchmarkConfig)})
+    if unknown:
+        raise ValueError(f"{json_path}: config holds unknown keys {unknown}")
     cfg = BenchmarkConfig(**meta["config"])
     objects = [
         SceneObject(
@@ -468,12 +472,19 @@ def load_scene(directory, seed: int) -> Scene:
 
 
 def load_dataset(directory) -> list[Scene]:
-    """Every scene of `directory` in seed order.  A missing directory, or one
-    that holds no `*.json` scene, raises ValueError naming it."""
+    """Every scene of `directory` in seed order.  A missing directory, one
+    that holds no `*.json` scene, or a `*.json` not named by an integer seed
+    raises ValueError naming it."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ValueError(f"scene directory {directory} does not exist")
-    seeds = sorted(int(p.stem) for p in directory.glob("*.json"))
+    seeds = []
+    for path in sorted(directory.glob("*.json")):
+        try:
+            seeds.append(int(path.stem))
+        except ValueError:
+            raise ValueError(f"{path} is not a scene: scene files are named <seed>.json") from None
+    seeds.sort()
     if not seeds:
         raise ValueError(f"scene directory {directory} holds no *.json scene")
     return [load_scene(directory, s) for s in seeds]

@@ -14,20 +14,27 @@ from .model import load_model_weights
 from .trainer import SCORES, Trainer, ablate, write_ablation_csv, write_csv
 
 
-def _parse_seed_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(text)
-    return range(value, value + 1)
+def _seed_range(text: str) -> range:
+    """One seed, or `lo..hi` with both ends included; seeds are >= 0."""
+    lo, sep, hi = text.partition("..")
+    hi = hi if sep else lo
+    if not (lo.isdecimal() and hi.isdecimal()) or int(hi) < int(lo):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a seed or a non-empty range lo..hi of seeds >= 0")
+    return range(int(lo), int(hi) + 1)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
 
 
 def cmd_gen(args) -> int:
     cfg = BenchmarkConfig(probe=args.probe)
-    seeds = _parse_seed_range(args.seeds)
-    for seed in seeds:
+    for seed in args.seeds:
         save_scene(generate(seed, cfg), args.out)
-    print(f"wrote {len(seeds)} scenes to {args.out}")
+    print(f"wrote {len(args.seeds)} scenes to {args.out}")
     return 0
 
 
@@ -68,7 +75,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = TrainConfig.from_json(args.config) if args.config else TrainConfig()
-    if args.steps:
+    if args.steps is not None:
         cfg = cfg.replace(steps=args.steps)
     splits = _load_splits(args, cfg, "ablation")
     if splits is None:
@@ -104,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate benchmark scenes")
-    p.add_argument("--seeds", required=True, help="seed range, e.g. 0..199")
+    p.add_argument("--seeds", required=True, type=_seed_range, help="seed range, e.g. 0..199")
     p.add_argument("--out", required=True)
     p.add_argument("--probe", action="store_true",
                    help="emit long-horizon probe scenes (for the temporal ablation subset)")
@@ -126,11 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run an ablation axis")
     p.add_argument("--axis", required=True,
                    choices=["components", "input-query", "nh", "nn", "hungarian"])
-    p.add_argument("--seeds", type=int, default=5, help="number of run seeds")
+    p.add_argument("--seeds", type=_positive_int, default=5, help="number of run seeds")
     p.add_argument("--config", help="base TrainConfig JSON")
     p.add_argument("--data", help="training scene directory")
     p.add_argument("--val-data", help="validation scene directory")
-    p.add_argument("--steps", type=int, help="override training steps")
+    p.add_argument("--steps", type=_positive_int, help="override training steps")
     p.add_argument("--out", default="ablations")
     p.set_defaults(fn=cmd_ablate)
 

@@ -5,6 +5,19 @@ small op set here.  Tensors are immutable values; gradients accumulate on the
 graph during ``backward`` and live on the tensors themselves.  All arithmetic
 is 64-bit and reductions run in numpy's fixed index order, so a run is
 bit-reproducible for a fixed seed.
+
+The op contract.  An op computes its value and hands ``Tensor._op`` one
+(operand, gradient map) pair per operand; a map takes the output's gradient
+and returns the operand's, still in the output's broadcast shape.  ``_op``
+drops the operands that need no gradient, so no op tests ``requires_grad``.
+``Tensor.backward`` alone writes ``.grad``: in reverse topological order, and
+through each node's operands in order, it sums every mapped gradient down to
+its operand's shape and accumulates it.  A map may return the output gradient
+itself or a view of it (views for distinct operands must not overlap, and
+``concat``'s slices do not), and an operand with no gradient yet adopts that
+buffer without a copy.  The one ownership rule: a node's own buffer goes by
+reference only to its first operand, and a later operand that would receive
+the same object gets a copy, so no two pending gradients share memory.
 """
 
 from __future__ import annotations
@@ -34,12 +47,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-
-
 class Tensor:
     """An n-d float64 array plus the tape hooks for reverse-mode autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_maps")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -49,22 +60,22 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = ()
-        self._backward_fn = None
+        self._grad_maps = ()
 
     @classmethod
-    def _op(cls, data: np.ndarray, parents, backward_fn) -> "Tensor":
+    def _op(cls, data: np.ndarray, inputs) -> "Tensor":
+        """The node holding `data`, an op's value over the (operand, gradient
+        map) pairs `inputs`; the operands that need no gradient are dropped."""
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        needed = tuple(p for p in parents if p.requires_grad)
-        if needed:
-            out.requires_grad = True
-            out._parents = needed
-            out._backward_fn = backward_fn
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward_fn = None
+        parents, grad_maps = (), ()
+        for operand, grad_map in inputs:
+            if operand.requires_grad:
+                parents += (operand,)
+                grad_maps += (grad_map,)
+        out.requires_grad = bool(parents)
+        out._parents, out._grad_maps = parents, grad_maps
         return out
 
     # -- basic introspection ------------------------------------------------
@@ -84,25 +95,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -- autodiff -----------------------------------------------------------
-
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add a gradient contribution.
-
-        The buffer is adopted without copying: a donated array (or view) only
-        ever aliases the gradient of a node whose backward already ran, so
-        later in-place additions cannot corrupt a pending value.
-        """
-        if self.grad is None:
-            self.grad = grad
-        else:
-            self.grad += grad
-
-    def _accumulate_shared(self, grad: np.ndarray) -> None:
-        """Add a contribution whose buffer another pending node also holds."""
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
-            self.grad += grad
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -124,8 +116,16 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
+            g = node.grad
+            for i, (parent, grad_map) in enumerate(zip(node._parents, node._grad_maps)):
+                grad = _unbroadcast(grad_map(g), parent.data.shape)
+                if parent.grad is not None:
+                    parent.grad += grad
+                elif i and grad is g:
+                    # the first operand may already hold `g` by reference
+                    parent.grad = g.copy()
+                else:
+                    parent.grad = grad
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -135,109 +135,45 @@ class Tensor:
 
     def __add__(self, other):
         other = self._lift(other)
-        a, b = self, other
-        data = a.data + b.data
-
-        def bw(g):
-            if a.requires_grad and b.requires_grad:
-                ga = _unbroadcast(g, a.data.shape)
-                gb = _unbroadcast(g, b.data.shape)
-                if ga is g and gb is g:
-                    # both sides would adopt the same buffer; copy one
-                    a._accumulate(ga)
-                    b._accumulate_shared(gb)
-                else:
-                    a._accumulate(ga)
-                    b._accumulate(gb)
-            elif a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
-            elif b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
-
-        return Tensor._op(data, (a, b), bw)
+        return Tensor._op(self.data + other.data, ((self, lambda g: g), (other, lambda g: g)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._lift(other)
-        a, b = self, other
-        data = a.data - b.data
-
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.data.shape))
-
-        return Tensor._op(data, (a, b), bw)
+        return Tensor._op(self.data - other.data, ((self, lambda g: g), (other, lambda g: -g)))
 
     def __rsub__(self, other):
         return self._lift(other).__sub__(self)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        a, b = self, other
-        data = a.data * b.data
-
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-        return Tensor._op(data, (a, b), bw)
+        a, b = self, self._lift(other)
+        return Tensor._op(a.data * b.data, ((a, lambda g: g * b.data), (b, lambda g: g * a.data)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        a, b = self, other
-        data = a.data / b.data
-
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return Tensor._op(data, (a, b), bw)
+        a, b = self, self._lift(other)
+        return Tensor._op(a.data / b.data, ((a, lambda g: g / b.data),
+                                            (b, lambda g: -g * a.data / (b.data * b.data))))
 
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
-        a = self
-        data = a.data.reshape(shape)
-
-        def bw(g):
-            a._accumulate(g.reshape(a.data.shape))
-
-        return Tensor._op(data, (a,), bw)
+        return Tensor._op(self.data.reshape(shape), ((self, lambda g: g.reshape(self.shape)),))
 
     def swapaxes(self, ax1: int, ax2: int):
-        a = self
-        data = a.data.swapaxes(ax1, ax2)
-
-        def bw(g):
-            a._accumulate(g.swapaxes(ax1, ax2))
-
-        return Tensor._op(data, (a,), bw)
+        return Tensor._op(self.data.swapaxes(ax1, ax2), ((self, lambda g: g.swapaxes(ax1, ax2)),))
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        a = self
-        data = a.data.sum(axis=axis, keepdims=keepdims)
+        def grad_map(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, self.shape).copy()
 
-        def bw(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-                return
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(gg, axis)
-            a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
-
-        return Tensor._op(data, (a,), bw)
+        return Tensor._op(self.data.sum(axis=axis, keepdims=keepdims), ((self, grad_map),))
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -246,136 +182,87 @@ class Tensor:
     # -- elementwise nonlinearities --------------------------------------------
 
     def exp(self):
-        a = self
-        data = np.exp(a.data)
-
-        def bw(g):
-            a._accumulate(g * data)
-
-        return Tensor._op(data, (a,), bw)
+        data = np.exp(self.data)
+        return Tensor._op(data, ((self, lambda g: g * data),))
 
     def log(self):
-        a = self
-        data = np.log(a.data)
-
-        def bw(g):
-            a._accumulate(g / a.data)
-
-        return Tensor._op(data, (a,), bw)
+        return Tensor._op(np.log(self.data), ((self, lambda g: g / self.data),))
 
     def sqrt(self):
-        a = self
-        data = np.sqrt(a.data)
-
-        def bw(g):
-            a._accumulate(g * 0.5 / data)
-
-        return Tensor._op(data, (a,), bw)
+        data = np.sqrt(self.data)
+        return Tensor._op(data, ((self, lambda g: g * 0.5 / data),))
 
     def sigmoid(self):
-        a = self
-        data = stable_sigmoid(a.data)
-
-        def bw(g):
-            a._accumulate(g * data * (1.0 - data))
-
-        return Tensor._op(data, (a,), bw)
+        data = stable_sigmoid(self.data)
+        return Tensor._op(data, ((self, lambda g: g * data * (1.0 - data)),))
 
     def relu(self):
-        a = self
-        data = np.maximum(a.data, 0.0)
-
-        def bw(g):
-            a._accumulate(g * (a.data > 0.0))
-
-        return Tensor._op(data, (a,), bw)
+        return Tensor._op(np.maximum(self.data, 0.0), ((self, lambda g: g * (self.data > 0.0)),))
 
     # -- matmul ----------------------------------------------------------------
 
     def __matmul__(self, other):
-        other = self._lift(other)
-        a, b = self, other
+        a, b = self, self._lift(other)
         if a.ndim < 2 or b.ndim < 2:
             raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
         if a.data.shape[-1] != b.data.shape[-2]:
             raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-        data = a.data @ b.data
-
-        def bw(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
-
-        return Tensor._op(data, (a, b), bw)
+        return Tensor._op(a.data @ b.data, ((a, lambda g: g @ b.data.swapaxes(-1, -2)),
+                                            (b, lambda g: a.data.swapaxes(-1, -2) @ g)))
 
 
 def take(x: Tensor, indices, axis: int = 0) -> Tensor:
     """Gather slices along `axis`; repeated indices accumulate gradient."""
     idx = np.asarray(indices, dtype=np.intp)
-    a = x
-    data = np.take(a.data, idx, axis=axis)
-    ax = axis % a.data.ndim
+    ax = axis % x.ndim
 
-    def bw(g):
-        full = np.zeros_like(a.data)
+    def grad_map(g):
+        full = np.zeros_like(x.data)
         where = (slice(None),) * ax + (idx,)
         # distinct slices (a negative index names the slice it wraps to) each
         # take their gradient once, so a plain store equals the accumulation
-        if len(set((idx % a.data.shape[ax]).ravel().tolist())) == idx.size:
+        if len(set((idx % x.shape[ax]).ravel().tolist())) == idx.size:
             full[where] = g
         else:
             np.add.at(full, where, g)
-        a._accumulate(full)
+        return full
 
-    return Tensor._op(data, (a,), bw)
+    return Tensor._op(np.take(x.data, idx, axis=axis), ((x, grad_map),))
 
 
 def repeat(x: Tensor, repeats: int, axis: int) -> Tensor:
     """np.repeat with scalar repeats: each slice along `axis` copied `repeats` times."""
-    a = x
-    ax = axis % a.data.ndim
-    data = np.repeat(a.data, repeats, axis=ax)
-
-    def bw(g):
-        shape = a.data.shape[:ax] + (a.data.shape[ax], repeats) + a.data.shape[ax + 1:]
-        a._accumulate(g.reshape(shape).sum(axis=ax + 1))
-
-    return Tensor._op(data, (a,), bw)
+    ax = axis % x.ndim
+    split = x.shape[:ax] + (x.shape[ax], repeats) + x.shape[ax + 1:]
+    return Tensor._op(np.repeat(x.data, repeats, axis=ax),
+                      ((x, lambda g: g.reshape(split).sum(axis=ax + 1)),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     parts = [Tensor._lift(t) for t in tensors]
     data = np.concatenate([p.data for p in parts], axis=axis)
     ax = axis % data.ndim
-    sizes = [p.data.shape[ax] for p in parts]
+    ends = np.cumsum([p.shape[ax] for p in parts]).tolist()
 
-    def bw(g):
-        # slices are disjoint views, safe to adopt directly
-        offset = 0
-        for p, n in zip(parts, sizes):
-            if p.requires_grad:
-                sl = (slice(None),) * ax + (slice(offset, offset + n),)
-                p._accumulate(g[sl])
-            offset += n
+    def part_grad(stop, n):
+        # the parts' slices are disjoint views, safe to adopt directly
+        where = (slice(None),) * ax + (slice(stop - n, stop),)
+        return lambda g: g[where]
 
-    return Tensor._op(data, tuple(parts), bw)
+    return Tensor._op(data, [(p, part_grad(stop, p.shape[ax])) for p, stop in zip(parts, ends)])
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
     """Max-subtracted softmax along `axis`; slices sum to 1."""
     if axis >= x.ndim or axis < -x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
-    a = x
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
     data = e / e.sum(axis=axis, keepdims=True)
 
-    def bw(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        a._accumulate((g - dot) * data)
+    def grad_map(g):
+        return (g - (g * data).sum(axis=axis, keepdims=True)) * data
 
-    return Tensor._op(data, (a,), bw)
+    return Tensor._op(data, ((x, grad_map),))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -399,31 +286,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def standardize(x: Tensor, axis: int = -1, eps: float = 1e-6) -> Tensor:
     """Zero-mean, unit-variance normalization along `axis` (no learned affine)."""
-    a = x
-    n = a.data.shape[axis]
-    mu = a.data.mean(axis=axis, keepdims=True)
-    centered = a.data - mu
+    centered = x.data - x.data.mean(axis=axis, keepdims=True)
     sigma = np.sqrt((centered * centered).mean(axis=axis, keepdims=True) + eps)
     data = centered / sigma
 
-    def bw(g):
+    def grad_map(g):
         g_mean = g.mean(axis=axis, keepdims=True)
         proj = (g * data).mean(axis=axis, keepdims=True)
-        a._accumulate((g - g_mean - data * proj) / sigma)
+        return (g - g_mean - data * proj) / sigma
 
-    return Tensor._op(data, (a,), bw)
+    return Tensor._op(data, ((x, grad_map),))
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Elementwise binary cross entropy on logits (stable fused form)."""
-    a = logits
     y = np.asarray(targets, dtype=np.float64)
-    data = np.logaddexp(0.0, a.data) - a.data * y
-
-    def bw(g):
-        a._accumulate(g * (stable_sigmoid(a.data) - y))
-
-    return Tensor._op(data, (a,), bw)
+    data = np.logaddexp(0.0, logits.data) - logits.data * y
+    return Tensor._op(data, ((logits, lambda g: g * (stable_sigmoid(logits.data) - y)),))
 
 
 class Parameter:

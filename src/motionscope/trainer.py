@@ -75,15 +75,19 @@ def _require_expressions(scenes: list[Scene]) -> None:
         raise ValueError("evaluation needs at least one expression, the scenes hold none")
 
 
+def _require_grid(config: TrainConfig, scenes) -> None:
+    grid = (config.grid_height, config.grid_width, config.img_channels)
+    for scene in scenes:
+        if scene.features.shape[1:] != grid:
+            raise ValueError(
+                f"scene {scene.seed} has {scene.features.shape[1:]} (H, W, C) features, "
+                f"but the config expects {grid}")
+
+
 class Trainer:
     def __init__(self, config: TrainConfig, train_scenes: list[Scene], val_scenes: list[Scene]):
         config.validate()
-        grid = (config.grid_height, config.grid_width, config.img_channels)
-        for scene in itertools.chain(train_scenes, val_scenes):
-            if scene.features.shape[1:] != grid:
-                raise ValueError(
-                    f"scene {scene.seed} has {scene.features.shape[1:]} (H, W, C) features, "
-                    f"but the config expects {grid}")
+        _require_grid(config, itertools.chain(train_scenes, val_scenes))
         self.cfg = config
         self.train_scenes = train_scenes
         self.val_scenes = val_scenes
@@ -189,6 +193,7 @@ class Trainer:
 
     def evaluate(self, scenes: list[Scene] | None = None) -> EvalMetrics:
         scenes = scenes if scenes is not None else self.val_scenes
+        _require_grid(self.cfg, scenes)
         _require_expressions(scenes)
         js, fs, idents = [], [], []
         probe_idents = []

@@ -176,6 +176,15 @@ class TestSceneIO:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: expression 1: .*{field}"):
             load_scene(tmp_path, 6)
 
+    def test_unknown_config_key_names_file_and_key(self, tmp_path):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        meta["config"]["frame"] = meta["config"].pop("frames")
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'frame'"):
+            load_scene(tmp_path, 6)
+
     def test_load_dataset_sorted(self, tmp_path):
         for seed in (11, 2, 7):
             save_scene(generate(seed, small_config()), tmp_path)
@@ -189,6 +198,13 @@ class TestSceneIO:
             directory.mkdir()
         with pytest.raises(ValueError, match=re.escape(str(directory))):
             load_dataset(directory)
+
+    def test_load_dataset_names_a_json_that_is_not_a_scene(self, tmp_path):
+        save_scene(generate(2, small_config()), tmp_path)
+        notes = tmp_path / "notes.json"
+        notes.write_text("{}")
+        with pytest.raises(ValueError, match=re.escape(str(notes))):
+            load_dataset(tmp_path)
 
 
 class TestMetricJ:

@@ -90,3 +90,16 @@ def test_train_names_a_missing_data_directory(tmp_path):
     with pytest.raises(ValueError, match=re.escape(str(typo))):
         main(["train", "--config", str(config), "--out", str(tmp_path / "run"),
               "--data", str(typo), "--val-data", str(typo)])
+
+
+@pytest.mark.parametrize("args, value", [
+    (["gen", "--seeds", "5..3"], "'5..3'"),
+    (["gen", "--seeds", "x"], "'x'"),
+    (["ablate", "--axis", "nh", "--seeds", "0"], "'0'"),
+    (["ablate", "--axis", "nh", "--steps", "0"], "'0'"),
+], ids=["empty-seed-range", "seed-not-an-integer", "zero-run-seeds", "zero-steps"])
+def test_bad_integer_argument_is_a_usage_error(tmp_path, capsys, args, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert value in capsys.readouterr().err

@@ -1,8 +1,9 @@
-"""Unused-import and dead-API guards over the package sources, using the
-standard library only: a name bound by an import must be read somewhere in its
-module, a function, class or method the package defines must be referenced
-somewhere in `src/` or `bench/`, and so must every dataclass field be read as
-an attribute there."""
+"""Unused-import, dead-API and gradient-writer guards over the package
+sources, using the standard library only: a name bound by an import must be
+read somewhere in its module, a function, class or method the package defines
+must be referenced somewhere in `src/` or `bench/`, and so must every
+dataclass field be read as an attribute there; and only the autodiff core's
+own bookkeeping may assign a `.grad` attribute."""
 
 import ast
 from pathlib import Path
@@ -20,6 +21,9 @@ UNREFERENCED_ALLOWED = {"grad_check"}
 # a linked-trajectory IoU of the video masks needs the linker's assignments
 UNREAD_FIELDS_ALLOWED = {"ForwardOutput.cues", "ForwardOutput.motion_cues",
                          "ForwardOutput.motion_tokens", "TrajectorySet.assignments"}
+# a tensor and a graph node start with no gradient, `backward` alone computes
+# and accumulates gradients, and the optimizer clears them between steps
+GRAD_WRITERS_ALLOWED = {"Tensor.__init__", "Tensor._op", "Tensor.backward", "Parameter.zero_grad"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -123,3 +127,33 @@ def test_guard_flags_unread_dataclass_fields():
 
 def test_no_unread_dataclass_fields():
     assert unread_fields({p.name: p.read_text() for p in SOURCES}, repo_sources()) == []
+
+
+def grad_writers(source: str) -> list[str]:
+    """Qualified name of each function (`<module>` outside any) in `source`
+    that assigns or augments a `.grad` attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "grad"
+                    and isinstance(child.ctx, ast.Store)):
+                found.add(".".join(scope) or "<module>")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, (*scope, child.name) if named else scope)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_guard_flags_gradient_writers():
+    source = ("class Tensor:\n    def __init__(self):\n        self.grad = None\n"
+              "    def _accumulate(self, g):\n        self.grad += g\n"
+              "    def backward(self):\n        def bw(g):\n            p.grad, q = g, 1\n"
+              "def reader(p):\n    p.grad[0] = 0.0\n    return p.grad\n")
+    assert grad_writers(source) == ["Tensor.__init__", "Tensor._accumulate", "Tensor.backward.bw"]
+
+
+def test_only_backward_writes_gradients():
+    assert [f"{p.name}: {name}" for p in SOURCES for name in grad_writers(p.read_text())
+            if name not in GRAD_WRITERS_ALLOWED] == []

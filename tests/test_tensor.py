@@ -146,6 +146,16 @@ class TestAttention:
             assert np.linalg.norm(v.T @ w - row) < 1e-6
 
 
+BINARY_OPS = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
+    "matmul": lambda x, y: x @ y,
+    "concat": lambda x, y: concat([x, y], axis=1),
+}
+
+
 class TestAutodiff:
     def test_linear_quadratic_gradcheck(self):
         rng = np.random.default_rng(9)
@@ -232,6 +242,35 @@ class TestAutodiff:
         l = loss()
         l.backward()
         assert np.allclose(w.grad, [7.0])
+
+    @pytest.mark.parametrize("position", ["left", "right", "both"])
+    @pytest.mark.parametrize("op", BINARY_OPS.values(), ids=BINARY_OPS.keys())
+    def test_binary_op_gradcheck_at_each_operand_position(self, op, position):
+        rng = np.random.default_rng(16)
+        w = Parameter("w", rng.uniform(1.0, 2.0, size=(3, 3)))
+        const = Tensor(rng.uniform(1.0, 2.0, size=(3, 3)))
+
+        def loss():
+            left = const if position == "right" else w.tensor
+            right = const if position == "left" else w.tensor
+            out = op(left, right)
+            return (out * out).sum()
+
+        assert grad_check([w], loss) < 1e-8
+
+    @pytest.mark.parametrize("op", [lambda t: 2.0 + t, lambda t: 2.0 - t, lambda t: 2.0 * t],
+                             ids=["add", "sub", "mul"])
+    def test_python_scalar_on_the_left_gradcheck(self, op):
+        w = Parameter("w", np.random.default_rng(17).normal(size=(2, 3)))
+        assert grad_check([w], lambda: (op(w.tensor) * op(w.tensor)).sum()) < 1e-8
+
+    def test_operands_sharing_an_output_gradient_get_their_own_buffers(self):
+        a, b, c = Parameter("a", np.ones((2, 3))), Parameter("b", np.ones(3)), Parameter("c", [1.0])
+        ((a.tensor + b.tensor) + a.tensor).sum().backward()
+        ((c.tensor + c.tensor) + c.tensor).sum().backward()
+        assert np.array_equal(a.grad, np.full((2, 3), 2.0))
+        assert np.array_equal(b.grad, np.full(3, 2.0))
+        assert np.array_equal(c.grad, [3.0])
 
     def test_nonfinite_loss_raises(self):
         w = Parameter("w", [1.0])

@@ -42,14 +42,15 @@ def test_run_without_training_expressions_raises():
 
 
 @pytest.mark.parametrize("scene_config,split", [(BenchmarkConfig(height=32, width=32), "train"),
-                                                 (BenchmarkConfig(channels=16), "val")],
-                         ids=["grid-train", "channels-val"])
+                                                 (BenchmarkConfig(channels=16), "val"),
+                                                 (BenchmarkConfig(height=32, width=32), "evaluate")],
+                         ids=["grid-train", "channels-val", "grid-evaluate"])
 def test_scene_config_mismatch_names_seed_and_shapes(scene_config, split):
     scene = generate(4, scene_config)
-    splits = ([scene], []) if split == "train" else ([], [scene])
+    splits = {"train": ([scene], []), "val": ([], [scene]), "evaluate": ([], [])}[split]
     expected = re.escape(f"scene 4 has {scene.features.shape[1:]}") + ".*" + re.escape("(16, 16, 32)")
     with pytest.raises(ValueError, match=expected):
-        Trainer(TrainConfig(), *splits)
+        Trainer(TrainConfig(), *splits).evaluate([scene])
 
 
 @pytest.mark.parametrize("scenes", [[], [speechless(2)]], ids=["no-scenes", "no-expressions"])
