@@ -415,15 +415,18 @@ def save_scene(scene: Scene, directory) -> None:
 def load_scene(directory, seed: int) -> Scene:
     """Read the scene `<seed>.json` and `<seed>.bin` of `directory`.
 
-    Raises ValueError, naming the file and the field, for a config key that
-    `BenchmarkConfig` does not have, a `.bin` without the header or whose size
-    does not fit the scene, non-finite features, mask values other than 0 and
-    1, a token tag outside `ALL_TAGS`, a vocab id outside the vocabulary and a
-    target id that names no object."""
+    Raises ValueError, naming the file and the field, for a missing top-level
+    key, a config key that `BenchmarkConfig` does not have, a `.bin` without
+    the header or whose size does not fit the scene, non-finite features, mask
+    values other than 0 and 1, a token tag outside `ALL_TAGS`, a vocab id
+    outside the vocabulary and a target id that names no object."""
     directory = Path(directory)
     json_path = directory / f"{seed}.json"
     with open(json_path) as fh:
         meta = json.load(fh)
+    missing = sorted({"config", "objects", "expressions", "seed"} - set(meta))
+    if missing:
+        raise ValueError(f"{json_path}: scene lacks the keys {missing}")
     unknown = sorted(set(meta["config"]) - {f.name for f in fields(BenchmarkConfig)})
     if unknown:
         raise ValueError(f"{json_path}: config holds unknown keys {unknown}")
@@ -507,12 +510,18 @@ def metric_j(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(iou.mean())
 
 
+def _pad_border(mask: np.ndarray) -> np.ndarray:
+    """`np.pad` of a boolean [..., H, W] stack by one False cell, without its set-up cost."""
+    padded = np.zeros(mask.shape[:-2] + (mask.shape[-2] + 2, mask.shape[-1] + 2), dtype=bool)
+    padded[..., 1:-1, 1:-1] = mask
+    return padded
+
+
 def boundary(mask: np.ndarray) -> np.ndarray:
     """Mask cells with at least one 4-neighbour outside the mask (grid edges
     count as outside).  Works on [..., H, W] stacks."""
     m = np.asarray(mask).astype(bool)
-    pad = [(0, 0)] * (m.ndim - 2) + [(1, 1), (1, 1)]
-    padded = np.pad(m, pad, constant_values=False)
+    padded = _pad_border(m)
     interior = (
         padded[..., 1:-1, :-2] & padded[..., 1:-1, 2:]
         & padded[..., :-2, 1:-1] & padded[..., 2:, 1:-1]
@@ -521,8 +530,7 @@ def boundary(mask: np.ndarray) -> np.ndarray:
 
 
 def _dilate(mask: np.ndarray) -> np.ndarray:
-    pad = [(0, 0)] * (mask.ndim - 2) + [(1, 1), (1, 1)]
-    padded = np.pad(mask, pad, constant_values=False)
+    padded = _pad_border(mask)
     h, w = mask.shape[-2:]
     out = np.zeros_like(mask)
     for dy in (-1, 0, 1):

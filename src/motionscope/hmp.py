@@ -5,7 +5,9 @@ repeatedly highlights motion-relevant frames and merges neighbouring tokens
 (halving the temporal length per stage), and a feed-forward layer.  The
 self-attention and feed-forward branches are the shared blocks of `layers`.
 All three branches are residual with output projections, so a block with
-zeroed projections is the identity on its input.
+zeroed projections is the identity on its input.  The hierarchical stages are
+one fused autodiff node, chaining the numpy helpers `highlight`, `enrich` and
+`merge` forward and differentiating them in one hand-written pass.
 
 Shapes: trajectories are [..., T, C] with motion cues [K_m, C]; the batched
 case stacks trajectories on the leading axis and every op stays per-trajectory.
@@ -16,28 +18,29 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import Attention, FeedForward, init_weight, registry
-from .tensor import Parameter, Tensor, linear, repeat, softmax, standardize, take
+from .tensor import (Parameter, Tensor, fused, linear, repeat, softmax_backward, stable_softmax,
+                     standardize, take, unbroadcast)
 
 
-def highlight(traj: Tensor, motion_cues: Tensor):
+def highlight(traj: np.ndarray, motion_cues: np.ndarray):
     """Frame-vs-cue attention, normalized over the time axis.
 
     Returns the attention map [..., T_h, K_m] whose columns each sum to 1,
     and the per-frame weight [..., T_h] (row sums), which totals K_m.
     """
     scale = 1.0 / np.sqrt(traj.shape[-1])
-    attn = softmax((traj @ motion_cues.swapaxes(-1, -2)) * scale, axis=-2)
+    attn = stable_softmax((traj @ motion_cues.swapaxes(-1, -2)) * scale, axis=-2)
     return attn, attn.sum(axis=-1)
 
 
-def enrich(traj: Tensor, attn: Tensor, frame_weight: Tensor, motion_cues: Tensor) -> Tensor:
+def enrich(traj: np.ndarray, attn: np.ndarray, frame_weight: np.ndarray,
+           motion_cues: np.ndarray) -> np.ndarray:
     """Add to each frame token a convex combination of the motion cues,
     weighted by that frame's share of the attention."""
-    t_axis = frame_weight.reshape(*frame_weight.shape, 1)
-    return traj + (attn / t_axis) @ motion_cues
+    return traj + (attn / frame_weight[..., None]) @ motion_cues
 
 
-def merge(enriched: Tensor, frame_weight: Tensor) -> Tensor:
+def merge(enriched: np.ndarray, frame_weight: np.ndarray) -> np.ndarray:
     """Blend each neighbouring frame pair into one token by weighted average."""
     t_len = enriched.shape[-2]
     if t_len % 2 != 0:
@@ -60,13 +63,36 @@ def pad_to_multiple(traj: Tensor, multiple: int) -> Tensor:
 
 
 def hierarchical_stages(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Tensor:
-    """Run highlight -> enrich -> merge `n_stages` times.  The input is first
-    padded to a multiple of 2^n frames, so the output has ceil(T / 2^n) frames."""
+    """Run highlight -> enrich -> merge `n_stages` times as one fused node.  The input
+    is first padded to a multiple of 2^n frames, so the output has ceil(T / 2^n) frames."""
     x = pad_to_multiple(traj, 2 ** n_stages)
+    cues, stages, out = motion_cues.data, [], x.data
     for _ in range(n_stages):
-        attn, frame_weight = highlight(x, motion_cues)
-        x = merge(enrich(x, attn, frame_weight, motion_cues), frame_weight)
-    return x
+        attn, weight = highlight(out, cues)
+        enriched = enrich(out, attn, weight, cues)
+        stages.append((out, attn, weight, enriched))
+        out = merge(enriched, weight)
+
+    def backward(g, needs):
+        d_cues, merged = np.zeros_like(cues), out
+        for x_s, attn, weight, enriched in reversed(stages):
+            # merge: merged = Σ w·x / Σ w over each frame pair, pairs on axis -2
+            w = weight.reshape(*weight.shape[:-1], -1, 2, 1)
+            d_pair = (g / w.sum(axis=-2))[..., None, :]
+            d_enriched = (d_pair * w).reshape(enriched.shape)
+            d_weight = (d_pair * (enriched.reshape(*w.shape[:-1], -1) - merged[..., None, :])).sum(-1)
+            # enrich, highlight: enriched = x + share @ cues, share = attn / Σ_cues attn
+            share = attn / weight[..., None]
+            d_share = d_enriched @ cues.swapaxes(-1, -2)
+            d_attn = ((d_share - (d_share * share).sum(axis=-1, keepdims=True)) / weight[..., None]
+                      + d_weight.reshape(weight.shape)[..., None])
+            d_scores = softmax_backward(d_attn, attn, -2) * (1.0 / np.sqrt(x_s.shape[-1]))
+            d_cues += unbroadcast(share.swapaxes(-1, -2) @ d_enriched
+                                  + d_scores.swapaxes(-1, -2) @ x_s, cues.shape)
+            g, merged = d_enriched + d_scores @ cues, x_s
+        return g, d_cues
+
+    return fused(out, (x, motion_cues), backward)
 
 
 def hierarchical_branch(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Tensor:

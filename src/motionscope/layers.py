@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, linear, softmax
+from .tensor import Parameter, Tensor, fused, linear, softmax_backward, stable_softmax, unbroadcast
 
 
 def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -41,7 +41,8 @@ class Attention:
     projection of the key/value rows is ever built: scores are
     (q·wkᵀ)·k_inᵀ/√C and the context is (softmax·v_in)·wv + bv.  `bk` would add
     q·bk to every key's score alike, which softmax cancels, and `bv` passes
-    through unchanged because attention rows sum to 1."""
+    through unchanged because attention rows sum to 1.  A call is one fused
+    autodiff node, which forms key and value gradients only where needed."""
 
     def __init__(self, p, rng: np.random.Generator, channels: int,
                  kv_channels: int | None = None, wq: np.ndarray | None = None,
@@ -60,11 +61,27 @@ class Attention:
         self.scale = 1.0 / np.sqrt(c)  # of the projected channels, not of k_in's
 
     def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor) -> Tensor:
-        q = linear(q_in, self.wq.tensor, self.bq.tensor)
-        q_keys = (q @ self.wk.tensor.swapaxes(-1, -2)) * self.scale
-        weights = softmax(q_keys @ k_in.swapaxes(-1, -2), axis=-1)
-        context = linear(weights @ v_in, self.wv.tensor, self.bv.tensor)
-        return linear(context, self.wo.tensor, self.bo.tensor)
+        params = (self.wq, self.bq, self.wk, self.wv, self.bv, self.wo, self.bo)
+        wq, bq, wk, wv, bv, wo, bo = (p.data for p in params)
+        q = q_in.data @ wq + bq
+        q_keys = (q @ wk.swapaxes(-1, -2)) * self.scale
+        weights = stable_softmax(q_keys @ k_in.data.swapaxes(-1, -2), axis=-1)
+        attended = weights @ v_in.data
+        context = attended @ wv + bv
+
+        def backward(g, needs):
+            d_context = g @ wo.T
+            d_attended = d_context @ wv.T
+            d_scores = softmax_backward(d_attended @ v_in.data.swapaxes(-1, -2), weights, -1)
+            d_keys = unbroadcast(d_scores @ k_in.data, q_keys.shape) * self.scale
+            d_q = d_keys @ wk
+            return (d_q @ wq.T, d_scores.swapaxes(-1, -2) @ q_keys if needs[1] else None,
+                    weights.swapaxes(-1, -2) @ d_attended if needs[2] else None,
+                    q_in.data.swapaxes(-1, -2) @ d_q, d_q, d_keys.swapaxes(-1, -2) @ q,
+                    attended.swapaxes(-1, -2) @ d_context, d_context,
+                    context.swapaxes(-1, -2) @ g, g)
+
+        return fused(context @ wo + bo, (q_in, k_in, v_in, *(p.tensor for p in params)), backward)
 
 
 class FeedForward:

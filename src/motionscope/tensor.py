@@ -17,7 +17,9 @@ itself or a view of it (views for distinct operands must not overlap, and
 ``concat``'s slices do not), and an operand with no gradient yet adopts that
 buffer without a copy.  The one ownership rule: a node's own buffer goes by
 reference only to its first operand, and a later operand that would receive
-the same object gets a copy, so no two pending gradients share memory.
+the same object gets a copy, so no two pending gradients share memory.  A
+fused op (`fused`) is one node for a whole block: a numpy forward, and one
+backward pass per output gradient that hands each operand its own array.
 """
 
 from __future__ import annotations
@@ -34,7 +36,18 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+def stable_softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-subtracted softmax of `x` along `axis`."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient of softmax's input, given its output `y` and output gradient `g`."""
+    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+
+
+def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
         return grad
@@ -118,7 +131,7 @@ class Tensor:
         for node in reversed(topo):
             g = node.grad
             for i, (parent, grad_map) in enumerate(zip(node._parents, node._grad_maps)):
-                grad = _unbroadcast(grad_map(g), parent.data.shape)
+                grad = unbroadcast(grad_map(g), parent.data.shape)
                 if parent.grad is not None:
                     parent.grad += grad
                 elif i and grad is g:
@@ -256,13 +269,8 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     """Max-subtracted softmax along `axis`; slices sum to 1."""
     if axis >= x.ndim or axis < -x.ndim:
         raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
-    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def grad_map(g):
-        return (g - (g * data).sum(axis=axis, keepdims=True)) * data
-
-    return Tensor._op(data, ((x, grad_map),))
+    data = stable_softmax(x.data, axis)
+    return Tensor._op(data, ((x, lambda g: softmax_backward(g, data, axis)),))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -277,22 +285,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return softmax(scores, axis=-1) @ v
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = x @ w
-    if b is not None:
-        out = out + b
-    return out
+def fused(data: np.ndarray, operands, backward) -> Tensor:
+    """A fused op's node: `backward(g, needs)` returns each needed operand's gradient."""
+    needs = tuple(t.requires_grad for t in operands)
+    memo = [None, None]  # the last output gradient and its operand gradients
+
+    def share(g, i):
+        if memo[0] is not g:
+            memo[:] = g, backward(g, needs)
+        return memo[1][i]
+
+    return Tensor._op(data, [(t, lambda g, i=i: share(g, i)) for i, t in enumerate(operands)])
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return x @ w + b
 
 
 def standardize(x: Tensor, axis: int = -1, eps: float = 1e-6) -> Tensor:
     """Zero-mean, unit-variance normalization along `axis` (no learned affine)."""
-    centered = x.data - x.data.mean(axis=axis, keepdims=True)
-    sigma = np.sqrt((centered * centered).mean(axis=axis, keepdims=True) + eps)
+    n = x.shape[axis]  # each mean is ndarray.mean's sum and divide, without its Python layer
+    centered = x.data - np.add.reduce(x.data, axis=axis, keepdims=True) / n
+    sigma = np.sqrt(np.add.reduce(centered * centered, axis=axis, keepdims=True) / n + eps)
     data = centered / sigma
 
     def grad_map(g):
-        g_mean = g.mean(axis=axis, keepdims=True)
-        proj = (g * data).mean(axis=axis, keepdims=True)
+        g_mean = np.add.reduce(g, axis=axis, keepdims=True) / n
+        proj = np.add.reduce(g * data, axis=axis, keepdims=True) / n
         return (g - g_mean - data * proj) / sigma
 
     return Tensor._op(data, ((x, grad_map),))

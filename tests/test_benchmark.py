@@ -11,6 +11,8 @@ from motionscope.benchmark import (
     VOCAB,
     BenchmarkConfig,
     GenerationError,
+    _dilate,
+    _pad_border,
     boundary,
     evaluate_expression,
     generate,
@@ -185,6 +187,16 @@ class TestSceneIO:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'frame'"):
             load_scene(tmp_path, 6)
 
+    @pytest.mark.parametrize("key", ["objects", "expressions", "config", "seed"])
+    def test_missing_top_level_key_names_file_and_key(self, tmp_path, key):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*\\['{key}'\\]"):
+            load_scene(tmp_path, 6)
+
     def test_load_dataset_sorted(self, tmp_path):
         for seed in (11, 2, 7):
             save_scene(generate(seed, small_config()), tmp_path)
@@ -307,6 +319,40 @@ class TestMetricF:
             a = rng.random((6, 6)) > 0.55
             b = rng.random((6, 6)) > 0.55
             assert abs(metric_f(a, b) - metric_f(b, a)) < 1e-12
+
+
+def np_pad_border(mask):
+    return np.pad(mask, [(0, 0)] * (mask.ndim - 2) + [(1, 1), (1, 1)], constant_values=False)
+
+
+def np_pad_boundary(mask):
+    padded = np_pad_border(mask)
+    interior = (padded[..., 1:-1, :-2] & padded[..., 1:-1, 2:]
+                & padded[..., :-2, 1:-1] & padded[..., 2:, 1:-1])
+    return mask & ~interior
+
+
+def np_pad_dilate(mask):
+    padded = np_pad_border(mask)
+    h, w = mask.shape[-2:]
+    out = np.zeros_like(mask)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            out |= padded[..., 1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+    return out
+
+
+@pytest.mark.parametrize("fill", ["random", "empty", "full"])
+@pytest.mark.parametrize("shape", [(6, 7), (3, 4, 5, 6)], ids=["HW", "KTHW"])
+def test_border_padding_equals_np_pad(shape, fill):
+    """The padded stack, boundaries and dilations equal their `np.pad` forms."""
+    rng = np.random.default_rng(3)
+    mask = {"random": rng.random(shape) > 0.5, "empty": np.zeros(shape, dtype=bool),
+            "full": np.ones(shape, dtype=bool)}[fill]
+    padded = _pad_border(mask)
+    assert padded.dtype == bool and np.array_equal(padded, np_pad_border(mask))
+    assert np.array_equal(boundary(mask), np_pad_boundary(mask))
+    assert np.array_equal(_dilate(mask), np_pad_dilate(mask))
 
 
 def test_video_iou_aggregates_over_frames():

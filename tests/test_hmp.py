@@ -11,72 +11,91 @@ from motionscope.hmp import (
     merge,
     pad_to_multiple,
 )
-from motionscope.tensor import Tensor, grad_check, softmax, standardize, take
+from motionscope.tensor import Parameter, Tensor, grad_check, softmax, standardize
 
 
 def make_stack(n_blocks=2, n_stages=2, channels=6, seed=0):
     return HmpStack(channels, 2 * channels, n_blocks, n_stages, np.random.default_rng(seed))
 
 
+def graph_stages(traj, motion_cues, n_stages):
+    """The hierarchical stages as a chain of graph ops, stage by stage: the
+    oracle of the fused node."""
+    x = pad_to_multiple(traj, 2 ** n_stages)
+    for _ in range(n_stages):
+        # highlight
+        scale = 1.0 / np.sqrt(x.shape[-1])
+        attn = softmax((x @ motion_cues.swapaxes(-1, -2)) * scale, axis=-2)
+        frame_weight = attn.sum(axis=-1)
+        # enrich
+        enriched = x + (attn / frame_weight.reshape(*frame_weight.shape, 1)) @ motion_cues
+        # merge
+        t_len = enriched.shape[-2]
+        pairs = enriched.reshape(*enriched.shape[:-2], t_len // 2, 2, enriched.shape[-1])
+        weights = frame_weight.reshape(*frame_weight.shape[:-1], t_len // 2, 2, 1)
+        x = (pairs * weights).sum(axis=-2) / weights.sum(axis=-2)
+    return x
+
+
 class TestHighlight:
     def test_single_cue_column_sums_to_one(self):
         rng = np.random.default_rng(0)
-        traj, cue = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(1, 4)))
+        traj, cue = rng.normal(size=(5, 4)), rng.normal(size=(1, 4))
         attn, fw = highlight(traj, cue)
         assert attn.shape == (5, 1)
-        assert abs(attn.data.sum() - 1.0) < 1e-12
-        assert np.allclose(fw.data, attn.data[:, 0])
+        assert abs(attn.sum() - 1.0) < 1e-12
+        assert np.allclose(fw, attn[:, 0])
 
     def test_identical_frames_give_uniform_weights(self):
         rng = np.random.default_rng(1)
         row = rng.normal(size=4)
-        traj = Tensor(np.broadcast_to(row, (6, 4)).copy())
-        cues = Tensor(rng.normal(size=(3, 4)))
+        traj = np.broadcast_to(row, (6, 4)).copy()
+        cues = rng.normal(size=(3, 4))
         attn, fw = highlight(traj, cues)
-        assert np.allclose(attn.data, 1.0 / 6.0, atol=1e-12)
-        assert np.allclose(fw.data, 3.0 / 6.0, atol=1e-12)
+        assert np.allclose(attn, 1.0 / 6.0, atol=1e-12)
+        assert np.allclose(fw, 3.0 / 6.0, atol=1e-12)
 
     def test_matches_direct_composition(self):
         rng = np.random.default_rng(2)
         traj, cues = rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
-        attn, fw = highlight(Tensor(traj), Tensor(cues))
+        attn, fw = highlight(traj, cues)
         expected = softmax(Tensor(traj @ cues.T / np.sqrt(4)), axis=0).data
-        assert np.allclose(attn.data, expected, atol=1e-12)
-        assert np.allclose(fw.data, expected.sum(axis=1), atol=1e-12)
+        assert np.allclose(attn, expected, atol=1e-12)
+        assert np.allclose(fw, expected.sum(axis=1), atol=1e-12)
 
     def test_frame_weights_sum_to_cue_count(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             t, k = int(rng.integers(2, 9)), int(rng.integers(1, 5))
-            _, fw = highlight(Tensor(rng.normal(size=(t, 6))), Tensor(rng.normal(size=(k, 6))))
-            assert abs(fw.data.sum() - k) < 1e-9
+            _, fw = highlight(rng.normal(size=(t, 6)), rng.normal(size=(k, 6)))
+            assert abs(fw.sum() - k) < 1e-9
 
 
 class TestEnrich:
     def test_single_cue_adds_exactly_that_row(self):
         rng = np.random.default_rng(4)
-        traj = Tensor(rng.normal(size=(5, 4)))
-        cue = Tensor(rng.normal(size=(1, 4)))
+        traj = rng.normal(size=(5, 4))
+        cue = rng.normal(size=(1, 4))
         attn, fw = highlight(traj, cue)
         out = enrich(traj, attn, fw, cue)
-        assert np.allclose(out.data, traj.data + cue.data[0], atol=1e-12)
+        assert np.allclose(out, traj + cue[0], atol=1e-12)
 
     def test_equal_cue_rows_add_that_point(self):
         rng = np.random.default_rng(5)
-        traj = Tensor(rng.normal(size=(4, 3)))
+        traj = rng.normal(size=(4, 3))
         v = rng.normal(size=3)
-        cues = Tensor(np.broadcast_to(v, (3, 3)).copy())
+        cues = np.broadcast_to(v, (3, 3)).copy()
         attn, fw = highlight(traj, cues)
         out = enrich(traj, attn, fw, cues)
-        assert np.allclose(out.data, traj.data + v, atol=1e-12)
+        assert np.allclose(out, traj + v, atol=1e-12)
 
     def test_delta_within_cue_bounds(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
-            traj = Tensor(rng.normal(size=(6, 5)))
+            traj = rng.normal(size=(6, 5))
             cues = rng.normal(size=(3, 5))
-            attn, fw = highlight(traj, Tensor(cues))
-            delta = enrich(traj, attn, fw, Tensor(cues)).data - traj.data
+            attn, fw = highlight(traj, cues)
+            delta = enrich(traj, attn, fw, cues) - traj
             assert np.all(delta >= cues.min(axis=0) - 1e-9)
             assert np.all(delta <= cues.max(axis=0) + 1e-9)
 
@@ -85,51 +104,82 @@ class TestMerge:
     def test_equal_weights_give_pairwise_means(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 4))
-        merged = merge(Tensor(x), Tensor(np.ones(6)))
+        merged = merge(x, np.ones(6))
         expected = (x[0::2] + x[1::2]) / 2.0
-        assert np.array_equal(merged.data, expected)
+        assert np.array_equal(merged, expected)
 
     def test_degenerate_weight_keeps_first_token(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 3))
-        merged = merge(Tensor(x), Tensor([1.0, 0.0, 1.0, 0.0]))
-        assert np.array_equal(merged.data, x[[0, 2]])
+        merged = merge(x, np.array([1.0, 0.0, 1.0, 0.0]))
+        assert np.array_equal(merged, x[[0, 2]])
 
     def test_matches_pairwise_loop(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(8, 5))
         w = rng.uniform(0.1, 2.0, size=8)
-        merged = merge(Tensor(x), Tensor(w)).data
+        merged = merge(x, w)
         for j in range(4):
             expected = (w[2 * j] * x[2 * j] + w[2 * j + 1] * x[2 * j + 1]) / (w[2 * j] + w[2 * j + 1])
             assert np.allclose(merged[j], expected, atol=1e-12)
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
-            merge(Tensor(np.zeros((5, 2))), Tensor(np.ones(5)))
+            merge(np.zeros((5, 2)), np.ones(5))
 
     def test_equals_gathered_pairs_bit_for_bit(self):
-        """Values and gradients equal the graph that gathers even and odd
-        frames and forms (x0*w0 + x1*w1) / (w0 + w1)."""
+        """Values equal the form that gathers even and odd frames and takes
+        (x0*w0 + x1*w1) / (w0 + w1); the gradient is checked on the fused
+        stages (`TestFusedStages`)."""
         rng = np.random.default_rng(10)
-        x0, w0 = rng.normal(size=(3, 8, 5)), rng.uniform(0.1, 2.0, size=(3, 8))
-        g = rng.normal(size=(3, 4, 5))
+        x, w = rng.normal(size=(3, 8, 5)), rng.uniform(0.1, 2.0, size=(3, 8))
+        xa, xb = x[..., 0::2, :], x[..., 1::2, :]
+        wa, wb = w[..., 0::2, None], w[..., 1::2, None]
+        assert np.array_equal(merge(x, w), (xa * wa + xb * wb) / (wa + wb))
 
-        def run(merge_fn):
-            x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
-            out = merge_fn(x, w)
+
+class TestFusedStages:
+    @pytest.mark.parametrize("n_stages,t_len", [(0, 5), (1, 8), (1, 5), (2, 6), (3, 8), (3, 5)])
+    def test_equals_graph_composition(self, n_stages, t_len):
+        """One node after the padding; its value equals the graph's bit for
+        bit and both gradients agree within 1e-12 relative."""
+        rng = np.random.default_rng(25)
+        traj0, cues0 = rng.normal(size=(3, t_len, 6)), rng.normal(size=(2, 6))
+        g = rng.normal(size=(3, -(-t_len // 2 ** n_stages), 6))
+
+        def run(stages):
+            traj, cues = Tensor(traj0, requires_grad=True), Tensor(cues0, requires_grad=True)
+            out = stages(traj, cues, n_stages)
             (out * Tensor(g)).sum().backward()
-            return out.data, x.grad, w.grad
+            return out.data, traj.grad, cues.grad
 
-        def gathered(x, w):
-            even, odd = np.arange(0, 8, 2), np.arange(1, 8, 2)
-            xa, xb = take(x, even, axis=-2), take(x, odd, axis=-2)
-            wa = take(w, even, axis=-1).reshape(3, 4, 1)
-            wb = take(w, odd, axis=-1).reshape(3, 4, 1)
-            return (xa * wa + xb * wb) / (wa + wb)
+        got, want = run(hierarchical_stages), run(graph_stages)
+        assert np.array_equal(got[0], want[0])
+        for got_grad, want_grad in zip(got[1:], want[1:]):
+            if want_grad is None:  # zero stages never read the cues
+                assert not np.any(got_grad)
+            else:
+                assert np.abs(got_grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
-        for got, want in zip(run(merge), run(gathered)):
-            assert np.array_equal(got, want)
+    def test_one_node_after_padding(self):
+        traj = Tensor(np.random.default_rng(26).normal(size=(5, 4)), requires_grad=True)
+        out = hierarchical_stages(traj, Tensor(np.ones((2, 4)), requires_grad=True), 3)
+        padded, cues = out._parents
+        assert padded._parents == (traj,) and cues._parents == ()
+
+    @pytest.mark.parametrize("n_stages", [0, 1, 3])
+    def test_gradcheck(self, n_stages):
+        """Trajectory and cue gradients, at a length (5) that needs padding."""
+        rng = np.random.default_rng(27)
+        traj = Parameter("traj", rng.normal(size=(2, 5, 3)))
+        cues = Parameter("cues", rng.normal(size=(2, 3)))
+        target = rng.normal(size=(2, -(-5 // 2 ** n_stages), 3))
+
+        def loss():
+            d = hierarchical_stages(traj.tensor, cues.tensor, n_stages) - Tensor(target)
+            return (d * d).sum()
+
+        assert grad_check([traj, cues], loss) < 1e-6
 
 
 class TestHierarchicalCrossAttention:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from motionscope.layers import Attention, registry
-from motionscope.tensor import Parameter, Tensor, attention, grad_check, linear
+from motionscope.tensor import Parameter, Tensor, attention, grad_check, linear, softmax
 
 
 def block(channels, kv_channels=None, seed=0):
@@ -21,6 +21,21 @@ def projected(attn, q_in, k_in, v_in):
     k = linear(k_in, attn.wk.tensor, attn.bk.tensor)
     v = linear(v_in, attn.wv.tensor, attn.bv.tensor)
     return linear(attention(q, k, v), attn.wo.tensor, attn.bo.tensor)
+
+
+def graph(attn, q_in, k_in, v_in):
+    """The block as a chain of graph ops, keys and values reassociated onto
+    the query side: the oracle of the fused node."""
+    q = linear(q_in, attn.wq.tensor, attn.bq.tensor)
+    q_keys = (q @ attn.wk.tensor.swapaxes(-1, -2)) * attn.scale
+    weights = softmax(q_keys @ k_in.swapaxes(-1, -2), axis=-1)
+    context = linear(weights @ v_in, attn.wv.tensor, attn.bv.tensor)
+    return linear(context, attn.wo.tensor, attn.bo.tensor)
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 # name -> (channels, kv_channels, query shape, key/value shape, self-attention)
@@ -58,6 +73,38 @@ def test_equals_projected_formula(name):
     expected = projected(attn, q_in, k_in, v_in).data
     assert got.shape == expected.shape
     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name,kv_grad", [(name, kv_grad) for name in CASES for kv_grad in (True, False)
+                                          if kv_grad or not CASES[name][4]])
+def test_equals_graph_composition(name, kv_grad):
+    """The fused node's value equals the graph's bit for bit, and every
+    gradient (weights and the inputs that need one) agrees within 1e-12
+    relative; keys and values that need no gradient get none."""
+    attn, params = block(*CASES[name][:2])
+    rng = np.random.default_rng(5)
+    arrays = inputs(CASES[name], rng)
+    g = rng.normal(size=attn(*(Tensor(a) for a in arrays)).shape)
+
+    def run(fn):
+        q_in = Tensor(arrays[0], requires_grad=True)
+        if CASES[name][4]:
+            k_in = v_in = q_in
+        else:
+            k_in, v_in = (Tensor(a, requires_grad=kv_grad) for a in arrays[1:])
+        for param in params:
+            param.zero_grad()
+        out = fn(attn, q_in, k_in, v_in)
+        (out * Tensor(g)).sum().backward()
+        return out.data, [t.grad for t in (q_in, k_in, v_in)], [p.grad.copy() for p in params]
+
+    got, want = run(Attention.__call__), run(graph)
+    assert np.array_equal(got[0], want[0])
+    for got_grad, want_grad in zip(got[1] + got[2], want[1] + want[2]):
+        if want_grad is None:
+            assert got_grad is None
+        else:
+            assert_close(got_grad, want_grad)
 
 
 @pytest.mark.parametrize("name", TOY)

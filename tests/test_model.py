@@ -56,6 +56,21 @@ class TestForward:
         assert np.array_equal(out.trajectories.assignments,
                               np.tile(np.arange(4), (scene.features.shape[0], 1)))
 
+    def test_default_forward_builds_at_most_110_graph_nodes(self):
+        """Each attention block and each hierarchical branch is one fused node:
+        a default-config forward builds 96 nodes, where the unfused graph built
+        287.  The bound leaves room for small changes, not for unfusing a block."""
+        model = MotionSegModel(TrainConfig(), np.random.default_rng(0))
+        scene = generate(3)
+        out = model.forward(scene.features, scene.expressions[0])
+        seen, stack = set(), [out.class_logits, out.motion_tokens, out.video.scores]
+        while stack:
+            node = stack.pop()
+            if node._parents and id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(seen) <= 110
+
 
 class TestQueryVariants:
     def test_sentence_only_uses_one_cue_row(self):

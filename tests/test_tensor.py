@@ -9,10 +9,12 @@ from motionscope.tensor import (
     Tensor,
     attention,
     concat,
+    fused,
     grad_check,
     repeat,
     softmax,
     stable_sigmoid,
+    standardize,
     take,
 )
 
@@ -280,6 +282,54 @@ class TestAutodiff:
 
         with pytest.raises(FloatingPointError):
             grad_check([w], loss)
+
+
+class TestStandardize:
+    @pytest.mark.parametrize("shape,axis", [((7,), -1), ((3, 5), -1), ((4, 6, 8), -1), ((4, 6, 8), 1)])
+    def test_equals_mean_form_bit_for_bit(self, shape, axis):
+        """Value and gradient equal the form that takes each mean with `ndarray.mean`."""
+        rng = np.random.default_rng(30)
+        x0, g = rng.normal(size=shape) * 3.0 + 1.0, rng.normal(size=shape)
+        x = Tensor(x0, requires_grad=True)
+        out = standardize(x, axis=axis)
+        (out * Tensor(g)).sum().backward()
+
+        centered = x0 - x0.mean(axis=axis, keepdims=True)
+        sigma = np.sqrt((centered * centered).mean(axis=axis, keepdims=True) + 1e-6)
+        data = centered / sigma
+        grad = (g - g.mean(axis=axis, keepdims=True)
+                - data * (g * data).mean(axis=axis, keepdims=True)) / sigma
+        assert np.array_equal(out.data, data)
+        assert np.array_equal(x.grad, grad)
+
+    def test_gradcheck(self):
+        w = Parameter("w", np.random.default_rng(31).normal(size=(3, 4)))
+        target = np.random.default_rng(32).normal(size=(3, 4))
+        assert grad_check([w], lambda: (standardize(w.tensor) * Tensor(target)).sum()) < 1e-8
+
+
+class TestFused:
+    def test_one_backward_pass_per_output_gradient(self):
+        """Three operands read one pass; an operand that needs no gradient is
+        flagged so the pass can skip it, and gets none."""
+        a, b = Parameter("a", [1.0, 2.0]), Parameter("b", [3.0, 4.0])
+        const = Tensor([5.0, 6.0])
+        passes = []
+
+        def backward(g, needs):
+            passes.append(needs)
+            return g * 2.0, None, g * 3.0, g * 4.0
+
+        out = fused(np.zeros(2), (a.tensor, const, b.tensor, a.tensor), backward)
+        (out * Tensor([1.0, 10.0])).sum().backward()
+        assert passes == [(True, False, True, True)]
+        assert np.array_equal(a.grad, [6.0, 60.0])
+        assert np.array_equal(b.grad, [3.0, 30.0])
+        assert const.grad is None
+
+    def test_constant_operands_make_a_constant(self):
+        out = fused(np.ones(2), (Tensor([1.0]), Tensor([2.0])), lambda g, needs: (g, g))
+        assert out._parents == () and not out.requires_grad
 
 
 class TestTensorInvariants:
