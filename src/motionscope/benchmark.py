@@ -416,10 +416,11 @@ def load_scene(directory, seed: int) -> Scene:
     """Read the scene `<seed>.json` and `<seed>.bin` of `directory`.
 
     Raises ValueError, naming the file and the field, for a missing top-level
-    key, a config key that `BenchmarkConfig` does not have, a `.bin` without
-    the header or whose size does not fit the scene, non-finite features, mask
-    values other than 0 and 1, a token tag outside `ALL_TAGS`, a vocab id
-    outside the vocabulary and a target id that names no object."""
+    key, a `seed` field that differs from `seed`, a config key that
+    `BenchmarkConfig` does not have, a `.bin` without the header or whose size
+    does not fit the scene, non-finite features, mask values other than 0 and
+    1, a token tag outside `ALL_TAGS`, a vocab id outside the vocabulary and a
+    target id that names no object."""
     directory = Path(directory)
     json_path = directory / f"{seed}.json"
     with open(json_path) as fh:
@@ -427,6 +428,9 @@ def load_scene(directory, seed: int) -> Scene:
     missing = sorted({"config", "objects", "expressions", "seed"} - set(meta))
     if missing:
         raise ValueError(f"{json_path}: scene lacks the keys {missing}")
+    if meta["seed"] != seed:
+        raise ValueError(f"{json_path}: seed field says {meta['seed']!r}, "
+                         f"but the file name says {seed}")
     unknown = sorted(set(meta["config"]) - {f.name for f in fields(BenchmarkConfig)})
     if unknown:
         raise ValueError(f"{json_path}: config holds unknown keys {unknown}")

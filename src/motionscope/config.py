@@ -4,6 +4,7 @@ ablation switches, serializable to/from JSON."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 QUERY_VARIANTS = ("ds", "sentence_only", "ds_no_sentence", "ds_no_query")
@@ -55,6 +56,8 @@ class TrainConfig:
             if (not isinstance(value, ACCEPTED_TYPES[f.type])
                     or (f.type != "bool" and isinstance(value, bool))):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.hmp_blocks < 1:
             raise ValueError(f"hmp_blocks must be >= 1, got {self.hmp_blocks}")
         if self.hmp_stages < 0:
@@ -65,6 +68,13 @@ class TrainConfig:
                      "n_static_queries", "n_motion_queries", "steps", "eval_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        for name in ("lambda_cls", "lambda_mask", "lambda_dice", "lambda_contrastive"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not 0.0 <= self.ema_beta <= 1.0:
             raise ValueError("ema_beta must lie in [0, 1]")
         if self.tau <= 0:

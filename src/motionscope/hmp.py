@@ -5,9 +5,11 @@ repeatedly highlights motion-relevant frames and merges neighbouring tokens
 (halving the temporal length per stage), and a feed-forward layer.  The
 self-attention and feed-forward branches are the shared blocks of `layers`.
 All three branches are residual with output projections, so a block with
-zeroed projections is the identity on its input.  The hierarchical stages are
-one fused autodiff node, chaining the numpy helpers `highlight`, `enrich` and
-`merge` forward and differentiating them in one hand-written pass.
+zeroed projections is the identity on its input.  The hierarchical branch is
+one fused autodiff node: it pads the trajectories to a multiple of 2^n frames,
+chains the numpy helpers `highlight`, `enrich` and `merge` n times, expands
+the coarse tokens back and crops the padding, and differentiates all of it in
+one hand-written pass.  The self-attention is one fused node as well.
 
 Shapes: trajectories are [..., T, C] with motion cues [K_m, C]; the batched
 case stacks trajectories on the leading axis and every op stays per-trajectory.
@@ -18,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import Attention, FeedForward, init_weight, registry
-from .tensor import (Parameter, Tensor, fused, linear, repeat, softmax_backward, stable_softmax,
-                     standardize, take, unbroadcast)
+from .tensor import (Parameter, Tensor, fused, linear, softmax_backward, stable_softmax,
+                     standardize, unbroadcast)
 
 
 def highlight(traj: np.ndarray, motion_cues: np.ndarray):
@@ -52,21 +54,17 @@ def merge(enriched: np.ndarray, frame_weight: np.ndarray) -> np.ndarray:
     return (pairs * weights).sum(axis=-2) / weights.sum(axis=-2)
 
 
-def pad_to_multiple(traj: Tensor, multiple: int) -> Tensor:
-    """Repeat the last frame token until the time length divides `multiple`."""
-    t_len = traj.shape[-2]
-    target = ((t_len + multiple - 1) // multiple) * multiple
-    if target == t_len:
-        return traj
-    idx = np.concatenate([np.arange(t_len), np.full(target - t_len, t_len - 1)])
-    return take(traj, idx, axis=-2)
-
-
-def hierarchical_stages(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Tensor:
-    """Run highlight -> enrich -> merge `n_stages` times as one fused node.  The input
-    is first padded to a multiple of 2^n frames, so the output has ceil(T / 2^n) frames."""
-    x = pad_to_multiple(traj, 2 ** n_stages)
-    cues, stages, out = motion_cues.data, [], x.data
+def hierarchical_branch(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Tensor:
+    """Run highlight -> enrich -> merge `n_stages` times and expand the coarse
+    tokens back to the input length by nearest-neighbour repetition, as one
+    fused node.  The input is first padded to a multiple of 2^n frames by
+    repeating its last frame; frames added by padding are dropped after
+    expansion, without renormalizing."""
+    t_len, factor = traj.shape[-2], 2 ** n_stages
+    pad = -t_len % factor
+    pad_idx = np.concatenate([np.arange(t_len), np.full(pad, t_len - 1)])
+    cues, stages = motion_cues.data, []
+    out = np.take(traj.data, pad_idx, axis=-2) if pad else traj.data
     for _ in range(n_stages):
         attn, weight = highlight(out, cues)
         enriched = enrich(out, attn, weight, cues)
@@ -74,6 +72,10 @@ def hierarchical_stages(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Ten
         out = merge(enriched, weight)
 
     def backward(g, needs):
+        # expansion and crop: each coarse token sums the gradients of its kept copies
+        full = np.zeros((*g.shape[:-2], t_len + pad, g.shape[-1]))
+        full[..., :t_len, :] = g
+        g = full.reshape(*out.shape[:-1], factor, out.shape[-1]).sum(axis=-2)
         d_cues, merged = np.zeros_like(cues), out
         for x_s, attn, weight, enriched in reversed(stages):
             # merge: merged = Σ w·x / Σ w over each frame pair, pairs on axis -2
@@ -90,20 +92,13 @@ def hierarchical_stages(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Ten
             d_cues += unbroadcast(share.swapaxes(-1, -2) @ d_enriched
                                   + d_scores.swapaxes(-1, -2) @ x_s, cues.shape)
             g, merged = d_enriched + d_scores @ cues, x_s
+        if pad:  # the padded frames' gradients add into the last frame, in index order
+            d_traj = np.zeros_like(traj.data)
+            np.add.at(d_traj, (..., pad_idx, slice(None)), g)
+            g = d_traj
         return g, d_cues
 
-    return fused(out, (x, motion_cues), backward)
-
-
-def hierarchical_branch(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Tensor:
-    """Coarse tokens of `hierarchical_stages`, expanded back to the input
-    length by nearest-neighbour repetition.  Frames added by padding are
-    dropped after expansion, without renormalizing."""
-    expanded = repeat(hierarchical_stages(traj, motion_cues, n_stages), 2 ** n_stages, axis=-2)
-    t_len = traj.shape[-2]
-    if expanded.shape[-2] != t_len:
-        expanded = take(expanded, np.arange(t_len), axis=-2)
-    return expanded
+    return fused(np.take(out, np.arange(t_len) // factor, axis=-2), (traj, motion_cues), backward)
 
 
 class HmpBlock:

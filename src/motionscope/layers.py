@@ -6,13 +6,17 @@ block as `attn.wq`, `attn.bq` ... `attn.wo`, `attn.bo` and its feed-forward
 block as `ffn.w1` ... `ffn.b2`, under the module's prefix and in that order.
 `attn.bk` stays registered only because parameter names are the checkpoint
 format; attention never reads it.
+
+An `Attention` call is one fused autodiff node around the shared
+softmax-attention core `tensor.softmax_attention`, which cue injection
+(`perceiver.inject_cues`) calls too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, fused, linear, softmax_backward, stable_softmax, unbroadcast
+from .tensor import Parameter, Tensor, fused, linear, softmax_attention
 
 
 def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -64,22 +68,19 @@ class Attention:
         params = (self.wq, self.bq, self.wk, self.wv, self.bv, self.wo, self.bo)
         wq, bq, wk, wv, bv, wo, bo = (p.data for p in params)
         q = q_in.data @ wq + bq
-        q_keys = (q @ wk.swapaxes(-1, -2)) * self.scale
-        weights = stable_softmax(q_keys @ k_in.data.swapaxes(-1, -2), axis=-1)
-        attended = weights @ v_in.data
+        q_keys = (q @ wk.swapaxes(-1, -2)) * self.scale  # pre-scaled, so the core scales by 1
+        attended, attend_backward = softmax_attention(q_keys, k_in.data, v_in.data, 1.0)
         context = attended @ wv + bv
 
         def backward(g, needs):
             d_context = g @ wo.T
             d_attended = d_context @ wv.T
-            d_scores = softmax_backward(d_attended @ v_in.data.swapaxes(-1, -2), weights, -1)
-            d_keys = unbroadcast(d_scores @ k_in.data, q_keys.shape) * self.scale
+            d_q_keys, d_k_in, d_v_in = attend_backward(d_attended, needs)
+            d_keys = d_q_keys * self.scale
             d_q = d_keys @ wk
-            return (d_q @ wq.T, d_scores.swapaxes(-1, -2) @ q_keys if needs[1] else None,
-                    weights.swapaxes(-1, -2) @ d_attended if needs[2] else None,
-                    q_in.data.swapaxes(-1, -2) @ d_q, d_q, d_keys.swapaxes(-1, -2) @ q,
-                    attended.swapaxes(-1, -2) @ d_context, d_context,
-                    context.swapaxes(-1, -2) @ g, g)
+            return (d_q @ wq.T, d_k_in, d_v_in, q_in.data.swapaxes(-1, -2) @ d_q, d_q,
+                    d_keys.swapaxes(-1, -2) @ q, attended.swapaxes(-1, -2) @ d_context,
+                    d_context, context.swapaxes(-1, -2) @ g, g)
 
         return fused(context @ wo + bo, (q_in, k_in, v_in, *(p.tensor for p in params)), backward)
 

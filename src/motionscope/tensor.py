@@ -20,6 +20,11 @@ reference only to its first operand, and a later operand that would receive
 the same object gets a copy, so no two pending gradients share memory.  A
 fused op (`fused`) is one node for a whole block: a numpy forward, and one
 backward pass per output gradient that hands each operand its own array.
+
+Three blocks are fused nodes: `layers.Attention`, the cue injection
+`perceiver.inject_cues` and the hierarchical branch `hmp.hierarchical_branch`.
+The first two share the one softmax-attention core, `softmax_attention` here,
+which returns its value and its backward as numpy arrays.
 """
 
 from __future__ import annotations
@@ -45,6 +50,23 @@ def stable_softmax(x: np.ndarray, axis: int) -> np.ndarray:
 def softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     """The gradient of softmax's input, given its output `y` and output gradient `g`."""
     return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+
+
+def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float):
+    """softmax(q kᵀ · scale) v over the last two axes; rows of the result are
+    convex combinations of rows of v.  Returns the result and its backward,
+    `backward(d_out, needs)` -> (d_q summed to q's shape, d_k, d_v): `needs`
+    holds `fused`'s flags for operands (q, k, v, ...), and a key or value
+    gradient that is not needed is None."""
+    weights = stable_softmax((q @ k.swapaxes(-1, -2)) * scale, axis=-1)
+
+    def backward(d_out, needs):
+        d_scores = softmax_backward(d_out @ v.swapaxes(-1, -2), weights, -1) * scale
+        return (unbroadcast(d_scores @ k, q.shape),
+                d_scores.swapaxes(-1, -2) @ q if needs[1] else None,
+                weights.swapaxes(-1, -2) @ d_out if needs[2] else None)
+
+    return weights @ v, backward
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -243,14 +265,6 @@ def take(x: Tensor, indices, axis: int = 0) -> Tensor:
     return Tensor._op(np.take(x.data, idx, axis=axis), ((x, grad_map),))
 
 
-def repeat(x: Tensor, repeats: int, axis: int) -> Tensor:
-    """np.repeat with scalar repeats: each slice along `axis` copied `repeats` times."""
-    ax = axis % x.ndim
-    split = x.shape[:ax] + (x.shape[ax], repeats) + x.shape[ax + 1:]
-    return Tensor._op(np.repeat(x.data, repeats, axis=ax),
-                      ((x, lambda g: g.reshape(split).sum(axis=ax + 1)),))
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     parts = [Tensor._lift(t) for t in tensors]
     data = np.concatenate([p.data for p in parts], axis=axis)
@@ -263,26 +277,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return lambda g: g[where]
 
     return Tensor._op(data, [(p, part_grad(stop, p.shape[ax])) for p, stop in zip(parts, ends)])
-
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Max-subtracted softmax along `axis`; slices sum to 1."""
-    if axis >= x.ndim or axis < -x.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for shape {x.shape}")
-    data = stable_softmax(x.data, axis)
-    return Tensor._op(data, ((x, lambda g: softmax_backward(g, data, axis)),))
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(C)) v over the last two axes; rows of the output
-    are convex combinations of rows of v."""
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"attention channel mismatch: q {q.shape} vs k {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention key/value row mismatch: k {k.shape} vs v {v.shape}")
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = (q @ k.swapaxes(-1, -2)) * scale
-    return softmax(scores, axis=-1) @ v
 
 
 def fused(data: np.ndarray, operands, backward) -> Tensor:

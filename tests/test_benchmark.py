@@ -197,6 +197,17 @@ class TestSceneIO:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*\\['{key}'\\]"):
             load_scene(tmp_path, 6)
 
+    def test_seed_field_must_match_file_name(self, tmp_path):
+        """A `4.json` whose seed field says 3 would load as a second scene 3."""
+        save_scene(generate(3, small_config()), tmp_path)
+        save_scene(generate(4, small_config()), tmp_path)
+        path = tmp_path / "4.json"
+        meta = json.loads(path.read_text())
+        meta["seed"] = 3
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: seed field says 3, .* 4"):
+            load_dataset(tmp_path)
+
     def test_load_dataset_sorted(self, tmp_path):
         for seed in (11, 2, 7):
             save_scene(generate(seed, small_config()), tmp_path)

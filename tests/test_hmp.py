@@ -6,35 +6,44 @@ from motionscope.hmp import (
     HmpStack,
     enrich,
     hierarchical_branch,
-    hierarchical_stages,
     highlight,
     merge,
-    pad_to_multiple,
 )
-from motionscope.tensor import Parameter, Tensor, grad_check, softmax, standardize
+from motionscope.tensor import Parameter, Tensor, grad_check, standardize, take
 
 
 def make_stack(n_blocks=2, n_stages=2, channels=6, seed=0):
     return HmpStack(channels, 2 * channels, n_blocks, n_stages, np.random.default_rng(seed))
 
 
-def graph_stages(traj, motion_cues, n_stages):
-    """The hierarchical stages as a chain of graph ops, stage by stage: the
-    oracle of the fused node."""
-    x = pad_to_multiple(traj, 2 ** n_stages)
+def pad_index(t_len, n_stages):
+    """Frame indices that pad a T-frame input to a multiple of 2^n frames by
+    repeating its last frame."""
+    pad = -t_len % 2 ** n_stages
+    return np.concatenate([np.arange(t_len), np.full(pad, t_len - 1)])
+
+
+def graph_branch(traj, motion_cues, n_stages):
+    """The hierarchical branch as a chain of graph ops, stage by stage, with
+    softmax built from `exp`, `sum` and `/` and padding and expansion from
+    `take`: the oracle of the fused node."""
+    t_len = traj.shape[-2]
+    x = take(traj, pad_index(t_len, n_stages), axis=-2)
     for _ in range(n_stages):
-        # highlight
-        scale = 1.0 / np.sqrt(x.shape[-1])
-        attn = softmax((x @ motion_cues.swapaxes(-1, -2)) * scale, axis=-2)
+        # highlight: softmax over the time axis
+        scores = (x @ motion_cues.swapaxes(-1, -2)) * (1.0 / np.sqrt(x.shape[-1]))
+        e = (scores - Tensor(scores.data.max(axis=-2, keepdims=True))).exp()
+        attn = e / e.sum(axis=-2, keepdims=True)
         frame_weight = attn.sum(axis=-1)
         # enrich
         enriched = x + (attn / frame_weight.reshape(*frame_weight.shape, 1)) @ motion_cues
         # merge
-        t_len = enriched.shape[-2]
-        pairs = enriched.reshape(*enriched.shape[:-2], t_len // 2, 2, enriched.shape[-1])
-        weights = frame_weight.reshape(*frame_weight.shape[:-1], t_len // 2, 2, 1)
+        t_half = enriched.shape[-2] // 2
+        pairs = enriched.reshape(*enriched.shape[:-2], t_half, 2, enriched.shape[-1])
+        weights = frame_weight.reshape(*frame_weight.shape[:-1], t_half, 2, 1)
         x = (pairs * weights).sum(axis=-2) / weights.sum(axis=-2)
-    return x
+    # expand by nearest-neighbour repetition and crop to the input length
+    return take(x, np.arange(t_len) // 2 ** n_stages, axis=-2)
 
 
 class TestHighlight:
@@ -59,7 +68,8 @@ class TestHighlight:
         rng = np.random.default_rng(2)
         traj, cues = rng.normal(size=(5, 4)), rng.normal(size=(3, 4))
         attn, fw = highlight(traj, cues)
-        expected = softmax(Tensor(traj @ cues.T / np.sqrt(4)), axis=0).data
+        e = np.exp(traj @ cues.T / np.sqrt(4))
+        expected = e / e.sum(axis=0)
         assert np.allclose(attn, expected, atol=1e-12)
         assert np.allclose(fw, expected.sum(axis=1), atol=1e-12)
 
@@ -139,21 +149,23 @@ class TestMerge:
 
 
 class TestFusedStages:
-    @pytest.mark.parametrize("n_stages,t_len", [(0, 5), (1, 8), (1, 5), (2, 6), (3, 8), (3, 5)])
+    @pytest.mark.parametrize("n_stages,t_len", [(0, 5), (1, 8), (1, 5), (2, 6), (3, 8), (3, 5),
+                                                (1, 7), (2, 5), (2, 7), (3, 7)])
     def test_equals_graph_composition(self, n_stages, t_len):
-        """One node after the padding; its value equals the graph's bit for
-        bit and both gradients agree within 1e-12 relative."""
+        """The branch's value equals the graph's bit for bit, and both
+        gradients agree within 1e-12 relative, at lengths that need no
+        padding and at lengths that do."""
         rng = np.random.default_rng(25)
         traj0, cues0 = rng.normal(size=(3, t_len, 6)), rng.normal(size=(2, 6))
-        g = rng.normal(size=(3, -(-t_len // 2 ** n_stages), 6))
+        g = rng.normal(size=(3, t_len, 6))
 
-        def run(stages):
+        def run(branch):
             traj, cues = Tensor(traj0, requires_grad=True), Tensor(cues0, requires_grad=True)
-            out = stages(traj, cues, n_stages)
+            out = branch(traj, cues, n_stages)
             (out * Tensor(g)).sum().backward()
             return out.data, traj.grad, cues.grad
 
-        got, want = run(hierarchical_stages), run(graph_stages)
+        got, want = run(hierarchical_branch), run(graph_branch)
         assert np.array_equal(got[0], want[0])
         for got_grad, want_grad in zip(got[1:], want[1:]):
             if want_grad is None:  # zero stages never read the cues
@@ -161,11 +173,11 @@ class TestFusedStages:
             else:
                 assert np.abs(got_grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
-    def test_one_node_after_padding(self):
+    def test_one_node_with_padding_and_expansion(self):
         traj = Tensor(np.random.default_rng(26).normal(size=(5, 4)), requires_grad=True)
-        out = hierarchical_stages(traj, Tensor(np.ones((2, 4)), requires_grad=True), 3)
-        padded, cues = out._parents
-        assert padded._parents == (traj,) and cues._parents == ()
+        cues = Tensor(np.ones((2, 4)), requires_grad=True)
+        out = hierarchical_branch(traj, cues, 3)
+        assert out.shape == (5, 4) and out._parents == (traj, cues)
 
     @pytest.mark.parametrize("n_stages", [0, 1, 3])
     def test_gradcheck(self, n_stages):
@@ -173,13 +185,38 @@ class TestFusedStages:
         rng = np.random.default_rng(27)
         traj = Parameter("traj", rng.normal(size=(2, 5, 3)))
         cues = Parameter("cues", rng.normal(size=(2, 3)))
-        target = rng.normal(size=(2, -(-5 // 2 ** n_stages), 3))
+        target = rng.normal(size=(2, 5, 3))
 
         def loss():
-            d = hierarchical_stages(traj.tensor, cues.tensor, n_stages) - Tensor(target)
+            d = hierarchical_branch(traj.tensor, cues.tensor, n_stages) - Tensor(target)
             return (d * d).sum()
 
         assert grad_check([traj, cues], loss) < 1e-6
+
+    @pytest.mark.parametrize("n_stages,t_len", [(n, t) for t in (5, 7) for n in (1, 2, 3)])
+    def test_padding_gradients_bit_for_bit(self, n_stages, t_len):
+        """Against the branch of the input padded beforehand (which then needs
+        no padding) under the output gradient padded with zeros: the cue
+        gradients are equal, and the trajectory gradient is the padded one
+        with each added frame added into the last frame in index order."""
+        rng = np.random.default_rng(28)
+        traj0, cues0 = rng.normal(size=(3, t_len, 6)), rng.normal(size=(2, 6))
+        idx = pad_index(t_len, n_stages)
+        g = rng.normal(size=(3, t_len, 6))
+
+        def run(traj0, g):
+            traj, cues = Tensor(traj0, requires_grad=True), Tensor(cues0, requires_grad=True)
+            (hierarchical_branch(traj, cues, n_stages) * Tensor(g)).sum().backward()
+            return traj.grad, cues.grad
+
+        d_traj, d_cues = run(traj0, g)
+        g_padded = np.zeros((3, idx.size, 6))
+        g_padded[:, :t_len] = g
+        d_padded, d_cues_padded = run(traj0[:, idx], g_padded)
+        expected = np.zeros_like(traj0)
+        np.add.at(expected, (slice(None), idx), d_padded)
+        assert np.array_equal(d_traj, expected)
+        assert np.array_equal(d_cues, d_cues_padded)
 
 
 class TestHierarchicalCrossAttention:
@@ -193,11 +230,9 @@ class TestHierarchicalCrossAttention:
         rng = np.random.default_rng(11)
         traj = Tensor(rng.normal(size=(8, 4)))
         cues = Tensor(rng.normal(size=(2, 4)))
-        coarse = hierarchical_stages(traj, cues, 3)
-        assert coarse.shape == (1, 4)
         out = hierarchical_branch(traj, cues, 3)
         assert out.shape == (8, 4)
-        assert np.array_equal(out.data, np.broadcast_to(coarse.data[0], (8, 4)))
+        assert np.array_equal(out.data, np.broadcast_to(out.data[0], (8, 4)))
 
     def test_matches_hand_rolled_composition(self):
         rng = np.random.default_rng(12)
@@ -217,15 +252,15 @@ class TestHierarchicalCrossAttention:
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_padding_is_dropped_losslessly(self):
+        """A 5-frame input is padded to 8 frames by repeating its last frame,
+        and the padded frames' outputs are dropped."""
         rng = np.random.default_rng(13)
-        traj = Tensor(rng.normal(size=(5, 4)))
+        traj = rng.normal(size=(5, 4))
         cues = Tensor(rng.normal(size=(2, 4)))
-        out = hierarchical_branch(traj, cues, 2)
+        out = hierarchical_branch(Tensor(traj), cues, 2)
         assert out.shape == (5, 4)
-        padded = pad_to_multiple(traj, 4)
-        assert padded.shape == (8, 4)
-        full = pad_to_multiple(traj, 4).data
-        assert np.array_equal(full[5:], np.broadcast_to(traj.data[4], (3, 4)))
+        padded = hierarchical_branch(Tensor(traj[[0, 1, 2, 3, 4, 4, 4, 4]]), cues, 2)
+        assert np.array_equal(out.data, padded.data[:5])
 
     def test_batched_matches_per_trajectory(self):
         rng = np.random.default_rng(14)
@@ -323,8 +358,11 @@ class TestHmpStack:
         assert np.allclose(out[pi], out_p, atol=1e-12)
 
     def test_stagewise_lengths_halve(self):
+        """Each stage halves the coarse tokens that the output repeats."""
         rng = np.random.default_rng(22)
         traj = Tensor(rng.normal(size=(16, 4)))
         cues = Tensor(rng.normal(size=(2, 4)))
         for n in range(4):
-            assert hierarchical_stages(traj, cues, n).shape == (16 // 2 ** n, 4)
+            out = hierarchical_branch(traj, cues, n).data
+            assert len(np.unique(out, axis=0)) == 16 // 2 ** n
+            assert np.array_equal(out, np.repeat(out[::2 ** n], 2 ** n, axis=0))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from motionscope.layers import Attention, registry
-from motionscope.tensor import Parameter, Tensor, attention, grad_check, linear, softmax
+from motionscope.tensor import Parameter, Tensor, grad_check, linear
 
 
 def block(channels, kv_channels=None, seed=0):
@@ -15,12 +15,19 @@ def block(channels, kv_channels=None, seed=0):
     return attn, params
 
 
+def graph_softmax(x):
+    """Max-subtracted softmax over the last axis, built from graph primitives."""
+    e = (x - Tensor(x.data.max(axis=-1, keepdims=True))).exp()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def projected(attn, q_in, k_in, v_in):
     """The textbook formula: project queries, keys and values, attend, project out."""
     q = linear(q_in, attn.wq.tensor, attn.bq.tensor)
     k = linear(k_in, attn.wk.tensor, attn.bk.tensor)
     v = linear(v_in, attn.wv.tensor, attn.bv.tensor)
-    return linear(attention(q, k, v), attn.wo.tensor, attn.bo.tensor)
+    weights = graph_softmax((q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1])))
+    return linear(weights @ v, attn.wo.tensor, attn.bo.tensor)
 
 
 def graph(attn, q_in, k_in, v_in):
@@ -28,7 +35,7 @@ def graph(attn, q_in, k_in, v_in):
     the query side: the oracle of the fused node."""
     q = linear(q_in, attn.wq.tensor, attn.bq.tensor)
     q_keys = (q @ attn.wk.tensor.swapaxes(-1, -2)) * attn.scale
-    weights = softmax(q_keys @ k_in.swapaxes(-1, -2), axis=-1)
+    weights = graph_softmax(q_keys @ k_in.swapaxes(-1, -2))
     context = linear(weights @ v_in, attn.wv.tensor, attn.bv.tensor)
     return linear(context, attn.wo.tensor, attn.bo.tensor)
 

@@ -8,7 +8,7 @@ from motionscope.perceiver import (
     inject_cues,
     sinusoidal_grid,
 )
-from motionscope.tensor import Tensor, attention, grad_check
+from motionscope.tensor import Tensor, grad_check
 
 
 def dense(mask_features):
@@ -37,6 +37,14 @@ def frame_masks(tokens, mask_features):
     return frame_mask_logits(tokens, mask_features).sigmoid().reshape(tokens.shape[0], h, w)
 
 
+def graph_injection(queries, cues):
+    """Cue injection as a chain of graph ops, softmax built from `exp`, `sum`
+    and `/`: the oracle of the fused node."""
+    scores = (queries @ cues.swapaxes(-1, -2)) * (1.0 / np.sqrt(queries.shape[-1]))
+    e = (scores - Tensor(scores.data.max(axis=-1, keepdims=True))).exp()
+    return queries + (e / e.sum(axis=-1, keepdims=True)) @ cues
+
+
 @pytest.fixture
 def perceiver():
     return StaticPerceiver(channels=8, img_channels=8, hidden=16, rng=np.random.default_rng(0))
@@ -60,8 +68,30 @@ class TestInjectCues:
         rng = np.random.default_rng(3)
         q = Tensor(rng.normal(size=(4, 6)))
         cues = Tensor(rng.normal(size=(3, 6)))
-        expected = q.data + attention(q, cues, cues).data
+        expected = graph_injection(q, cues).data
         assert np.allclose(inject_cues(q, cues).data, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("n_queries,n_cues", [(4, 3), (8, 1), (2, 5)])
+    def test_equals_graph_composition(self, n_queries, n_cues):
+        """One fused attention node plus the residual add; the value equals the
+        graph's bit for bit, and the query and cue gradients agree within
+        1e-12 relative."""
+        rng = np.random.default_rng(6)
+        q0, cues0 = rng.normal(size=(n_queries, 6)), rng.normal(size=(n_cues, 6))
+        g = rng.normal(size=(n_queries, 6))
+
+        def run(inject):
+            q, cues = Tensor(q0, requires_grad=True), Tensor(cues0, requires_grad=True)
+            out = inject(q, cues)
+            (out * Tensor(g)).sum().backward()
+            return out, q, cues
+
+        (got, q, cues), (want, *want_leaves) = run(inject_cues), run(graph_injection)
+        assert np.array_equal(got.data, want.data)
+        for leaf, want_leaf in zip((q, cues), want_leaves):
+            assert np.abs(leaf.grad - want_leaf.grad).max() <= 1e-12 * np.abs(want_leaf.grad).max()
+        residual, attended = got._parents
+        assert residual is q and attended._parents == (q, cues, cues)
 
     def test_residual_in_cue_hull(self):
         rng = np.random.default_rng(4)
