@@ -31,8 +31,8 @@ class ContrastiveProjector:
     def project(self, token: Tensor) -> Tensor:
         """Project a single token [C] to a unit vector [C]."""
         x = token.reshape(1, -1)
-        h = (x @ self.w1.tensor + self.b1.tensor).relu()
-        out = (h @ self.w2.tensor + self.b2.tensor).reshape(-1)
+        h = (x @ self.w1 + self.b1).relu()
+        out = (h @ self.w2 + self.b2).reshape(-1)
         norm = (out * out).sum().sqrt() + 1e-12
         return out / norm
 

@@ -417,10 +417,13 @@ def load_scene(directory, seed: int) -> Scene:
 
     Raises ValueError, naming the file and the field, for a missing top-level
     key, a `seed` field that differs from `seed`, a config key that
-    `BenchmarkConfig` does not have, a `.bin` without the header or whose size
-    does not fit the scene, non-finite features, mask values other than 0 and
-    1, a token tag outside `ALL_TAGS`, a vocab id outside the vocabulary and a
-    target id that names no object."""
+    `BenchmarkConfig` does not have, a `probe` flag that is not a bool, an
+    object whose category, color or motion kind is unknown, an expression
+    entry that cannot be read or has no tokens, a token tag outside
+    `ALL_TAGS`, a vocab id outside the vocabulary, a target id that names no
+    object or repeats one, a `.bin` without the header or whose size does not
+    fit the scene, non-finite features and mask values other than 0 and 1.
+    An absent `probe` means False."""
     directory = Path(directory)
     json_path = directory / f"{seed}.json"
     with open(json_path) as fh:
@@ -435,18 +438,33 @@ def load_scene(directory, seed: int) -> Scene:
     if unknown:
         raise ValueError(f"{json_path}: config holds unknown keys {unknown}")
     cfg = BenchmarkConfig(**meta["config"])
-    objects = [
-        SceneObject(
+    probe = meta.get("probe", False)
+    if not isinstance(probe, bool):
+        raise ValueError(f"{json_path}: probe is {probe!r}, not a bool")
+    objects = []
+    for index, o in enumerate(meta["objects"]):
+        where = f"{json_path}: object {index}"
+        if o["category"] not in range(len(NOUNS)):
+            raise ValueError(f"{where}: category {o['category']!r} is outside [0, {len(NOUNS)})")
+        if o["color"] not in range(len(COLORS)):
+            raise ValueError(f"{where}: color {o['color']!r} is outside [0, {len(COLORS)})")
+        if o["kind"] not in KIND_VERBS:
+            raise ValueError(f"{where}: kind {o['kind']!r} is not one of {list(KIND_VERBS)}")
+        objects.append(SceneObject(
             category=o["category"],
             color=o["color"],
             start=tuple(o["start"]),
             motion=MotionProgram(o["kind"], o["onset"], o["duration"], tuple(o["direction"])),
-        )
-        for o in meta["objects"]
-    ]
-    expressions = [expression_from_json(e) for e in meta["expressions"]]
-    for index, expr in enumerate(expressions):
+        ))
+    expressions = []
+    for index, entry in enumerate(meta["expressions"]):
         where = f"{json_path}: expression {index}"
+        try:
+            expr = expression_from_json(entry)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"{where}: malformed entry ({err!r})") from None
+        if not expr.tokens:
+            raise ValueError(f"{where} has no tokens")
         for tok in expr.tokens:
             if tok.tag not in ALL_TAGS:
                 raise ValueError(f"{where}: token {tok.surface!r} has unknown tag {tok.tag!r}")
@@ -456,6 +474,9 @@ def load_scene(directory, seed: int) -> Scene:
         for obj_idx in expr.target_ids:
             if not 0 <= obj_idx < len(objects):
                 raise ValueError(f"{where}: target id {obj_idx} is outside [0, {len(objects)})")
+        if len(set(expr.target_ids)) != len(expr.target_ids):
+            raise ValueError(f"{where}: target ids {expr.target_ids} name an object twice")
+        expressions.append(expr)
     bin_path = directory / f"{seed}.bin"
     raw = bin_path.read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
@@ -475,7 +496,7 @@ def load_scene(directory, seed: int) -> Scene:
     if not np.all((masks == 0.0) | (masks == 1.0)):
         raise ValueError(f"{bin_path}: masks hold a value other than 0 and 1")
     return Scene(seed=meta["seed"], config=cfg, objects=objects, expressions=expressions,
-                 features=features, masks=masks, probe=meta.get("probe", False))
+                 features=features, masks=masks, probe=probe)
 
 
 def load_dataset(directory) -> list[Scene]:

@@ -40,7 +40,7 @@ class MotionDecoder:
         keys = standardize(motion_tokens.reshape(n * t, c))
         hidden = q_hat + self.attend(q_hat, keys, keys)
         tokens = hidden + self.ffn(standardize(hidden))
-        logits = linear(tokens, self.ws.tensor, self.bs.tensor).reshape(q_hat.shape[0])
+        logits = linear(tokens, self.ws, self.bs).reshape(q_hat.shape[0])
         return VideoTokens(tokens=tokens, score_logits=logits, scores=logits.sigmoid())
 
 

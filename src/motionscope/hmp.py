@@ -122,7 +122,7 @@ class HmpBlock:
         y = traj + self.attend(x, x, x)
         if self.n_stages > 0:
             expanded = hierarchical_branch(standardize(y), motion_cues, self.n_stages)
-            y = y + linear(expanded, self.wh.tensor, self.bh.tensor)
+            y = y + linear(expanded, self.wh, self.bh)
         return y + self.ffn(standardize(y))
 
 

@@ -5,7 +5,8 @@ Parameter names are the checkpoint format: a module registers its attention
 block as `attn.wq`, `attn.bq` ... `attn.wo`, `attn.bo` and its feed-forward
 block as `ffn.w1` ... `ffn.b2`, under the module's prefix and in that order.
 `attn.bk` stays registered only because parameter names are the checkpoint
-format; attention never reads it.
+format; attention never reads it, so it gets no gradient and stays zero under
+training.
 
 An `Attention` call is one fused autodiff node around the shared
 softmax-attention core `tensor.softmax_attention`, which cue injection
@@ -82,7 +83,7 @@ class Attention:
                     d_keys.swapaxes(-1, -2) @ q, attended.swapaxes(-1, -2) @ d_context,
                     d_context, context.swapaxes(-1, -2) @ g, g)
 
-        return fused(context @ wo + bo, (q_in, k_in, v_in, *(p.tensor for p in params)), backward)
+        return fused(context @ wo + bo, (q_in, k_in, v_in, *params), backward)
 
 
 class FeedForward:
@@ -95,5 +96,4 @@ class FeedForward:
         self.b2 = p("ffn.b2", np.zeros(channels))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return linear(linear(x, self.w1.tensor, self.b1.tensor).relu(),
-                      self.w2.tensor, self.b2.tensor)
+        return linear(linear(x, self.w1, self.b1).relu(), self.w2, self.b2)

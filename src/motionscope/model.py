@@ -90,11 +90,6 @@ class MotionSegModel:
         config.validate()
         self.config = config
         c = config.channels
-        self.params: list[Parameter] = []
-
-        def register(param_list):
-            self.params.extend(param_list)
-
         self.embedding = Parameter(
             "embed.table", _grounded_embedding_init(c, rng))
         self.static_queries = Parameter(
@@ -104,19 +99,18 @@ class MotionSegModel:
                                   config.grid_width, c))
         self.motion_queries = Parameter(
             "queries.motion", rng.normal(scale=0.5, size=(config.n_motion_queries, c)))
-        register([self.embedding, self.static_queries, self.motion_queries])
-
         self.perceiver = StaticPerceiver(c, config.img_channels, 2 * c, rng)
         if config.img_channels == c:
-            self.perceiver.attend.wv.tensor.data[...] = np.eye(c)
-            self.perceiver.wm.tensor.data[...] = np.eye(c)
-        register(self.perceiver.params)
+            self.perceiver.attend.wv.data[...] = np.eye(c)
+            self.perceiver.wm.data[...] = np.eye(c)
         self.hmp = HmpStack(c, 2 * c, config.hmp_blocks, config.hmp_stages, rng)
-        register(self.hmp.params)
         self.decoder = MotionDecoder(c, 2 * c, rng)
-        register(self.decoder.params)
         self.projector = ContrastiveProjector(c, rng)
-        register(self.projector.params)
+        # the checkpoint order, which is also the order of the seeded draws
+        self.params: list[Parameter] = [
+            self.embedding, self.static_queries, self.motion_queries,
+            *self.perceiver.params, *self.hmp.params, *self.decoder.params,
+            *self.projector.params]
 
         names = [p.name for p in self.params]
         if len(names) != len(set(names)):
@@ -139,8 +133,8 @@ class MotionSegModel:
             q_static = self._tile_rows(static_cues, self.config.n_static_queries)
             q_motion = self._tile_rows(motion_cues, self.config.n_motion_queries)
         else:
-            q_static = inject_cues(self.static_queries.tensor, static_cues)
-            q_motion = inject_cues(self.motion_queries.tensor, motion_cues)
+            q_static = inject_cues(self.static_queries, static_cues)
+            q_motion = inject_cues(self.motion_queries, motion_cues)
         return q_static, q_motion, motion_cues
 
     # -- forward -----------------------------------------------------------------
@@ -148,7 +142,7 @@ class MotionSegModel:
     def forward(self, features: np.ndarray, expr: TaggedExpression) -> ForwardOutput:
         cfg = self.config
         add_sentence = cfg.query_variant != "ds_no_sentence"
-        cues = decouple(expr, self.embedding.tensor, add_sentence=add_sentence)
+        cues = decouple(expr, self.embedding, add_sentence=add_sentence)
         q_static, q_motion, motion_cues = self.build_queries(cues)
 
         tokens, mask_features, class_logits = self.perceiver.perceive(features, q_static)
@@ -194,7 +188,8 @@ def save_model(model: MotionSegModel, path) -> None:
 
 def load_model_weights(model: MotionSegModel, path) -> None:
     """Read a `save_model` checkpoint into `model`; a truncated file, trailing
-    bytes, an unknown or missing name or a shape mismatch raise ValueError."""
+    bytes, a name that is not UTF-8, unknown, repeated or missing, or a shape
+    mismatch raise ValueError."""
     by_name = {p.name: p for p in model.params}
     with open(path, "rb") as fh:
 
@@ -210,7 +205,13 @@ def load_model_weights(model: MotionSegModel, path) -> None:
         for index in range(count):
             what = f"parameter #{index}"
             (name_len,) = struct.unpack("<Q", read(8, f"the name length of {what}"))
-            name = read(name_len, f"the name of {what}").decode("utf-8")
+            raw_name = read(name_len, f"the name of {what}")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: the name of {what} is not UTF-8") from None
+            if name in seen:
+                raise ValueError(f"{path}: {what} repeats the name {name!r}")
             what = f"parameter {name!r}"
             (ndim,) = struct.unpack("<Q", read(8, f"the rank of {what}"))
             shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"the shape of {what}"))
@@ -223,7 +224,7 @@ def load_model_weights(model: MotionSegModel, path) -> None:
                 raise ValueError(
                     f"shape mismatch for {name!r}: checkpoint {tuple(shape)} vs "
                     f"model {by_name[name].data.shape}")
-            by_name[name].tensor.data[...] = values
+            by_name[name].data[...] = values
             seen.add(name)
         if fh.read(1):
             raise ValueError(f"{path} has trailing bytes after its last parameter")

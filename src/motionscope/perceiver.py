@@ -96,11 +96,11 @@ class StaticPerceiver:
         keys = flat + Tensor(self._position_code(h, w))
         hidden = q_hat + self.attend(q_hat, keys, flat)
         tokens = hidden + self.ffn(hidden)
-        class_logits = linear(tokens, self.wc.tensor, self.bc.tensor)
+        class_logits = linear(tokens, self.wc, self.bc)
         n = q_hat.shape[0]
         return (
             tokens,
-            MaskFeatures(pixels, self.wm.tensor, self.bm.tensor),
+            MaskFeatures(pixels, self.wm, self.bm),
             class_logits.reshape(t, n),
         )
 

@@ -21,6 +21,11 @@ the same object gets a copy, so no two pending gradients share memory.  A
 fused op (`fused`) is one node for a whole block: a numpy forward, and one
 backward pass per output gradient that hands each operand its own array.
 
+A `Parameter` is a named leaf `Tensor` that requires a gradient, and modules
+pass it to ops like any other operand.  Its `grad` is None until a backward
+pass reaches it, so a parameter that no op reads keeps None, which the
+optimizer and `grad_check` take as a zero gradient.
+
 Three blocks are fused nodes: `layers.Attention`, the cue injection
 `perceiver.inject_cues` and the hierarchical branch `hmp.hierarchical_branch`.
 The first two share the one softmax-attention core, `softmax_attention` here,
@@ -318,30 +323,20 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     return Tensor._op(data, ((logits, lambda g: g * (stable_sigmoid(logits.data) - y)),))
 
 
-class Parameter:
-    """A named trainable tensor; names are unique within a model."""
+class Parameter(Tensor):
+    """A named leaf tensor that requires a gradient; names are unique within a model."""
 
-    __slots__ = ("name", "tensor")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.tensor = Tensor(data, requires_grad=True)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self.tensor.grad is None:
-            return np.zeros_like(self.tensor.data)
-        return self.tensor.grad
 
     def zero_grad(self) -> None:
-        self.tensor.grad = None
+        self.grad = None
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.data.shape})"
+        return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
 def grad_check(params, loss_fn, h: float = 1e-5) -> float:
@@ -354,11 +349,13 @@ def grad_check(params, loss_fn, h: float = 1e-5) -> float:
     if not np.isfinite(loss.data):
         raise FloatingPointError("loss is not finite")
     loss.backward()
-    analytic = {p.name: p.grad.copy() for p in params}
+    # a parameter that no op reached has no gradient, which is zero
+    analytic = {p.name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                for p in params}
 
     worst = 0.0
     for p in params:
-        flat = p.tensor.data.reshape(-1)
+        flat = p.data.reshape(-1)
         ana = analytic[p.name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]

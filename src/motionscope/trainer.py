@@ -157,14 +157,17 @@ class Trainer:
         total.backward()
         scale = 1.0
         if cfg.max_grad_norm > 0:
-            norm = np.sqrt(sum(float((p.grad * p.grad).sum()) for p in self.model.params))
+            norm = np.sqrt(sum(float((p.grad * p.grad).sum()) for p in self.model.params
+                               if p.grad is not None))
             if norm > cfg.max_grad_norm:
                 scale = cfg.max_grad_norm / norm
+        # a parameter that no op reached (grad None) only decays its velocity
         for p in self.model.params:
             v = self.velocity[p.name]
             v *= cfg.momentum
-            v += p.grad * scale
-            p.tensor.data -= cfg.learning_rate * v
+            if p.grad is not None:
+                v += p.grad * scale
+            p.data -= cfg.learning_rate * v
         return {
             "total": total.item(),
             "frame": lf.item(),

@@ -217,7 +217,7 @@ class TestContrastiveLoss:
         negs = np.stack([unit(rng.normal(size=6)) for _ in range(5)])
 
         def loss():
-            return contrastive_loss(anchor.tensor, pos, negs, tau=0.07)
+            return contrastive_loss(anchor, pos, negs, tau=0.07)
 
         assert grad_check([anchor], loss) < 1e-6
 

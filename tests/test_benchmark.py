@@ -178,6 +178,49 @@ class TestSceneIO:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: expression 1: .*{field}"):
             load_scene(tmp_path, 6)
 
+    @pytest.mark.parametrize("edit,message", [
+        ("tokens", "has no tokens"),
+        ("token entry", "malformed entry .*not enough values to unpack"),
+        ("target twice", "target ids \\[0, 0\\] name an object twice"),
+    ], ids=["no tokens", "short token entry", "repeated target"])
+    def test_malformed_expression_names_file_and_index(self, tmp_path, edit, message):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        expr = meta["expressions"][1]
+        if edit == "tokens":
+            expr["tokens"] = []
+        elif edit == "token entry":
+            expr["tokens"][0] = ["red", "ADJ"]
+        else:
+            expr["target_ids"] = [0, 0]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: expression 1:? {message}"):
+            load_scene(tmp_path, 6)
+
+    @pytest.mark.parametrize("field,value", [("category", 99), ("category", -1),
+                                             ("color", 4), ("kind", "flying")])
+    def test_bad_object_names_file_index_and_field(self, tmp_path, field, value):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        meta["objects"][1][field] = value
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: object 1: {field} {value!r}"):
+            load_scene(tmp_path, 6)
+
+    def test_probe_flag_must_be_a_bool(self, tmp_path):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        meta["probe"] = "yes"
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: probe is 'yes'"):
+            load_scene(tmp_path, 6)
+        del meta["probe"]
+        path.write_text(json.dumps(meta))
+        assert load_scene(tmp_path, 6).probe is False
+
     def test_unknown_config_key_names_file_and_key(self, tmp_path):
         save_scene(generate(6, small_config()), tmp_path)
         path = tmp_path / "6.json"

@@ -53,8 +53,8 @@ class TestDecode:
         assert np.allclose(out.tokens.data, hidden + ffn, atol=1e-12)
 
     def test_zero_output_projection_reduces_to_ffn_residual(self, decoder):
-        decoder.attend.wo.tensor.data[...] = 0.0
-        decoder.attend.bo.tensor.data[...] = 0.0
+        decoder.attend.wo.data[...] = 0.0
+        decoder.attend.bo.data[...] = 0.0
         rng = np.random.default_rng(4)
         q_hat = Tensor(rng.normal(size=(3, 6)))
         out = decoder.decode(q_hat, Tensor(rng.normal(size=(2, 4, 6))))

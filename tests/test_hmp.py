@@ -188,7 +188,7 @@ class TestFusedStages:
         target = rng.normal(size=(2, 5, 3))
 
         def loss():
-            d = hierarchical_branch(traj.tensor, cues.tensor, n_stages) - Tensor(target)
+            d = hierarchical_branch(traj, cues, n_stages) - Tensor(target)
             return (d * d).sum()
 
         assert grad_check([traj, cues], loss) < 1e-6
@@ -277,7 +277,7 @@ class TestHmpBlock:
         stack = make_stack(n_blocks=3, n_stages=2)
         for p in stack.params:
             if p.name.endswith(("attn.wo", "attn.bo", "hier.wo", "hier.bo", "ffn.w2", "ffn.b2")):
-                p.tensor.data[...] = 0.0
+                p.data[...] = 0.0
         rng = np.random.default_rng(15)
         trajs = rng.normal(size=(4, 8, 6))
         cues = Tensor(rng.normal(size=(2, 6)))
@@ -301,8 +301,8 @@ class TestHmpBlock:
         expected = y + np.maximum(std(y) @ ffn.w1.data + ffn.b1.data, 0) @ ffn.w2.data + ffn.b2.data
         assert np.allclose(out.data, expected, atol=1e-12)
         # and with a zeroed attention output projection only the FFN residual remains
-        attn.wo.tensor.data[...] = 0.0
-        attn.bo.tensor.data[...] = 0.0
+        attn.wo.data[...] = 0.0
+        attn.bo.data[...] = 0.0
         out2 = block.forward(Tensor(x), Tensor(rng.normal(size=(2, 4))))
         expected2 = x + np.maximum(std(x) @ ffn.w1.data + ffn.b1.data, 0) @ ffn.w2.data + ffn.b2.data
         assert np.allclose(out2.data, expected2, atol=1e-12)
@@ -310,7 +310,7 @@ class TestHmpBlock:
     def test_hierarchical_branch_is_projected_and_added(self):
         block = HmpBlock(4, 8, 2, np.random.default_rng(23), prefix="b")
         for param in (block.attend.wo, block.attend.bo, block.ffn.w2, block.ffn.b2):
-            param.tensor.data[...] = 0.0
+            param.data[...] = 0.0
         rng = np.random.default_rng(24)
         traj = Tensor(rng.normal(size=(3, 6, 4)))
         cues = Tensor(rng.normal(size=(2, 4)))

@@ -126,7 +126,7 @@ class TestDecouple:
         expr = make_expr(BIRD_SENTENCE)
 
         def loss():
-            cues = decouple(expr, emb.tensor)
+            cues = decouple(expr, emb)
             return (cues.static * cues.static).sum() + (cues.motion * cues.motion).sum()
 
         assert grad_check([emb], loss) < 1e-8

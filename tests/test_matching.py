@@ -210,7 +210,7 @@ class TestLink:
         base = rng.normal(size=(3, 2, 3))
 
         def loss():
-            tokens = Tensor(base.reshape(6, 3)) @ w.tensor
+            tokens = Tensor(base.reshape(6, 3)) @ w
             out = link(tokens.reshape(3, 2, 3))
             return (out.trajectories * out.trajectories).sum()
 

@@ -145,6 +145,40 @@ class TestSerialization:
             load_model_weights(fresh, path)
         assert str(path) in str(exc.value)
 
+    @staticmethod
+    def append_entry(path, name: bytes, values: np.ndarray):
+        """Add one parameter entry to a checkpoint and bump its count."""
+        import struct
+
+        raw = bytearray(path.read_bytes())
+        (count,) = struct.unpack("<Q", raw[:8])
+        raw[:8] = struct.pack("<Q", count + 1)
+        raw += struct.pack("<Q", len(name)) + name
+        raw += struct.pack("<Q", values.ndim) + struct.pack(f"<{values.ndim}Q", *values.shape)
+        raw += values.astype("<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        return count
+
+    def test_repeated_name_rejected(self, tmp_path):
+        cfg, model = make()
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        index = self.append_entry(path, b"embed.table", np.full(model.embedding.shape, 7.0))
+        _, fresh = make()
+        with pytest.raises(ValueError, match="repeats") as exc:
+            load_model_weights(fresh, path)
+        assert str(path) in str(exc.value) and f"#{index}" in str(exc.value)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        cfg, model = make()
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        index = self.append_entry(path, b"\xff\xfe", np.zeros(1))
+        _, fresh = make()
+        with pytest.raises(ValueError, match="UTF-8") as exc:
+            load_model_weights(fresh, path)
+        assert str(path) in str(exc.value) and f"#{index}" in str(exc.value)
+
     def test_format_layout(self, tmp_path):
         import struct
 

@@ -120,7 +120,7 @@ class TestPerceiveFrame:
     def test_zero_grid_zero_biases_reduces_to_ffn_of_queries(self, perceiver):
         for param in perceiver.params:
             if ".b" in param.name:
-                param.tensor.data[...] = 0.0
+                param.data[...] = 0.0
         rng = np.random.default_rng(6)
         q_hat = Tensor(rng.normal(size=(4, 8)))
         tokens, _, _ = perceive_frame(perceiver, np.zeros((4, 4, 8)), q_hat)

@@ -167,7 +167,7 @@ class TestAutodiff:
         y = Tensor(rng.normal(size=(5, 3)))
 
         def loss():
-            d = x @ w.tensor - y
+            d = x @ w - y
             return (d * d).sum()
 
         assert grad_check([w], loss) < 1e-10
@@ -192,8 +192,7 @@ class TestAutodiff:
         w = Parameter("w", rng.normal(size=(6,)))
 
         def loss():
-            t = w.tensor
-            return (t.sigmoid() * t.exp() + t.relu() - (t * t + 1.0).log() / (t * t + 2.0).sqrt()).sum()
+            return (w.sigmoid() * w.exp() + w.relu() - (w * w + 1.0).log() / (w * w + 2.0).sqrt()).sum()
 
         assert grad_check([w], loss) < 1e-8
 
@@ -203,7 +202,7 @@ class TestAutodiff:
         idx = np.array([0, 2, 2, 4])
 
         def loss():
-            g = take(w.tensor, idx, axis=0)
+            g = take(w, idx, axis=0)
             r = take(g, np.repeat(np.arange(4), 2), axis=0)
             c = concat([r, g], axis=0)
             return (c * c).sum()
@@ -223,7 +222,7 @@ class TestAutodiff:
         w = Parameter("w", rng.normal(size=(5, 3)))
         idx = np.array(idx, dtype=np.intp)
         g = rng.normal(size=np.take(w.data, idx, axis=axis).shape)
-        (take(w.tensor, idx, axis=axis) * Tensor(g)).sum().backward()
+        (take(w, idx, axis=axis) * Tensor(g)).sum().backward()
         expected = np.zeros((5, 3))
         np.add.at(expected, (slice(None),) * axis + (idx,), g)
         assert np.array_equal(w.grad, expected)
@@ -234,7 +233,7 @@ class TestAutodiff:
         x = Tensor(rng.normal(size=(3, 4)))
 
         def loss():
-            return ((x + b.tensor) * (x + b.tensor)).mean()
+            return ((x + b) * (x + b)).mean()
 
         assert grad_check([b], loss) < 1e-9
 
@@ -242,8 +241,7 @@ class TestAutodiff:
         w = Parameter("w", [2.0])
 
         def loss():
-            t = w.tensor
-            return (t * t + t * 3.0).sum()
+            return (w * w + w * 3.0).sum()
 
         l = loss()
         l.backward()
@@ -257,8 +255,8 @@ class TestAutodiff:
         const = Tensor(rng.uniform(1.0, 2.0, size=(3, 3)))
 
         def loss():
-            left = const if position == "right" else w.tensor
-            right = const if position == "left" else w.tensor
+            left = const if position == "right" else w
+            right = const if position == "left" else w
             out = op(left, right)
             return (out * out).sum()
 
@@ -268,12 +266,29 @@ class TestAutodiff:
                              ids=["add", "sub", "mul"])
     def test_python_scalar_on_the_left_gradcheck(self, op):
         w = Parameter("w", np.random.default_rng(17).normal(size=(2, 3)))
-        assert grad_check([w], lambda: (op(w.tensor) * op(w.tensor)).sum()) < 1e-8
+        assert grad_check([w], lambda: (op(w) * op(w)).sum()) < 1e-8
+
+    def test_parameter_is_a_named_leaf_operand(self):
+        """`@`, `+` and `take` read a parameter as they read any leaf tensor:
+        the graph nodes are plain tensors, and the gradient equals an unnamed
+        leaf's bit for bit.  `zero_grad` clears it back to None."""
+        rng = np.random.default_rng(18)
+        w0, x = rng.normal(size=(3, 2)), Tensor(rng.normal(size=(4, 3)))
+        w, leaf = Parameter("w", w0), Tensor(w0, requires_grad=True)
+        assert isinstance(w, Tensor) and w.requires_grad and w.grad is None
+        outs = [x @ t + take(t, [2, 0, 2, 1], axis=0) for t in (w, leaf)]
+        for out in outs:
+            (out * out).sum().backward()
+        assert type(outs[0]) is Tensor and outs[0]._parents[0]._parents == (w,)
+        assert np.array_equal(outs[0].data, outs[1].data)
+        assert np.array_equal(w.grad, leaf.grad)
+        w.zero_grad()
+        assert w.grad is None and repr(w) == "Parameter('w', shape=(3, 2))"
 
     def test_operands_sharing_an_output_gradient_get_their_own_buffers(self):
         a, b, c = Parameter("a", np.ones((2, 3))), Parameter("b", np.ones(3)), Parameter("c", [1.0])
-        ((a.tensor + b.tensor) + a.tensor).sum().backward()
-        ((c.tensor + c.tensor) + c.tensor).sum().backward()
+        ((a + b) + a).sum().backward()
+        ((c + c) + c).sum().backward()
         assert np.array_equal(a.grad, np.full((2, 3), 2.0))
         assert np.array_equal(b.grad, np.full(3, 2.0))
         assert np.array_equal(c.grad, [3.0])
@@ -283,7 +298,7 @@ class TestAutodiff:
 
         def loss():
             with np.errstate(divide="ignore"):
-                return (w.tensor / Tensor([0.0])).sum()
+                return (w / Tensor([0.0])).sum()
 
         with pytest.raises(FloatingPointError):
             grad_check([w], loss)
@@ -310,7 +325,7 @@ class TestStandardize:
     def test_gradcheck(self):
         w = Parameter("w", np.random.default_rng(31).normal(size=(3, 4)))
         target = np.random.default_rng(32).normal(size=(3, 4))
-        assert grad_check([w], lambda: (standardize(w.tensor) * Tensor(target)).sum()) < 1e-8
+        assert grad_check([w], lambda: (standardize(w) * Tensor(target)).sum()) < 1e-8
 
 
 class TestFused:
@@ -325,7 +340,7 @@ class TestFused:
             passes.append(needs)
             return g * 2.0, None, g * 3.0, g * 4.0
 
-        out = fused(np.zeros(2), (a.tensor, const, b.tensor, a.tensor), backward)
+        out = fused(np.zeros(2), (a, const, b, a), backward)
         (out * Tensor([1.0, 10.0])).sum().backward()
         assert passes == [(True, False, True, True)]
         assert np.array_equal(a.grad, [6.0, 60.0])

@@ -122,3 +122,27 @@ def test_mask_logits_are_built_only_where_read(monkeypatch):
     calls.clear()
     trainer.train_step(scene, scene.expressions[0], 0)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("hmp_stages", [3, 0], ids=["default", "no-hmp"])
+def test_parameters_no_op_reads_keep_their_values(hmp_stages):
+    """No op reads an attention block's `attn.bk`, and with no HMP stage none
+    reads `hier.*`: across training steps those parameters get no gradient,
+    their velocity stays zero and their values stay as initialized."""
+    scene = generate(0)
+    trainer = Trainer(TrainConfig(hmp_stages=hmp_stages), [scene], [])
+    params = trainer.model.params
+    initial = {p.name: p.data.copy() for p in params}
+    unread = [p for p in params
+              if p.name.endswith(".attn.bk") or (hmp_stages == 0 and ".hier." in p.name)]
+    # a bk in the perceiver, the decoder and each of the 3 HMP blocks, plus
+    # the 3 blocks' hier.wo and hier.bo with no stage
+    assert len(unread) == 5 + (0 if hmp_stages else 6)
+    for step in range(3):
+        trainer.train_step(scene, scene.expressions[step % len(scene.expressions)], step)
+        for p in unread:
+            assert p.grad is None
+            assert np.array_equal(p.data, initial[p.name])
+            assert not trainer.velocity[p.name].any()
+    assert all(not p.data.any() for p in unread if p.name.endswith(".attn.bk"))
+    assert any(not np.array_equal(p.data, initial[p.name]) for p in params)
