@@ -1,6 +1,11 @@
 """Set-prediction losses: optimal matching of predictions to ground truth,
 then class, mask and dice terms.  Frame level and video level are the same
-loss, one prediction set per frame or one per video."""
+loss, one prediction set per frame or one per video.
+
+Each set of mask logits evaluates one softplus log(1 + e^x) and one sigmoid:
+the match costs read both over every prediction, and the matched rows' BCE
+value and gradient and the dice input and its gradient are gathered from
+them."""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import numpy as np
 
 from .matching import hungarian
 from .model import ForwardOutput
-from .tensor import Tensor, bce_with_logits, stable_sigmoid, take
+from .tensor import Tensor, bce_with_logits, fused, stable_sigmoid, take
 
 DICE_SMOOTH = 1.0
 
@@ -25,18 +30,18 @@ def dice_loss(probs: Tensor, targets: np.ndarray) -> Tensor:
     return (1.0 - (inter * 2.0 + DICE_SMOOTH) / (denom + DICE_SMOOTH)).mean()
 
 
-def _match_costs(mask_logits: np.ndarray, class_logits: np.ndarray, gt: np.ndarray,
-                 lambda_cls: float, lambda_mask: float, lambda_dice: float) -> np.ndarray:
+def _match_costs(mask_logits: np.ndarray, softplus: np.ndarray, probs: np.ndarray,
+                 class_logits: np.ndarray, gt: np.ndarray, lambda_cls: float,
+                 lambda_mask: float, lambda_dice: float) -> np.ndarray:
     """Pairwise assignment costs [..., n_pred, n_gt] from detached logits.
 
-    Accepts stacked inputs: mask_logits [..., n_pred, P], gt [..., n_gt, P],
-    class_logits [..., n_pred]."""
+    Accepts stacked inputs: mask_logits [..., n_pred, P] with its softplus
+    log(1 + e^x) and sigmoid, gt [..., n_gt, P], class_logits [..., n_pred]."""
     n_pixels = mask_logits.shape[-1]
     gt_t = gt.swapaxes(-1, -2)
-    bce_pos = np.logaddexp(0.0, mask_logits).mean(axis=-1, keepdims=True)
+    bce_pos = softplus.mean(axis=-1, keepdims=True)
     cross = mask_logits @ gt_t / n_pixels
     bce = bce_pos - cross
-    probs = stable_sigmoid(mask_logits)
     inter = probs @ gt_t
     denom = probs.sum(axis=-1, keepdims=True) + gt.sum(axis=-1)[..., None, :]
     dice = 1.0 - (2.0 * inter + DICE_SMOOTH) / (denom + DICE_SMOOTH)
@@ -70,7 +75,9 @@ def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_
     n_sets, n_pred, n_pixels = mask_logits.shape
     matches: list[list[Match]] = [[] for _ in range(n_sets)]
     if gt.shape[1] > 0:
-        costs = _match_costs(mask_logits.data, class_logits.data, gt,
+        softplus = np.logaddexp(0.0, mask_logits.data)
+        probs = stable_sigmoid(mask_logits.data)
+        costs = _match_costs(mask_logits.data, softplus, probs, class_logits.data, gt,
                              lambda_cls, lambda_mask, lambda_dice)
         matches = [_assign(c) for c in costs]
     # set, prediction and target index of every matched pair, in set order
@@ -80,11 +87,14 @@ def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_
     class_targets[b, i] = 1.0
     loss = lambda_cls * bce_with_logits(class_logits, class_targets).mean()
     if len(b):
-        flat = mask_logits.reshape(n_sets * n_pred, n_pixels)
-        logits = take(flat, b * n_pred + i, axis=0)
-        matched_gt = gt[b, j]
-        loss = loss + lambda_mask * bce_with_logits(logits, matched_gt).mean()
-        loss = loss + lambda_dice * dice_loss(logits.sigmoid(), matched_gt)
+        logits = take(mask_logits.reshape(n_sets * n_pred, n_pixels), b * n_pred + i, axis=0)
+        # softplus and sigmoid are elementwise: their matched rows are those
+        # of the matched logits
+        y, p = gt[b, j], probs[b, i]
+        bce = fused(softplus[b, i] - logits.data * y, (logits,), lambda g, needs: (g * (p - y),))
+        sigmoid = fused(p, (logits,), lambda g, needs: (g * p * (1.0 - p),))
+        loss = loss + lambda_mask * bce.mean()
+        loss = loss + lambda_dice * dice_loss(sigmoid, y)
     return loss, matches
 
 

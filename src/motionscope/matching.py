@@ -1,12 +1,23 @@
 """Optimal assignment and adjacent-frame trajectory linking.
 
-The solver is the O(n^3) shortest-augmenting-path algorithm run over pairs
-(float cost, exact-integer tiebreak).  The integer part encodes the
-permutation sequence in base n, so among all minimum-cost assignments the
-lexicographically smallest permutation is returned deterministically; the
-integer arithmetic is exact, so ties between literally equal costs resolve
-the same way on every run.  A rectangular matrix is zero-padded to a square
-here and nowhere else: a padded column stands for "unmatched".
+The solver is the O(k^2 m) shortest-augmenting-path algorithm run over pairs
+(float cost, exact-integer tiebreak): k = min(rows, cols) augmentations,
+each over the m = max(rows, cols) entries of the other side.  The integer
+part spells the assignment as digits in row order, so among all
+minimum-cost assignments the lexicographically smallest is returned
+deterministically; the integer arithmetic is exact, so ties between
+literally equal costs resolve the same way on every run.
+
+The answer is the one of the matrix zero-padded to a square, where a padded
+column stands for "unmatched", but no square is built.  A wide or square
+matrix searches its rows: row i on column j adds j · n_cols^(n_rows - 1 - i)
+to the tiebreak.  A tall matrix searches its G columns over its rows, and
+row i on column j adds (j - G) · (G + 1)^(n_rows - 1 - i).  That is digit j
+against the constant digit G of an unmatched row, in base G + 1, and it
+keeps the padded order: at the first row where two optimal padded
+permutations differ, a real column j < G always beats a padded one, and two
+permutations cannot first differ at a row unmatched in both, since the
+unmatched rows take the padded columns G, G + 1, ... in row order.
 
 A square matrix whose rows have pairwise distinct first minima skips the
 search: the algorithm would give each row one relaxation against zero
@@ -26,55 +37,39 @@ from .tensor import ShapeError, Tensor, take
 _INF = float("inf")
 
 
-def hungarian(costs: np.ndarray) -> np.ndarray:
-    """Minimum-total-cost row->column assignment of an [n_rows, n_cols] cost
-    matrix, solved on its zero-padded square.  Returns one column per row; a
-    column >= n_cols means the row is unmatched."""
-    a = np.asarray(costs, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"hungarian needs a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("hungarian needs finite costs")
-    n_rows, n_cols = a.shape
-    if n_rows == n_cols > 0:
-        first = a.argmin(axis=1)
-        if len(set(first.tolist())) == n_rows:
-            return first
-    n = max(n_rows, n_cols)
-    padded = np.zeros((n, n))
-    padded[:n_rows, :n_cols] = a
-    cost = padded.tolist()
-    # tiebreak[i][j] = j * n^(n-1-i): summed over an assignment this is the
-    # base-n encoding of the permutation sequence, so minimizing it picks the
-    # lexicographically smallest permutation among equal-cost ones.
-    powers = [n ** (n - 1 - i) for i in range(n)]
+def _search(cost: np.ndarray, tiebreak: list[list[int]]) -> list[int]:
+    """Shortest augmenting paths over the k rows of a [k, m] cost table,
+    k <= m, on pairs (float cost, exact-integer tiebreak) compared in that
+    order.  Every row is matched; returns the row matched to each column,
+    -1 for a column left free."""
+    k, m = cost.shape
+    rows = cost.tolist()
+    u_f = [0.0] * (k + 1)
+    u_s = [0] * (k + 1)
+    v_f = [0.0] * (m + 1)
+    v_s = [0] * (m + 1)
+    match = [0] * (m + 1)  # column -> assigned row (1-based), 0 = free
+    way = [0] * (m + 1)
 
-    u_f = [0.0] * (n + 1)
-    u_s = [0] * (n + 1)
-    v_f = [0.0] * (n + 1)
-    v_s = [0] * (n + 1)
-    match = [0] * (n + 1)  # column -> assigned row (1-based), 0 = free
-    way = [0] * (n + 1)
-
-    for i in range(1, n + 1):
+    for i in range(1, k + 1):
         match[0] = i
         j0 = 0
-        minv_f = [_INF] * (n + 1)
-        minv_s = [0] * (n + 1)
-        used = [False] * (n + 1)
+        minv_f = [_INF] * (m + 1)
+        minv_s = [0] * (m + 1)
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
-            row = cost[i0 - 1]
-            p = powers[i0 - 1]
+            row = rows[i0 - 1]
+            ties = tiebreak[i0 - 1]
             delta_f = _INF
             delta_s = 0
             j1 = 0
-            for j in range(1, n + 1):
+            for j in range(1, m + 1):
                 if used[j]:
                     continue
                 cur_f = row[j - 1] - u_f[i0] - v_f[j]
-                cur_s = (j - 1) * p - u_s[i0] - v_s[j]
+                cur_s = ties[j - 1] - u_s[i0] - v_s[j]
                 if cur_f < minv_f[j] or (cur_f == minv_f[j] and cur_s < minv_s[j]):
                     minv_f[j] = cur_f
                     minv_s[j] = cur_s
@@ -83,7 +78,7 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
                     delta_f = minv_f[j]
                     delta_s = minv_s[j]
                     j1 = j
-            for j in range(n + 1):
+            for j in range(m + 1):
                 if used[j]:
                     u_f[match[j]] += delta_f
                     u_s[match[j]] += delta_s
@@ -99,11 +94,38 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
+    return [r - 1 for r in match[1:]]
 
-    perm = np.zeros(n, dtype=np.intp)
-    for j in range(1, n + 1):
-        perm[match[j] - 1] = j - 1
-    return perm[:n_rows]
+
+def hungarian(costs: np.ndarray) -> np.ndarray:
+    """Minimum-total-cost row->column assignment of an [n_rows, n_cols] cost
+    matrix, the lexicographically smallest such permutation of its
+    zero-padded square.  Returns one column per row; a column >= n_cols means
+    the row is unmatched, and unmatched rows take n_cols, n_cols + 1, ... in
+    row order."""
+    a = np.asarray(costs, dtype=np.float64)
+    if a.ndim != 2:
+        raise ShapeError(f"hungarian needs a 2-d matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("hungarian needs finite costs")
+    n_rows, n_cols = a.shape
+    if n_rows == n_cols > 0:
+        first = a.argmin(axis=1)
+        if len(set(first.tolist())) == n_rows:
+            return first
+    perm = np.zeros(n_rows, dtype=np.intp)
+    if n_rows <= n_cols:
+        powers = [n_cols ** (n_rows - 1 - i) for i in range(n_rows)]
+        row_of = _search(a, [[j * p for j in range(n_cols)] for p in powers])
+        for j, i in enumerate(row_of):
+            if i >= 0:
+                perm[i] = j
+        return perm
+    # tall: the G = n_cols columns search the rows
+    powers = [(n_cols + 1) ** (n_rows - 1 - i) for i in range(n_rows)]
+    perm[:] = _search(a.T, [[(j - n_cols) * p for p in powers] for j in range(n_cols)])
+    perm[perm < 0] = np.arange(n_cols, n_rows)
+    return perm
 
 
 def cosine_cost(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:

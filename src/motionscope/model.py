@@ -219,10 +219,10 @@ def load_model_weights(model: MotionSegModel, path) -> None:
             values = np.frombuffer(read(8 * size, f"the values of {what}"),
                                    dtype="<f8").reshape(shape)
             if name not in by_name:
-                raise ValueError(f"unknown parameter {name!r} in checkpoint")
+                raise ValueError(f"{path}: unknown parameter {name!r} in checkpoint")
             if by_name[name].data.shape != tuple(shape):
                 raise ValueError(
-                    f"shape mismatch for {name!r}: checkpoint {tuple(shape)} vs "
+                    f"{path}: shape mismatch for {name!r}: checkpoint {tuple(shape)} vs "
                     f"model {by_name[name].data.shape}")
             by_name[name].data[...] = values
             seen.add(name)
@@ -230,4 +230,4 @@ def load_model_weights(model: MotionSegModel, path) -> None:
             raise ValueError(f"{path} has trailing bytes after its last parameter")
     missing = set(by_name) - seen
     if missing:
-        raise ValueError(f"checkpoint is missing parameters: {sorted(missing)}")
+        raise ValueError(f"{path}: checkpoint is missing parameters: {sorted(missing)}")

@@ -29,7 +29,9 @@ optimizer and `grad_check` take as a zero gradient.
 Three blocks are fused nodes: `layers.Attention`, the cue injection
 `perceiver.inject_cues` and the hierarchical branch `hmp.hierarchical_branch`.
 The first two share the one softmax-attention core, `softmax_attention` here,
-which returns its value and its backward as numpy arrays.
+which returns its value and its backward as numpy arrays.  The set loss
+builds its matched rows' BCE and sigmoid as one-operand fused nodes, from the
+softplus and sigmoid it has already computed for matching.
 """
 
 from __future__ import annotations

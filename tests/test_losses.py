@@ -5,9 +5,9 @@ import pytest
 
 from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
-from motionscope.losses import _assign, _match_costs, dice_loss, frame_loss, video_loss
+from motionscope.losses import _assign, _match_costs, _set_loss, dice_loss, frame_loss, video_loss
 from motionscope.model import MotionSegModel
-from motionscope.tensor import Tensor, bce_with_logits, grad_check
+from motionscope.tensor import Parameter, Tensor, bce_with_logits, grad_check, stable_sigmoid, take
 
 
 def small_model(seed=0, **overrides):
@@ -68,7 +68,8 @@ class TestMatching:
             logits = rng.normal(scale=2.0, size=(4, 12))
             cls = rng.normal(size=4)
             gt = (rng.random((2, 12)) > 0.5).astype(float)
-            costs = _match_costs(logits, cls, gt, 2.0, 5.0, 5.0)
+            costs = _match_costs(logits, np.logaddexp(0.0, logits), stable_sigmoid(logits), cls, gt,
+                                 2.0, 5.0, 5.0)
             matches = _assign(costs)
             got = sum(c for _, _, c in matches)
             best = min(
@@ -167,7 +168,8 @@ class TestVideoLoss:
         targets = (rng.random((2,) + scene.masks.shape[1:]) > 0.7).astype(float)
         result = video_loss(out, targets, 2.0, 5.0, 5.0)
         flat = targets.reshape(2, -1)
-        costs = _match_costs(out.video_logits.data.reshape(cfg.n_motion_queries, -1),
+        logits = out.video_logits.data.reshape(cfg.n_motion_queries, -1)
+        costs = _match_costs(logits, np.logaddexp(0.0, logits), stable_sigmoid(logits),
                              out.video.score_logits.data, flat, 2.0, 5.0, 5.0)
         best = min(
             costs[a, 0] + costs[b, 1]
@@ -183,12 +185,93 @@ class TestVideoLoss:
         out = model.forward(scene.features, scene.expressions[0])
         targets = (rng.random((3,) + scene.masks.shape[1:]) > 0.7).astype(float)
         result = video_loss(out, targets, 2.0, 5.0, 5.0)
-        costs = _match_costs(out.video_logits.data.reshape(cfg.n_motion_queries, -1),
+        logits = out.video_logits.data.reshape(cfg.n_motion_queries, -1)
+        costs = _match_costs(logits, np.logaddexp(0.0, logits), stable_sigmoid(logits),
                              out.video.score_logits.data, targets.reshape(3, -1), 2.0, 5.0, 5.0)
         best = min(sum(costs[q, t] for q, t in enumerate(chosen))
                    for chosen in itertools.permutations(range(3), cfg.n_motion_queries))
         assert [m[0] for m in result.matches] == list(range(cfg.n_motion_queries))
         assert abs(sum(c for _, _, c in result.matches) - best) < 1e-12
+
+
+def reference_set_loss(mask_logits, class_logits, gt, lambda_cls, lambda_mask, lambda_dice):
+    """The matched set loss built from its plain ops: the matched rows' BCE by
+    `bce_with_logits` and dice on `Tensor.sigmoid`, each recomputing its own
+    softplus and sigmoid."""
+    n_sets, n_pred, n_pixels = mask_logits.shape
+    matches = [[] for _ in range(n_sets)]
+    if gt.shape[1] > 0:
+        x = mask_logits.data
+        costs = _match_costs(x, np.logaddexp(0.0, x), stable_sigmoid(x), class_logits.data, gt,
+                             lambda_cls, lambda_mask, lambda_dice)
+        matches = [_assign(c) for c in costs]
+    pairs = [(s, p, t) for s, set_matches in enumerate(matches) for p, t, _ in set_matches]
+    b, i, j = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+    class_targets = np.zeros((n_sets, n_pred))
+    class_targets[b, i] = 1.0
+    loss = lambda_cls * bce_with_logits(class_logits, class_targets).mean()
+    if len(b):
+        logits = take(mask_logits.reshape(n_sets * n_pred, n_pixels), b * n_pred + i, axis=0)
+        loss = loss + lambda_mask * bce_with_logits(logits, gt[b, j]).mean()
+        loss = loss + lambda_dice * dice_loss(logits.sigmoid(), gt[b, j])
+    return loss
+
+
+@pytest.mark.parametrize("n_targets", [0, 1, 2, 5])
+@pytest.mark.parametrize("level", ["frame", "video"])
+def test_set_losses_equal_reference_bit_for_bit(level, n_targets):
+    """Loss value and every parameter gradient equal the plain-op reference
+    exactly, for no target, one, two, and more targets than queries (4 static,
+    2 motion)."""
+    cfg, model = small_model(seed=11)
+    scene = small_scene(seed=12)
+    rng = np.random.default_rng(n_targets)
+    targets = (rng.random((n_targets,) + scene.masks.shape[1:]) > 0.7).astype(float)
+    _, t_frames, h, w = scene.masks.shape
+
+    def run(loss_fn):
+        for p in model.params:
+            p.zero_grad()
+        loss = loss_fn(model.forward(scene.features, scene.expressions[0]))
+        loss.backward()
+        return loss.data, [p.grad for p in model.params]
+
+    if level == "frame":
+        got = run(lambda out: frame_loss(out, targets, 2.0, 5.0, 5.0))
+        want = run(lambda out: reference_set_loss(
+            out.frame_logits, out.class_logits,
+            targets.reshape(n_targets, t_frames, h * w).swapaxes(0, 1), 2.0, 5.0, 5.0))
+    else:
+        got = run(lambda out: video_loss(out, targets, 2.0, 5.0, 5.0).loss)
+        want = run(lambda out: reference_set_loss(
+            out.video_logits.reshape(1, cfg.n_motion_queries, -1),
+            out.video.score_logits.reshape(1, cfg.n_motion_queries),
+            targets.reshape(1, n_targets, t_frames * h * w), 2.0, 5.0, 5.0))
+    assert np.array_equal(got[0], want[0])
+    assert [g is None for g in got[1]] == [g is None for g in want[1]]
+    assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]) if g is not None)
+    assert any(g is not None and np.abs(g).max() > 0 for g in got[1])
+
+
+def test_set_loss_equals_reference_bit_for_bit_on_random_sets():
+    """The same comparison on 200 small random sets, where a last-bit change
+    of one element's softplus shows in the loss more often than at model size."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n_sets, n_pred, n_pixels = rng.integers(1, (4, 5, 9)).tolist()
+        n_gt = int(rng.integers(0, 6))
+        masks = rng.normal(scale=3.0, size=(n_sets, n_pred, n_pixels))
+        scores = rng.normal(size=(n_sets, n_pred))
+        gt = (rng.random((n_sets, n_gt, n_pixels)) > 0.5).astype(float)
+        results = []
+        for loss_fn in (lambda *args: _set_loss(*args)[0], reference_set_loss):
+            mask_logits, class_logits = Parameter("m", masks), Parameter("c", scores)
+            loss = loss_fn(mask_logits, class_logits, gt, 2.0, 5.0, 5.0)
+            loss.backward()
+            results.append((loss.data, mask_logits.grad, class_logits.grad))
+        (loss, d_mask, d_class), (ref_loss, ref_mask, ref_class) = results
+        assert np.array_equal(loss, ref_loss)
+        assert np.array_equal(d_mask, ref_mask) and np.array_equal(d_class, ref_class)
 
 
 def test_no_per_pixel_projection_is_differentiated():

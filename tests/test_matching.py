@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,6 +29,19 @@ def lexicographic_optimum(costs):
     n = costs.shape[0]
     best_total, _ = brute_force_min(costs)
     return min(p for p in itertools.permutations(range(n)) if total_cost(costs, p) == best_total)
+
+
+def padded_lexicographic_optimum(costs):
+    """The lexicographic optimum of the zero-padded square, cut to the real
+    rows.  `permutations` yields in lexicographic order, so the first
+    minimum of the (exact, integer-valued) totals is the optimum."""
+    n_rows, n_cols = costs.shape
+    n = max(n_rows, n_cols)
+    padded = np.zeros((n, n))
+    padded[:n_rows, :n_cols] = costs
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    totals = padded[np.arange(n), perms].sum(axis=1)
+    return tuple(perms[totals.argmin(), :n_rows].tolist())
 
 
 def link_by_frame(values):
@@ -121,6 +134,25 @@ class TestHungarian:
             padded = np.zeros((n, n))
             padded[:shape[0], :shape[1]] = costs
             assert hungarian(costs).tolist() == hungarian(padded)[:shape[0]].tolist()
+
+    @pytest.mark.parametrize("shape", [(r, c) for r in range(6) for c in range(6) if r != c],
+                             ids=lambda shape: f"{shape[0]}x{shape[1]}")
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_rectangular_gives_padded_lexicographic_optimum(self, shape, data):
+        costs = data.draw(arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0])))
+        assert tuple(hungarian(costs).tolist()) == padded_lexicographic_optimum(costs)
+
+    @pytest.mark.parametrize("costs, expected", [
+        ([[1.0], [0.0], [0.0]], [1, 0, 2]),
+        ([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [0, 1, 2]),
+    ])
+    def test_tall_zero_cost_match_beats_unmatched(self, costs, expected):
+        # a row may take a real column at cost 0 or stay unmatched at cost 0;
+        # the earlier rows take the real columns, the later ones pad
+        costs = np.array(costs)
+        assert hungarian(costs).tolist() == expected
+        assert tuple(expected) == padded_lexicographic_optimum(costs)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3, 3), ()])
     def test_non_matrix_rejected(self, shape):

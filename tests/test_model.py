@@ -122,7 +122,26 @@ class TestSerialization:
         _, fresh = make()
         with pytest.raises(ValueError, match="missing") as exc:
             load_model_weights(fresh, path)
-        assert dropped.name in str(exc.value)
+        assert str(path) in str(exc.value) and dropped.name in str(exc.value)
+
+    def test_unknown_parameter_names_path(self, tmp_path):
+        cfg, model = make()
+        path = tmp_path / "model.bin"
+        model.params[0].name = "embed.tabl"
+        save_model(model, path)
+        _, fresh = make()
+        with pytest.raises(ValueError, match="unknown parameter 'embed.tabl'") as exc:
+            load_model_weights(fresh, path)
+        assert str(path) in str(exc.value)
+
+    def test_shape_mismatch_names_path(self, tmp_path):
+        cfg, model = make(channels=16)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        _, fresh = make()
+        with pytest.raises(ValueError, match="shape mismatch for 'embed.table'") as exc:
+            load_model_weights(fresh, path)
+        assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize("cut", [4, 8, 100, 10_000])
     def test_truncated_checkpoint_names_path_and_parameter(self, tmp_path, cut):
