@@ -417,13 +417,14 @@ def load_scene(directory, seed: int) -> Scene:
 
     Raises ValueError, naming the file and the field, for a missing top-level
     key, a `seed` field that differs from `seed`, a config key that
-    `BenchmarkConfig` does not have, a `probe` flag that is not a bool, an
-    object whose category, color or motion kind is unknown, an expression
-    entry that cannot be read or has no tokens, a token tag outside
-    `ALL_TAGS`, a vocab id outside the vocabulary, a target id that names no
-    object or repeats one, a `.bin` without the header or whose size does not
-    fit the scene, non-finite features and mask values other than 0 and 1.
-    An absent `probe` means False."""
+    `BenchmarkConfig` does not have, a `probe` flag that is not a bool or
+    differs from `config.probe`, an object whose category, color or motion
+    kind is unknown, an expression entry that cannot be read or has no
+    tokens, a token tag outside `ALL_TAGS`, a vocab id outside the
+    vocabulary, a target id that names no object or repeats one, a `.bin`
+    without the header or whose size does not fit the scene, non-finite
+    features and mask values other than 0 and 1.  An absent `probe` means
+    False."""
     directory = Path(directory)
     json_path = directory / f"{seed}.json"
     with open(json_path) as fh:
@@ -441,6 +442,8 @@ def load_scene(directory, seed: int) -> Scene:
     probe = meta.get("probe", False)
     if not isinstance(probe, bool):
         raise ValueError(f"{json_path}: probe is {probe!r}, not a bool")
+    if probe != cfg.probe:
+        raise ValueError(f"{json_path}: probe is {probe!r}, but config.probe is {cfg.probe!r}")
     objects = []
     for index, o in enumerate(meta["objects"]):
         where = f"{json_path}: object {index}"

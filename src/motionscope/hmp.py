@@ -6,10 +6,10 @@ repeatedly highlights motion-relevant frames and merges neighbouring tokens
 self-attention and feed-forward branches are the shared blocks of `layers`.
 All three branches are residual with output projections, so a block with
 zeroed projections is the identity on its input.  The hierarchical branch is
-one fused autodiff node: it pads the trajectories to a multiple of 2^n frames,
+one autodiff node: it pads the trajectories to a multiple of 2^n frames,
 chains the numpy helpers `highlight`, `enrich` and `merge` n times, expands
 the coarse tokens back and crops the padding, and differentiates all of it in
-one hand-written pass.  The self-attention is one fused node as well.
+one hand-written pass.  The self-attention is one node as well.
 
 Shapes: trajectories are [..., T, C] with motion cues [K_m, C]; the batched
 case stacks trajectories on the leading axis and every op stays per-trajectory.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import Attention, FeedForward, init_weight, registry
-from .tensor import (Parameter, Tensor, fused, linear, softmax_backward, stable_softmax,
+from .tensor import (Parameter, Tensor, linear, node, softmax_backward, stable_softmax,
                      standardize, unbroadcast)
 
 
@@ -57,7 +57,7 @@ def merge(enriched: np.ndarray, frame_weight: np.ndarray) -> np.ndarray:
 def hierarchical_branch(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Tensor:
     """Run highlight -> enrich -> merge `n_stages` times and expand the coarse
     tokens back to the input length by nearest-neighbour repetition, as one
-    fused node.  The input is first padded to a multiple of 2^n frames by
+    node.  The input is first padded to a multiple of 2^n frames by
     repeating its last frame; frames added by padding are dropped after
     expansion, without renormalizing."""
     t_len, factor = traj.shape[-2], 2 ** n_stages
@@ -98,7 +98,7 @@ def hierarchical_branch(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Ten
             g = d_traj
         return g, d_cues
 
-    return fused(np.take(out, np.arange(t_len) // factor, axis=-2), (traj, motion_cues), backward)
+    return node(np.take(out, np.arange(t_len) // factor, axis=-2), (traj, motion_cues), backward)
 
 
 class HmpBlock:

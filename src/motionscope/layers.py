@@ -8,7 +8,7 @@ block as `ffn.w1` ... `ffn.b2`, under the module's prefix and in that order.
 format; attention never reads it, so it gets no gradient and stays zero under
 training.
 
-An `Attention` call is one fused autodiff node around the shared
+An `Attention` call is one autodiff node around the shared
 softmax-attention core `tensor.softmax_attention`, which cue injection
 (`perceiver.inject_cues`) calls too.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, fused, linear, softmax_attention
+from .tensor import Parameter, Tensor, linear, node, softmax_attention
 
 
 def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -46,8 +46,8 @@ class Attention:
     projection of the key/value rows is ever built: scores are
     (q·wkᵀ)·k_inᵀ/√C and the context is (softmax·v_in)·wv + bv.  `bk` would add
     q·bk to every key's score alike, which softmax cancels, and `bv` passes
-    through unchanged because attention rows sum to 1.  A call is one fused
-    autodiff node, which forms key and value gradients only where needed."""
+    through unchanged because attention rows sum to 1.  A call is one autodiff
+    node, which forms key and value gradients only where needed."""
 
     def __init__(self, p, rng: np.random.Generator, channels: int,
                  kv_channels: int | None = None, wq: np.ndarray | None = None,
@@ -83,7 +83,7 @@ class Attention:
                     d_keys.swapaxes(-1, -2) @ q, attended.swapaxes(-1, -2) @ d_context,
                     d_context, context.swapaxes(-1, -2) @ g, g)
 
-        return fused(context @ wo + bo, (q_in, k_in, v_in, *params), backward)
+        return node(context @ wo + bo, (q_in, k_in, v_in, *params), backward)
 
 
 class FeedForward:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .matching import hungarian
 from .model import ForwardOutput
-from .tensor import Tensor, bce_with_logits, fused, stable_sigmoid, take
+from .tensor import Tensor, bce_with_logits, node, stable_sigmoid, take
 
 DICE_SMOOTH = 1.0
 
@@ -91,8 +91,8 @@ def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_
         # softplus and sigmoid are elementwise: their matched rows are those
         # of the matched logits
         y, p = gt[b, j], probs[b, i]
-        bce = fused(softplus[b, i] - logits.data * y, (logits,), lambda g, needs: (g * (p - y),))
-        sigmoid = fused(p, (logits,), lambda g, needs: (g * p * (1.0 - p),))
+        bce = node(softplus[b, i] - logits.data * y, (logits,), lambda g, needs: (g * (p - y),))
+        sigmoid = node(p, (logits,), lambda g, needs: (g * p * (1.0 - p),))
         loss = loss + lambda_mask * bce.mean()
         loss = loss + lambda_dice * dice_loss(sigmoid, y)
     return loss, matches

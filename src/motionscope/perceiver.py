@@ -11,7 +11,7 @@ No per-pixel projection is built: attention multiplies its key and value
 weights into the queries, and a mask logit x·(p·wm + bm) is computed as
 (x·wmᵀ)·pᵀ + x·bm, so the pixel features stay a gradient-free constant.
 
-Cue injection is one fused node over the shared softmax-attention core
+Cue injection is one node over the shared softmax-attention core
 `tensor.softmax_attention` (the one `layers.Attention` calls), plus the
 residual add.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import Attention, FeedForward, init_weight, registry
-from .tensor import Parameter, Tensor, fused, linear, softmax_attention
+from .tensor import Parameter, Tensor, linear, node, softmax_attention
 
 
 def inject_cues(queries: Tensor, cues: Tensor) -> Tensor:
@@ -34,7 +34,7 @@ def inject_cues(queries: Tensor, cues: Tensor) -> Tensor:
     """
     attended, backward = softmax_attention(queries.data, cues.data, cues.data,
                                            1.0 / np.sqrt(queries.shape[-1]))
-    return queries + fused(attended, (queries, cues, cues), backward)
+    return queries + node(attended, (queries, cues, cues), backward)
 
 
 def sinusoidal_grid(height: int, width: int, channels: int) -> np.ndarray:

@@ -6,37 +6,41 @@ graph during ``backward`` and live on the tensors themselves.  All arithmetic
 is 64-bit and reductions run in numpy's fixed index order, so a run is
 bit-reproducible for a fixed seed.
 
-The op contract.  An op computes its value and hands ``Tensor._op`` one
-(operand, gradient map) pair per operand; a map takes the output's gradient
-and returns the operand's, still in the output's broadcast shape.  ``_op``
-drops the operands that need no gradient, so no op tests ``requires_grad``.
-``Tensor.backward`` alone writes ``.grad``: in reverse topological order, and
-through each node's operands in order, it sums every mapped gradient down to
-its operand's shape and accumulates it.  A map may return the output gradient
-itself or a view of it (views for distinct operands must not overlap, and
-``concat``'s slices do not), and an operand with no gradient yet adopts that
-buffer without a copy.  The one ownership rule: a node's own buffer goes by
-reference only to its first operand, and a later operand that would receive
-the same object gets a copy, so no two pending gradients share memory.  A
-fused op (`fused`) is one node for a whole block: a numpy forward, and one
-backward pass per output gradient that hands each operand its own array.
+The op contract.  Every op, from `+` to a whole attention block, is one
+`node`: its value, its operands and one `backward(g, needs)`.  Given the
+output's gradient `g`, the backward returns one gradient per operand, each
+still in the output's broadcast shape.  `needs` flags the operands that need
+a gradient: where a flag is False the backward may return None, and whatever
+it returns there is dropped, so an op forms only the gradients that are
+needed and never tests ``requires_grad`` itself.  ``Tensor.backward`` alone
+writes ``.grad``: in reverse topological order it calls each node's backward
+once, then sums each needed gradient down to its operand's shape and
+accumulates it, in operand order.  A backward may return the output gradient itself or a view of it
+(views for distinct operands must not overlap, and ``concat``'s slices do
+not), and an operand with no gradient yet adopts that buffer without a copy.
+The one ownership rule: a node's own buffer goes by reference only to its
+first operand that needs a gradient, and a later operand that would receive
+the same object gets a copy, so no two pending gradients share memory.
 
 A `Parameter` is a named leaf `Tensor` that requires a gradient, and modules
 pass it to ops like any other operand.  Its `grad` is None until a backward
 pass reaches it, so a parameter that no op reads keeps None, which the
 optimizer and `grad_check` take as a zero gradient.
 
-Three blocks are fused nodes: `layers.Attention`, the cue injection
+Three blocks are one node each: `layers.Attention`, the cue injection
 `perceiver.inject_cues` and the hierarchical branch `hmp.hierarchical_branch`.
 The first two share the one softmax-attention core, `softmax_attention` here,
 which returns its value and its backward as numpy arrays.  The set loss
-builds its matched rows' BCE and sigmoid as one-operand fused nodes, from the
+builds its matched rows' BCE and sigmoid as one-operand nodes, from the
 softplus and sigmoid it has already computed for matching.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
@@ -63,7 +67,7 @@ def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float)
     """softmax(q kᵀ · scale) v over the last two axes; rows of the result are
     convex combinations of rows of v.  Returns the result and its backward,
     `backward(d_out, needs)` -> (d_q summed to q's shape, d_k, d_v): `needs`
-    holds `fused`'s flags for operands (q, k, v, ...), and a key or value
+    holds `node`'s flags for operands (q, k, v, ...), and a key or value
     gradient that is not needed is None."""
     weights = stable_softmax((q @ k.swapaxes(-1, -2)) * scale, axis=-1)
 
@@ -92,7 +96,9 @@ def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """An n-d float64 array plus the tape hooks for reverse-mode autodiff."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_maps")
+    # a node keeps its operands that need a gradient (`_parents`), every
+    # operand's flag (`_needs`) and its backward; a leaf has no parents
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_needs", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -102,23 +108,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = ()
-        self._grad_maps = ()
-
-    @classmethod
-    def _op(cls, data: np.ndarray, inputs) -> "Tensor":
-        """The node holding `data`, an op's value over the (operand, gradient
-        map) pairs `inputs`; the operands that need no gradient are dropped."""
-        out = cls.__new__(cls)
-        out.data = data
-        out.grad = None
-        parents, grad_maps = (), ()
-        for operand, grad_map in inputs:
-            if operand.requires_grad:
-                parents += (operand,)
-                grad_maps += (grad_map,)
-        out.requires_grad = bool(parents)
-        out._parents, out._grad_maps = parents, grad_maps
-        return out
 
     # -- basic introspection ------------------------------------------------
 
@@ -145,22 +134,25 @@ class Tensor:
         seen = set()
         stack = [(self, False)]
         while stack:
-            node, expanded = stack.pop()
+            op, expanded = stack.pop()
             if expanded:
-                topo.append(node)
+                topo.append(op)
                 continue
-            if id(node) in seen:
+            if id(op) in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
+            seen.add(id(op))
+            stack.append((op, True))
+            for parent in op._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            g = node.grad
-            for i, (parent, grad_map) in enumerate(zip(node._parents, node._grad_maps)):
-                grad = unbroadcast(grad_map(g), parent.data.shape)
+        for op in reversed(topo):
+            if not op._parents:
+                continue
+            g = op.grad
+            grads = compress(op._backward(g, op._needs), op._needs)
+            for i, (parent, grad) in enumerate(zip(op._parents, grads)):
+                grad = unbroadcast(grad, parent.data.shape)
                 if parent.grad is not None:
                     parent.grad += grad
                 elif i and grad is g:
@@ -177,45 +169,49 @@ class Tensor:
 
     def __add__(self, other):
         other = self._lift(other)
-        return Tensor._op(self.data + other.data, ((self, lambda g: g), (other, lambda g: g)))
+        return node(self.data + other.data, (self, other), lambda g, needs: (g, g))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._lift(other)
-        return Tensor._op(self.data - other.data, ((self, lambda g: g), (other, lambda g: -g)))
+        return node(self.data - other.data, (self, other),
+                    lambda g, needs: (g, -g if needs[1] else None))
 
     def __rsub__(self, other):
         return self._lift(other).__sub__(self)
 
     def __mul__(self, other):
         a, b = self, self._lift(other)
-        return Tensor._op(a.data * b.data, ((a, lambda g: g * b.data), (b, lambda g: g * a.data)))
+        return node(a.data * b.data, (a, b), lambda g, needs: (g * b.data if needs[0] else None,
+                                                               g * a.data if needs[1] else None))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a, b = self, self._lift(other)
-        return Tensor._op(a.data / b.data, ((a, lambda g: g / b.data),
-                                            (b, lambda g: -g * a.data / (b.data * b.data))))
+        return node(a.data / b.data, (a, b), lambda g, needs: (
+            g / b.data if needs[0] else None,
+            -g * a.data / (b.data * b.data) if needs[1] else None))
 
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
-        return Tensor._op(self.data.reshape(shape), ((self, lambda g: g.reshape(self.shape)),))
+        return node(self.data.reshape(shape), (self,), lambda g, needs: (g.reshape(self.shape),))
 
     def swapaxes(self, ax1: int, ax2: int):
-        return Tensor._op(self.data.swapaxes(ax1, ax2), ((self, lambda g: g.swapaxes(ax1, ax2)),))
+        return node(self.data.swapaxes(ax1, ax2), (self,),
+                    lambda g, needs: (g.swapaxes(ax1, ax2),))
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        def grad_map(g):
+        def backward(g, needs):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, self.shape).copy()
+            return (np.broadcast_to(g, self.shape).copy(),)
 
-        return Tensor._op(self.data.sum(axis=axis, keepdims=keepdims), ((self, grad_map),))
+        return node(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -225,21 +221,21 @@ class Tensor:
 
     def exp(self):
         data = np.exp(self.data)
-        return Tensor._op(data, ((self, lambda g: g * data),))
+        return node(data, (self,), lambda g, needs: (g * data,))
 
     def log(self):
-        return Tensor._op(np.log(self.data), ((self, lambda g: g / self.data),))
+        return node(np.log(self.data), (self,), lambda g, needs: (g / self.data,))
 
     def sqrt(self):
         data = np.sqrt(self.data)
-        return Tensor._op(data, ((self, lambda g: g * 0.5 / data),))
+        return node(data, (self,), lambda g, needs: (g * 0.5 / data,))
 
     def sigmoid(self):
         data = stable_sigmoid(self.data)
-        return Tensor._op(data, ((self, lambda g: g * data * (1.0 - data)),))
+        return node(data, (self,), lambda g, needs: (g * data * (1.0 - data),))
 
     def relu(self):
-        return Tensor._op(np.maximum(self.data, 0.0), ((self, lambda g: g * (self.data > 0.0)),))
+        return node(np.maximum(self.data, 0.0), (self,), lambda g, needs: (g * (self.data > 0.0),))
 
     # -- matmul ----------------------------------------------------------------
 
@@ -249,8 +245,22 @@ class Tensor:
             raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
         if a.data.shape[-1] != b.data.shape[-2]:
             raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-        return Tensor._op(a.data @ b.data, ((a, lambda g: g @ b.data.swapaxes(-1, -2)),
-                                            (b, lambda g: a.data.swapaxes(-1, -2) @ g)))
+        return node(a.data @ b.data, (a, b), lambda g, needs: (
+            g @ b.data.swapaxes(-1, -2) if needs[0] else None,
+            a.data.swapaxes(-1, -2) @ g if needs[1] else None))
+
+
+def node(data: np.ndarray, operands, backward) -> Tensor:
+    """The op whose value is `data`: `backward(g, needs)` returns one gradient
+    per operand, and needs to form only those that `needs` flags."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out._needs = tuple(t.requires_grad for t in operands)
+    out._parents = tuple(compress(operands, out._needs))
+    out.requires_grad = bool(out._parents)
+    out._backward = backward
+    return out
 
 
 def take(x: Tensor, indices, axis: int = 0) -> Tensor:
@@ -258,7 +268,7 @@ def take(x: Tensor, indices, axis: int = 0) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     ax = axis % x.ndim
 
-    def grad_map(g):
+    def backward(g, needs):
         full = np.zeros_like(x.data)
         where = (slice(None),) * ax + (idx,)
         # distinct slices (a negative index names the slice it wraps to) each
@@ -267,36 +277,17 @@ def take(x: Tensor, indices, axis: int = 0) -> Tensor:
             full[where] = g
         else:
             np.add.at(full, where, g)
-        return full
+        return (full,)
 
-    return Tensor._op(np.take(x.data, idx, axis=axis), ((x, grad_map),))
+    return node(np.take(x.data, idx, axis=axis), (x,), backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     parts = [Tensor._lift(t) for t in tensors]
     data = np.concatenate([p.data for p in parts], axis=axis)
-    ax = axis % data.ndim
-    ends = np.cumsum([p.shape[ax] for p in parts]).tolist()
-
-    def part_grad(stop, n):
-        # the parts' slices are disjoint views, safe to adopt directly
-        where = (slice(None),) * ax + (slice(stop - n, stop),)
-        return lambda g: g[where]
-
-    return Tensor._op(data, [(p, part_grad(stop, p.shape[ax])) for p, stop in zip(parts, ends)])
-
-
-def fused(data: np.ndarray, operands, backward) -> Tensor:
-    """A fused op's node: `backward(g, needs)` returns each needed operand's gradient."""
-    needs = tuple(t.requires_grad for t in operands)
-    memo = [None, None]  # the last output gradient and its operand gradients
-
-    def share(g, i):
-        if memo[0] is not g:
-            memo[:] = g, backward(g, needs)
-        return memo[1][i]
-
-    return Tensor._op(data, [(t, lambda g, i=i: share(g, i)) for i, t in enumerate(operands)])
+    ends = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    # the parts' slices are disjoint views, safe to adopt directly
+    return node(data, parts, lambda g, needs: np.split(g, ends, axis=axis))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -310,19 +301,19 @@ def standardize(x: Tensor, axis: int = -1, eps: float = 1e-6) -> Tensor:
     sigma = np.sqrt(np.add.reduce(centered * centered, axis=axis, keepdims=True) / n + eps)
     data = centered / sigma
 
-    def grad_map(g):
+    def backward(g, needs):
         g_mean = np.add.reduce(g, axis=axis, keepdims=True) / n
         proj = np.add.reduce(g * data, axis=axis, keepdims=True) / n
-        return (g - g_mean - data * proj) / sigma
+        return ((g - g_mean - data * proj) / sigma,)
 
-    return Tensor._op(data, ((x, grad_map),))
+    return node(data, (x,), backward)
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Elementwise binary cross entropy on logits (stable fused form)."""
+    """Elementwise binary cross entropy on logits, in the stable log(1 + e^x) - x·y form."""
     y = np.asarray(targets, dtype=np.float64)
     data = np.logaddexp(0.0, logits.data) - logits.data * y
-    return Tensor._op(data, ((logits, lambda g: g * (stable_sigmoid(logits.data) - y)),))
+    return node(data, (logits,), lambda g, needs: (g * (stable_sigmoid(logits.data) - y),))
 
 
 class Parameter(Tensor):

@@ -42,6 +42,8 @@ class EvalMetrics:
     jf: float
     ident_acc: float
     probe_acc: float  # nan when the split has no probe scenes
+    # each target's video token from the query whose mask overlaps it most,
+    # unprojected, keyed by (scene seed, object index)
     token_groups: dict = field(default_factory=dict, repr=False)
 
     def scores(self) -> dict[str, float]:
@@ -116,31 +118,23 @@ class Trainer:
             for ei in range(len(scene.expressions))
         ]
 
-    # -- losses -----------------------------------------------------------------
+    # -- training ---------------------------------------------------------------
 
-    def _losses_and_anchor(self, scene: Scene, expr: TaggedExpression):
+    def train_step(self, scene: Scene, expr: TaggedExpression, step: int) -> dict:
         cfg = self.cfg
+        self.model.zero_grad()
         out = self.model.forward(scene.features, expr)
         lf = frame_loss(out, scene.masks, cfg.lambda_cls, cfg.lambda_mask, cfg.lambda_dice)
         ml = video_loss(out, scene.target_masks(expr), cfg.lambda_cls, cfg.lambda_mask,
                         cfg.lambda_dice)
-        anchor, pos_slot, slots = None, None, []
+        total = lf + ml.loss
+        con_value = 0.0
         # every training target has a slot, and a target always gets a match
         if cfg.contrastive_enabled and expr.target_ids:
             slots = [self.slot_ids[(scene.seed, o)] for o in expr.target_ids]
             rows = take(out.video.tokens, np.array([m[0] for m in ml.matches]), axis=0)
             anchor = self.model.projector.project(rows.mean(axis=0))
-            best = min(ml.matches, key=lambda m: m[2])
-            pos_slot = slots[best[1]]
-        return out, lf, ml, anchor, pos_slot, slots
-
-    def train_step(self, scene: Scene, expr: TaggedExpression, step: int) -> dict:
-        cfg = self.cfg
-        self.model.zero_grad()
-        _, lf, ml, anchor, pos_slot, slots = self._losses_and_anchor(scene, expr)
-        total = lf + ml.loss
-        con_value = 0.0
-        if anchor is not None:
+            pos_slot = slots[min(ml.matches, key=lambda m: m[2])[1]]
             vec = anchor.data.copy()
             for slot in slots:
                 self.bank.update(slot, vec, cfg.ema_beta)
@@ -216,9 +210,8 @@ class Trainer:
                 if scene.probe:
                     probe_idents.append(ident)
                 for obj_idx, best_q in zip(expr.target_ids, iou.argmax(axis=0)):
-                    projected = self.model.projector.project(
-                        Tensor(out.video.tokens.data[best_q].copy()))
-                    token_groups.setdefault((scene.seed, obj_idx), []).append(projected.data.copy())
+                    token_groups.setdefault((scene.seed, obj_idx), []).append(
+                        out.video.tokens.data[best_q].copy())
         j, f = float(np.mean(js)), float(np.mean(fs))
         return EvalMetrics(
             j=j,
@@ -266,8 +259,11 @@ class Trainer:
                 if not quiet:
                     print(f"step {row['step']:6d}  loss {row['loss_total']:.4f}  "
                           f"J&F {row['jf']:.4f}  ident {row['ident_acc']:.4f}")
+        # only the final evaluation's tokens are projected, and only here
+        project = self.model.projector.project
         try:
-            margin = separation_margin(final.token_groups)
+            margin = separation_margin({key: [project(Tensor(t)).data for t in tokens]
+                                        for key, tokens in final.token_groups.items()})
         except ValueError:
             margin = float("nan")
         if out_dir is not None:

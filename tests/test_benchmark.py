@@ -221,6 +221,24 @@ class TestSceneIO:
         path.write_text(json.dumps(meta))
         assert load_scene(tmp_path, 6).probe is False
 
+    @pytest.mark.parametrize("probe", [False, True])
+    def test_probe_flag_must_match_the_config(self, tmp_path, probe):
+        """A scene whose top-level `probe` and `config.probe` disagree would be
+        scored as a probe scene, or not, by whichever one a reader picks."""
+        save_scene(generate(6, small_config(probe=probe)), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        meta["probe"] = not probe
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: probe is {not probe}, "
+                                             f"but config.probe is {probe}"):
+            load_scene(tmp_path, 6)
+        if probe:  # an absent flag means False, which a probe config contradicts
+            del meta["probe"]
+            path.write_text(json.dumps(meta))
+            with pytest.raises(ValueError, match="probe is False, but config.probe is True"):
+                load_scene(tmp_path, 6)
+
     def test_unknown_config_key_names_file_and_key(self, tmp_path):
         save_scene(generate(6, small_config()), tmp_path)
         path = tmp_path / "6.json"

@@ -26,7 +26,7 @@ def pad_index(t_len, n_stages):
 def graph_branch(traj, motion_cues, n_stages):
     """The hierarchical branch as a chain of graph ops, stage by stage, with
     softmax built from `exp`, `sum` and `/` and padding and expansion from
-    `take`: the oracle of the fused node."""
+    `take`: the oracle of the branch's node."""
     t_len = traj.shape[-2]
     x = take(traj, pad_index(t_len, n_stages), axis=-2)
     for _ in range(n_stages):
@@ -139,8 +139,8 @@ class TestMerge:
 
     def test_equals_gathered_pairs_bit_for_bit(self):
         """Values equal the form that gathers even and odd frames and takes
-        (x0*w0 + x1*w1) / (w0 + w1); the gradient is checked on the fused
-        stages (`TestFusedStages`)."""
+        (x0*w0 + x1*w1) / (w0 + w1); the gradient is checked on the branch's
+        node (`TestFusedStages`)."""
         rng = np.random.default_rng(10)
         x, w = rng.normal(size=(3, 8, 5)), rng.uniform(0.1, 2.0, size=(3, 8))
         xa, xb = x[..., 0::2, :], x[..., 1::2, :]

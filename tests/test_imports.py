@@ -23,7 +23,7 @@ UNREAD_FIELDS_ALLOWED = {"ForwardOutput.cues", "ForwardOutput.motion_cues",
                          "ForwardOutput.motion_tokens", "TrajectorySet.assignments"}
 # a tensor and a graph node start with no gradient, `backward` alone computes
 # and accumulates gradients, and the optimizer clears them between steps
-GRAD_WRITERS_ALLOWED = {"Tensor.__init__", "Tensor._op", "Tensor.backward", "Parameter.zero_grad"}
+GRAD_WRITERS_ALLOWED = {"Tensor.__init__", "node", "Tensor.backward", "Parameter.zero_grad"}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -32,7 +32,7 @@ def projected(attn, q_in, k_in, v_in):
 
 def graph(attn, q_in, k_in, v_in):
     """The block as a chain of graph ops, keys and values reassociated onto
-    the query side: the oracle of the fused node."""
+    the query side: the oracle of the block's node."""
     q = linear(q_in, attn.wq, attn.bq)
     q_keys = (q @ attn.wk.swapaxes(-1, -2)) * attn.scale
     weights = graph_softmax(q_keys @ k_in.swapaxes(-1, -2))
@@ -85,7 +85,7 @@ def test_equals_projected_formula(name):
 @pytest.mark.parametrize("name,kv_grad", [(name, kv_grad) for name in CASES for kv_grad in (True, False)
                                           if kv_grad or not CASES[name][4]])
 def test_equals_graph_composition(name, kv_grad):
-    """The fused node's value equals the graph's bit for bit, and every
+    """The node's value equals the graph's bit for bit, and every
     gradient (weights and the inputs that need one) agrees within 1e-12
     relative; keys and values that need no gradient get none."""
     attn, params = block(*CASES[name][:2])

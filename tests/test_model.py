@@ -58,9 +58,10 @@ class TestForward:
 
     def test_default_forward_builds_at_most_90_graph_nodes(self):
         """Each attention block, each cue injection's attention and each
-        hierarchical branch (padding and expansion included) is one fused node:
-        a default-config forward builds 85 nodes, where the unfused graph built
-        287.  The bound leaves room for small changes, not for unfusing a block."""
+        hierarchical branch (padding and expansion included) is one node: a
+        default-config forward builds 85 nodes, where a graph of elementary ops
+        built 287.  The bound leaves room for small changes, not for splitting
+        a block into elementary ops."""
         model = MotionSegModel(TrainConfig(), np.random.default_rng(0))
         scene = generate(3)
         out = model.forward(scene.features, scene.expressions[0])

@@ -39,7 +39,7 @@ def frame_masks(tokens, mask_features):
 
 def graph_injection(queries, cues):
     """Cue injection as a chain of graph ops, softmax built from `exp`, `sum`
-    and `/`: the oracle of the fused node."""
+    and `/`: the oracle of the injection's node."""
     scores = (queries @ cues.swapaxes(-1, -2)) * (1.0 / np.sqrt(queries.shape[-1]))
     e = (scores - Tensor(scores.data.max(axis=-1, keepdims=True))).exp()
     return queries + (e / e.sum(axis=-1, keepdims=True)) @ cues
@@ -73,7 +73,7 @@ class TestInjectCues:
 
     @pytest.mark.parametrize("n_queries,n_cues", [(4, 3), (8, 1), (2, 5)])
     def test_equals_graph_composition(self, n_queries, n_cues):
-        """One fused attention node plus the residual add; the value equals the
+        """One attention node plus the residual add; the value equals the
         graph's bit for bit, and the query and cue gradients agree within
         1e-12 relative."""
         rng = np.random.default_rng(6)

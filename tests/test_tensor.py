@@ -8,8 +8,8 @@ from motionscope.tensor import (
     ShapeError,
     Tensor,
     concat,
-    fused,
     grad_check,
+    node,
     softmax_attention,
     softmax_backward,
     stable_sigmoid,
@@ -328,7 +328,7 @@ class TestStandardize:
         assert grad_check([w], lambda: (standardize(w) * Tensor(target)).sum()) < 1e-8
 
 
-class TestFused:
+class TestNode:
     def test_one_backward_pass_per_output_gradient(self):
         """Three operands read one pass; an operand that needs no gradient is
         flagged so the pass can skip it, and gets none."""
@@ -340,7 +340,7 @@ class TestFused:
             passes.append(needs)
             return g * 2.0, None, g * 3.0, g * 4.0
 
-        out = fused(np.zeros(2), (a, const, b, a), backward)
+        out = node(np.zeros(2), (a, const, b, a), backward)
         (out * Tensor([1.0, 10.0])).sum().backward()
         assert passes == [(True, False, True, True)]
         assert np.array_equal(a.grad, [6.0, 60.0])
@@ -348,7 +348,7 @@ class TestFused:
         assert const.grad is None
 
     def test_constant_operands_make_a_constant(self):
-        out = fused(np.ones(2), (Tensor([1.0]), Tensor([2.0])), lambda g, needs: (g, g))
+        out = node(np.ones(2), (Tensor([1.0]), Tensor([2.0])), lambda g, needs: (g, g))
         assert out._parents == () and not out.requires_grad
 
 

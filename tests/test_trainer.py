@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from motionscope import trainer as trainer_module
+from motionscope.bank import ContrastiveProjector
 from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.perceiver import MaskFeatures
@@ -98,9 +99,63 @@ def test_evaluate_scores_unmatched_predictions_and_targets_zero(monkeypatch, cas
     assert (metrics.j, metrics.f, metrics.ident_acc) == (expected, expected, ident)
     tokens = trainer.model.forward(scene.features, expr).video.tokens.data
     for target, query in enumerate(copies):
-        projected = trainer.model.projector.project(Tensor(tokens[query].copy())).data
         key = (scene.seed, expr.target_ids[target])
-        assert np.array_equal(metrics.token_groups[key][0], projected)
+        assert np.array_equal(metrics.token_groups[key][0], tokens[query])
+
+
+def test_only_the_final_evaluation_is_projected(monkeypatch):
+    """`evaluate` keeps raw tokens and runs no projector; `run` projects the
+    final evaluation's tokens once each, for the separation margin."""
+    calls = []
+    project = ContrastiveProjector.project
+
+    def counted(self, token):
+        calls.append(token.shape)
+        return project(self, token)
+
+    monkeypatch.setattr(ContrastiveProjector, "project", counted)
+    scene = generate(5)
+    trainer = Trainer(TrainConfig(steps=2, eval_every=1, contrastive_enabled=False),
+                      [scene], [scene])
+    trainer.evaluate()
+    assert calls == []
+    result = trainer.run()
+    n_tokens = sum(len(v) for v in result.final.token_groups.values())
+    assert calls == [(trainer.cfg.channels,)] * n_tokens and n_tokens > 0
+
+
+def test_every_node_backward_runs_once_per_pass(monkeypatch):
+    """Every node of a full training loss (frame, video and contrastive terms)
+    has its backward called exactly once by the step's backward pass."""
+    calls: dict[int, int] = {}
+    backward = Tensor.backward
+
+    def counted(self):
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            if id(t) in calls or not t._parents:
+                continue
+            calls[id(t)] = 0
+
+            def once(g, needs, inner=t._backward, key=id(t)):
+                calls[key] += 1
+                return inner(g, needs)
+
+            t._backward = once
+            stack.extend(t._parents)
+        backward(self)
+
+    monkeypatch.setattr(Tensor, "backward", counted)
+    scenes = [generate(seed) for seed in range(3)]
+    trainer = Trainer(TrainConfig(warmup_frac=0.0), scenes, scenes)
+    for step, (si, ei) in enumerate(trainer.pairs):
+        calls.clear()
+        parts = trainer.train_step(scenes[si], scenes[si].expressions[ei], step)
+        if parts["contrastive"] != 0.0:
+            break
+    assert parts["contrastive"] != 0.0
+    assert len(calls) > 85 and set(calls.values()) == {1}
 
 
 def test_mask_logits_are_built_only_where_read(monkeypatch):
