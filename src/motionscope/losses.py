@@ -2,10 +2,12 @@
 then class, mask and dice terms.  Frame level and video level are the same
 loss, one prediction set per frame or one per video.
 
-Each set of mask logits evaluates one softplus log(1 + e^x) and one sigmoid:
-the match costs read both over every prediction, and the matched rows' BCE
-value and gradient and the dice input and its gradient are gathered from
-them."""
+Each set of logits evaluates one softplus log(1 + e^x) and one sigmoid, both
+from one exp (`tensor.softplus_sigmoid`).  The match costs read them over
+every prediction; the set loss is one autodiff node over (class logits, mask
+logits) whose value and hand-written backward gather the matched rows from
+them.  BCE's gradient is sigmoid - y, so softplus reaches only loss values and
+match costs, never a gradient."""
 
 from __future__ import annotations
 
@@ -15,19 +17,11 @@ import numpy as np
 
 from .matching import hungarian
 from .model import ForwardOutput
-from .tensor import Tensor, bce_with_logits, node, stable_sigmoid, take
+from .tensor import Tensor, node, softplus_sigmoid
 
 DICE_SMOOTH = 1.0
 
 Match = tuple[int, int, float]  # (prediction index, target index, cost)
-
-
-def dice_loss(probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean soft dice loss over the leading axis; last axis is pixels."""
-    t = Tensor(targets)
-    inter = (probs * t).sum(axis=-1)
-    denom = probs.sum(axis=-1) + Tensor(targets.sum(axis=-1))
-    return (1.0 - (inter * 2.0 + DICE_SMOOTH) / (denom + DICE_SMOOTH)).mean()
 
 
 def _match_costs(mask_logits: np.ndarray, softplus: np.ndarray, probs: np.ndarray,
@@ -45,7 +39,8 @@ def _match_costs(mask_logits: np.ndarray, softplus: np.ndarray, probs: np.ndarra
     inter = probs @ gt_t
     denom = probs.sum(axis=-1, keepdims=True) + gt.sum(axis=-1)[..., None, :]
     dice = 1.0 - (2.0 * inter + DICE_SMOOTH) / (denom + DICE_SMOOTH)
-    cls = np.logaddexp(0.0, class_logits) - class_logits  # cost of predicting "object"
+    # cost of predicting "object"; [B, N] logits, so the unused sigmoid is cheap
+    cls = softplus_sigmoid(class_logits)[0] - class_logits
     return lambda_cls * cls[..., None] + lambda_mask * bce + lambda_dice * dice
 
 
@@ -69,33 +64,67 @@ def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_
     mask_logits [B, N, P], class_logits [B, N], gt [B, G, P].  Each leading
     index matches its N predictions to its G targets on detached logits;
     matched predictions take mask + dice + positive class terms, unmatched
-    ones are pushed to the negative class.  The terms are assembled in one
-    batched expression.  Returns the loss and the matches of each index.
+    ones are pushed to the negative class.  Returns the loss and the matches
+    of each index.
+
+    The loss is one node over (class_logits, mask_logits), or (class_logits,)
+    when nothing matched: λ_cls·mean BCE(class) + λ_mask·mean BCE(matched
+    rows) + λ_dice·mean dice(matched rows).  Its value and backward repeat the
+    scalar and elementwise steps of that sum built from plain ops, in their
+    order, so loss and gradients are those of the plain-op graph bit for bit;
+    the operand order keeps the graph's reverse-topological order upstream.
     """
-    n_sets, n_pred, n_pixels = mask_logits.shape
+    n_sets, n_pred, _ = mask_logits.shape
     matches: list[list[Match]] = [[] for _ in range(n_sets)]
     if gt.shape[1] > 0:
-        softplus = np.logaddexp(0.0, mask_logits.data)
-        probs = stable_sigmoid(mask_logits.data)
+        softplus, probs = softplus_sigmoid(mask_logits.data)
         costs = _match_costs(mask_logits.data, softplus, probs, class_logits.data, gt,
                              lambda_cls, lambda_mask, lambda_dice)
         matches = [_assign(c) for c in costs]
     # set, prediction and target index of every matched pair, in set order
     pairs = [(s, p, t) for s, set_matches in enumerate(matches) for p, t, _ in set_matches]
     b, i, j = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+    c = class_logits.data
+    class_softplus, class_probs = softplus_sigmoid(c)
     class_targets = np.zeros((n_sets, n_pred))
     class_targets[b, i] = 1.0
-    loss = lambda_cls * bce_with_logits(class_logits, class_targets).mean()
-    if len(b):
-        logits = take(mask_logits.reshape(n_sets * n_pred, n_pixels), b * n_pred + i, axis=0)
-        # softplus and sigmoid are elementwise: their matched rows are those
-        # of the matched logits
-        y, p = gt[b, j], probs[b, i]
-        bce = node(softplus[b, i] - logits.data * y, (logits,), lambda g, needs: (g * (p - y),))
-        sigmoid = node(p, (logits,), lambda g, needs: (g * p * (1.0 - p),))
-        loss = loss + lambda_mask * bce.mean()
-        loss = loss + lambda_dice * dice_loss(sigmoid, y)
-    return loss, matches
+    class_scale = 1.0 / c.size
+    loss = lambda_cls * ((class_softplus - c * class_targets).sum() * class_scale)
+
+    def class_grad(g):
+        return (g * lambda_cls * class_scale) * (class_probs - class_targets)
+
+    if not len(b):
+        return node(loss, (class_logits,), lambda g, needs: (class_grad(g),)), matches
+    # softplus and sigmoid are elementwise: their matched rows are those of
+    # the matched logits
+    x, y, p = mask_logits.data[b, i], gt[b, j], probs[b, i]
+    bce_scale, dice_scale = 1.0 / y.size, 1.0 / len(y)
+    num = (p * y).sum(axis=-1) * 2.0 + DICE_SMOOTH
+    den = p.sum(axis=-1) + y.sum(axis=-1) + DICE_SMOOTH
+    loss = (loss + lambda_mask * ((softplus[b, i] - x * y).sum() * bce_scale)
+            + lambda_dice * ((1.0 - num / den).sum() * dice_scale))
+
+    def backward(g, needs):
+        d_mask = None
+        if needs[1]:
+            # dice: the ratio num/den takes -s per row, then the sigmoid's
+            # two consumers (p·y summed and p summed) add, times p(1 - p)
+            s = g * lambda_dice * dice_scale
+            d_num, d_den = -s / den, s * num / (den * den)
+            d_rows = y * (d_num * 2.0)[:, None]
+            d_rows += d_den[:, None]
+            d_rows *= p
+            d_rows *= 1.0 - p
+            # BCE: sigmoid - y, times its mean's scale
+            d_bce = p - y
+            d_bce *= g * lambda_mask * bce_scale
+            d_rows += d_bce
+            d_mask = np.zeros(mask_logits.shape)
+            d_mask[b, i] = d_rows
+        return class_grad(g) if needs[0] else None, d_mask
+
+    return node(loss, (class_logits, mask_logits), backward), matches
 
 
 def frame_loss(output: ForwardOutput, gt_masks: np.ndarray, lambda_cls: float,

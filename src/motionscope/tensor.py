@@ -27,12 +27,14 @@ pass it to ops like any other operand.  Its `grad` is None until a backward
 pass reaches it, so a parameter that no op reads keeps None, which the
 optimizer and `grad_check` take as a zero gradient.
 
-Three blocks are one node each: `layers.Attention`, the cue injection
-`perceiver.inject_cues` and the hierarchical branch `hmp.hierarchical_branch`.
-The first two share the one softmax-attention core, `softmax_attention` here,
-which returns its value and its backward as numpy arrays.  The set loss
-builds its matched rows' BCE and sigmoid as one-operand nodes, from the
-softplus and sigmoid it has already computed for matching.
+Four blocks are one node each: `layers.Attention`, the cue injection
+`perceiver.inject_cues`, the hierarchical branch `hmp.hierarchical_branch` and
+the matched set loss `losses._set_loss`.  The first two share the one
+softmax-attention core, `softmax_attention` here, which returns its value and
+its backward as numpy arrays.  The set loss takes its softplus and sigmoid
+from `softplus_sigmoid`, one exp for both.  These numpy kernels work in place
+only on buffers they create: an input, or an incoming gradient that
+`Tensor.backward` may share with an operand, is never written.
 """
 
 from __future__ import annotations
@@ -52,15 +54,36 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def softplus_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softplus log(1 + e^x) and sigmoid of `x` from one exp e = e^-|x|:
+    max(x, 0) + log1p(e), and `stable_sigmoid`'s quotient bit for bit."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    softplus = np.log1p(e)
+    softplus += np.maximum(x, 0.0)
+    # where(x >= 0, 1, e), since 0 <= e <= 1, at a fraction of `where`'s cost
+    sigmoid = np.maximum(e, x >= 0)
+    e += 1.0
+    sigmoid /= e
+    return softplus, sigmoid
+
+
 def stable_softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Max-subtracted softmax of `x` along `axis`."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    """Max-subtracted softmax of `x` along `axis`, in one new buffer."""
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax_backward(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    """The gradient of softmax's input, given its output `y` and output gradient `g`."""
-    return (g - (g * y).sum(axis=axis, keepdims=True)) * y
+    """The gradient of softmax's input, (g - Σ g·y)·y, given its output `y` and
+    output gradient `g`, in one new buffer."""
+    d = g * y
+    np.subtract(g, d.sum(axis=axis, keepdims=True), out=d)
+    d *= y
+    return d
 
 
 def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float):
@@ -68,11 +91,17 @@ def softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float)
     convex combinations of rows of v.  Returns the result and its backward,
     `backward(d_out, needs)` -> (d_q summed to q's shape, d_k, d_v): `needs`
     holds `node`'s flags for operands (q, k, v, ...), and a key or value
-    gradient that is not needed is None."""
-    weights = stable_softmax((q @ k.swapaxes(-1, -2)) * scale, axis=-1)
+    gradient that is not needed is None.  A scale of exactly 1.0 is skipped,
+    which is exact."""
+    scores = q @ k.swapaxes(-1, -2)
+    if scale != 1.0:
+        scores *= scale
+    weights = stable_softmax(scores, axis=-1)
 
     def backward(d_out, needs):
-        d_scores = softmax_backward(d_out @ v.swapaxes(-1, -2), weights, -1) * scale
+        d_scores = softmax_backward(d_out @ v.swapaxes(-1, -2), weights, -1)
+        if scale != 1.0:
+            d_scores *= scale
         return (unbroadcast(d_scores @ k, q.shape),
                 d_scores.swapaxes(-1, -2) @ q if needs[1] else None,
                 weights.swapaxes(-1, -2) @ d_out if needs[2] else None)
@@ -307,13 +336,6 @@ def standardize(x: Tensor, axis: int = -1, eps: float = 1e-6) -> Tensor:
         return ((g - g_mean - data * proj) / sigma,)
 
     return node(data, (x,), backward)
-
-
-def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Elementwise binary cross entropy on logits, in the stable log(1 + e^x) - x·y form."""
-    y = np.asarray(targets, dtype=np.float64)
-    data = np.logaddexp(0.0, logits.data) - logits.data * y
-    return node(data, (logits,), lambda g, needs: (g * (stable_sigmoid(logits.data) - y),))
 
 
 class Parameter(Tensor):

@@ -3,11 +3,31 @@ import itertools
 import numpy as np
 import pytest
 
+from motionscope import losses
+from motionscope.bank import contrastive_loss
 from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
-from motionscope.losses import _assign, _match_costs, _set_loss, dice_loss, frame_loss, video_loss
+from motionscope.losses import DICE_SMOOTH, _assign, _match_costs, _set_loss, frame_loss, video_loss
 from motionscope.model import MotionSegModel
-from motionscope.tensor import Parameter, Tensor, bce_with_logits, grad_check, stable_sigmoid, take
+from motionscope.tensor import (Parameter, Tensor, grad_check, node, softplus_sigmoid,
+                                stable_sigmoid, take)
+from motionscope.trainer import Trainer
+
+
+def bce_with_logits(logits, targets):
+    """Elementwise binary cross entropy on logits as one plain node: softplus
+    log(1 + e^x) - x·y, whose gradient is sigmoid - y."""
+    y = np.asarray(targets, dtype=np.float64)
+    softplus, sigmoid = softplus_sigmoid(logits.data)
+    return node(softplus - logits.data * y, (logits,), lambda g, needs: (g * (sigmoid - y),))
+
+
+def dice_loss(probs, targets):
+    """Mean soft dice loss over the leading axis, from plain ops; last axis is pixels."""
+    t = Tensor(targets)
+    inter = (probs * t).sum(axis=-1)
+    denom = probs.sum(axis=-1) + Tensor(targets.sum(axis=-1))
+    return (1.0 - (inter * 2.0 + DICE_SMOOTH) / (denom + DICE_SMOOTH)).mean()
 
 
 def small_model(seed=0, **overrides):
@@ -37,7 +57,6 @@ class TestPrimitives:
 
     def test_bce_gradient(self):
         rng = np.random.default_rng(1)
-        from motionscope.tensor import Parameter
         w = Parameter("w", rng.normal(size=6))
         y = (rng.random(6) > 0.5).astype(float)
 
@@ -195,14 +214,15 @@ class TestVideoLoss:
 
 
 def reference_set_loss(mask_logits, class_logits, gt, lambda_cls, lambda_mask, lambda_dice):
-    """The matched set loss built from its plain ops: the matched rows' BCE by
-    `bce_with_logits` and dice on `Tensor.sigmoid`, each recomputing its own
-    softplus and sigmoid."""
+    """The matched set loss built from its plain ops, with `_set_loss`'s
+    signature and results: the class and matched rows' BCE by this file's
+    `bce_with_logits`, and its `dice_loss` on `Tensor.sigmoid` of the rows
+    gathered by `take`, each recomputing its own softplus and sigmoid."""
     n_sets, n_pred, n_pixels = mask_logits.shape
     matches = [[] for _ in range(n_sets)]
     if gt.shape[1] > 0:
         x = mask_logits.data
-        costs = _match_costs(x, np.logaddexp(0.0, x), stable_sigmoid(x), class_logits.data, gt,
+        costs = _match_costs(x, *softplus_sigmoid(x), class_logits.data, gt,
                              lambda_cls, lambda_mask, lambda_dice)
         matches = [_assign(c) for c in costs]
     pairs = [(s, p, t) for s, set_matches in enumerate(matches) for p, t, _ in set_matches]
@@ -214,7 +234,7 @@ def reference_set_loss(mask_logits, class_logits, gt, lambda_cls, lambda_mask, l
         logits = take(mask_logits.reshape(n_sets * n_pred, n_pixels), b * n_pred + i, axis=0)
         loss = loss + lambda_mask * bce_with_logits(logits, gt[b, j]).mean()
         loss = loss + lambda_dice * dice_loss(logits.sigmoid(), gt[b, j])
-    return loss
+    return loss, matches
 
 
 @pytest.mark.parametrize("n_targets", [0, 1, 2, 5])
@@ -240,13 +260,13 @@ def test_set_losses_equal_reference_bit_for_bit(level, n_targets):
         got = run(lambda out: frame_loss(out, targets, 2.0, 5.0, 5.0))
         want = run(lambda out: reference_set_loss(
             out.frame_logits, out.class_logits,
-            targets.reshape(n_targets, t_frames, h * w).swapaxes(0, 1), 2.0, 5.0, 5.0))
+            targets.reshape(n_targets, t_frames, h * w).swapaxes(0, 1), 2.0, 5.0, 5.0)[0])
     else:
         got = run(lambda out: video_loss(out, targets, 2.0, 5.0, 5.0).loss)
         want = run(lambda out: reference_set_loss(
             out.video_logits.reshape(1, cfg.n_motion_queries, -1),
             out.video.score_logits.reshape(1, cfg.n_motion_queries),
-            targets.reshape(1, n_targets, t_frames * h * w), 2.0, 5.0, 5.0))
+            targets.reshape(1, n_targets, t_frames * h * w), 2.0, 5.0, 5.0)[0])
     assert np.array_equal(got[0], want[0])
     assert [g is None for g in got[1]] == [g is None for g in want[1]]
     assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]) if g is not None)
@@ -264,9 +284,9 @@ def test_set_loss_equals_reference_bit_for_bit_on_random_sets():
         scores = rng.normal(size=(n_sets, n_pred))
         gt = (rng.random((n_sets, n_gt, n_pixels)) > 0.5).astype(float)
         results = []
-        for loss_fn in (lambda *args: _set_loss(*args)[0], reference_set_loss):
+        for loss_fn in (_set_loss, reference_set_loss):
             mask_logits, class_logits = Parameter("m", masks), Parameter("c", scores)
-            loss = loss_fn(mask_logits, class_logits, gt, 2.0, 5.0, 5.0)
+            loss, _ = loss_fn(mask_logits, class_logits, gt, 2.0, 5.0, 5.0)
             loss.backward()
             results.append((loss.data, mask_logits.grad, class_logits.grad))
         (loss, d_mask, d_class), (ref_loss, ref_mask, ref_class) = results
@@ -299,3 +319,70 @@ def test_no_per_pixel_projection_is_differentiated():
         stack.extend(node._parents)
     assert len(seen) > 100
     assert per_pixel == []
+
+
+def toy_trainer():
+    """A Trainer at toy sizes over four scenes, with the contrastive term live
+    from the first step on."""
+    cfg = TrainConfig(channels=8, img_channels=8, grid_height=8, grid_width=8,
+                      n_static_queries=4, n_motion_queries=2, hmp_blocks=1, hmp_stages=1,
+                      n_negatives=4, warmup_frac=0.0, steps=12, eval_every=12)
+    return Trainer(cfg, [small_scene(seed) for seed in range(4)], [])
+
+
+def test_training_steps_equal_reference_bit_for_bit(monkeypatch):
+    """Twelve whole training steps (frame, video and contrastive terms, clipping
+    and the update) leave every parameter bit for bit where the plain-op
+    reference loss leaves it.  Unlike a gradient test of the two set losses
+    alone, this sees the order in which the set-loss node's operands pass
+    gradients on to the video tokens, which the contrastive term reads too."""
+
+    def train(trainer):
+        active = 0
+        for step in range(12):
+            si, ei = trainer.pairs[step % len(trainer.pairs)]
+            scene = trainer.train_scenes[si]
+            active += trainer.train_step(scene, scene.expressions[ei], step)["contrastive"] > 0
+        return [p.data for p in trainer.model.params], active
+
+    fused, active = train(toy_trainer())
+    monkeypatch.setattr(losses, "_set_loss", reference_set_loss)
+    plain, _ = train(toy_trainer())
+    initial = [p.data for p in toy_trainer().model.params]
+    assert active > 0
+    assert all(np.array_equal(a, b) for a, b in zip(fused, plain))
+    assert not all(np.array_equal(a, b) for a, b in zip(fused, initial))
+
+
+def test_whole_objective_gradient_check():
+    """Finite differences of frame + video + contrastive loss, the objective a
+    training step minimises, against backward, over every model parameter."""
+    cfg, model = small_model(seed=13, channels=4, img_channels=4)
+    scene = small_scene(seed=14, frames=4, channels=4)
+    expr = next(e for e in scene.expressions if e.target_ids)
+    rng = np.random.default_rng(15)
+    positive, negatives = rng.normal(size=cfg.channels), rng.normal(size=(3, cfg.channels))
+
+    def objective():
+        out = model.forward(scene.features, expr)
+        matched = video_loss(out, scene.target_masks(expr), 2.0, 5.0, 5.0)
+        rows = take(out.video.tokens, np.array([m[0] for m in matched.matches]), axis=0)
+        anchor = model.projector.project(rows.mean(axis=0))
+        return (frame_loss(out, scene.masks, 2.0, 5.0, 5.0) + matched.loss
+                + 0.5 * contrastive_loss(anchor, positive, negatives, 0.5))
+
+    assert grad_check(model.params, objective) < 1e-7
+
+
+def test_set_loss_leaves_its_inputs_alone():
+    """The set-loss node's forward and backward write into none of their
+    inputs: `Tensor.backward` may hand the incoming gradient `g` on to an
+    operand by reference."""
+    rng = np.random.default_rng(16)
+    inputs = (rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4)),
+              (rng.random((3, 2, 6)) > 0.5).astype(float), np.array(0.75))
+    masks, scores, gt, g = (a.copy() for a in inputs)
+    loss, _ = _set_loss(Parameter("m", masks), Parameter("c", scores), gt, 2.0, 5.0, 5.0)
+    d_class, d_mask = loss._backward(g, (True, True))
+    assert d_class.shape == scores.shape and d_mask.shape == masks.shape
+    assert all(np.array_equal(a, b) for a, b in zip((masks, scores, gt, g), inputs))
