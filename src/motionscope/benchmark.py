@@ -22,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .language import (ADJ, ADV, ALL_TAGS, NOUN, OTHER, PREP, VERB, ExprToken,
-                       TaggedExpression, expression_from_json, expression_to_json)
+from .config import read_json
+from .language import (ADJ, ADV, NOUN, OTHER, PREP, VERB, ExprToken, TaggedExpression,
+                       expression_from_json, expression_to_json)
 from .perceiver import sinusoidal_grid
 
 MAGIC = b"MSCOPE01"
@@ -415,20 +416,20 @@ def save_scene(scene: Scene, directory) -> None:
 def load_scene(directory, seed: int) -> Scene:
     """Read the scene `<seed>.json` and `<seed>.bin` of `directory`.
 
-    Raises ValueError, naming the file and the field, for a missing top-level
-    key, a `seed` field that differs from `seed`, a config key that
-    `BenchmarkConfig` does not have, a `probe` flag that is not a bool or
-    differs from `config.probe`, an object whose category, color or motion
-    kind is unknown, an expression entry that cannot be read or has no
-    tokens, a token tag outside `ALL_TAGS`, a vocab id outside the
-    vocabulary, a target id that names no object or repeats one, a `.bin`
+    Raises ValueError, naming the file and the field, for a `.json` that is
+    not JSON, a missing top-level key, a `seed` field that differs from
+    `seed`, a config key that `BenchmarkConfig` does not have, a `probe` flag
+    that is not a bool or differs from `config.probe`, an object that lacks a
+    key or whose category, color or motion kind is unknown, an expression
+    entry that cannot be read or has no tokens, a vocab id outside the
+    vocabulary, a token whose surface or tag is not its vocab entry's, a
+    target id that names no object or repeats one, a `.bin`
     without the header or whose size does not fit the scene, non-finite
     features and mask values other than 0 and 1.  An absent `probe` means
     False."""
     directory = Path(directory)
     json_path = directory / f"{seed}.json"
-    with open(json_path) as fh:
-        meta = json.load(fh)
+    meta = read_json(json_path)
     missing = sorted({"config", "objects", "expressions", "seed"} - set(meta))
     if missing:
         raise ValueError(f"{json_path}: scene lacks the keys {missing}")
@@ -447,6 +448,10 @@ def load_scene(directory, seed: int) -> Scene:
     objects = []
     for index, o in enumerate(meta["objects"]):
         where = f"{json_path}: object {index}"
+        missing = sorted({"category", "color", "start", "kind", "onset", "duration",
+                          "direction"} - set(o))
+        if missing:
+            raise ValueError(f"{where} lacks the keys {missing}")
         if o["category"] not in range(len(NOUNS)):
             raise ValueError(f"{where}: category {o['category']!r} is outside [0, {len(NOUNS)})")
         if o["color"] not in range(len(COLORS)):
@@ -469,11 +474,13 @@ def load_scene(directory, seed: int) -> Scene:
         if not expr.tokens:
             raise ValueError(f"{where} has no tokens")
         for tok in expr.tokens:
-            if tok.tag not in ALL_TAGS:
-                raise ValueError(f"{where}: token {tok.surface!r} has unknown tag {tok.tag!r}")
             if not 0 <= tok.vocab_id < len(VOCAB):
                 raise ValueError(f"{where}: token {tok.surface!r} has vocab id {tok.vocab_id}, "
                                  f"outside [0, {len(VOCAB)})")
+            if (tok.surface, tok.tag) != VOCAB[tok.vocab_id]:
+                raise ValueError(f"{where}: token {tok.surface!r} has (surface, tag) "
+                                 f"{(tok.surface, tok.tag)}, but vocab entry {tok.vocab_id} "
+                                 f"is {VOCAB[tok.vocab_id]}")
         for obj_idx in expr.target_ids:
             if not 0 <= obj_idx < len(objects):
                 raise ValueError(f"{where}: target id {obj_idx} is outside [0, {len(objects)})")
@@ -591,11 +598,12 @@ def metric_f(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(f.mean())
 
 
-def video_iou(pred: np.ndarray, gt: np.ndarray) -> float:
-    """IoU aggregated over all frames of one target."""
-    p = pred.astype(bool)
-    g = gt.astype(bool)
-    union = np.logical_or(p, g).sum()
-    if union == 0:
-        return 1.0
-    return float(np.logical_and(p, g).sum() / union)
+def video_iou(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """IoU aggregated over all frames of each of the N masks `pred` [N, ...]
+    with each of the G masks `gt` [G, ...]: an [N, G] table, in which a pair
+    whose union is empty counts 1."""
+    p = pred.astype(bool)[:, None]
+    g = gt.astype(bool)[None]
+    frames = tuple(range(2, p.ndim))
+    union = np.logical_or(p, g).sum(axis=frames)
+    return np.where(union > 0, np.logical_and(p, g).sum(axis=frames) / np.maximum(union, 1), 1.0)

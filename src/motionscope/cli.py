@@ -4,12 +4,11 @@ ablation grids and run aggregation."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .benchmark import BenchmarkConfig, generate, load_dataset, save_scene
-from .config import TrainConfig
+from .config import TrainConfig, read_json
 from .model import load_model_weights
 from .trainer import SCORES, Trainer, ablate, write_ablation_csv, write_csv
 
@@ -93,8 +92,7 @@ def cmd_report(args) -> int:
     runs = Path(args.runs)
     rows = []
     for summary in sorted(runs.glob("*/summary.json")):
-        with open(summary) as fh:
-            data = json.load(fh)
+        data = read_json(summary)
         data["run"] = summary.parent.name
         rows.append(data)
     if not rows:

@@ -13,6 +13,16 @@ QUERY_VARIANTS = ("ds", "sentence_only", "ds_no_sentence", "ds_no_query")
 ACCEPTED_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
+def read_json(path):
+    """The JSON value held by the file `path`.  A file that is not UTF-8
+    JSON raises ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ValueError(f"{path} is not readable JSON ({err})") from None
+
+
 @dataclass
 class TrainConfig:
     # architecture
@@ -98,8 +108,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
-        with open(path) as fh:
-            data = json.load(fh)
+        data = read_json(path)
         if not isinstance(data, dict):
             raise ValueError(f"{path} must hold a JSON object of config fields, "
                              f"got {type(data).__name__}")

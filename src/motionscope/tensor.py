@@ -51,7 +51,8 @@ class ShapeError(ValueError):
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: no exp overflows."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # the numerator where(x >= 0, 1, e), since 0 <= e <= 1, at a fraction of `where`'s cost
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softplus_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,8 +63,7 @@ def softplus_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.exp(e, out=e)
     softplus = np.log1p(e)
     softplus += np.maximum(x, 0.0)
-    # where(x >= 0, 1, e), since 0 <= e <= 1, at a fraction of `where`'s cost
-    sigmoid = np.maximum(e, x >= 0)
+    sigmoid = np.maximum(e, x >= 0)  # `stable_sigmoid`'s numerator
     e += 1.0
     sigmoid /= e
     return softplus, sigmoid

@@ -3,13 +3,17 @@
 A run is fully determined by its config: parameter init, data order and
 negative sampling draw from independent child streams of the run seed, and
 every emitted file (report.csv, model.bin, bank.json) is bit-reproducible.
+
+Evaluation is one map and one reduce: each expression becomes one
+`ExpressionRecord`, and every score, `probe_acc` and the separation margin
+are reductions over the list of records.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,16 +39,36 @@ class TrainingDiverged(RuntimeError):
 SCORES = ("j", "f", "jf", "ident_acc", "probe_acc")
 
 
-@dataclass
+@dataclass(frozen=True)
+class ExpressionRecord:
+    """One evaluated expression: its scene, its scores and, per target, the
+    object index and the unprojected video token of the query whose mask
+    overlaps that target most, selected or not."""
+    seed: int
+    probe: bool
+    j: float
+    f: float
+    ident: bool
+    target_tokens: tuple[tuple[int, np.ndarray], ...]
+
+
+@dataclass(frozen=True)
 class EvalMetrics:
+    """The records of an evaluation, in scene, then expression, order, and
+    the scores that are their means."""
+    records: list[ExpressionRecord]
     j: float
     f: float
     jf: float
     ident_acc: float
     probe_acc: float  # nan when the split has no probe scenes
-    # each target's video token from the query whose mask overlaps it most,
-    # unprojected, keyed by (scene seed, object index)
-    token_groups: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def of(cls, records: list[ExpressionRecord]) -> "EvalMetrics":
+        j, f = float(np.mean([r.j for r in records])), float(np.mean([r.f for r in records]))
+        probe = [r.ident for r in records if r.probe]
+        return cls(records, j, f, (j + f) / 2.0, float(np.mean([r.ident for r in records])),
+                   float(np.mean(probe)) if probe else float("nan"))
 
     def scores(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in SCORES}
@@ -56,10 +80,15 @@ class RunResult:
     margin: float
 
 
-def separation_margin(token_groups: dict) -> float:
+def separation_margin(records: list[ExpressionRecord], project) -> float:
     """Mean cosine similarity of same-object token pairs minus mean cosine
-    similarity of different-object pairs."""
-    groups = [np.stack(v) for v in token_groups.values() if len(v) > 0]
+    similarity of different-object pairs, over the records' target tokens
+    mapped once each by `project` and grouped by (scene seed, object index)."""
+    by_object: dict[tuple[int, int], list[np.ndarray]] = {}
+    for r in records:
+        for obj_idx, token in r.target_tokens:
+            by_object.setdefault((r.seed, obj_idx), []).append(project(Tensor(token)).data)
+    groups = [np.stack(v) for v in by_object.values()]
     if len(groups) < 2 or not any(len(g) >= 2 for g in groups):
         raise ValueError("separation margin needs >=2 objects and an object with >=2 tokens")
     intra, inter = [], []
@@ -171,56 +200,39 @@ class Trainer:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def _score_scene(self, pred_masks: np.ndarray, gt_masks: np.ndarray, iou: np.ndarray):
-        """Mean J, mean F and identification of predictions matched one-to-one
-        to targets by video IoU (`iou` is [n_pred, n_gt]).  An unmatched
-        prediction or target scores 0 on both and fails identification."""
+    def _record(self, scene: Scene, expr: TaggedExpression) -> ExpressionRecord:
+        """Forward one expression and match its selected masks one-to-one to
+        its targets by video IoU.  Each pair scores its J and F, an unmatched
+        prediction or target scores 0 on both and fails identification, and
+        nothing predicted for no target scores 1."""
+        out = self.model.forward(scene.features, expr)
+        probs, selected = predict_video_masks(out.video, out.mask_features, self.cfg.threshold)
+        binary = probs.data > 0.5
+        gt = scene.target_masks(expr).astype(bool)
+        iou = video_iou(binary, gt)
+        tokens = tuple((obj_idx, out.video.tokens.data[best_q].copy())
+                       for obj_idx, best_q in zip(expr.target_ids, iou.argmax(axis=0)))
+        pred, iou = binary[selected], iou[selected]
         n_pred, n_gt = iou.shape
         if n_pred == 0 and n_gt == 0:
-            return 1.0, 1.0, True
+            return ExpressionRecord(scene.seed, scene.probe, 1.0, 1.0, True, tokens)
         n = max(n_pred, n_gt)
         js, fs = np.zeros(n), np.zeros(n)
         correct = n_pred == n_gt
         for i, k in enumerate(hungarian(-iou)):
             if k < n_gt:
-                js[i] = metric_j(pred_masks[i], gt_masks[k])
-                fs[i] = metric_f(pred_masks[i], gt_masks[k])
+                js[i] = metric_j(pred[i], gt[k])
+                fs[i] = metric_f(pred[i], gt[k])
                 correct = correct and iou[i, k] >= 0.5
-        return float(np.mean(js)), float(np.mean(fs)), bool(correct)
+        return ExpressionRecord(scene.seed, scene.probe, float(np.mean(js)), float(np.mean(fs)),
+                                bool(correct), tokens)
 
     def evaluate(self, scenes: list[Scene] | None = None) -> EvalMetrics:
         scenes = scenes if scenes is not None else self.val_scenes
         _require_grid(self.cfg, scenes)
         _require_expressions(scenes)
-        js, fs, idents = [], [], []
-        probe_idents = []
-        token_groups: dict[tuple[int, int], list[np.ndarray]] = {}
-        for scene in scenes:
-            for expr in scene.expressions:
-                out = self.model.forward(scene.features, expr)
-                probs, selected = predict_video_masks(out.video, out.mask_features,
-                                                      self.cfg.threshold)
-                binary = probs.data > 0.5
-                gt = scene.target_masks(expr).astype(bool)
-                iou = np.array([[video_iou(q, g) for g in gt] for q in binary])
-                j, f, ident = self._score_scene(binary[selected], gt, iou[selected])
-                js.append(j)
-                fs.append(f)
-                idents.append(ident)
-                if scene.probe:
-                    probe_idents.append(ident)
-                for obj_idx, best_q in zip(expr.target_ids, iou.argmax(axis=0)):
-                    token_groups.setdefault((scene.seed, obj_idx), []).append(
-                        out.video.tokens.data[best_q].copy())
-        j, f = float(np.mean(js)), float(np.mean(fs))
-        return EvalMetrics(
-            j=j,
-            f=f,
-            jf=(j + f) / 2.0,
-            ident_acc=float(np.mean(idents)),
-            probe_acc=float(np.mean(probe_idents)) if probe_idents else float("nan"),
-            token_groups=token_groups,
-        )
+        return EvalMetrics.of([self._record(scene, expr)
+                               for scene in scenes for expr in scene.expressions])
 
     # -- full run ---------------------------------------------------------------------
 
@@ -260,10 +272,8 @@ class Trainer:
                     print(f"step {row['step']:6d}  loss {row['loss_total']:.4f}  "
                           f"J&F {row['jf']:.4f}  ident {row['ident_acc']:.4f}")
         # only the final evaluation's tokens are projected, and only here
-        project = self.model.projector.project
         try:
-            margin = separation_margin({key: [project(Tensor(t)).data for t in tokens]
-                                        for key, tokens in final.token_groups.items()})
+            margin = separation_margin(final.records, self.model.projector.project)
         except ValueError:
             margin = float("nan")
         if out_dir is not None:

@@ -178,6 +178,41 @@ class TestSceneIO:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: expression 1: .*{field}"):
             load_scene(tmp_path, 6)
 
+    @pytest.mark.parametrize("token", [["square", "VERB", 1], ["bogus", "OTHER", 19]],
+                             ids=["noun-as-verb", "unknown-surface"])
+    def test_token_contradicting_the_vocabulary_names_file_token_and_entry(self, tmp_path, token):
+        """A token is its vocab entry: a noun's id tagged VERB would route the
+        noun's embedding into the motion cues."""
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        meta["expressions"][1]["tokens"][0] = token
+        path.write_text(json.dumps(meta))
+        surface, tag, vocab_id = token
+        entry = VOCAB[vocab_id]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: expression 1: token {surface!r} has (surface, tag) {(surface, tag)}, "
+                f"but vocab entry {vocab_id} is {entry}")):
+            load_scene(tmp_path, 6)
+
+    @pytest.mark.parametrize("text", [b'{"seed": 6,', b"\xff\xfe{}"], ids=["truncated", "not-utf8"])
+    def test_unreadable_json_names_the_file(self, tmp_path, text):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not readable JSON"):
+            load_scene(tmp_path, 6)
+
+    def test_object_without_a_key_names_file_index_and_key(self, tmp_path):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        del meta["objects"][1]["onset"]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(str(path))}: object 1 lacks the keys \\['onset'\\]"):
+            load_scene(tmp_path, 6)
+
     @pytest.mark.parametrize("edit,message", [
         ("tokens", "has no tokens"),
         ("token entry", "malformed entry .*not enough values to unpack"),
@@ -434,4 +469,24 @@ def test_video_iou_aggregates_over_frames():
     b[0, 0, 0] = 1
     a[1, 1, 1] = 1
     b[1, 2, 2] = 1
-    assert abs(video_iou(a, b) - 1.0 / 3.0) < 1e-12
+    assert abs(video_iou(a[None], b[None])[0, 0] - 1.0 / 3.0) < 1e-12
+
+
+def test_video_iou_table_matches_each_pair():
+    """Row n, column g is the IoU of prediction n and target g over all their
+    frames, 1 for an empty pair, and an empty target set gives [N, 0]."""
+    rng = np.random.default_rng(4)
+    pred = rng.random((4, 3, 5, 5)) > 0.7
+    pred[2] = False
+    gt = rng.random((3, 3, 5, 5)) > 0.6
+    gt[1] = False
+    table = video_iou(pred, gt)
+    assert table.shape == (4, 3) and table.dtype == np.float64
+    for n in range(4):
+        for g in range(3):
+            union = np.logical_or(pred[n], gt[g]).sum()
+            expected = np.logical_and(pred[n], gt[g]).sum() / union if union else 1.0
+            assert table[n, g] == expected
+    assert table[2, 1] == 1.0 and table[2, 0] == 0.0
+    assert video_iou(pred, gt[:0]).shape == (4, 0)
+    assert video_iou(pred[:0], gt).shape == (0, 3)

@@ -74,6 +74,13 @@ def test_config_int_accepted_for_float_field(tmp_path):
     assert (cfg.learning_rate, cfg.tau) == (1, 2)
 
 
+def test_unreadable_config_names_the_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"steps": 3,')
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not readable JSON"):
+        TrainConfig.from_json(path)
+
+
 def test_config_top_level_must_be_an_object(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps([1]))

@@ -12,7 +12,7 @@ from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.perceiver import MaskFeatures
 from motionscope.tensor import Tensor
-from motionscope.trainer import Trainer
+from motionscope.trainer import EvalMetrics, ExpressionRecord, Trainer, separation_margin
 
 
 @contextmanager
@@ -71,11 +71,14 @@ def test_run_without_validation_expressions_raises_before_training(val_scenes):
 
 
 # (scene seed, selected queries, query copying each target, expected J = F, ident)
-# scene 0's first expression has one target, scene 5's has two
+# scene 0's first expression has one target, scene 5's has two, and the first
+# expressions of scenes 24 and 35 have none
 SCORING_CASES = {
     "more-predictions": (0, [0, 2], [2], 0.5, 0.0),
     "fewer-predictions": (5, [1], [3, 1], 0.5, 0.0),
     "one-to-one": (5, [1, 3], [3, 1], 1.0, 1.0),
+    "no-target-nothing-selected": (24, [], [], 1.0, 1.0),
+    "no-target-one-selected": (35, [0], [], 0.0, 0.0),
 }
 
 
@@ -93,14 +96,52 @@ def test_evaluate_scores_unmatched_predictions_and_targets_zero(monkeypatch, cas
     probs = np.zeros((trainer.cfg.n_motion_queries,) + gt.shape[1:])
     for target, query in enumerate(copies):
         probs[query] = gt[target]
+    selected = np.array(selected, dtype=np.intp)
     monkeypatch.setattr(trainer_module, "predict_video_masks",
-                        lambda video, mask_features, threshold: (Tensor(probs), np.array(selected)))
+                        lambda video, mask_features, threshold: (Tensor(probs), selected))
     metrics = trainer.evaluate()
+    assert len(copies) == len(expr.target_ids)
     assert (metrics.j, metrics.f, metrics.ident_acc) == (expected, expected, ident)
+    [record] = metrics.records
+    assert (record.seed, record.j, record.f, record.ident) == (seed, expected, expected, ident)
     tokens = trainer.model.forward(scene.features, expr).video.tokens.data
-    for target, query in enumerate(copies):
-        key = (scene.seed, expr.target_ids[target])
-        assert np.array_equal(metrics.token_groups[key][0], tokens[query])
+    assert [obj_idx for obj_idx, _ in record.target_tokens] == expr.target_ids
+    for (_, token), query in zip(record.target_tokens, copies):
+        assert np.array_equal(token, tokens[query])
+
+
+def record(seed, probe, j, ident, *target_tokens):
+    return ExpressionRecord(seed, probe, j, j / 2, ident, tuple(target_tokens))
+
+
+def test_scores_are_means_over_the_records():
+    metrics = EvalMetrics.of([record(1, False, 0.5, True), record(2, True, 0.25, False),
+                              record(2, True, 1.0, True)])
+    assert metrics.scores() == {"j": 1.75 / 3, "f": 0.875 / 3, "jf": (1.75 / 3 + 0.875 / 3) / 2,
+                                "ident_acc": 2 / 3, "probe_acc": 0.5}
+    assert np.isnan(EvalMetrics.of([record(1, False, 0.5, True)]).probe_acc)
+
+
+def test_separation_margin_groups_tokens_by_scene_and_object():
+    """Tokens group by (scene seed, object index) across records, so object 0
+    of scene 1 and object 0 of scene 2 are different objects."""
+    e = np.eye(3)
+    records = [record(1, False, 0.0, False, (0, e[0]), (1, e[1])),
+               record(1, False, 0.0, False, (0, e[0])),
+               record(2, False, 0.0, False, (0, (e[0] + e[2]) / np.sqrt(2)))]
+    projected = []
+
+    def project(token):
+        projected.append(token.data)
+        return token
+
+    # intra: the one pair of scene 1's object 0, cosine 1; inter: e0 and e1
+    # twice, e0 and (e0 + e2)/sqrt 2 twice, e1 and (e0 + e2)/sqrt 2 once
+    margin = separation_margin(records, project)
+    assert margin == pytest.approx(1.0 - 2 * np.sqrt(0.5) / 5, abs=1e-15)
+    assert len(projected) == 4
+    with pytest.raises(ValueError, match="separation margin"):
+        separation_margin(records[1:], project)
 
 
 def test_only_the_final_evaluation_is_projected(monkeypatch):
@@ -120,7 +161,7 @@ def test_only_the_final_evaluation_is_projected(monkeypatch):
     trainer.evaluate()
     assert calls == []
     result = trainer.run()
-    n_tokens = sum(len(v) for v in result.final.token_groups.values())
+    n_tokens = sum(len(r.target_tokens) for r in result.final.records)
     assert calls == [(trainer.cfg.channels,)] * n_tokens and n_tokens > 0
 
 
