@@ -17,6 +17,7 @@ stored target ids always equal the semantic matches.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -141,7 +142,7 @@ class Scene:
     objects: list[SceneObject]
     expressions: list[TaggedExpression]
     features: np.ndarray  # [T, H, W, C]
-    masks: np.ndarray  # [n_objects, T, H, W], {0, 1}
+    masks: np.ndarray  # [n_objects, T, H, W], bool
     probe: bool = False
 
     def target_masks(self, expr: TaggedExpression) -> np.ndarray:
@@ -232,7 +233,7 @@ def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]
     position_field = sinusoidal_grid(h, w, c).reshape(h, w, c) * cfg.position_field_scale
     features = rng.normal(scale=cfg.background_noise, size=(t, h, w, c))
     features += position_field
-    masks = np.zeros((len(objects), t, h, w))
+    masks = np.zeros((len(objects), t, h, w), dtype=bool)
     appearances = []
     jitter_start = len(NOUNS) + len(COLORS)
     for obj in objects:
@@ -248,7 +249,7 @@ def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]
         for frame in range(t):
             y, x = obj.motion.position(obj.start, frame)
             features[frame, y:y + size, x:x + size] += appearances[idx]
-            masks[idx, frame, y:y + size, x:x + size] = 1.0
+            masks[idx, frame, y:y + size, x:x + size] = True
     return features, masks
 
 
@@ -385,6 +386,11 @@ def generate(seed: int, config: BenchmarkConfig | None = None) -> Scene:
 
 
 def save_scene(scene: Scene, directory) -> None:
+    """Write `scene` as `<seed>.json` (config, objects, expressions) and
+    `<seed>.bin`: the header `MSCOPE01`, then the features [T, H, W, C] and
+    the masks [n_objects, T, H, W], both as little-endian float64 in C order,
+    a mask cell 0.0 or 1.0.  The float64 features are written from their
+    own buffer and the bool masks converted once."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -409,8 +415,8 @@ def save_scene(scene: Scene, directory) -> None:
         json.dump(meta, fh)
     with open(directory / f"{scene.seed}.bin", "wb") as fh:
         fh.write(MAGIC)
-        fh.write(scene.features.astype("<f8").tobytes())
-        fh.write(scene.masks.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(scene.features, dtype="<f8"))
+        fh.write(np.ascontiguousarray(scene.masks, dtype="<f8"))
 
 
 def load_scene(directory, seed: int) -> Scene:
@@ -426,7 +432,11 @@ def load_scene(directory, seed: int) -> Scene:
     target id that names no object or repeats one, a `.bin`
     without the header or whose size does not fit the scene, non-finite
     features and mask values other than 0 and 1.  An absent `probe` means
-    False."""
+    False.
+
+    The `.bin` layout is the one `save_scene` writes.  The features are read
+    straight into a float64 [T, H, W, C] array; the masks come back as a bool
+    [n_objects, T, H, W] array."""
     directory = Path(directory)
     json_path = directory / f"{seed}.json"
     meta = read_json(json_path)
@@ -488,22 +498,26 @@ def load_scene(directory, seed: int) -> Scene:
             raise ValueError(f"{where}: target ids {expr.target_ids} name an object twice")
         expressions.append(expr)
     bin_path = directory / f"{seed}.bin"
-    raw = bin_path.read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{bin_path} does not start with the {MAGIC!r} header")
     t, h, w, c = cfg.frames, cfg.height, cfg.width, cfg.channels
     n = len(objects)
-    n_feat = t * h * w * c
-    expected = len(MAGIC) + 8 * (n_feat + n * t * h * w)
-    if len(raw) != expected:
-        raise ValueError(f"{bin_path} holds {len(raw)} bytes, but a {t}x{h}x{w}x{c} scene "
-                         f"with {n} objects needs {expected}")
-    body = np.frombuffer(raw, dtype="<f8", offset=len(MAGIC))
-    features = body[:n_feat].reshape(t, h, w, c).copy()
-    masks = body[n_feat:].reshape(n, t, h, w).copy()
+    expected = len(MAGIC) + 8 * t * h * w * (c + n)
+    with open(bin_path, "rb") as fh:
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise ValueError(f"{bin_path} does not start with the {MAGIC!r} header")
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(f"{bin_path} holds {size} bytes, but a {t}x{h}x{w}x{c} scene "
+                             f"with {n} objects needs {expected}")
+        # allocated only once the file is known to hold them
+        features = np.empty((t, h, w, c), dtype="<f8")
+        stored = np.empty((n, t, h, w), dtype="<f8")
+        for block in (features, stored):
+            if fh.readinto(block) != block.nbytes:
+                raise ValueError(f"{bin_path} held fewer than {expected} bytes when read")
     if not np.all(np.isfinite(features)):
         raise ValueError(f"{bin_path}: features hold a non-finite value")
-    if not np.all((masks == 0.0) | (masks == 1.0)):
+    masks = stored == 1.0
+    if not np.all(masks | (stored == 0.0)):
         raise ValueError(f"{bin_path}: masks hold a value other than 0 and 1")
     return Scene(seed=meta["seed"], config=cfg, objects=objects, expressions=expressions,
                  features=features, masks=masks, probe=probe)

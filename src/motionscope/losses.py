@@ -130,9 +130,12 @@ def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_
 def frame_loss(output: ForwardOutput, gt_masks: np.ndarray, lambda_cls: float,
                lambda_mask: float, lambda_dice: float) -> Tensor:
     """Per-frame set loss: every frame matches its candidate tokens to the
-    annotated objects present."""
+    annotated objects present.  `gt_masks` [n_objects, T, H, W] holds 0/1
+    or bool cells."""
     n_objects, t_frames, h, w = gt_masks.shape
-    gt = gt_masks.reshape(n_objects, t_frames, h * w).swapaxes(0, 1)
+    # astype keeps the swapped view's strides, so every product reads the
+    # targets in the same memory order whatever dtype they come in
+    gt = gt_masks.reshape(n_objects, t_frames, h * w).swapaxes(0, 1).astype(np.float64)
     loss, _ = _set_loss(output.frame_logits, output.class_logits, gt,
                         lambda_cls, lambda_mask, lambda_dice)
     return loss
@@ -141,10 +144,11 @@ def frame_loss(output: ForwardOutput, gt_masks: np.ndarray, lambda_cls: float,
 def video_loss(output: ForwardOutput, target_masks: np.ndarray, lambda_cls: float,
                lambda_mask: float, lambda_dice: float) -> MatchedLoss:
     """Video-level set loss of the motion queries against the expression's
-    targets, as one prediction set."""
+    targets, as one prediction set.  `target_masks` [G, T, H, W] holds 0/1
+    or bool cells."""
     n_queries = output.video.score_logits.shape[0]
     logits = output.video_logits.reshape(1, n_queries, -1)
-    gt = target_masks.reshape(1, len(target_masks), logits.shape[-1])
+    gt = target_masks.reshape(1, len(target_masks), logits.shape[-1]).astype(np.float64)
     loss, matches = _set_loss(logits, output.video.score_logits.reshape(1, n_queries), gt,
                               lambda_cls, lambda_mask, lambda_dice)
     return MatchedLoss(loss=loss, matches=matches[0])

@@ -37,6 +37,10 @@ from .tensor import ShapeError, Tensor, take
 _INF = float("inf")
 
 
+class NonFiniteCosts(ValueError):
+    """Raised by `hungarian` for a cost matrix that holds NaN or an infinity."""
+
+
 def _search(cost: np.ndarray, tiebreak: list[list[int]]) -> list[int]:
     """Shortest augmenting paths over the k rows of a [k, m] cost table,
     k <= m, on pairs (float cost, exact-integer tiebreak) compared in that
@@ -107,7 +111,7 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"hungarian needs a 2-d matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("hungarian needs finite costs")
+        raise NonFiniteCosts("hungarian needs finite costs")
     n_rows, n_cols = a.shape
     if n_rows == n_cols > 0:
         first = a.argmin(axis=1)

@@ -24,14 +24,14 @@ from .config import TrainConfig
 from .decoder import predict_video_masks
 from .language import TaggedExpression
 from .losses import frame_loss, video_loss
-from .matching import hungarian
+from .matching import NonFiniteCosts, hungarian
 from .model import MotionSegModel, save_model
 from .tensor import Tensor, take
 
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+        super().__init__(f"non-finite loss or assignment costs at step {step}")
         self.step = step
 
 
@@ -152,10 +152,15 @@ class Trainer:
     def train_step(self, scene: Scene, expr: TaggedExpression, step: int) -> dict:
         cfg = self.cfg
         self.model.zero_grad()
-        out = self.model.forward(scene.features, expr)
-        lf = frame_loss(out, scene.masks, cfg.lambda_cls, cfg.lambda_mask, cfg.lambda_dice)
-        ml = video_loss(out, scene.target_masks(expr), cfg.lambda_cls, cfg.lambda_mask,
-                        cfg.lambda_dice)
+        try:
+            out = self.model.forward(scene.features, expr)
+            lf = frame_loss(out, scene.masks, cfg.lambda_cls, cfg.lambda_mask, cfg.lambda_dice)
+            ml = video_loss(out, scene.target_masks(expr), cfg.lambda_cls, cfg.lambda_mask,
+                            cfg.lambda_dice)
+        except NonFiniteCosts as err:
+            # parameters large enough to overflow the forward make it
+            # non-finite, and a matcher meets that before any loss does
+            raise TrainingDiverged(step) from err
         total = lf + ml.loss
         con_value = 0.0
         # every training target has a slot, and a target always gets a match
@@ -208,7 +213,7 @@ class Trainer:
         out = self.model.forward(scene.features, expr)
         probs, selected = predict_video_masks(out.video, out.mask_features, self.cfg.threshold)
         binary = probs.data > 0.5
-        gt = scene.target_masks(expr).astype(bool)
+        gt = scene.target_masks(expr)
         iou = video_iou(binary, gt)
         tokens = tuple((obj_idx, out.video.tokens.data[best_q].copy())
                        for obj_idx, best_q in zip(expr.target_ids, iou.argmax(axis=0)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -122,6 +123,7 @@ class TestSceneIO:
         loaded = load_scene(tmp_path, 5)
         assert np.array_equal(loaded.features, scene.features)
         assert np.array_equal(loaded.masks, scene.masks)
+        assert scene.masks.dtype == bool and loaded.masks.dtype == bool
         assert loaded.expressions == scene.expressions
         assert loaded.probe == scene.probe
         assert [o.start for o in loaded.objects] == [o.start for o in scene.objects]
@@ -134,6 +136,17 @@ class TestSceneIO:
         (tmp_path / "6.bin").write_bytes(b"BADMAGIC" + raw[8:])
         with pytest.raises(ValueError):
             load_scene(tmp_path, 6)
+
+    def test_bin_layout_is_pinned(self, tmp_path):
+        """The `.bin` format: header, features and masks as little-endian
+        float64, a mask cell 0.0 or 1.0.  The digest pins the bytes."""
+        scene = generate(6, small_config())
+        save_scene(scene, tmp_path)
+        raw = (tmp_path / "6.bin").read_bytes()
+        assert raw == (b"MSCOPE01" + scene.features.astype("<f8").tobytes()
+                       + np.where(scene.masks, 1.0, 0.0).astype("<f8").tobytes())
+        assert hashlib.sha256(raw).hexdigest() == (
+            "0bd129be4a197c7505fc86b51729eedbf93f9030836f41604cfdb05e6bd217e8")
 
     @pytest.mark.parametrize("edit", ["trailing", "truncated"])
     def test_bin_size_mismatch_names_file_and_byte_counts(self, tmp_path, edit):
@@ -148,6 +161,17 @@ class TestSceneIO:
         message = str(exc.value)
         assert str(path) in message
         assert str(len(raw)) in message and str(len(bad)) in message
+
+    def test_size_is_checked_before_arrays_are_allocated(self, tmp_path):
+        """A config that claims 2**40 frames fails the size check, not an
+        allocation of the arrays it implies."""
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        meta["config"]["frames"] = 2 ** 40
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / '6.bin'} holds")):
+            load_scene(tmp_path, 6)
 
     @pytest.mark.parametrize("edit", ["nan_feature", "half_mask"])
     def test_bad_bin_values_name_file_and_field(self, tmp_path, edit):

@@ -238,15 +238,19 @@ def reference_set_loss(mask_logits, class_logits, gt, lambda_cls, lambda_mask, l
 
 
 @pytest.mark.parametrize("n_targets", [0, 1, 2, 5])
-@pytest.mark.parametrize("level", ["frame", "video"])
-def test_set_losses_equal_reference_bit_for_bit(level, n_targets):
+@pytest.mark.parametrize("level,mask_dtype", [("frame", float), ("video", float),
+                                              ("frame", bool), ("video", bool)],
+                         ids=["frame", "video", "frame-bool", "video-bool"])
+def test_set_losses_equal_reference_bit_for_bit(level, mask_dtype, n_targets):
     """Loss value and every parameter gradient equal the plain-op reference
-    exactly, for no target, one, two, and more targets than queries (4 static,
-    2 motion)."""
+    on 0/1 float targets exactly, for no target, one, two, and more targets
+    than queries (4 static, 2 motion), whether the losses receive the targets
+    as float64 or as bool, the dtype of scene masks."""
     cfg, model = small_model(seed=11)
     scene = small_scene(seed=12)
     rng = np.random.default_rng(n_targets)
-    targets = (rng.random((n_targets,) + scene.masks.shape[1:]) > 0.7).astype(float)
+    masks = rng.random((n_targets,) + scene.masks.shape[1:]) > 0.7
+    targets = masks.astype(float)
     _, t_frames, h, w = scene.masks.shape
 
     def run(loss_fn):
@@ -257,12 +261,12 @@ def test_set_losses_equal_reference_bit_for_bit(level, n_targets):
         return loss.data, [p.grad for p in model.params]
 
     if level == "frame":
-        got = run(lambda out: frame_loss(out, targets, 2.0, 5.0, 5.0))
+        got = run(lambda out: frame_loss(out, masks.astype(mask_dtype), 2.0, 5.0, 5.0))
         want = run(lambda out: reference_set_loss(
             out.frame_logits, out.class_logits,
             targets.reshape(n_targets, t_frames, h * w).swapaxes(0, 1), 2.0, 5.0, 5.0)[0])
     else:
-        got = run(lambda out: video_loss(out, targets, 2.0, 5.0, 5.0).loss)
+        got = run(lambda out: video_loss(out, masks.astype(mask_dtype), 2.0, 5.0, 5.0).loss)
         want = run(lambda out: reference_set_loss(
             out.video_logits.reshape(1, cfg.n_motion_queries, -1),
             out.video.score_logits.reshape(1, cfg.n_motion_queries),

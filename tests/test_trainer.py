@@ -12,7 +12,8 @@ from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.perceiver import MaskFeatures
 from motionscope.tensor import Tensor
-from motionscope.trainer import EvalMetrics, ExpressionRecord, Trainer, separation_margin
+from motionscope.trainer import (EvalMetrics, ExpressionRecord, Trainer, TrainingDiverged,
+                                 separation_margin)
 
 
 @contextmanager
@@ -40,6 +41,18 @@ def test_run_without_training_expressions_raises():
     trainer = Trainer(TrainConfig(steps=4, eval_every=2), [speechless(0)], [generate(1)])
     with deadline(20), pytest.raises(ValueError, match="training"):
         trainer.run()
+
+
+def test_overflowing_run_raises_training_diverged():
+    """Without clipping, this learning rate ends step 3 with finite
+    parameters near 6e31 and a finite loss; step 4's forward is then
+    non-finite, and the matchers meet it before any loss does."""
+    trainer = Trainer(TrainConfig(max_grad_norm=0.0, learning_rate=0.5, steps=200, eval_every=100),
+                      [generate(s) for s in range(8)], [generate(1000)])
+    # overflow and invalid arithmetic are what a diverging run looks like
+    with deadline(60), np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+        trainer.run()
+    assert info.value.step == 4
 
 
 @pytest.mark.parametrize("scene_config,split", [(BenchmarkConfig(height=32, width=32), "train"),
