@@ -1,5 +1,7 @@
 """Motion decoder: cue-injected queries attend over motion-aware tokens to
-produce per-query video tokens, selection scores and video masks."""
+produce per-query video tokens, selection logits and video masks.  The losses
+read tokens and logits as graph nodes; the scores and masks that evaluation
+thresholds are plain arrays."""
 
 from __future__ import annotations
 
@@ -9,14 +11,13 @@ import numpy as np
 
 from .layers import Attention, FeedForward, init_weight, registry
 from .perceiver import MaskFeatures
-from .tensor import Parameter, Tensor, linear, standardize
+from .tensor import Parameter, Tensor, linear, stable_sigmoid, standardize
 
 
 @dataclass
 class VideoTokens:
     tokens: Tensor  # [N_m, C]
     score_logits: Tensor  # [N_m]
-    scores: Tensor  # [N_m], in (0, 1)
 
 
 class MotionDecoder:
@@ -41,7 +42,7 @@ class MotionDecoder:
         hidden = q_hat + self.attend(q_hat, keys, keys)
         tokens = hidden + self.ffn(standardize(hidden))
         logits = linear(tokens, self.ws, self.bs).reshape(q_hat.shape[0])
-        return VideoTokens(tokens=tokens, score_logits=logits, scores=logits.sigmoid())
+        return VideoTokens(tokens=tokens, score_logits=logits)
 
 
 def video_mask_logits(video_tokens: Tensor, mask_features: MaskFeatures) -> Tensor:
@@ -51,7 +52,8 @@ def video_mask_logits(video_tokens: Tensor, mask_features: MaskFeatures) -> Tens
 
 def predict_video_masks(video: VideoTokens, mask_features: MaskFeatures,
                         threshold: float = 0.5):
-    """Per-query video mask probabilities plus the indices selected by score.
+    """Per-query bool video masks [N_m, T, H, W], True where a pixel's
+    probability exceeds 0.5, plus the queries whose score exceeds `threshold`.
 
     Selection is empty when every score falls at or below the threshold.
     """
@@ -59,6 +61,6 @@ def predict_video_masks(video: VideoTokens, mask_features: MaskFeatures,
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     t, h, w, _ = mask_features.shape
     n = video.tokens.shape[0]
-    probs = video_mask_logits(video.tokens, mask_features).sigmoid().reshape(n, t, h, w)
-    selected = np.flatnonzero(video.scores.data > threshold)
-    return probs, selected
+    masks = stable_sigmoid(video_mask_logits(video.tokens, mask_features).data) > 0.5
+    selected = np.flatnonzero(stable_sigmoid(video.score_logits.data) > threshold)
+    return masks.reshape(n, t, h, w), selected

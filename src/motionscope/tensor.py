@@ -25,7 +25,7 @@ the same object gets a copy, so no two pending gradients share memory.
 A `Parameter` is a named leaf `Tensor` that requires a gradient, and modules
 pass it to ops like any other operand.  Its `grad` is None until a backward
 pass reaches it, so a parameter that no op reads keeps None, which the
-optimizer and `grad_check` take as a zero gradient.
+optimizer takes as a zero gradient.
 
 Four blocks are one node each: `layers.Attention`, the cue injection
 `perceiver.inject_cues`, the hierarchical branch `hmp.hierarchical_branch` and
@@ -207,9 +207,6 @@ class Tensor:
         return node(self.data - other.data, (self, other),
                     lambda g, needs: (g, -g if needs[1] else None))
 
-    def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
-
     def __mul__(self, other):
         a, b = self, self._lift(other)
         return node(a.data * b.data, (a, b), lambda g, needs: (g * b.data if needs[0] else None,
@@ -258,10 +255,6 @@ class Tensor:
     def sqrt(self):
         data = np.sqrt(self.data)
         return node(data, (self,), lambda g, needs: (g * 0.5 / data,))
-
-    def sigmoid(self):
-        data = stable_sigmoid(self.data)
-        return node(data, (self,), lambda g, needs: (g * data * (1.0 - data),))
 
     def relu(self):
         return node(np.maximum(self.data, 0.0), (self,), lambda g, needs: (g * (self.data > 0.0),))
@@ -353,36 +346,3 @@ class Parameter(Tensor):
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
-
-def grad_check(params, loss_fn, h: float = 1e-5) -> float:
-    """Max over all parameter entries of |analytic - central difference|
-    normalized by max(1, |central difference|)."""
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    loss = loss_fn()
-    if not np.isfinite(loss.data):
-        raise FloatingPointError("loss is not finite")
-    loss.backward()
-    # a parameter that no op reached has no gradient, which is zero
-    analytic = {p.name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-                for p in params}
-
-    worst = 0.0
-    for p in params:
-        flat = p.data.reshape(-1)
-        ana = analytic[p.name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = float(loss_fn().data)
-            flat[i] = orig - h
-            f_minus = float(loss_fn().data)
-            flat[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise FloatingPointError("loss is not finite during finite differencing")
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            err = abs(ana[i] - numeric) / max(1.0, abs(numeric))
-            if err > worst:
-                worst = err
-    return worst

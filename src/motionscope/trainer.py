@@ -211,13 +211,12 @@ class Trainer:
         prediction or target scores 0 on both and fails identification, and
         nothing predicted for no target scores 1."""
         out = self.model.forward(scene.features, expr)
-        probs, selected = predict_video_masks(out.video, out.mask_features, self.cfg.threshold)
-        binary = probs.data > 0.5
+        masks, selected = predict_video_masks(out.video, out.mask_features, self.cfg.threshold)
         gt = scene.target_masks(expr)
-        iou = video_iou(binary, gt)
+        iou = video_iou(masks, gt)
         tokens = tuple((obj_idx, out.video.tokens.data[best_q].copy())
                        for obj_idx, best_q in zip(expr.target_ids, iou.argmax(axis=0)))
-        pred, iou = binary[selected], iou[selected]
+        pred, iou = masks[selected], iou[selected]
         n_pred, n_gt = iou.shape
         if n_pred == 0 and n_gt == 0:
             return ExpressionRecord(scene.seed, scene.probe, 1.0, 1.0, True, tokens)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from motionscope.bank import ContrastiveProjector, MemoryBank, contrastive_loss
-from motionscope.tensor import Parameter, Tensor, grad_check
+from motionscope.tensor import Parameter, Tensor
+
+from gradcheck import grad_check
 
 
 def unit(v):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from motionscope.decoder import MotionDecoder, predict_video_masks, video_mask_logits
+from motionscope.decoder import MotionDecoder, VideoTokens, predict_video_masks, video_mask_logits
 from motionscope.perceiver import MaskFeatures, inject_cues
-from motionscope.tensor import Tensor, grad_check
+from motionscope.tensor import Tensor, stable_sigmoid
+
+from gradcheck import grad_check
 
 
 def identity_head(grid):
@@ -71,12 +73,7 @@ class TestDecode:
         out = decoder.decode(q_hat, Tensor(flat[:, None]))
         out_p = decoder.decode(q_hat, Tensor(flat[rng.permutation(8), None]))
         assert np.allclose(out.tokens.data, out_p.tokens.data, atol=1e-12)
-        assert np.allclose(out.scores.data, out_p.scores.data, atol=1e-12)
-
-    def test_scores_inside_unit_interval(self, decoder):
-        rng = np.random.default_rng(6)
-        out = decoder.decode(Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=(2, 3, 6))))
-        assert np.all(out.scores.data > 0.0) and np.all(out.scores.data < 1.0)
+        assert np.allclose(out.score_logits.data, out_p.score_logits.data, atol=1e-12)
 
     def test_gradcheck(self, decoder):
         rng = np.random.default_rng(7)
@@ -87,7 +84,7 @@ class TestDecode:
         def loss():
             out = decoder.decode(Tensor(q_base), Tensor(tokens))
             d = out.tokens - Tensor(target)
-            return (d * d).sum() + out.scores.sum()
+            return (d * d).sum() + out.score_logits.sum()
 
         assert grad_check(decoder.params, loss) < 1e-4
 
@@ -96,29 +93,34 @@ class TestVideoMasks:
     def test_all_scores_below_threshold_selects_nothing(self, decoder):
         rng = np.random.default_rng(8)
         out = decoder.decode(Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(2, 2, 6))))
-        out.scores.data[...] = 0.2
+        out.score_logits.data[...] = np.log(0.25)  # every score 0.2
         _, selected = predict_video_masks(out, identity_head(rng.normal(size=(2, 3, 3, 6))),
                                           threshold=0.5)
         assert selected.size == 0
 
-    def test_zero_token_gives_half_masks(self, decoder):
+    def test_zero_token_gives_empty_masks(self, decoder):
+        """A zero token's probability is 0.5 at every pixel, which is not above 0.5."""
         rng = np.random.default_rng(9)
         out = decoder.decode(Tensor(rng.normal(size=(2, 6))), Tensor(rng.normal(size=(1, 2, 6))))
         out.tokens.data[0, :] = 0.0
         mf = identity_head(rng.normal(size=(2, 3, 3, 6)))
-        probs, _ = predict_video_masks(out, mf)
-        assert np.array_equal(probs.data[0], np.full((2, 3, 3), 0.5))
+        masks, _ = predict_video_masks(out, mf)
+        assert np.array_equal(masks[0], np.zeros((2, 3, 3), dtype=bool))
 
     def test_matches_per_pixel_loop(self):
         rng = np.random.default_rng(10)
         tokens = rng.normal(size=(2, 4))
         mf = rng.normal(size=(3, 2, 2, 4))
         logits = video_mask_logits(Tensor(tokens), identity_head(mf)).data.reshape(2, 3, 2, 2)
+        masks, _ = predict_video_masks(VideoTokens(Tensor(tokens), Tensor(np.zeros(2))),
+                                       identity_head(mf))
+        assert masks.dtype == bool and masks.shape == (2, 3, 2, 2)
         for j in range(2):
             for t in range(3):
                 for y in range(2):
                     for x in range(2):
                         assert abs(logits[j, t, y, x] - tokens[j] @ mf[t, y, x]) < 1e-12
+                        assert masks[j, t, y, x] == (stable_sigmoid(logits[j, t, y, x]) > 0.5)
 
     def test_threshold_monotonicity(self, decoder):
         rng = np.random.default_rng(11)

@@ -9,7 +9,9 @@ from motionscope.hmp import (
     highlight,
     merge,
 )
-from motionscope.tensor import Parameter, Tensor, grad_check, standardize, take
+from motionscope.tensor import Parameter, Tensor, standardize, take
+
+from gradcheck import grad_check
 
 
 def make_stack(n_blocks=2, n_stages=2, channels=6, seed=0):

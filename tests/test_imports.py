@@ -14,8 +14,6 @@ import motionscope
 
 SOURCES = sorted(Path(motionscope.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
-# defined for the tests alone: the finite-difference oracle of every gradient test
-UNREFERENCED_ALLOWED = {"grad_check"}
 # forward-pass intermediates the package never reads back: test_model checks
 # through the first three how each ablation switch routes the forward pass, and
 # a linked-trajectory IoU of the video masks needs the linker's assignments
@@ -71,13 +69,12 @@ def unreferenced(defining: dict[str, str], referencing: list[str]) -> list[str]:
     that no source in `referencing` names."""
     used = set().union(*(references(source) for source in referencing))
     return [f"{module}:{line}: {name}" for module, source in sorted(defining.items())
-            for name, line in definitions(source)
-            if name not in used and name not in UNREFERENCED_ALLOWED]
+            for name, line in definitions(source) if name not in used]
 
 
 def test_guard_flags_unreferenced_definitions():
     defining = {"m": "class K:\n    def __init__(self): pass\n    def used(self): pass\n"
-                     "    def dead(self): pass\ndef helper(): pass\ndef grad_check(): pass\n"}
+                     "    def dead(self): pass\ndef helper(): pass\n"}
     caller = "from m import K, helper\nK().used()\nhelper()\n"
     assert unreferenced(defining, [caller]) == ["m:4: dead"]
     assert unreferenced(defining, [caller, "x.dead"]) == []

@@ -15,7 +15,9 @@ from motionscope.language import (
     expression_from_json,
     expression_to_json,
 )
-from motionscope.tensor import Parameter, Tensor, grad_check
+from motionscope.tensor import Parameter, Tensor
+
+from gradcheck import grad_check
 
 
 def make_expr(specs, targets=(), video="v0"):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from motionscope.layers import Attention, registry
-from motionscope.tensor import Parameter, Tensor, grad_check, linear
+from motionscope.tensor import Parameter, Tensor, linear
+
+from gradcheck import grad_check
 
 
 def block(channels, kv_channels=None, seed=0):

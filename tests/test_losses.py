@@ -9,9 +9,10 @@ from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.losses import DICE_SMOOTH, _assign, _match_costs, _set_loss, frame_loss, video_loss
 from motionscope.model import MotionSegModel
-from motionscope.tensor import (Parameter, Tensor, grad_check, node, softplus_sigmoid,
-                                stable_sigmoid, take)
+from motionscope.tensor import Parameter, Tensor, node, softplus_sigmoid, stable_sigmoid, take
 from motionscope.trainer import Trainer
+
+from gradcheck import grad_check, sigmoid
 
 
 def bce_with_logits(logits, targets):
@@ -27,7 +28,7 @@ def dice_loss(probs, targets):
     t = Tensor(targets)
     inter = (probs * t).sum(axis=-1)
     denom = probs.sum(axis=-1) + Tensor(targets.sum(axis=-1))
-    return (1.0 - (inter * 2.0 + DICE_SMOOTH) / (denom + DICE_SMOOTH)).mean()
+    return (Tensor(1.0) - (inter * 2.0 + DICE_SMOOTH) / (denom + DICE_SMOOTH)).mean()
 
 
 def small_model(seed=0, **overrides):
@@ -216,7 +217,7 @@ class TestVideoLoss:
 def reference_set_loss(mask_logits, class_logits, gt, lambda_cls, lambda_mask, lambda_dice):
     """The matched set loss built from its plain ops, with `_set_loss`'s
     signature and results: the class and matched rows' BCE by this file's
-    `bce_with_logits`, and its `dice_loss` on `Tensor.sigmoid` of the rows
+    `bce_with_logits`, and its `dice_loss` on `gradcheck.sigmoid` of the rows
     gathered by `take`, each recomputing its own softplus and sigmoid."""
     n_sets, n_pred, n_pixels = mask_logits.shape
     matches = [[] for _ in range(n_sets)]
@@ -233,7 +234,7 @@ def reference_set_loss(mask_logits, class_logits, gt, lambda_cls, lambda_mask, l
     if len(b):
         logits = take(mask_logits.reshape(n_sets * n_pred, n_pixels), b * n_pred + i, axis=0)
         loss = loss + lambda_mask * bce_with_logits(logits, gt[b, j]).mean()
-        loss = loss + lambda_dice * dice_loss(logits.sigmoid(), gt[b, j])
+        loss = loss + lambda_dice * dice_loss(sigmoid(logits), gt[b, j])
     return loss, matches
 
 

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from motionscope.matching import TrajectorySet, cosine_cost, hungarian, identity_trajectories, link
-from motionscope.tensor import Parameter, ShapeError, Tensor, grad_check
+from motionscope.tensor import Parameter, ShapeError, Tensor
+
+from gradcheck import grad_check
 
 
 def brute_force_min(costs):

@@ -41,7 +41,7 @@ class TestForward:
         scene = scene_for(cfg)
         out_a = model_a.forward(scene.features, scene.expressions[0])
         out_b = model_b.forward(scene.features, scene.expressions[0])
-        assert np.array_equal(out_a.video.scores.data, out_b.video.scores.data)
+        assert np.array_equal(out_a.video.score_logits.data, out_b.video.score_logits.data)
         assert np.array_equal(out_a.frame_logits.data, out_b.frame_logits.data)
 
     def test_unique_parameter_names(self):
@@ -59,13 +59,13 @@ class TestForward:
     def test_default_forward_builds_at_most_90_graph_nodes(self):
         """Each attention block, each cue injection's attention and each
         hierarchical branch (padding and expansion included) is one node: a
-        default-config forward builds 85 nodes, where a graph of elementary ops
+        default-config forward builds 84 nodes, where a graph of elementary ops
         built 287.  The bound leaves room for small changes, not for splitting
         a block into elementary ops."""
         model = MotionSegModel(TrainConfig(), np.random.default_rng(0))
         scene = generate(3)
         out = model.forward(scene.features, scene.expressions[0])
-        seen, stack = set(), [out.class_logits, out.motion_tokens, out.video.scores]
+        seen, stack = set(), [out.class_logits, out.motion_tokens, out.video.score_logits]
         while stack:
             node = stack.pop()
             if node._parents and id(node) not in seen:

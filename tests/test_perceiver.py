@@ -8,7 +8,9 @@ from motionscope.perceiver import (
     inject_cues,
     sinusoidal_grid,
 )
-from motionscope.tensor import Tensor, grad_check
+from motionscope.tensor import Tensor
+
+from gradcheck import grad_check, sigmoid
 
 
 def dense(mask_features):
@@ -34,7 +36,7 @@ def perceive_frame(perceiver, frame, q_hat):
 def frame_masks(tokens, mask_features):
     """Per-token mask probabilities [N, H, W] of one frame."""
     h, w = mask_features.shape[1:3]
-    return frame_mask_logits(tokens, mask_features).sigmoid().reshape(tokens.shape[0], h, w)
+    return sigmoid(frame_mask_logits(tokens, mask_features)).reshape(tokens.shape[0], h, w)
 
 
 def graph_injection(queries, cues):
@@ -157,7 +159,7 @@ class TestPerceiveFrame:
 
         def loss():
             tokens, mask_features, logits = perceiver.perceive(frame[None], Tensor(q_hat_base))
-            masks = frame_mask_logits(tokens, mask_features).sigmoid()
+            masks = sigmoid(frame_mask_logits(tokens, mask_features))
             d = tokens - Tensor(target)
             return (d * d).sum() + masks.sum() * 0.1 + (logits * logits).sum()
 

@@ -106,12 +106,12 @@ def test_evaluate_scores_unmatched_predictions_and_targets_zero(monkeypatch, cas
     scene = dataclasses.replace(scene, expressions=[expr])
     trainer = Trainer(TrainConfig(), [], [scene])
     gt = scene.target_masks(expr)
-    probs = np.zeros((trainer.cfg.n_motion_queries,) + gt.shape[1:])
+    masks = np.zeros((trainer.cfg.n_motion_queries,) + gt.shape[1:], dtype=bool)
     for target, query in enumerate(copies):
-        probs[query] = gt[target]
+        masks[query] = gt[target]
     selected = np.array(selected, dtype=np.intp)
     monkeypatch.setattr(trainer_module, "predict_video_masks",
-                        lambda video, mask_features, threshold: (Tensor(probs), selected))
+                        lambda video, mask_features, threshold: (masks, selected))
     metrics = trainer.evaluate()
     assert len(copies) == len(expr.target_ids)
     assert (metrics.j, metrics.f, metrics.ident_acc) == (expected, expected, ident)
