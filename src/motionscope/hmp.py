@@ -57,11 +57,13 @@ def merge(enriched: np.ndarray, frame_weight: np.ndarray) -> np.ndarray:
 def hierarchical_branch(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Tensor:
     """Run highlight -> enrich -> merge `n_stages` times and expand the coarse
     tokens back to the input length by nearest-neighbour repetition, as one
-    node.  The input is first padded to a multiple of 2^n frames by
-    repeating its last frame; frames added by padding are dropped after
-    expansion, without renormalizing."""
+    node.  The input is first padded to a multiple of 2^n frames, by at most
+    its own length, by repeating its last frame; frames added by padding are
+    dropped after expansion, without renormalizing."""
     t_len, factor = traj.shape[-2], 2 ** n_stages
     pad = -t_len % factor
+    if pad > t_len:
+        raise ValueError(f"hmp_stages={n_stages} would pad a {t_len}-frame trajectory to {t_len + pad}")
     pad_idx = np.concatenate([np.arange(t_len), np.full(pad, t_len - 1)])
     cues, stages = motion_cues.data, []
     out = np.take(traj.data, pad_idx, axis=-2) if pad else traj.data

@@ -1,29 +1,29 @@
 """Optimal assignment and adjacent-frame trajectory linking.
 
-The solver is the O(k^2 m) shortest-augmenting-path algorithm run over pairs
-(float cost, exact-integer tiebreak): k = min(rows, cols) augmentations,
-each over the m = max(rows, cols) entries of the other side.  The integer
-part spells the assignment as digits in row order, so among all
-minimum-cost assignments the lexicographically smallest is returned
-deterministically; the integer arithmetic is exact, so ties between
-literally equal costs resolve the same way on every run.
+`hungarian` answers for the cost matrix zero-padded to a square, where a
+padded column stands for "unmatched", but builds no square.  It works on the
+short side: the k = min(rows, cols) rows of the matrix, or of its transpose
+when it is tall, against the m = max(rows, cols) entries of the other side.
 
-The answer is the one of the matrix zero-padded to a square, where a padded
-column stands for "unmatched", but no square is built.  A wide or square
-matrix searches its rows: row i on column j adds j · n_cols^(n_rows - 1 - i)
-to the tiebreak.  A tall matrix searches its G columns over its rows, and
-row i on column j adds (j - G) · (G + 1)^(n_rows - 1 - i).  That is digit j
-against the constant digit G of an unmatched row, in base G + 1, and it
-keeps the padded order: at the first row where two optimal padded
-permutations differ, a real column j < G always beats a padded one, and two
-permutations cannot first differ at a row unmatched in both, since the
-unmatched rows take the padded columns G, G + 1, ... in row order.
+The O(k^2 m) shortest-augmenting-path search runs on pairs (float cost,
+exact-integer tiebreak).  Row i on column j adds (j - n_cols) ·
+(n_cols + 1)^(n_rows - 1 - i) to the tiebreak: digit j against the digit
+n_cols of an unmatched row, which adds nothing.  So the search returns the
+lexicographically smallest minimum-cost permutation of the padded square: a
+real column beats a padded one, and two optimal permutations cannot first
+differ at a row unmatched in both, since unmatched rows take the padded
+columns n_cols, n_cols + 1, ... in row order.  The integer arithmetic is
+exact, so literal ties resolve the same way on every run.
 
-A square matrix whose rows have pairwise distinct first minima skips the
-search: the algorithm would give each row one relaxation against zero
-potentials and take its first minimum, so those columns are its answer.
-They are also the only optimal assignment, since any other gives each row a
-minimum at or after its first one, and two permutations cannot differ that way.
+When the short side's first row minima are pairwise distinct, they are the
+answer: the search would give each short-side row one relaxation at zero
+potentials and take its first minimum, as the tiebreak ranks tied columns by
+index.  An optimum gives each short-side row one of its minima, so in a wide
+or square matrix any other optimum gives each row a column at or after this
+one.  In a tall one, let another optimum first differ from this answer at
+row r.  A real column j there would make r j's first minimum, since the rows
+before r take the same columns in both, so this answer gives r column j too.
+So the other gives r a padded column, larger than this answer's.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ class NonFiniteCosts(ValueError):
 def _search(cost: np.ndarray, tiebreak: list[list[int]]) -> list[int]:
     """Shortest augmenting paths over the k rows of a [k, m] cost table,
     k <= m, on pairs (float cost, exact-integer tiebreak) compared in that
-    order.  Every row is matched; returns the row matched to each column,
-    -1 for a column left free."""
+    order.  Every row is matched; returns each row's column."""
     k, m = cost.shape
     rows = cost.tolist()
     u_f = [0.0] * (k + 1)
@@ -98,7 +97,7 @@ def _search(cost: np.ndarray, tiebreak: list[list[int]]) -> list[int]:
             j1 = way[j0]
             match[j0] = match[j1]
             j0 = j1
-    return [r - 1 for r in match[1:]]
+    return [match.index(i, 1) - 1 for i in range(1, k + 1)]
 
 
 def hungarian(costs: np.ndarray) -> np.ndarray:
@@ -113,21 +112,19 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise NonFiniteCosts("hungarian needs finite costs")
     n_rows, n_cols = a.shape
-    if n_rows == n_cols > 0:
-        first = a.argmin(axis=1)
-        if len(set(first.tolist())) == n_rows:
-            return first
-    perm = np.zeros(n_rows, dtype=np.intp)
-    if n_rows <= n_cols:
-        powers = [n_cols ** (n_rows - 1 - i) for i in range(n_rows)]
-        row_of = _search(a, [[j * p for j in range(n_cols)] for p in powers])
-        for j, i in enumerate(row_of):
-            if i >= 0:
-                perm[i] = j
-        return perm
-    # tall: the G = n_cols columns search the rows
-    powers = [(n_cols + 1) ** (n_rows - 1 - i) for i in range(n_rows)]
-    perm[:] = _search(a.T, [[(j - n_cols) * p for p in powers] for j in range(n_cols)])
+    tall = n_rows > n_cols
+    short = a.T if tall else a
+    # argmin rejects a [0, 0] matrix; without short-side rows the answer is empty
+    cols = short.argmin(axis=1) if short.size else np.zeros(0, dtype=np.intp)
+    if len(set(cols.tolist())) < len(cols):
+        powers = [(n_cols + 1) ** (n_rows - 1 - i) for i in range(n_rows)]
+        ties = [[(j - n_cols) * p for j in range(n_cols)] for p in powers]
+        cols = np.array(_search(short, list(zip(*ties)) if tall else ties), dtype=np.intp)
+    if not tall:
+        return cols
+    # the columns took rows `cols`; the rows left take n_cols, n_cols + 1, ...
+    perm = np.full(n_rows, -1, dtype=np.intp)
+    perm[cols] = np.arange(n_cols)
     perm[perm < 0] = np.arange(n_cols, n_rows)
     return perm
 

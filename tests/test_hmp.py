@@ -152,11 +152,12 @@ class TestMerge:
 
 class TestFusedStages:
     @pytest.mark.parametrize("n_stages,t_len", [(0, 5), (1, 8), (1, 5), (2, 6), (3, 8), (3, 5),
-                                                (1, 7), (2, 5), (2, 7), (3, 7)])
+                                                (1, 7), (2, 5), (2, 7), (3, 7), (5, 16)])
     def test_equals_graph_composition(self, n_stages, t_len):
         """The branch's value equals the graph's bit for bit, and both
         gradients agree within 1e-12 relative, at lengths that need no
-        padding and at lengths that do."""
+        padding and at lengths that do, up to the longest padding allowed
+        (16 frames to 32)."""
         rng = np.random.default_rng(25)
         traj0, cues0 = rng.normal(size=(3, t_len, 6)), rng.normal(size=(2, 6))
         g = rng.normal(size=(3, t_len, 6))
@@ -263,6 +264,14 @@ class TestHierarchicalCrossAttention:
         assert out.shape == (5, 4)
         padded = hierarchical_branch(Tensor(traj[[0, 1, 2, 3, 4, 4, 4, 4]]), cues, 2)
         assert np.array_equal(out.data, padded.data[:5])
+
+    @pytest.mark.parametrize("t_len,n_stages", [(16, 6), (5, 4), (1, 2)])
+    def test_padding_longer_than_the_input_rejected(self, t_len, n_stages):
+        """Padding past twice the length fails before it is built: 6 stages
+        would pad the 16-frame scenes to 64 frames, and 20 to 2^20."""
+        traj, cues = Tensor(np.zeros((8, t_len, 4))), Tensor(np.ones((2, 4)))
+        with pytest.raises(ValueError, match=f"hmp_stages={n_stages} .* {t_len}-frame"):
+            hierarchical_branch(traj, cues, n_stages)
 
     def test_batched_matches_per_trajectory(self):
         rng = np.random.default_rng(14)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from motionscope import matching
 from motionscope.matching import TrajectorySet, cosine_cost, hungarian, identity_trajectories, link
 from motionscope.tensor import Parameter, ShapeError, Tensor
 
@@ -44,6 +45,24 @@ def padded_lexicographic_optimum(costs):
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
     totals = padded[np.arange(n), perms].sum(axis=1)
     return tuple(perms[totals.argmin(), :n_rows].tolist())
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The arguments of every `matching._search` call made by `hungarian`."""
+    calls, search = [], matching._search
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(matching, "_search", counted)
+    return calls
+
+
+def short_side_first_minima(costs):
+    """The first row minima of a cost matrix, or of its transpose when it is tall."""
+    return (costs.T if costs.shape[0] > costs.shape[1] else costs).argmin(axis=1).tolist()
 
 
 def link_by_frame(values):
@@ -101,22 +120,38 @@ class TestHungarian:
     def test_square_tie_rich_matrices_give_lexicographic_optimum(self, costs):
         assert tuple(hungarian(costs).tolist()) == lexicographic_optimum(costs)
 
-    def test_tied_row_minimum_takes_first_column(self):
-        # distinct first minima: row 0 ties columns 1 and 2 and takes 1
-        costs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
-        assert hungarian(costs).tolist() == [1, 0, 2]
-        assert tuple(hungarian(costs).tolist()) == lexicographic_optimum(costs)
+    def test_tied_row_minimum_takes_first_column(self, searches):
+        """Distinct first minima on the short side are the answer, with no
+        search, in every shape."""
+        for costs, expected in [
+            # square: row 0 ties columns 1 and 2 and takes 1
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]], [1, 0, 2]),
+            # wide: row 0 ties columns 1 and 2, row 1 columns 0 and 3
+            ([[1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 1.0, 0.0]], [1, 0]),
+            # tall: column 0 ties rows 1 and 2, column 1 rows 0 and 2
+            ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [1, 0, 2]),
+            ([[2.0, 2.0], [0.0, 3.0], [1.0, 1.0], [0.0, 0.0], [5.0, 1.0]], [2, 0, 3, 1, 4]),
+        ]:
+            costs = np.array(costs)
+            first = short_side_first_minima(costs)
+            assert len(set(first)) == len(first)
+            assert hungarian(costs).tolist() == expected
+            assert tuple(expected) == padded_lexicographic_optimum(costs)
+        assert searches == []
 
     @pytest.mark.parametrize("costs", [
         [[0.0, 1.0], [0.0, 5.0]],
         [[0.0, 0.0, 1.0], [0.0, 2.0, 2.0], [3.0, 0.0, 0.0]],
         [[1.0, 2.0, 3.0], [1.0, 4.0, 6.0], [1.0, 6.0, 9.0]],
+        [[0.0, 1.0, 5.0], [0.0, 2.0, 2.0]],
+        [[0.0, 0.0], [1.0, 2.0], [5.0, 2.0]],
     ])
-    def test_colliding_row_minima_run_the_full_search(self, costs):
+    def test_colliding_row_minima_run_the_full_search(self, costs, searches):
         costs = np.array(costs)
-        first = costs.argmin(axis=1)
-        assert len(set(first.tolist())) < len(first)
-        assert tuple(hungarian(costs).tolist()) == lexicographic_optimum(costs)
+        first = short_side_first_minima(costs)
+        assert len(set(first)) < len(first)
+        assert tuple(hungarian(costs).tolist()) == padded_lexicographic_optimum(costs)
+        assert len(searches) == 1
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(11)
