@@ -279,8 +279,7 @@ def _build_expression(rng, objects, cfg: BenchmarkConfig, target_idx: int | None
 
         if rng.random() < 0.5:
             add(FILLERS[int(rng.integers(0, len(FILLERS)))], OTHER)
-        use_adj = color is not None and rng.random() < cfg.adjective_prob
-        if use_adj:
+        if color is not None and rng.random() < cfg.adjective_prob:
             add(COLORS[color], ADJ)
         add(NOUNS[category], NOUN)
         verbs = KIND_VERBS[kind]
@@ -296,9 +295,6 @@ def _build_expression(rng, objects, cfg: BenchmarkConfig, target_idx: int | None
         matches = evaluate_expression(tokens, objects)
         if matches == sorted(want_targets):
             return TaggedExpression(tokens=tokens, target_ids=matches, video=video)
-        # tighten with the adjective next try; otherwise resample wording
-        if target_idx is not None and not use_adj:
-            continue
     raise _Retry
 
 

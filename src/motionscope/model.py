@@ -99,7 +99,8 @@ class MotionSegModel:
                                   config.grid_width, c))
         self.motion_queries = Parameter(
             "queries.motion", rng.normal(scale=0.5, size=(config.n_motion_queries, c)))
-        self.perceiver = StaticPerceiver(c, config.img_channels, 2 * c, rng)
+        self.perceiver = StaticPerceiver(
+            c, config.img_channels, 2 * c, (config.grid_height, config.grid_width), rng)
         if config.img_channels == c:
             self.perceiver.attend.wv.data[...] = np.eye(c)
             self.perceiver.wm.data[...] = np.eye(c)
@@ -188,8 +189,8 @@ def save_model(model: MotionSegModel, path) -> None:
 
 def load_model_weights(model: MotionSegModel, path) -> None:
     """Read a `save_model` checkpoint into `model`; a truncated file, trailing
-    bytes, a name that is not UTF-8, unknown, repeated or missing, or a shape
-    mismatch raise ValueError."""
+    bytes, a name that is not UTF-8, unknown, repeated or missing, a shape
+    mismatch or a NaN or infinite value raise ValueError."""
     by_name = {p.name: p for p in model.params}
     with open(path, "rb") as fh:
 
@@ -224,6 +225,8 @@ def load_model_weights(model: MotionSegModel, path) -> None:
                 raise ValueError(
                     f"{path}: shape mismatch for {name!r}: checkpoint {tuple(shape)} vs "
                     f"model {by_name[name].data.shape}")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{path}: parameter {name!r} holds NaN or infinite values")
             by_name[name].data[...] = values
             seen.add(name)
         if fh.read(1):

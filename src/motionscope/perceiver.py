@@ -55,9 +55,14 @@ def sinusoidal_grid(height: int, width: int, channels: int) -> np.ndarray:
 
 
 class StaticPerceiver:
+    POSITION_SCALE = 0.3  # keep the key position code below pixel content scale
+
     def __init__(self, channels: int, img_channels: int, hidden: int,
-                 rng: np.random.Generator):
-        self.img_channels = img_channels
+                 grid: tuple[int, int], rng: np.random.Generator):
+        """`grid` is the (H, W) of every frame this perceiver will see."""
+        self.grid = grid
+        self.position_code = Tensor(
+            self.POSITION_SCALE * sinusoidal_grid(*grid, img_channels))
         c, ci = channels, img_channels
         self.params: list[Parameter] = []
         p = registry("perceiver", self.params)
@@ -71,29 +76,22 @@ class StaticPerceiver:
         self.bm = p("mask.b", np.zeros(c))
         self.wc = p("cls.w", init_weight(rng, c, 1))
         self.bc = p("cls.b", np.zeros(1))
-        self._pos_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    POSITION_SCALE = 0.3  # keep the key position code below pixel content scale
-
-    def _position_code(self, height: int, width: int) -> np.ndarray:
-        key = (height, width)
-        if key not in self._pos_cache:
-            self._pos_cache[key] = self.POSITION_SCALE * sinusoidal_grid(
-                height, width, self.img_channels)
-        return self._pos_cache[key]
 
     def perceive(self, frames: np.ndarray, q_hat: Tensor):
         """Batched perception over a [T, H, W, C_img] feature video.
 
         Returns object tokens [T, N, C], the mask head's `MaskFeatures` and
-        objectness logits [T, N].
+        objectness logits [T, N].  Frames of another grid raise ValueError.
         """
         t, h, w, ci = frames.shape
+        if (h, w) != self.grid:
+            raise ValueError(f"frames have the (H, W) grid {(h, w)}, "
+                             f"but the perceiver was built for {self.grid}")
         pixels = Tensor(frames)
         flat = pixels.reshape(t, h * w, ci)
         # keys see pixel + position, values the raw pixel features only, so a
         # constant grid contributes the same vector to every query
-        keys = flat + Tensor(self._position_code(h, w))
+        keys = flat + self.position_code
         hidden = q_hat + self.attend(q_hat, keys, flat)
         tokens = hidden + self.ffn(hidden)
         class_logits = linear(tokens, self.wc, self.bc)

@@ -44,6 +44,13 @@ class TestForward:
         assert np.array_equal(out_a.video.score_logits.data, out_b.video.score_logits.data)
         assert np.array_equal(out_a.frame_logits.data, out_b.frame_logits.data)
 
+    def test_scene_of_another_grid_rejected(self):
+        cfg, model = make(grid_height=16, grid_width=16)
+        scene = generate(0, BenchmarkConfig(height=32, width=32, channels=cfg.img_channels))
+        with pytest.raises(ValueError, match="grid") as exc:
+            model.forward(scene.features, scene.expressions[0])
+        assert "(32, 32)" in str(exc.value) and "(16, 16)" in str(exc.value)
+
     def test_unique_parameter_names(self):
         _, model = make()
         names = [p.name for p in model.params]
@@ -143,6 +150,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="shape mismatch for 'embed.table'") as exc:
             load_model_weights(fresh, path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        cfg, model = make()
+        path = tmp_path / "model.bin"
+        model.perceiver.attend.wk.data[0, 0] = value
+        save_model(model, path)
+        _, fresh = make()
+        before = fresh.perceiver.attend.wk.data.copy()
+        with pytest.raises(ValueError, match="'perceiver.attn.wk'") as exc:
+            load_model_weights(fresh, path)
+        assert str(path) in str(exc.value)
+        # rejected before its values are written
+        assert np.array_equal(fresh.perceiver.attend.wk.data, before)
 
     @pytest.mark.parametrize("cut", [4, 8, 100, 10_000])
     def test_truncated_checkpoint_names_path_and_parameter(self, tmp_path, cut):

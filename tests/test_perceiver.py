@@ -47,9 +47,14 @@ def graph_injection(queries, cues):
     return queries + (e / e.sum(axis=-1, keepdims=True)) @ cues
 
 
+def make_perceiver(grid=(4, 4)):
+    return StaticPerceiver(channels=8, img_channels=8, hidden=16, grid=grid,
+                           rng=np.random.default_rng(0))
+
+
 @pytest.fixture
 def perceiver():
-    return StaticPerceiver(channels=8, img_channels=8, hidden=16, rng=np.random.default_rng(0))
+    return make_perceiver()
 
 
 class TestInjectCues:
@@ -111,7 +116,7 @@ class TestPerceiveFrame:
         frame = np.broadcast_to(rng.normal(size=8), (4, 4, 8)).copy()
         q_hat = Tensor(rng.normal(size=(3, 8)))
         pix = Tensor(frame.reshape(1, 16, 8))
-        keys = pix + Tensor(perceiver._position_code(4, 4))
+        keys = pix + perceiver.position_code
         contrib = perceiver.attend(q_hat, keys, pix).data[0]
         assert np.allclose(contrib, contrib[0], atol=1e-12)
         # with identical queries the tokens themselves coincide
@@ -151,7 +156,8 @@ class TestPerceiveFrame:
             assert np.allclose(dense(mask_features)[t], mf_t, atol=1e-12)
             assert np.allclose(logits.data[t], lg_t, atol=1e-12)
 
-    def test_gradcheck_small_frame(self, perceiver):
+    def test_gradcheck_small_frame(self):
+        perceiver = make_perceiver(grid=(3, 3))
         rng = np.random.default_rng(9)
         frame = rng.normal(size=(3, 3, 8))
         q_hat_base = rng.normal(size=(2, 8))
@@ -164,6 +170,15 @@ class TestPerceiveFrame:
             return (d * d).sum() + masks.sum() * 0.1 + (logits * logits).sum()
 
         assert grad_check(perceiver.params, loss) < 1e-4
+
+    # 2x8 and 8x2 hold the 4x4 grid's 16 pixels, so the position code would
+    # broadcast over them without complaint
+    @pytest.mark.parametrize("grid", [(2, 8), (8, 2), (3, 3), (8, 8)])
+    def test_frames_of_another_grid_rejected(self, perceiver, grid):
+        frames = np.zeros((2, *grid, 8))
+        with pytest.raises(ValueError, match="grid") as exc:
+            perceiver.perceive(frames, Tensor(np.zeros((3, 8))))
+        assert str(grid) in str(exc.value) and "(4, 4)" in str(exc.value)
 
 
 class TestMaskPrediction:
