@@ -6,10 +6,10 @@ repeatedly highlights motion-relevant frames and merges neighbouring tokens
 self-attention and feed-forward branches are the shared blocks of `layers`.
 All three branches are residual with output projections, so a block with
 zeroed projections is the identity on its input.  The hierarchical branch is
-one autodiff node: it pads the trajectories to a multiple of 2^n frames,
-chains the numpy helpers `highlight`, `enrich` and `merge` n times, expands
-the coarse tokens back and crops the padding, and differentiates all of it in
-one hand-written pass.  The self-attention is one node as well.
+one autodiff node: it chains the numpy helpers `highlight`, `enrich` and
+`merge` n times over trajectories whose length 2^n divides, expands the
+coarse tokens back, and differentiates all of it in one hand-written pass.
+The self-attention is one node as well.
 
 Shapes: trajectories are [..., T, C] with motion cues [K_m, C]; the batched
 case stacks trajectories on the leading axis and every op stays per-trajectory.
@@ -57,16 +57,13 @@ def merge(enriched: np.ndarray, frame_weight: np.ndarray) -> np.ndarray:
 def hierarchical_branch(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Tensor:
     """Run highlight -> enrich -> merge `n_stages` times and expand the coarse
     tokens back to the input length by nearest-neighbour repetition, as one
-    node.  The input is first padded to a multiple of 2^n frames, by at most
-    its own length, by repeating its last frame; frames added by padding are
-    dropped after expansion, without renormalizing."""
+    node.  Every coarse token covers 2^n whole frames, so a length T that 2^n
+    does not divide raises ValueError."""
     t_len, factor = traj.shape[-2], 2 ** n_stages
-    pad = -t_len % factor
-    if pad > t_len:
-        raise ValueError(f"hmp_stages={n_stages} would pad a {t_len}-frame trajectory to {t_len + pad}")
-    pad_idx = np.concatenate([np.arange(t_len), np.full(pad, t_len - 1)])
-    cues, stages = motion_cues.data, []
-    out = np.take(traj.data, pad_idx, axis=-2) if pad else traj.data
+    if t_len % factor:
+        raise ValueError(f"hmp_stages={n_stages} merges 2^{n_stages}={factor} frames into a token, "
+                         f"which does not divide a {t_len}-frame trajectory")
+    cues, stages, out = motion_cues.data, [], traj.data
     for _ in range(n_stages):
         attn, weight = highlight(out, cues)
         enriched = enrich(out, attn, weight, cues)
@@ -74,10 +71,8 @@ def hierarchical_branch(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Ten
         out = merge(enriched, weight)
 
     def backward(g, needs):
-        # expansion and crop: each coarse token sums the gradients of its kept copies
-        full = np.zeros((*g.shape[:-2], t_len + pad, g.shape[-1]))
-        full[..., :t_len, :] = g
-        g = full.reshape(*out.shape[:-1], factor, out.shape[-1]).sum(axis=-2)
+        # expansion: each coarse token sums the gradients of its copies
+        g = g.reshape(*out.shape[:-1], factor, out.shape[-1]).sum(axis=-2)
         d_cues, merged = np.zeros_like(cues), out
         for x_s, attn, weight, enriched in reversed(stages):
             # merge: merged = Σ w·x / Σ w over each frame pair, pairs on axis -2
@@ -94,10 +89,6 @@ def hierarchical_branch(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Ten
             d_cues += unbroadcast(share.swapaxes(-1, -2) @ d_enriched
                                   + d_scores.swapaxes(-1, -2) @ x_s, cues.shape)
             g, merged = d_enriched + d_scores @ cues, x_s
-        if pad:  # the padded frames' gradients add into the last frame, in index order
-            d_traj = np.zeros_like(traj.data)
-            np.add.at(d_traj, (..., pad_idx, slice(None)), g)
-            g = d_traj
         return g, d_cues
 
     return node(np.take(out, np.arange(t_len) // factor, axis=-2), (traj, motion_cues), backward)

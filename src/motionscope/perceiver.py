@@ -60,7 +60,7 @@ class StaticPerceiver:
     def __init__(self, channels: int, img_channels: int, hidden: int,
                  grid: tuple[int, int], rng: np.random.Generator):
         """`grid` is the (H, W) of every frame this perceiver will see."""
-        self.grid = grid
+        self.frame_shape = (*grid, img_channels)
         self.position_code = Tensor(
             self.POSITION_SCALE * sinusoidal_grid(*grid, img_channels))
         c, ci = channels, img_channels
@@ -81,12 +81,13 @@ class StaticPerceiver:
         """Batched perception over a [T, H, W, C_img] feature video.
 
         Returns object tokens [T, N, C], the mask head's `MaskFeatures` and
-        objectness logits [T, N].  Frames of another grid raise ValueError.
+        objectness logits [T, N].  Frames of another shape raise ValueError.
         """
+        if frames.shape[1:] != self.frame_shape:
+            raise ValueError(f"frames have shape {frames.shape}, but the perceiver was built for "
+                             f"[T, H, W, C_img] frames whose grid and channels (H, W, C_img) "
+                             f"are {self.frame_shape}")
         t, h, w, ci = frames.shape
-        if (h, w) != self.grid:
-            raise ValueError(f"frames have the (H, W) grid {(h, w)}, "
-                             f"but the perceiver was built for {self.grid}")
         pixels = Tensor(frames)
         flat = pixels.reshape(t, h * w, ci)
         # keys see pixel + position, values the raw pixel features only, so a

@@ -18,19 +18,11 @@ def make_stack(n_blocks=2, n_stages=2, channels=6, seed=0):
     return HmpStack(channels, 2 * channels, n_blocks, n_stages, np.random.default_rng(seed))
 
 
-def pad_index(t_len, n_stages):
-    """Frame indices that pad a T-frame input to a multiple of 2^n frames by
-    repeating its last frame."""
-    pad = -t_len % 2 ** n_stages
-    return np.concatenate([np.arange(t_len), np.full(pad, t_len - 1)])
-
-
 def graph_branch(traj, motion_cues, n_stages):
     """The hierarchical branch as a chain of graph ops, stage by stage, with
-    softmax built from `exp`, `sum` and `/` and padding and expansion from
-    `take`: the oracle of the branch's node."""
-    t_len = traj.shape[-2]
-    x = take(traj, pad_index(t_len, n_stages), axis=-2)
+    softmax built from `exp`, `sum` and `/` and expansion from `take`: the
+    oracle of the branch's node."""
+    x = traj
     for _ in range(n_stages):
         # highlight: softmax over the time axis
         scores = (x @ motion_cues.swapaxes(-1, -2)) * (1.0 / np.sqrt(x.shape[-1]))
@@ -44,8 +36,8 @@ def graph_branch(traj, motion_cues, n_stages):
         pairs = enriched.reshape(*enriched.shape[:-2], t_half, 2, enriched.shape[-1])
         weights = frame_weight.reshape(*frame_weight.shape[:-1], t_half, 2, 1)
         x = (pairs * weights).sum(axis=-2) / weights.sum(axis=-2)
-    # expand by nearest-neighbour repetition and crop to the input length
-    return take(x, np.arange(t_len) // 2 ** n_stages, axis=-2)
+    # expand by nearest-neighbour repetition
+    return take(x, np.arange(traj.shape[-2]) // 2 ** n_stages, axis=-2)
 
 
 class TestHighlight:
@@ -151,13 +143,11 @@ class TestMerge:
 
 
 class TestFusedStages:
-    @pytest.mark.parametrize("n_stages,t_len", [(0, 5), (1, 8), (1, 5), (2, 6), (3, 8), (3, 5),
-                                                (1, 7), (2, 5), (2, 7), (3, 7), (5, 16)])
+    @pytest.mark.parametrize("n_stages,t_len", [(0, 5), (1, 8), (2, 8), (3, 8), (3, 16), (4, 16)])
     def test_equals_graph_composition(self, n_stages, t_len):
         """The branch's value equals the graph's bit for bit, and both
-        gradients agree within 1e-12 relative, at lengths that need no
-        padding and at lengths that do, up to the longest padding allowed
-        (16 frames to 32)."""
+        gradients agree within 1e-12 relative, from no stage up to the
+        deepest that the 16-frame scenes allow."""
         rng = np.random.default_rng(25)
         traj0, cues0 = rng.normal(size=(3, t_len, 6)), rng.normal(size=(2, 6))
         g = rng.normal(size=(3, t_len, 6))
@@ -176,50 +166,25 @@ class TestFusedStages:
             else:
                 assert np.abs(got_grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
-    def test_one_node_with_padding_and_expansion(self):
-        traj = Tensor(np.random.default_rng(26).normal(size=(5, 4)), requires_grad=True)
+    def test_one_node_with_expansion(self):
+        traj = Tensor(np.random.default_rng(26).normal(size=(8, 4)), requires_grad=True)
         cues = Tensor(np.ones((2, 4)), requires_grad=True)
         out = hierarchical_branch(traj, cues, 3)
-        assert out.shape == (5, 4) and out._parents == (traj, cues)
+        assert out.shape == (8, 4) and out._parents == (traj, cues)
 
     @pytest.mark.parametrize("n_stages", [0, 1, 3])
     def test_gradcheck(self, n_stages):
-        """Trajectory and cue gradients, at a length (5) that needs padding."""
+        """Trajectory and cue gradients."""
         rng = np.random.default_rng(27)
-        traj = Parameter("traj", rng.normal(size=(2, 5, 3)))
+        traj = Parameter("traj", rng.normal(size=(2, 8, 3)))
         cues = Parameter("cues", rng.normal(size=(2, 3)))
-        target = rng.normal(size=(2, 5, 3))
+        target = rng.normal(size=(2, 8, 3))
 
         def loss():
             d = hierarchical_branch(traj, cues, n_stages) - Tensor(target)
             return (d * d).sum()
 
         assert grad_check([traj, cues], loss) < 1e-6
-
-    @pytest.mark.parametrize("n_stages,t_len", [(n, t) for t in (5, 7) for n in (1, 2, 3)])
-    def test_padding_gradients_bit_for_bit(self, n_stages, t_len):
-        """Against the branch of the input padded beforehand (which then needs
-        no padding) under the output gradient padded with zeros: the cue
-        gradients are equal, and the trajectory gradient is the padded one
-        with each added frame added into the last frame in index order."""
-        rng = np.random.default_rng(28)
-        traj0, cues0 = rng.normal(size=(3, t_len, 6)), rng.normal(size=(2, 6))
-        idx = pad_index(t_len, n_stages)
-        g = rng.normal(size=(3, t_len, 6))
-
-        def run(traj0, g):
-            traj, cues = Tensor(traj0, requires_grad=True), Tensor(cues0, requires_grad=True)
-            (hierarchical_branch(traj, cues, n_stages) * Tensor(g)).sum().backward()
-            return traj.grad, cues.grad
-
-        d_traj, d_cues = run(traj0, g)
-        g_padded = np.zeros((3, idx.size, 6))
-        g_padded[:, :t_len] = g
-        d_padded, d_cues_padded = run(traj0[:, idx], g_padded)
-        expected = np.zeros_like(traj0)
-        np.add.at(expected, (slice(None), idx), d_padded)
-        assert np.array_equal(d_traj, expected)
-        assert np.array_equal(d_cues, d_cues_padded)
 
 
 class TestHierarchicalCrossAttention:
@@ -254,23 +219,13 @@ class TestHierarchicalCrossAttention:
         expected = np.repeat(coarse, 2, axis=0)
         assert np.allclose(out, expected, atol=1e-12)
 
-    def test_padding_is_dropped_losslessly(self):
-        """A 5-frame input is padded to 8 frames by repeating its last frame,
-        and the padded frames' outputs are dropped."""
-        rng = np.random.default_rng(13)
-        traj = rng.normal(size=(5, 4))
-        cues = Tensor(rng.normal(size=(2, 4)))
-        out = hierarchical_branch(Tensor(traj), cues, 2)
-        assert out.shape == (5, 4)
-        padded = hierarchical_branch(Tensor(traj[[0, 1, 2, 3, 4, 4, 4, 4]]), cues, 2)
-        assert np.array_equal(out.data, padded.data[:5])
-
-    @pytest.mark.parametrize("t_len,n_stages", [(16, 6), (5, 4), (1, 2)])
-    def test_padding_longer_than_the_input_rejected(self, t_len, n_stages):
-        """Padding past twice the length fails before it is built: 6 stages
-        would pad the 16-frame scenes to 64 frames, and 20 to 2^20."""
+    @pytest.mark.parametrize("t_len,n_stages", [(5, 1), (12, 3), (16, 5)])
+    def test_length_its_stages_do_not_divide_rejected(self, t_len, n_stages):
+        """Each coarse token merges 2^n whole frames, so a 16-frame scene
+        allows at most 4 stages."""
         traj, cues = Tensor(np.zeros((8, t_len, 4))), Tensor(np.ones((2, 4)))
-        with pytest.raises(ValueError, match=f"hmp_stages={n_stages} .* {t_len}-frame"):
+        named = rf"hmp_stages={n_stages} .*2\^{n_stages}={2 ** n_stages} .* {t_len}-frame"
+        with pytest.raises(ValueError, match=named):
             hierarchical_branch(traj, cues, n_stages)
 
     def test_batched_matches_per_trajectory(self):
@@ -323,7 +278,7 @@ class TestHmpBlock:
         for param in (block.attend.wo, block.attend.bo, block.ffn.w2, block.ffn.b2):
             param.data[...] = 0.0
         rng = np.random.default_rng(24)
-        traj = Tensor(rng.normal(size=(3, 6, 4)))
+        traj = Tensor(rng.normal(size=(3, 8, 4)))
         cues = Tensor(rng.normal(size=(2, 4)))
         branch = hierarchical_branch(standardize(traj), cues, 2).data
         expected = traj.data + branch @ block.wh.data + block.bh.data

@@ -49,7 +49,7 @@ class TestForward:
         scene = generate(0, BenchmarkConfig(height=32, width=32, channels=cfg.img_channels))
         with pytest.raises(ValueError, match="grid") as exc:
             model.forward(scene.features, scene.expressions[0])
-        assert "(32, 32)" in str(exc.value) and "(16, 16)" in str(exc.value)
+        assert str(scene.features.shape) in str(exc.value) and "(16, 16, 8)" in str(exc.value)
 
     def test_unique_parameter_names(self):
         _, model = make()

@@ -172,13 +172,14 @@ class TestPerceiveFrame:
         assert grad_check(perceiver.params, loss) < 1e-4
 
     # 2x8 and 8x2 hold the 4x4 grid's 16 pixels, so the position code would
-    # broadcast over them without complaint
-    @pytest.mark.parametrize("grid", [(2, 8), (8, 2), (3, 3), (8, 8)])
-    def test_frames_of_another_grid_rejected(self, perceiver, grid):
-        frames = np.zeros((2, *grid, 8))
+    # broadcast over them without complaint; the last two have the 4x4 grid
+    # but 16 channels, or no frame axis
+    @pytest.mark.parametrize("shape", [(2, 2, 8, 8), (2, 8, 2, 8), (2, 3, 3, 8), (2, 8, 8, 8),
+                                       (2, 4, 4, 16), (4, 4, 8)])
+    def test_frames_of_another_grid_rejected(self, perceiver, shape):
         with pytest.raises(ValueError, match="grid") as exc:
-            perceiver.perceive(frames, Tensor(np.zeros((3, 8))))
-        assert str(grid) in str(exc.value) and "(4, 4)" in str(exc.value)
+            perceiver.perceive(np.zeros(shape), Tensor(np.zeros((3, 8))))
+        assert str(shape) in str(exc.value) and "(4, 4, 8)" in str(exc.value)
 
 
 class TestMaskPrediction:
