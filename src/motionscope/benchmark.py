@@ -3,7 +3,9 @@
 Scenes are feature videos on a small grid: every object stamps its appearance
 vector onto the cells it occupies, on top of background noise and a fixed
 low-amplitude positional field (so object tokens can reflect where an object
-is, the way backbone features do).  Every standard scene contains at least two
+is, the way backbone features do).  The features are summed in float64 and
+rounded once to float32, the precision backbones emit; the model reads them
+back into float64, exactly.  Every standard scene contains at least two
 objects of the same category and near-identical appearance that differ only in
 their motion, so expressions can only be resolved by motion understanding.
 
@@ -28,7 +30,7 @@ from .language import (ADJ, ADV, NOUN, OTHER, PREP, VERB, ExprToken, TaggedExpre
                        expression_from_json, expression_to_json)
 from .perceiver import sinusoidal_grid
 
-MAGIC = b"MSCOPE01"
+MAGIC = b"MSCOPE02"
 
 STATIC = "static"
 SHORT_BURST = "short-burst"
@@ -141,7 +143,7 @@ class Scene:
     config: BenchmarkConfig
     objects: list[SceneObject]
     expressions: list[TaggedExpression]
-    features: np.ndarray  # [T, H, W, C]
+    features: np.ndarray  # [T, H, W, C], float32
     masks: np.ndarray  # [n_objects, T, H, W], bool
     probe: bool = False
 
@@ -250,7 +252,7 @@ def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]
             y, x = obj.motion.position(obj.start, frame)
             features[frame, y:y + size, x:x + size] += appearances[idx]
             masks[idx, frame, y:y + size, x:x + size] = True
-    return features, masks
+    return features.astype(np.float32), masks
 
 
 def _build_expression(rng, objects, cfg: BenchmarkConfig, target_idx: int | None,
@@ -383,10 +385,10 @@ def generate(seed: int, config: BenchmarkConfig | None = None) -> Scene:
 
 def save_scene(scene: Scene, directory) -> None:
     """Write `scene` as `<seed>.json` (config, objects, expressions) and
-    `<seed>.bin`: the header `MSCOPE01`, then the features [T, H, W, C] and
-    the masks [n_objects, T, H, W], both as little-endian float64 in C order,
-    a mask cell 0.0 or 1.0.  The float64 features are written from their
-    own buffer and the bool masks converted once."""
+    `<seed>.bin`: the header `MSCOPE02`, then the features [T, H, W, C] as
+    little-endian float32 and the masks [n_objects, T, H, W] as one byte a
+    cell, 0 or 1, both in C order.  The float32 features are written from
+    their own buffer and the bool masks converted once."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -411,8 +413,8 @@ def save_scene(scene: Scene, directory) -> None:
         json.dump(meta, fh)
     with open(directory / f"{scene.seed}.bin", "wb") as fh:
         fh.write(MAGIC)
-        fh.write(np.ascontiguousarray(scene.features, dtype="<f8"))
-        fh.write(np.ascontiguousarray(scene.masks, dtype="<f8"))
+        fh.write(np.ascontiguousarray(scene.features, dtype="<f4"))
+        fh.write(np.ascontiguousarray(scene.masks, dtype="u1"))
 
 
 def load_scene(directory, seed: int) -> Scene:
@@ -427,12 +429,14 @@ def load_scene(directory, seed: int) -> Scene:
     vocabulary, a token whose surface or tag is not its vocab entry's, a
     target id that names no object or repeats one, a `.bin`
     without the header or whose size does not fit the scene, non-finite
-    features and mask values other than 0 and 1.  An absent `probe` means
-    False.
+    features and mask bytes other than 0 and 1.  An absent `probe` means
+    False.  A `.bin` in the float64 `MSCOPE01` format of earlier versions
+    raises ValueError asking for the scene to be regenerated with
+    `motionscope gen`, which rebuilds it from its seed and config.
 
-    The `.bin` layout is the one `save_scene` writes.  The features are read
-    straight into a float64 [T, H, W, C] array; the masks come back as a bool
-    [n_objects, T, H, W] array."""
+    The `.bin` layout is the one `save_scene` writes.  Each block is read
+    straight into its array: the features into a float32 [T, H, W, C] array,
+    the masks into a bool [n_objects, T, H, W] array."""
     directory = Path(directory)
     json_path = directory / f"{seed}.json"
     meta = read_json(json_path)
@@ -496,25 +500,29 @@ def load_scene(directory, seed: int) -> Scene:
     bin_path = directory / f"{seed}.bin"
     t, h, w, c = cfg.frames, cfg.height, cfg.width, cfg.channels
     n = len(objects)
-    expected = len(MAGIC) + 8 * t * h * w * (c + n)
+    expected = len(MAGIC) + t * h * w * (4 * c + n)
     with open(bin_path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
+        header = fh.read(len(MAGIC))
+        if header == b"MSCOPE01":
+            raise ValueError(f"{bin_path} is a float64 MSCOPE01 scene file, which is no longer "
+                             f"read; regenerate it with `motionscope gen`")
+        if header != MAGIC:
             raise ValueError(f"{bin_path} does not start with the {MAGIC!r} header")
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise ValueError(f"{bin_path} holds {size} bytes, but a {t}x{h}x{w}x{c} scene "
                              f"with {n} objects needs {expected}")
         # allocated only once the file is known to hold them
-        features = np.empty((t, h, w, c), dtype="<f8")
-        stored = np.empty((n, t, h, w), dtype="<f8")
-        for block in (features, stored):
+        features = np.empty((t, h, w, c), dtype="<f4")
+        masks = np.empty((n, t, h, w), dtype=bool)
+        for block in (features, masks):
             if fh.readinto(block) != block.nbytes:
                 raise ValueError(f"{bin_path} held fewer than {expected} bytes when read")
     if not np.all(np.isfinite(features)):
         raise ValueError(f"{bin_path}: features hold a non-finite value")
-    masks = stored == 1.0
-    if not np.all(masks | (stored == 0.0)):
-        raise ValueError(f"{bin_path}: masks hold a value other than 0 and 1")
+    # a bool array holds whatever bytes were read; only 0 and 1 are booleans
+    if np.any(masks.view(np.uint8) > 1):
+        raise ValueError(f"{bin_path}: masks hold a byte other than 0 and 1")
     return Scene(seed=meta["seed"], config=cfg, objects=objects, expressions=expressions,
                  features=features, masks=masks, probe=probe)
 

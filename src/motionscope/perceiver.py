@@ -80,6 +80,8 @@ class StaticPerceiver:
     def perceive(self, frames: np.ndarray, q_hat: Tensor):
         """Batched perception over a [T, H, W, C_img] feature video.
 
+        Frames may be float32, as scenes hold them: they are converted to
+        float64 once, exactly, and all that follows computes in float64.
         Returns object tokens [T, N, C], the mask head's `MaskFeatures` and
         objectness logits [T, N].  Frames of another shape raise ValueError.
         """

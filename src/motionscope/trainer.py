@@ -107,12 +107,21 @@ def _require_expressions(scenes: list[Scene]) -> None:
 
 
 def _require_grid(config: TrainConfig, scenes) -> None:
+    """Every scene has the config's grid and channels, and a frame count that
+    the HMP stages' 2^hmp_stages-frame tokens divide."""
     grid = (config.grid_height, config.grid_width, config.img_channels)
+    factor = 2 ** config.hmp_stages
     for scene in scenes:
         if scene.features.shape[1:] != grid:
             raise ValueError(
                 f"scene {scene.seed} has {scene.features.shape[1:]} (H, W, C) features, "
                 f"but the config expects {grid}")
+        frames = scene.features.shape[0]
+        if frames % factor:
+            raise ValueError(
+                f"scene {scene.seed} has {frames} frames, but hmp_stages={config.hmp_stages} "
+                f"merges 2^{config.hmp_stages}={factor} frames into a token, which does not "
+                f"divide them")
 
 
 class Trainer:

@@ -132,21 +132,33 @@ class TestSceneIO:
         scene = generate(6, small_config())
         save_scene(scene, tmp_path)
         raw = (tmp_path / "6.bin").read_bytes()
-        assert raw[:8] == b"MSCOPE01"
+        assert raw[:8] == b"MSCOPE02"
         (tmp_path / "6.bin").write_bytes(b"BADMAGIC" + raw[8:])
         with pytest.raises(ValueError):
             load_scene(tmp_path, 6)
 
     def test_bin_layout_is_pinned(self, tmp_path):
-        """The `.bin` format: header, features and masks as little-endian
-        float64, a mask cell 0.0 or 1.0.  The digest pins the bytes."""
+        """The `.bin` format: header, features as little-endian float32 and
+        masks as one byte a cell, 0 or 1.  The digest pins the bytes."""
         scene = generate(6, small_config())
         save_scene(scene, tmp_path)
         raw = (tmp_path / "6.bin").read_bytes()
-        assert raw == (b"MSCOPE01" + scene.features.astype("<f8").tobytes()
-                       + np.where(scene.masks, 1.0, 0.0).astype("<f8").tobytes())
+        assert raw == (b"MSCOPE02" + scene.features.astype("<f4").tobytes()
+                       + np.where(scene.masks, 1, 0).astype("u1").tobytes())
         assert hashlib.sha256(raw).hexdigest() == (
-            "0bd129be4a197c7505fc86b51729eedbf93f9030836f41604cfdb05e6bd217e8")
+            "a60227af76706af578ced7ce924a4d44bf68f747d1b1aa2f2858ee1720a9c779")
+
+    def test_float64_format_is_rejected_with_the_regenerate_hint(self, tmp_path):
+        """An `MSCOPE01` file of earlier versions, float64 features and float64
+        mask cells, is not read: a scene is rebuilt from its seed and config."""
+        scene = generate(6, small_config())
+        save_scene(scene, tmp_path)
+        path = tmp_path / "6.bin"
+        path.write_bytes(b"MSCOPE01" + scene.features.astype("<f8").tobytes()
+                         + np.where(scene.masks, 1.0, 0.0).astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*MSCOPE01.*"
+                           + re.escape("regenerate it with `motionscope gen`")):
+            load_scene(tmp_path, 6)
 
     @pytest.mark.parametrize("edit", ["trailing", "truncated"])
     def test_bin_size_mismatch_names_file_and_byte_counts(self, tmp_path, edit):
@@ -154,6 +166,8 @@ class TestSceneIO:
         save_scene(scene, tmp_path)
         path = tmp_path / "6.bin"
         raw = path.read_bytes()
+        t, h, w, c = scene.features.shape
+        assert len(raw) == 8 + t * h * w * (4 * c + len(scene.objects))
         bad = raw + b"\0" * 8 if edit == "trailing" else raw[:-10]
         path.write_bytes(bad)
         with pytest.raises(ValueError) as exc:
@@ -170,20 +184,25 @@ class TestSceneIO:
         meta = json.loads(path.read_text())
         meta["config"]["frames"] = 2 ** 40
         path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / '6.bin'} holds")):
+        cfg = small_config()
+        needed = 8 + 2 ** 40 * cfg.height * cfg.width * (4 * cfg.channels + len(meta["objects"]))
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / '6.bin'} holds") + ".*"
+                           + re.escape(f"needs {needed}")):
             load_scene(tmp_path, 6)
 
-    @pytest.mark.parametrize("edit", ["nan_feature", "half_mask"])
+    @pytest.mark.parametrize("edit", ["nan_feature", "mask_byte_2"])
     def test_bad_bin_values_name_file_and_field(self, tmp_path, edit):
         scene = generate(6, small_config())
         save_scene(scene, tmp_path)
         path = tmp_path / "6.bin"
-        body = np.frombuffer(path.read_bytes(), dtype="<f8", offset=8).copy()
+        raw = path.read_bytes()
+        features = np.frombuffer(raw, dtype="<f4", count=scene.features.size, offset=8).copy()
+        masks = np.frombuffer(raw, dtype="u1", offset=8 + features.nbytes).copy()
         if edit == "nan_feature":
-            body[3], field = np.nan, "features"
+            features[3], field = np.nan, "features"
         else:
-            body[scene.features.size + 5], field = 0.5, "masks"
-        path.write_bytes(b"MSCOPE01" + body.tobytes())
+            masks[5], field = 2, "masks"
+        path.write_bytes(b"MSCOPE02" + features.tobytes() + masks.tobytes())
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {field}"):
             load_scene(tmp_path, 6)
 

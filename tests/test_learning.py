@@ -36,5 +36,17 @@ def test_full_model_clears_held_out_floors():
            + [generate(seed, BenchmarkConfig(probe=True)) for seed in range(2000, 2010)])
     cfg = TrainConfig(learning_rate=0.01, steps=1500, eval_every=1500, seed=0)
     final = Trainer(cfg, train, val).run().final
+    chance, count = random_pick_chance(val[:100])
+    print(f"held-out scores {final.scores()}; floors jf >= {JF_FLOOR}, "
+          f"ident_acc >= {IDENT_FLOOR}; random-pick chance {chance:.4f} on {count} expressions")
     assert not math.isnan(final.probe_acc)
     assert final.jf >= JF_FLOOR and final.ident_acc >= IDENT_FLOOR, final.scores()
+
+
+def random_pick_chance(scenes) -> tuple[float, int]:
+    """How often a uniformly random object of the scene is the target, and
+    over how many expressions: the mean over single-target expressions, a
+    reference for `ident_acc` read from the scenes' semantics with no model."""
+    picks = [1.0 / len(scene.objects) for scene in scenes for expr in scene.expressions
+             if len(expr.target_ids) == 1]
+    return sum(picks) / len(picks), len(picks)

@@ -44,6 +44,21 @@ class TestForward:
         assert np.array_equal(out_a.video.score_logits.data, out_b.video.score_logits.data)
         assert np.array_equal(out_a.frame_logits.data, out_b.frame_logits.data)
 
+    def test_generate_returns_float32_features(self):
+        scene = generate(0)
+        assert scene.features.dtype == np.float32
+
+    def test_float32_features_give_the_float64_upcast_forward_bit_for_bit(self):
+        """The perceiver converts float32 frames to float64 exactly, so the
+        model computes the same bits as on frames already upcast."""
+        model = MotionSegModel(TrainConfig(), np.random.default_rng(0))
+        scene = generate(3)
+        expr = scene.expressions[0]
+        out32 = model.forward(scene.features, expr)
+        out64 = model.forward(scene.features.astype(np.float64), expr)
+        assert np.array_equal(out32.frame_logits.data, out64.frame_logits.data)
+        assert np.array_equal(out32.video.tokens.data, out64.video.tokens.data)
+
     def test_scene_of_another_grid_rejected(self):
         cfg, model = make(grid_height=16, grid_width=16)
         scene = generate(0, BenchmarkConfig(height=32, width=32, channels=cfg.img_channels))

@@ -67,6 +67,17 @@ def test_scene_config_mismatch_names_seed_and_shapes(scene_config, split):
         Trainer(TrainConfig(), *splits).evaluate([scene])
 
 
+@pytest.mark.parametrize("split", ["train", "val", "evaluate"])
+def test_stage_count_the_frames_do_not_allow_names_seed_frames_and_stages(split):
+    """Three HMP stages merge 8 frames into a token, which 12 frames cannot
+    fill: the trainer refuses such a scene when it is built or evaluates it,
+    not in its first forward."""
+    scene = generate(4, BenchmarkConfig(frames=12))
+    splits = {"train": ([scene], []), "val": ([], [scene]), "evaluate": ([], [])}[split]
+    with pytest.raises(ValueError, match=re.escape("scene 4 has 12 frames, but hmp_stages=3")):
+        Trainer(TrainConfig(hmp_stages=3), *splits).evaluate([scene])
+
+
 @pytest.mark.parametrize("scenes", [[], [speechless(2)]], ids=["no-scenes", "no-expressions"])
 def test_evaluate_without_expressions_raises(scenes):
     trainer = Trainer(TrainConfig(), [], [])
