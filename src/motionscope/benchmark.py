@@ -14,6 +14,13 @@ the head noun fixes the category, an adjective fixes the colour, the verb
 fixes the motion kind and an optional adverb fixes the direction.  The
 generator audits every emitted expression against the motion programs so the
 stored target ids always equal the semantic matches.
+
+The recipe is fixed, as a benchmark dataset's is: the module constants
+`OBJECT_SIZE`, `MIN_OBJECTS`, `MAX_OBJECTS`, `EXPRESSIONS_PER_SCENE`,
+`BACKGROUND_NOISE`, `APPEARANCE_NOISE`, `POSITION_FIELD_SCALE`,
+`LANDMARK_PROB`, `ADJECTIVE_PROB`, `ADVERB_PROB`, `NO_TARGET_PROB` and
+`MULTI_TARGET_PROB` set it.  A scene is a function of its seed and a
+`BenchmarkConfig`, which holds only the data's shape and the probe switch.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_json
+from .config import json_object, read_json
 from .language import (ADJ, ADV, NOUN, OTHER, PREP, VERB, ExprToken, TaggedExpression,
                        expression_from_json, expression_to_json)
 from .perceiver import sinusoidal_grid
@@ -73,6 +80,19 @@ VOCAB: list[tuple[str, str]] = (
 )
 VOCAB_IDS = {surface: i for i, (surface, _) in enumerate(VOCAB)}
 
+OBJECT_SIZE = 2  # an object is an OBJECT_SIZE x OBJECT_SIZE square of cells
+MIN_OBJECTS = 3
+MAX_OBJECTS = 5
+EXPRESSIONS_PER_SCENE = 3
+BACKGROUND_NOISE = 0.05
+APPEARANCE_NOISE = 0.5  # length of an instance's jitter from its base look
+POSITION_FIELD_SCALE = 0.5
+LANDMARK_PROB = 0.5
+ADJECTIVE_PROB = 0.6
+ADVERB_PROB = 0.35
+NO_TARGET_PROB = 0.1
+MULTI_TARGET_PROB = 0.1
+
 
 class GenerationError(ValueError):
     """Raised when a scene specification cannot be satisfied."""
@@ -108,23 +128,10 @@ class BenchmarkConfig:
     height: int = 16
     width: int = 16
     channels: int = 32
-    object_size: int = 2
-    min_objects: int = 3
-    max_objects: int = 5
-    expressions_per_scene: int = 3
-    background_noise: float = 0.05
-    appearance_noise: float = 0.5
-    position_field_scale: float = 0.5
-    landmark_prob: float = 0.5
-    adjective_prob: float = 0.6
-    adverb_prob: float = 0.35
-    no_target_prob: float = 0.1
-    multi_target_prob: float = 0.1
     probe: bool = False  # probe scenes contrast long-horizon vs short-burst movers
-    ensure_contrast: bool = True
 
     def validate(self) -> None:
-        travel = min(self.width, self.height) - self.object_size
+        travel = min(self.width, self.height) - OBJECT_SIZE
         long_min = -(-3 * self.frames // 4)  # ceil
         if long_min > min(self.frames, travel):
             raise GenerationError(
@@ -133,8 +140,12 @@ class BenchmarkConfig:
             )
         if self.frames // 4 < 1:
             raise GenerationError(f"{self.frames} frames leave no room for short bursts")
-        if self.max_objects > self.height // self.object_size:
-            raise GenerationError("more objects than disjoint lanes")
+        # lanes run across the motion axis, which is either one
+        lanes = min(self.height, self.width) // OBJECT_SIZE
+        if MAX_OBJECTS > lanes:
+            raise GenerationError(
+                f"a {self.height}x{self.width} grid has {lanes} disjoint lanes on its "
+                f"narrow side, but a scene holds up to {MAX_OBJECTS} objects")
 
 
 @dataclass
@@ -145,7 +156,10 @@ class Scene:
     expressions: list[TaggedExpression]
     features: np.ndarray  # [T, H, W, C], float32
     masks: np.ndarray  # [n_objects, T, H, W], bool
-    probe: bool = False
+
+    @property
+    def probe(self) -> bool:
+        return self.config.probe
 
     def target_masks(self, expr: TaggedExpression) -> np.ndarray:
         return self.masks[list(expr.target_ids)]
@@ -201,7 +215,7 @@ def _sample_motion(rng, kind, cfg: BenchmarkConfig, axis: int, sign: int) -> Mot
     t = cfg.frames
     if kind == STATIC:
         return MotionProgram(STATIC, 0, 0, (0, 0))
-    travel = (cfg.height if axis == 0 else cfg.width) - cfg.object_size
+    travel = (cfg.height if axis == 0 else cfg.width) - OBJECT_SIZE
     if kind == SHORT_BURST:
         duration = int(rng.integers(2, max(t // 4, 2) + 1))
     else:
@@ -215,7 +229,7 @@ def _sample_motion(rng, kind, cfg: BenchmarkConfig, axis: int, sign: int) -> Mot
 
 def _sample_start(rng, motion: MotionProgram, cfg: BenchmarkConfig, axis: int, lane: int):
     """Start cell such that the whole displacement stays on the grid."""
-    size = cfg.object_size
+    size = OBJECT_SIZE
     span = (cfg.height if axis == 0 else cfg.width) - size
     reach = motion.duration
     sign = motion.direction[axis] if motion.kind != STATIC else 0
@@ -231,21 +245,21 @@ def _sample_start(rng, motion: MotionProgram, cfg: BenchmarkConfig, axis: int, l
 
 def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     t, h, w, c = cfg.frames, cfg.height, cfg.width, cfg.channels
-    size = cfg.object_size
-    position_field = sinusoidal_grid(h, w, c).reshape(h, w, c) * cfg.position_field_scale
-    features = rng.normal(scale=cfg.background_noise, size=(t, h, w, c))
+    size = OBJECT_SIZE
+    position_field = sinusoidal_grid(h, w, c).reshape(h, w, c) * POSITION_FIELD_SCALE
+    features = rng.normal(scale=BACKGROUND_NOISE, size=(t, h, w, c))
     features += position_field
     masks = np.zeros((len(objects), t, h, w), dtype=bool)
     appearances = []
     jitter_start = len(NOUNS) + len(COLORS)
     for obj in objects:
         # per-instance signature: same base look, unit-length jitter scaled to
-        # appearance_noise (instances stay visually similar but separable);
+        # APPEARANCE_NOISE (instances stay visually similar but separable);
         # jitter avoids the category/colour block when the space allows it
         jitter = rng.normal(size=c)
         if c >= jitter_start + 2:
             jitter[:jitter_start] = 0.0
-        jitter *= cfg.appearance_noise / np.linalg.norm(jitter)
+        jitter *= APPEARANCE_NOISE / np.linalg.norm(jitter)
         appearances.append(base_appearance(obj.category, obj.color, c) + jitter)
     for idx, obj in enumerate(objects):
         for frame in range(t):
@@ -255,8 +269,8 @@ def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]
     return features.astype(np.float32), masks
 
 
-def _build_expression(rng, objects, cfg: BenchmarkConfig, target_idx: int | None,
-                      want_targets: list[int], video: str) -> TaggedExpression:
+def _build_expression(rng, objects, target_idx: int | None,
+                      want_targets: list[int]) -> TaggedExpression:
     """Compose a token sequence whose audited matches equal `want_targets`."""
     if target_idx is not None:
         obj = objects[target_idx]
@@ -281,36 +295,36 @@ def _build_expression(rng, objects, cfg: BenchmarkConfig, target_idx: int | None
 
         if rng.random() < 0.5:
             add(FILLERS[int(rng.integers(0, len(FILLERS)))], OTHER)
-        if color is not None and rng.random() < cfg.adjective_prob:
+        if color is not None and rng.random() < ADJECTIVE_PROB:
             add(COLORS[color], ADJ)
         add(NOUNS[category], NOUN)
         verbs = KIND_VERBS[kind]
         add(verbs[int(rng.integers(0, len(verbs)))], VERB)
-        if direction is not None and direction != (0, 0) and rng.random() < cfg.adverb_prob:
+        if direction is not None and direction != (0, 0) and rng.random() < ADVERB_PROB:
             adverb = next(a for a, d in ADVERB_DIRECTIONS.items() if d == direction)
             add(adverb, ADV)
-        if rng.random() < cfg.landmark_prob:
+        if rng.random() < LANDMARK_PROB:
             other_cats = sorted({o.category for o in objects if o.category != category})
             if other_cats:
                 add(PREPOSITIONS[int(rng.integers(0, len(PREPOSITIONS)))], PREP)
                 add(NOUNS[other_cats[int(rng.integers(0, len(other_cats)))]], NOUN)
         matches = evaluate_expression(tokens, objects)
         if matches == sorted(want_targets):
-            return TaggedExpression(tokens=tokens, target_ids=matches, video=video)
+            return TaggedExpression(tokens=tokens, target_ids=matches)
     raise _Retry
 
 
 def _build_scene(seed: int, cfg: BenchmarkConfig, rng) -> Scene:
     axis = int(rng.integers(0, 2))
-    n_objects = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
-    lanes = rng.choice((cfg.height if axis == 1 else cfg.width) // cfg.object_size,
+    n_objects = int(rng.integers(MIN_OBJECTS, MAX_OBJECTS + 1))
+    lanes = rng.choice((cfg.height if axis == 1 else cfg.width) // OBJECT_SIZE,
                        size=n_objects, replace=False)
 
     objects: list[SceneObject] = []
     category = int(rng.integers(0, len(NOUNS)))
     color = int(rng.integers(0, len(COLORS)))
     sign = int(rng.choice([-1, 1]))
-    multi_target = (not cfg.probe) and rng.random() < cfg.multi_target_prob
+    multi_target = (not cfg.probe) and rng.random() < MULTI_TARGET_PROB
 
     if cfg.probe:
         # same appearance, same direction: one long walker, one short dart
@@ -320,10 +334,6 @@ def _build_scene(seed: int, cfg: BenchmarkConfig, rng) -> Scene:
         group_kinds = [base_kind, base_kind, alt_kind]
     else:
         group_kinds = list(rng.permutation([STATIC, SHORT_BURST, LONG_HORIZON])[: int(rng.integers(2, 4))])
-    if not cfg.ensure_contrast:
-        group_kinds = group_kinds[:1]
-    if len(group_kinds) > n_objects:
-        group_kinds = group_kinds[:n_objects]
 
     for i in range(n_objects):
         if i < len(group_kinds):
@@ -340,31 +350,30 @@ def _build_scene(seed: int, cfg: BenchmarkConfig, rng) -> Scene:
         start = _sample_start(rng, motion, cfg, axis, int(lanes[i]))
         objects.append(SceneObject(category=cat_i, color=col_i, start=start, motion=motion))
 
-    video = f"scene-{seed}"
     expressions: list[TaggedExpression] = []
-    for _ in range(cfg.expressions_per_scene):
+    for _ in range(EXPRESSIONS_PER_SCENE):
         if cfg.probe:
             target = 0  # the long-horizon member of the contrast pair
-            expressions.append(_build_expression(rng, objects, cfg, target, [target], video))
+            expressions.append(_build_expression(rng, objects, target, [target]))
         elif multi_target:
             want = [i for i, o in enumerate(objects)
                     if o.category == category and o.color == color
                     and o.motion.kind == group_kinds[0]]
             if len(want) < 2:
                 raise _Retry
-            expressions.append(_build_expression(rng, objects, cfg, want[0], want, video))
-        elif rng.random() < cfg.no_target_prob:
-            expressions.append(_build_expression(rng, objects, cfg, None, [], video))
+            expressions.append(_build_expression(rng, objects, want[0], want))
+        elif rng.random() < NO_TARGET_PROB:
+            expressions.append(_build_expression(rng, objects, None, []))
         else:
             if rng.random() < 0.7:
                 target = int(rng.integers(0, len(group_kinds)))
             else:
                 target = int(rng.integers(0, n_objects))
-            expressions.append(_build_expression(rng, objects, cfg, target, [target], video))
+            expressions.append(_build_expression(rng, objects, target, [target]))
 
     features, masks = _render(objects, cfg, rng)
     return Scene(seed=seed, config=cfg, objects=objects, expressions=expressions,
-                 features=features, masks=masks, probe=cfg.probe)
+                 features=features, masks=masks)
 
 
 def generate(seed: int, config: BenchmarkConfig | None = None) -> Scene:
@@ -393,7 +402,6 @@ def save_scene(scene: Scene, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
         "seed": scene.seed,
-        "probe": scene.probe,
         "config": asdict(scene.config),
         "objects": [
             {
@@ -421,17 +429,17 @@ def load_scene(directory, seed: int) -> Scene:
     """Read the scene `<seed>.json` and `<seed>.bin` of `directory`.
 
     Raises ValueError, naming the file and the field, for a `.json` that is
-    not JSON, a missing top-level key, a `seed` field that differs from
-    `seed`, a config key that `BenchmarkConfig` does not have, a `probe` flag
-    that is not a bool or differs from `config.probe`, an object that lacks a
-    key or whose category, color or motion kind is unknown, an expression
-    entry that cannot be read or has no tokens, a vocab id outside the
-    vocabulary, a token whose surface or tag is not its vocab entry's, a
-    target id that names no object or repeats one, a `.bin`
-    without the header or whose size does not fit the scene, non-finite
-    features and mask bytes other than 0 and 1.  An absent `probe` means
-    False.  A `.bin` in the float64 `MSCOPE01` format of earlier versions
-    raises ValueError asking for the scene to be regenerated with
+    not JSON, a top level, `config` or object entry that is not a JSON
+    object, a missing top-level key, a `seed` field that differs from `seed`,
+    a config key that `BenchmarkConfig` does not have, a config value whose
+    type is not its field's, an object that lacks a key or whose category,
+    color or motion kind is unknown, an expression entry that cannot be read
+    or has no tokens, a vocab id outside the vocabulary, a token whose
+    surface or tag is not its vocab entry's, a target id that names no
+    object or repeats one, a `.bin` without the header or whose size does
+    not fit the scene, non-finite features and mask bytes other than 0 and 1.  Scene files of earlier versions, whose config
+    holds the recipe or whose `.bin` is in the float64 `MSCOPE01` format,
+    raise ValueError asking for the scene to be regenerated with
     `motionscope gen`, which rebuilds it from its seed and config.
 
     The `.bin` layout is the one `save_scene` writes.  Each block is read
@@ -439,27 +447,29 @@ def load_scene(directory, seed: int) -> Scene:
     the masks into a bool [n_objects, T, H, W] array."""
     directory = Path(directory)
     json_path = directory / f"{seed}.json"
-    meta = read_json(json_path)
+    meta = json_object(read_json(json_path), json_path)
     missing = sorted({"config", "objects", "expressions", "seed"} - set(meta))
     if missing:
         raise ValueError(f"{json_path}: scene lacks the keys {missing}")
     if meta["seed"] != seed:
         raise ValueError(f"{json_path}: seed field says {meta['seed']!r}, "
                          f"but the file name says {seed}")
-    unknown = sorted(set(meta["config"]) - {f.name for f in fields(BenchmarkConfig)})
+    config = json_object(meta["config"], f"{json_path}: config")
+    unknown = sorted(set(config) - {f.name for f in fields(BenchmarkConfig)})
     if unknown:
-        raise ValueError(f"{json_path}: config holds unknown keys {unknown}")
-    cfg = BenchmarkConfig(**meta["config"])
-    probe = meta.get("probe", False)
-    if not isinstance(probe, bool):
-        raise ValueError(f"{json_path}: probe is {probe!r}, not a bool")
-    if probe != cfg.probe:
-        raise ValueError(f"{json_path}: probe is {probe!r}, but config.probe is {cfg.probe!r}")
+        raise ValueError(f"{json_path}: config holds unknown keys {unknown}; regenerate a "
+                         f"scene file of an earlier version with `motionscope gen`")
+    cfg = BenchmarkConfig(**config)
+    for f in fields(cfg):
+        # the probe flag is stored once, here, so a non-bool must not pass as one
+        if type(getattr(cfg, f.name)) is not type(f.default):
+            raise ValueError(f"{json_path}: config {f.name} is {getattr(cfg, f.name)!r}, "
+                             f"not {type(f.default).__name__}")
     objects = []
     for index, o in enumerate(meta["objects"]):
         where = f"{json_path}: object {index}"
         missing = sorted({"category", "color", "start", "kind", "onset", "duration",
-                          "direction"} - set(o))
+                          "direction"} - set(json_object(o, where)))
         if missing:
             raise ValueError(f"{where} lacks the keys {missing}")
         if o["category"] not in range(len(NOUNS)):
@@ -524,7 +534,7 @@ def load_scene(directory, seed: int) -> Scene:
     if np.any(masks.view(np.uint8) > 1):
         raise ValueError(f"{bin_path}: masks hold a byte other than 0 and 1")
     return Scene(seed=meta["seed"], config=cfg, objects=objects, expressions=expressions,
-                 features=features, masks=masks, probe=probe)
+                 features=features, masks=masks)
 
 
 def load_dataset(directory) -> list[Scene]:

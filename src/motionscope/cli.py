@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .benchmark import BenchmarkConfig, generate, load_dataset, save_scene
-from .config import TrainConfig, read_json
+from .config import TrainConfig, json_object, read_json
 from .model import load_model_weights
 from .trainer import SCORES, Trainer, ablate, write_ablation_csv, write_csv
 
@@ -92,7 +92,7 @@ def cmd_report(args) -> int:
     runs = Path(args.runs)
     rows = []
     for summary in sorted(runs.glob("*/summary.json")):
-        data = read_json(summary)
+        data = json_object(read_json(summary), summary)
         data["run"] = summary.parent.name
         rows.append(data)
     if not rows:

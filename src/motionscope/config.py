@@ -23,6 +23,13 @@ def read_json(path):
         raise ValueError(f"{path} is not readable JSON ({err})") from None
 
 
+def json_object(value, where) -> dict:
+    """`value` if it is a JSON object; otherwise ValueError naming `where`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 @dataclass
 class TrainConfig:
     # architecture
@@ -108,10 +115,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
-        data = read_json(path)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path} must hold a JSON object of config fields, "
-                             f"got {type(data).__name__}")
+        data = json_object(read_json(path), path)
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"{path} holds unknown config keys {unknown}")

@@ -37,7 +37,6 @@ class ExprToken:
 class TaggedExpression:
     tokens: list[ExprToken]
     target_ids: list[int] = field(default_factory=list)
-    video: str = ""
 
 
 @dataclass
@@ -92,7 +91,6 @@ def expression_to_json(expr: TaggedExpression) -> dict:
     return {
         "tokens": [[t.surface, t.tag, t.vocab_id] for t in expr.tokens],
         "target_ids": list(expr.target_ids),
-        "video": expr.video,
     }
 
 
@@ -100,6 +98,5 @@ def expression_from_json(obj: dict) -> TaggedExpression:
     return TaggedExpression(
         tokens=[ExprToken(s, tag, int(v)) for s, tag, v in obj["tokens"]],
         target_ids=[int(i) for i in obj["target_ids"]],
-        video=str(obj["video"]),
     )
 

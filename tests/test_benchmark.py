@@ -7,6 +7,8 @@ import pytest
 
 from motionscope.benchmark import (
     LONG_HORIZON,
+    MAX_OBJECTS,
+    OBJECT_SIZE,
     SHORT_BURST,
     STATIC,
     VOCAB,
@@ -28,8 +30,8 @@ from motionscope.language import MOTION_TAGS, STATIC_TAGS, VERB
 
 
 def small_config(**overrides):
-    base = dict(frames=8, height=8, width=8, channels=8, min_objects=3, max_objects=3,
-                expressions_per_scene=2)
+    # the narrowest square grid that holds MAX_OBJECTS lanes
+    base = dict(frames=8, height=10, width=10, channels=8)
     base.update(overrides)
     return BenchmarkConfig(**base)
 
@@ -45,16 +47,18 @@ class TestGenerator:
         assert [o.motion for o in a.objects] == [o.motion for o in b.objects]
 
     def test_single_static_object_mask_is_constant_support(self):
-        cfg = small_config(min_objects=1, max_objects=1, ensure_contrast=False,
-                           no_target_prob=0.0, multi_target_prob=0.0, expressions_per_scene=1)
+        cfg = small_config()
+        static = 0
         for seed in range(10):
             scene = generate(seed, cfg)
-            obj = scene.objects[0]
-            if obj.motion.kind != STATIC:
-                continue
-            for t in range(cfg.frames):
-                assert np.array_equal(scene.masks[0, t], scene.masks[0, 0])
-            assert scene.masks[0, 0].sum() == cfg.object_size ** 2
+            for obj, mask in zip(scene.objects, scene.masks):
+                if obj.motion.kind != STATIC:
+                    continue
+                static += 1
+                for t in range(cfg.frames):
+                    assert np.array_equal(mask[t], mask[0])
+                assert mask[0].sum() == OBJECT_SIZE ** 2
+        assert static > 0
 
     def test_contrast_pair_present_and_audited(self):
         cfg = small_config()
@@ -113,7 +117,31 @@ class TestGenerator:
 
     def test_unsatisfiable_config_rejected(self):
         with pytest.raises(GenerationError):
-            generate(0, small_config(width=4, height=4, frames=16, max_objects=2, min_objects=2))
+            generate(0, small_config(width=4, height=4, frames=16))
+
+    @pytest.mark.parametrize("height,width", [(20, 8), (8, 20)])
+    def test_grid_without_lanes_on_either_side_rejected(self, height, width):
+        """A vertical-motion scene lays its lanes across the width, a
+        horizontal one across the height, so the narrow side must hold
+        MAX_OBJECTS lanes."""
+        cfg = small_config(height=height, width=width)
+        message = re.escape(f"{height}x{width} grid has 4 disjoint lanes") + ".*" + str(MAX_OBJECTS)
+        with pytest.raises(GenerationError, match=message):
+            cfg.validate()
+        with pytest.raises(GenerationError, match=message):
+            generate(9, cfg)
+
+    @pytest.mark.parametrize("seed,overrides,digest", [
+        (0, {}, "b9e258d5540f0657ab469449947a4743202822b6d254473325bb9d41824a4451"),
+        (1000, {}, "06a28b880591bd653ddebb3bffd28f75ce9e125b8d26e06f615f08b919b1e1fa"),
+        (2000, {"probe": True}, "7777e4267c17c34ac081772ce5f45005067b9825205e1a9f260e888a086d77d7"),
+        (0, {"height": 32, "width": 32},
+         "200c827429330447966828bd828b26a2b40855d80c12d0d22e918e93d471d652"),
+    ], ids=["default", "val-seed", "probe", "hires"])
+    def test_default_recipe_is_pinned(self, tmp_path, seed, overrides, digest):
+        """The `.bin` bytes of full-size scenes pin the recipe constants."""
+        save_scene(generate(seed, BenchmarkConfig(**overrides)), tmp_path)
+        assert hashlib.sha256((tmp_path / f"{seed}.bin").read_bytes()).hexdigest() == digest
 
 
 class TestSceneIO:
@@ -146,7 +174,7 @@ class TestSceneIO:
         assert raw == (b"MSCOPE02" + scene.features.astype("<f4").tobytes()
                        + np.where(scene.masks, 1, 0).astype("u1").tobytes())
         assert hashlib.sha256(raw).hexdigest() == (
-            "a60227af76706af578ced7ce924a4d44bf68f747d1b1aa2f2858ee1720a9c779")
+            "daf2cef477f1cfe6afb765ba659f7d1b8ad798577061975c4b0f6b57cf5c89f8")
 
     def test_float64_format_is_rejected_with_the_regenerate_hint(self, tmp_path):
         """An `MSCOPE01` file of earlier versions, float64 features and float64
@@ -287,35 +315,64 @@ class TestSceneIO:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: object 1: {field} {value!r}"):
             load_scene(tmp_path, 6)
 
-    def test_probe_flag_must_be_a_bool(self, tmp_path):
+    def test_scene_of_an_earlier_version_names_file_keys_and_regenerate_hint(self, tmp_path):
+        """Earlier versions stored the recipe in the config and the probe flag
+        a second time at the top level."""
         save_scene(generate(6, small_config()), tmp_path)
         path = tmp_path / "6.json"
         meta = json.loads(path.read_text())
-        meta["probe"] = "yes"
+        meta["probe"] = False
+        meta["config"].update(object_size=2, min_objects=3, max_objects=5, ensure_contrast=True)
         path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: probe is 'yes'"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: config holds unknown keys "
+                f"['ensure_contrast', 'max_objects', 'min_objects', 'object_size']") + ".*"
+                + re.escape("`motionscope gen`")):
             load_scene(tmp_path, 6)
-        del meta["probe"]
-        path.write_text(json.dumps(meta))
-        assert load_scene(tmp_path, 6).probe is False
 
-    @pytest.mark.parametrize("probe", [False, True])
-    def test_probe_flag_must_match_the_config(self, tmp_path, probe):
-        """A scene whose top-level `probe` and `config.probe` disagree would be
-        scored as a probe scene, or not, by whichever one a reader picks."""
-        save_scene(generate(6, small_config(probe=probe)), tmp_path)
+    def test_probe_flag_is_stored_once(self, tmp_path):
+        for seed, probe in ((6, False), (7, True)):
+            scene = generate(seed, small_config(probe=probe))
+            assert scene.probe is probe
+            save_scene(scene, tmp_path)
+            meta = json.loads((tmp_path / f"{seed}.json").read_text())
+            assert "probe" not in meta and meta["config"]["probe"] is probe
+            assert load_scene(tmp_path, seed).probe is probe
+
+    @pytest.mark.parametrize("edit,where,got", [
+        ("top level 5", "", "int"),
+        ("top level null", "", "NoneType"),
+        ("config", ": config", "list"),
+        ("object entry", ": object 1", "int"),
+    ])
+    def test_json_of_the_wrong_shape_names_file_and_entry(self, tmp_path, edit, where, got):
+        save_scene(generate(6, small_config()), tmp_path)
         path = tmp_path / "6.json"
         meta = json.loads(path.read_text())
-        meta["probe"] = not probe
+        if edit == "top level 5":
+            meta = 5
+        elif edit == "top level null":
+            meta = None
+        elif edit == "config":
+            meta["config"] = [8, 10, 10, 8]
+        else:
+            meta["objects"][1] = 5
         path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: probe is {not probe}, "
-                                             f"but config.probe is {probe}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}{where} must be a JSON object, got {got}")):
             load_scene(tmp_path, 6)
-        if probe:  # an absent flag means False, which a probe config contradicts
-            del meta["probe"]
-            path.write_text(json.dumps(meta))
-            with pytest.raises(ValueError, match="probe is False, but config.probe is True"):
-                load_scene(tmp_path, 6)
+
+    @pytest.mark.parametrize("key,value,expected", [("probe", "yes", "bool"), ("probe", 1, "bool"),
+                                                    ("frames", "8", "int"), ("height", True, "int")])
+    def test_config_value_of_wrong_type_names_file_and_key(self, tmp_path, key, value, expected):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        meta["config"][key] = value
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: config {key} is {value!r}, not {expected}")):
+            load_scene(tmp_path, 6)
 
     def test_unknown_config_key_names_file_and_key(self, tmp_path):
         save_scene(generate(6, small_config()), tmp_path)

@@ -90,6 +90,14 @@ def test_config_top_level_must_be_an_object(tmp_path):
     assert "unknown config keys" not in str(exc.value)
 
 
+def test_report_names_a_summary_that_is_not_an_object(tmp_path):
+    summary = tmp_path / "runs" / "a" / "summary.json"
+    summary.parent.mkdir(parents=True)
+    summary.write_text(json.dumps([1, 2]))
+    with pytest.raises(ValueError, match=re.escape(f"{summary} must be a JSON object, got list")):
+        main(["report", "--runs", str(tmp_path / "runs"), "--csv", str(tmp_path / "report.csv")])
+
+
 def test_train_names_a_missing_data_directory(tmp_path):
     config = tmp_path / "config.json"
     TrainConfig(steps=2, eval_every=1).to_json(config)

@@ -20,11 +20,10 @@ from motionscope.tensor import Parameter, Tensor
 from gradcheck import grad_check
 
 
-def make_expr(specs, targets=(), video="v0"):
+def make_expr(specs, targets=()):
     return TaggedExpression(
         tokens=[ExprToken(s, tag, i) for i, (s, tag) in enumerate(specs)],
         target_ids=list(targets),
-        video=video,
     )
 
 
@@ -137,24 +136,24 @@ class TestDecouple:
 class TestExpressionIO:
     def test_json_roundtrip(self):
         exprs = [
-            make_expr(BIRD_SENTENCE, targets=[1], video="scene-7"),
-            make_expr([("circle", NOUN), ("drifting", VERB)], targets=[], video="scene-8"),
+            make_expr(BIRD_SENTENCE, targets=[1]),
+            make_expr([("circle", NOUN), ("drifting", VERB)], targets=[]),
         ]
         loaded = [expression_from_json(json.loads(json.dumps(expression_to_json(e))))
                   for e in exprs]
         assert len(loaded) == 2
         assert loaded[0].tokens == exprs[0].tokens
         assert loaded[0].target_ids == [1]
-        assert loaded[1].video == "scene-8"
+        assert loaded == exprs
 
     def test_json_shape(self):
-        obj = {"tokens": [["bird", "NOUN", 0]], "target_ids": [2], "video": "v"}
+        obj = {"tokens": [["bird", "NOUN", 0]], "target_ids": [2]}
         expr = expression_from_json(obj)
         assert expr.tokens[0] == ExprToken("bird", "NOUN", 0)
 
-    @pytest.mark.parametrize("missing", ["tokens", "target_ids", "video"])
+    @pytest.mark.parametrize("missing", ["tokens", "target_ids"])
     def test_missing_key_rejected(self, missing):
-        obj = {"tokens": [["bird", "NOUN", 0]], "target_ids": [2], "video": "v"}
+        obj = {"tokens": [["bird", "NOUN", 0]], "target_ids": [2]}
         del obj[missing]
         with pytest.raises(KeyError):
             expression_from_json(obj)

@@ -32,7 +32,7 @@ def dice_loss(probs, targets):
 
 
 def small_model(seed=0, **overrides):
-    base = dict(channels=8, img_channels=8, grid_height=8, grid_width=8,
+    base = dict(channels=8, img_channels=8, grid_height=10, grid_width=10,
                 n_static_queries=4, n_motion_queries=2, hmp_blocks=1, hmp_stages=1)
     base.update(overrides)
     cfg = TrainConfig(**base)
@@ -40,8 +40,7 @@ def small_model(seed=0, **overrides):
 
 
 def small_scene(seed=0, **overrides):
-    base = dict(frames=8, height=8, width=8, channels=8, min_objects=2, max_objects=3,
-                expressions_per_scene=2)
+    base = dict(frames=8, height=10, width=10, channels=8)
     base.update(overrides)
     return generate(seed, BenchmarkConfig(**base))
 
@@ -329,7 +328,7 @@ def test_no_per_pixel_projection_is_differentiated():
 def toy_trainer():
     """A Trainer at toy sizes over four scenes, with the contrastive term live
     from the first step on."""
-    cfg = TrainConfig(channels=8, img_channels=8, grid_height=8, grid_width=8,
+    cfg = TrainConfig(channels=8, img_channels=8, grid_height=10, grid_width=10,
                       n_static_queries=4, n_motion_queries=2, hmp_blocks=1, hmp_stages=1,
                       n_negatives=4, warmup_frac=0.0, steps=12, eval_every=12)
     return Trainer(cfg, [small_scene(seed) for seed in range(4)], [])

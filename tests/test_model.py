@@ -7,7 +7,7 @@ from motionscope.model import MotionSegModel, load_model_weights, save_model
 
 
 def make(seed=0, **overrides):
-    base = dict(channels=8, img_channels=8, grid_height=8, grid_width=8,
+    base = dict(channels=8, img_channels=8, grid_height=10, grid_width=10,
                 n_static_queries=4, n_motion_queries=2, hmp_blocks=2, hmp_stages=1)
     base.update(overrides)
     cfg = TrainConfig(**base)
@@ -16,8 +16,7 @@ def make(seed=0, **overrides):
 
 def scene_for(cfg, seed=0):
     return generate(seed, BenchmarkConfig(frames=8, height=cfg.grid_height,
-                                          width=cfg.grid_width, channels=cfg.img_channels,
-                                          min_objects=2, max_objects=3))
+                                          width=cfg.grid_width, channels=cfg.img_channels))
 
 
 class TestForward:
