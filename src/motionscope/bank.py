@@ -16,6 +16,9 @@ import numpy as np
 from .layers import init_weight, registry
 from .tensor import Parameter, Tensor, concat
 
+TAU = 0.07  # temperature of the contrastive softmax
+EMA_BETA = 0.2  # share of a centroid that an update keeps
+
 
 class ContrastiveProjector:
     """Two-layer MLP followed by L2 normalization."""
@@ -49,11 +52,9 @@ class MemoryBank:
         self.vectors = np.zeros((self.size, channels))
         self.initialized = np.zeros(self.size, dtype=bool)
 
-    def update(self, slot: int, vector: np.ndarray, beta: float) -> None:
+    def update(self, slot: int, vector: np.ndarray) -> None:
         """First touch copies the vector; later touches blend with retention
-        factor beta and re-normalize the stored centroid."""
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {beta}")
+        factor EMA_BETA and re-normalize the stored centroid."""
         if not 0 <= slot < self.size:
             raise IndexError(f"slot {slot} out of range for bank of {self.size}")
         vec = np.asarray(vector, dtype=np.float64)
@@ -61,7 +62,7 @@ class MemoryBank:
             self.vectors[slot] = vec
             self.initialized[slot] = True
             return
-        blended = beta * self.vectors[slot] + (1.0 - beta) * vec
+        blended = EMA_BETA * self.vectors[slot] + (1.0 - EMA_BETA) * vec
         norm = np.linalg.norm(blended)
         if norm > 0:
             blended = blended / norm
@@ -115,18 +116,17 @@ class MemoryBank:
 
 
 def contrastive_loss(anchor: Tensor, positive: np.ndarray,
-                     negatives: np.ndarray, tau: float) -> Tensor:
-    """Softmax-over-similarities loss of the anchor against its centroid.
+                     negatives: np.ndarray) -> Tensor:
+    """Softmax-over-similarities loss of the anchor against its centroid, at
+    temperature TAU.
 
     Stabilized by max subtraction; with no negatives the loss is exactly 0.
     Centroids enter as constants, so gradient flows only into the anchor.
     """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    pos_logit = (anchor * Tensor(positive)).sum() * (1.0 / tau)
+    pos_logit = (anchor * Tensor(positive)).sum() * (1.0 / TAU)
     logits = pos_logit.reshape(1)
     if len(negatives):
-        neg = (anchor.reshape(1, -1) @ Tensor(np.asarray(negatives).T)) * (1.0 / tau)
+        neg = (anchor.reshape(1, -1) @ Tensor(np.asarray(negatives).T)) * (1.0 / TAU)
         logits = concat([logits, neg.reshape(len(negatives))], axis=0)
     shift = Tensor(logits.data.max())
     lse = (logits - shift).exp().sum().log() + shift

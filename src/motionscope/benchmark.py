@@ -79,6 +79,7 @@ VOCAB: list[tuple[str, str]] = (
     + [(w, ADV) for w in ADVERB_DIRECTIONS]
 )
 VOCAB_IDS = {surface: i for i, (surface, _) in enumerate(VOCAB)}
+MOTION_DIRECTIONS = {(0, 0), *ADVERB_DIRECTIONS.values()}  # what a motion program may take
 
 OBJECT_SIZE = 2  # an object is an OBJECT_SIZE x OBJECT_SIZE square of cells
 MIN_OBJECTS = 3
@@ -108,10 +109,6 @@ class MotionProgram:
     onset: int
     duration: int
     direction: tuple[int, int]  # (dy, dx), one cell per moving frame
-
-    def position(self, start: tuple[int, int], t: int) -> tuple[int, int]:
-        moved = max(0, min(t, self.onset + self.duration) - self.onset)
-        return (start[0] + self.direction[0] * moved, start[1] + self.direction[1] * moved)
 
 
 @dataclass
@@ -243,9 +240,25 @@ def _sample_start(rng, motion: MotionProgram, cfg: BenchmarkConfig, axis: int, l
     return (coord, lane_coord) if axis == 0 else (lane_coord, coord)
 
 
+def _stamps(objects, frames: int):
+    """Per object, the (frame, row, column) index arrays, broadcasting to
+    [frames, OBJECT_SIZE, OBJECT_SIZE], of the square that its motion program
+    stamps on each frame: the square starts at `start` and, from frame
+    `onset` on, moves one cell in `direction` per frame until it has moved
+    `duration` cells."""
+    t = np.arange(frames)
+    offsets = np.arange(OBJECT_SIZE)
+    for obj in objects:
+        m = obj.motion
+        moved = np.minimum(np.maximum(t, m.onset), m.onset + m.duration) - m.onset
+        rows = obj.start[0] + m.direction[0] * moved
+        cols = obj.start[1] + m.direction[1] * moved
+        yield (t[:, None, None], rows[:, None, None] + offsets[:, None],
+               cols[:, None, None] + offsets)
+
+
 def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     t, h, w, c = cfg.frames, cfg.height, cfg.width, cfg.channels
-    size = OBJECT_SIZE
     position_field = sinusoidal_grid(h, w, c).reshape(h, w, c) * POSITION_FIELD_SCALE
     features = rng.normal(scale=BACKGROUND_NOISE, size=(t, h, w, c))
     features += position_field
@@ -261,11 +274,9 @@ def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]
             jitter[:jitter_start] = 0.0
         jitter *= APPEARANCE_NOISE / np.linalg.norm(jitter)
         appearances.append(base_appearance(obj.category, obj.color, c) + jitter)
-    for idx, obj in enumerate(objects):
-        for frame in range(t):
-            y, x = obj.motion.position(obj.start, frame)
-            features[frame, y:y + size, x:x + size] += appearances[idx]
-            masks[idx, frame, y:y + size, x:x + size] = True
+    for idx, cells in enumerate(_stamps(objects, t)):
+        features[cells] += appearances[idx]
+        masks[idx][cells] = True
     return features.astype(np.float32), masks
 
 
@@ -430,17 +441,22 @@ def load_scene(directory, seed: int) -> Scene:
 
     Raises ValueError, naming the file and the field, for a `.json` that is
     not JSON, a top level, `config` or object entry that is not a JSON
-    object, a missing top-level key, a `seed` field that differs from `seed`,
-    a config key that `BenchmarkConfig` does not have, a config value whose
-    type is not its field's, an object that lacks a key or whose category,
-    color or motion kind is unknown, an expression entry that cannot be read
-    or has no tokens, a vocab id outside the vocabulary, a token whose
-    surface or tag is not its vocab entry's, a target id that names no
-    object or repeats one, a `.bin` without the header or whose size does
-    not fit the scene, non-finite features and mask bytes other than 0 and 1.  Scene files of earlier versions, whose config
-    holds the recipe or whose `.bin` is in the float64 `MSCOPE01` format,
-    raise ValueError asking for the scene to be regenerated with
-    `motionscope gen`, which rebuilds it from its seed and config.
+    object, `objects` or `expressions` that is not a JSON list, a missing
+    top-level key, a `seed` field that differs from `seed`, a config key
+    that `BenchmarkConfig` does not have, a config value whose type is not
+    its field's, an object that lacks a key or whose category, color or
+    motion kind is unknown, a motion program whose fields are not ints, whose
+    direction is not a unit step or [0, 0], or whose path leaves the scene's
+    frames or grid, an expression entry that cannot be read or has no tokens,
+    a vocab id outside the vocabulary, a token whose surface or tag is not
+    its vocab entry's, a target id that names no object or repeats one, a
+    `.bin` without the header or whose size does not fit the scene,
+    non-finite features, mask bytes other than 0 and 1, and an object's masks
+    that differ from the squares its motion program stamps.  Scene files of
+    earlier versions, whose config holds the recipe or whose `.bin` is in the
+    float64 `MSCOPE01` format, raise ValueError asking for the scene to be
+    regenerated with `motionscope gen`, which rebuilds it from its seed and
+    config.
 
     The `.bin` layout is the one `save_scene` writes.  Each block is read
     straight into its array: the features into a float32 [T, H, W, C] array,
@@ -451,6 +467,10 @@ def load_scene(directory, seed: int) -> Scene:
     missing = sorted({"config", "objects", "expressions", "seed"} - set(meta))
     if missing:
         raise ValueError(f"{json_path}: scene lacks the keys {missing}")
+    for key in ("objects", "expressions"):
+        if not isinstance(meta[key], list):
+            raise ValueError(f"{json_path}: {key} must be a JSON list, "
+                             f"got {type(meta[key]).__name__}")
     if meta["seed"] != seed:
         raise ValueError(f"{json_path}: seed field says {meta['seed']!r}, "
                          f"but the file name says {seed}")
@@ -478,6 +498,21 @@ def load_scene(directory, seed: int) -> Scene:
             raise ValueError(f"{where}: color {o['color']!r} is outside [0, {len(COLORS)})")
         if o["kind"] not in KIND_VERBS:
             raise ValueError(f"{where}: kind {o['kind']!r} is not one of {list(KIND_VERBS)}")
+        for key in ("onset", "duration"):
+            if type(o[key]) is not int:
+                raise ValueError(f"{where}: {key} {o[key]!r} is not an int")
+        for key in ("start", "direction"):
+            if not (isinstance(o[key], list) and len(o[key]) == 2
+                    and all(type(v) is int for v in o[key])):
+                raise ValueError(f"{where}: {key} {o[key]!r} is not a pair of ints")
+        if tuple(o["direction"]) not in MOTION_DIRECTIONS:
+            raise ValueError(f"{where}: direction {o['direction']} is neither a unit step "
+                             f"nor [0, 0]")
+        if not 0 <= o["onset"] <= cfg.frames:
+            raise ValueError(f"{where}: onset {o['onset']} is outside [0, {cfg.frames}]")
+        if not 0 <= o["duration"] <= cfg.frames - o["onset"]:
+            raise ValueError(f"{where}: duration {o['duration']} is outside "
+                             f"[0, {cfg.frames - o['onset']}], the frames from its onset on")
         objects.append(SceneObject(
             category=o["category"],
             color=o["color"],
@@ -533,6 +568,17 @@ def load_scene(directory, seed: int) -> Scene:
     # a bool array holds whatever bytes were read; only 0 and 1 are booleans
     if np.any(masks.view(np.uint8) > 1):
         raise ValueError(f"{bin_path}: masks hold a byte other than 0 and 1")
+    stamped = np.zeros((n, t * h * w), dtype=bool)
+    for idx, cells in enumerate(_stamps(objects, t)):
+        try:
+            stamped[idx, np.ravel_multi_index(cells, (t, h, w))] = True
+        except ValueError:  # a cell off the grid, negative ones included
+            raise ValueError(f"{json_path}: object {idx}: start {list(objects[idx].start)} "
+                             f"moves its square off the {h}x{w} grid") from None
+    wrong = np.flatnonzero((stamped != masks.reshape(n, -1)).any(axis=1))
+    if wrong.size:
+        raise ValueError(f"{bin_path}: the masks of object {wrong[0]} differ from the squares "
+                         f"its motion program in {json_path.name} stamps")
     return Scene(seed=meta["seed"], config=cfg, objects=objects, expressions=expressions,
                  features=features, masks=masks)
 

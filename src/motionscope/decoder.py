@@ -13,6 +13,8 @@ from .layers import Attention, FeedForward, init_weight, registry
 from .perceiver import MaskFeatures
 from .tensor import Parameter, Tensor, linear, stable_sigmoid, standardize
 
+THRESHOLD = 0.5  # a query is selected when its score exceeds this
+
 
 @dataclass
 class VideoTokens:
@@ -50,17 +52,14 @@ def video_mask_logits(video_tokens: Tensor, mask_features: MaskFeatures) -> Tens
     return mask_features.logits(video_tokens).swapaxes(0, 1)
 
 
-def predict_video_masks(video: VideoTokens, mask_features: MaskFeatures,
-                        threshold: float = 0.5):
+def predict_video_masks(video: VideoTokens, mask_features: MaskFeatures):
     """Per-query bool video masks [N_m, T, H, W], True where a pixel's
-    probability exceeds 0.5, plus the queries whose score exceeds `threshold`.
+    probability exceeds 0.5, plus the queries whose score exceeds THRESHOLD.
 
     Selection is empty when every score falls at or below the threshold.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     t, h, w, _ = mask_features.shape
     n = video.tokens.shape[0]
     masks = stable_sigmoid(video_mask_logits(video.tokens, mask_features).data) > 0.5
-    selected = np.flatnonzero(stable_sigmoid(video.score_logits.data) > threshold)
+    selected = np.flatnonzero(stable_sigmoid(video.score_logits.data) > THRESHOLD)
     return masks.reshape(n, t, h, w), selected

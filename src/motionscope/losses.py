@@ -20,13 +20,16 @@ from .model import ForwardOutput
 from .tensor import Tensor, node, softplus_sigmoid
 
 DICE_SMOOTH = 1.0
+# Mask2Former's set-loss weights (Cheng et al., CVPR 2022)
+LAMBDA_CLS = 2.0
+LAMBDA_MASK = 5.0
+LAMBDA_DICE = 5.0
 
 Match = tuple[int, int, float]  # (prediction index, target index, cost)
 
 
 def _match_costs(mask_logits: np.ndarray, softplus: np.ndarray, probs: np.ndarray,
-                 class_logits: np.ndarray, gt: np.ndarray, lambda_cls: float,
-                 lambda_mask: float, lambda_dice: float) -> np.ndarray:
+                 class_logits: np.ndarray, gt: np.ndarray) -> np.ndarray:
     """Pairwise assignment costs [..., n_pred, n_gt] from detached logits.
 
     Accepts stacked inputs: mask_logits [..., n_pred, P] with its softplus
@@ -41,7 +44,7 @@ def _match_costs(mask_logits: np.ndarray, softplus: np.ndarray, probs: np.ndarra
     dice = 1.0 - (2.0 * inter + DICE_SMOOTH) / (denom + DICE_SMOOTH)
     # cost of predicting "object"; [B, N] logits, so the unused sigmoid is cheap
     cls = softplus_sigmoid(class_logits)[0] - class_logits
-    return lambda_cls * cls[..., None] + lambda_mask * bce + lambda_dice * dice
+    return LAMBDA_CLS * cls[..., None] + LAMBDA_MASK * bce + LAMBDA_DICE * dice
 
 
 def _assign(costs: np.ndarray) -> list[Match]:
@@ -57,8 +60,8 @@ class MatchedLoss:
     matches: list[Match]
 
 
-def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_cls: float,
-              lambda_mask: float, lambda_dice: float) -> tuple[Tensor, list[list[Match]]]:
+def _set_loss(mask_logits: Tensor, class_logits: Tensor,
+              gt: np.ndarray) -> tuple[Tensor, list[list[Match]]]:
     """Matched set loss of B independent prediction sets.
 
     mask_logits [B, N, P], class_logits [B, N], gt [B, G, P].  Each leading
@@ -68,18 +71,18 @@ def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_
     of each index.
 
     The loss is one node over (class_logits, mask_logits), or (class_logits,)
-    when nothing matched: λ_cls·mean BCE(class) + λ_mask·mean BCE(matched
-    rows) + λ_dice·mean dice(matched rows).  Its value and backward repeat the
-    scalar and elementwise steps of that sum built from plain ops, in their
-    order, so loss and gradients are those of the plain-op graph bit for bit;
-    the operand order keeps the graph's reverse-topological order upstream.
+    when nothing matched: LAMBDA_CLS·mean BCE(class) + LAMBDA_MASK·mean
+    BCE(matched rows) + LAMBDA_DICE·mean dice(matched rows).  Its value and
+    backward repeat the scalar and elementwise steps of that sum built from
+    plain ops, in their order, so loss and gradients are those of the
+    plain-op graph bit for bit; the operand order keeps the graph's
+    reverse-topological order upstream.
     """
     n_sets, n_pred, _ = mask_logits.shape
     matches: list[list[Match]] = [[] for _ in range(n_sets)]
     if gt.shape[1] > 0:
         softplus, probs = softplus_sigmoid(mask_logits.data)
-        costs = _match_costs(mask_logits.data, softplus, probs, class_logits.data, gt,
-                             lambda_cls, lambda_mask, lambda_dice)
+        costs = _match_costs(mask_logits.data, softplus, probs, class_logits.data, gt)
         matches = [_assign(c) for c in costs]
     # set, prediction and target index of every matched pair, in set order
     pairs = [(s, p, t) for s, set_matches in enumerate(matches) for p, t, _ in set_matches]
@@ -89,10 +92,10 @@ def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_
     class_targets = np.zeros((n_sets, n_pred))
     class_targets[b, i] = 1.0
     class_scale = 1.0 / c.size
-    loss = lambda_cls * ((class_softplus - c * class_targets).sum() * class_scale)
+    loss = LAMBDA_CLS * ((class_softplus - c * class_targets).sum() * class_scale)
 
     def class_grad(g):
-        return (g * lambda_cls * class_scale) * (class_probs - class_targets)
+        return (g * LAMBDA_CLS * class_scale) * (class_probs - class_targets)
 
     if not len(b):
         return node(loss, (class_logits,), lambda g, needs: (class_grad(g),)), matches
@@ -102,15 +105,15 @@ def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_
     bce_scale, dice_scale = 1.0 / y.size, 1.0 / len(y)
     num = (p * y).sum(axis=-1) * 2.0 + DICE_SMOOTH
     den = p.sum(axis=-1) + y.sum(axis=-1) + DICE_SMOOTH
-    loss = (loss + lambda_mask * ((softplus[b, i] - x * y).sum() * bce_scale)
-            + lambda_dice * ((1.0 - num / den).sum() * dice_scale))
+    loss = (loss + LAMBDA_MASK * ((softplus[b, i] - x * y).sum() * bce_scale)
+            + LAMBDA_DICE * ((1.0 - num / den).sum() * dice_scale))
 
     def backward(g, needs):
         d_mask = None
         if needs[1]:
             # dice: the ratio num/den takes -s per row, then the sigmoid's
             # two consumers (p·y summed and p summed) add, times p(1 - p)
-            s = g * lambda_dice * dice_scale
+            s = g * LAMBDA_DICE * dice_scale
             d_num, d_den = -s / den, s * num / (den * den)
             d_rows = y * (d_num * 2.0)[:, None]
             d_rows += d_den[:, None]
@@ -118,7 +121,7 @@ def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_
             d_rows *= 1.0 - p
             # BCE: sigmoid - y, times its mean's scale
             d_bce = p - y
-            d_bce *= g * lambda_mask * bce_scale
+            d_bce *= g * LAMBDA_MASK * bce_scale
             d_rows += d_bce
             d_mask = np.zeros(mask_logits.shape)
             d_mask[b, i] = d_rows
@@ -127,8 +130,7 @@ def _set_loss(mask_logits: Tensor, class_logits: Tensor, gt: np.ndarray, lambda_
     return node(loss, (class_logits, mask_logits), backward), matches
 
 
-def frame_loss(output: ForwardOutput, gt_masks: np.ndarray, lambda_cls: float,
-               lambda_mask: float, lambda_dice: float) -> Tensor:
+def frame_loss(output: ForwardOutput, gt_masks: np.ndarray) -> Tensor:
     """Per-frame set loss: every frame matches its candidate tokens to the
     annotated objects present.  `gt_masks` [n_objects, T, H, W] holds 0/1
     or bool cells."""
@@ -136,19 +138,16 @@ def frame_loss(output: ForwardOutput, gt_masks: np.ndarray, lambda_cls: float,
     # astype keeps the swapped view's strides, so every product reads the
     # targets in the same memory order whatever dtype they come in
     gt = gt_masks.reshape(n_objects, t_frames, h * w).swapaxes(0, 1).astype(np.float64)
-    loss, _ = _set_loss(output.frame_logits, output.class_logits, gt,
-                        lambda_cls, lambda_mask, lambda_dice)
+    loss, _ = _set_loss(output.frame_logits, output.class_logits, gt)
     return loss
 
 
-def video_loss(output: ForwardOutput, target_masks: np.ndarray, lambda_cls: float,
-               lambda_mask: float, lambda_dice: float) -> MatchedLoss:
+def video_loss(output: ForwardOutput, target_masks: np.ndarray) -> MatchedLoss:
     """Video-level set loss of the motion queries against the expression's
     targets, as one prediction set.  `target_masks` [G, T, H, W] holds 0/1
     or bool cells."""
     n_queries = output.video.score_logits.shape[0]
     logits = output.video_logits.reshape(1, n_queries, -1)
     gt = target_masks.reshape(1, len(target_masks), logits.shape[-1]).astype(np.float64)
-    loss, matches = _set_loss(logits, output.video.score_logits.reshape(1, n_queries), gt,
-                              lambda_cls, lambda_mask, lambda_dice)
+    loss, matches = _set_loss(logits, output.video.score_logits.reshape(1, n_queries), gt)
     return MatchedLoss(loss=loss, matches=matches[0])

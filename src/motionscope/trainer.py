@@ -28,6 +28,10 @@ from .matching import NonFiniteCosts, hungarian
 from .model import MotionSegModel, save_model
 from .tensor import Tensor, take
 
+LAMBDA_CONTRASTIVE = 0.5  # weight of the contrastive term in a step's loss
+MOMENTUM = 0.9
+MAX_GRAD_NORM = 5.0  # the global gradient norm is clipped to this
+
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, step: int):
@@ -163,45 +167,42 @@ class Trainer:
         self.model.zero_grad()
         try:
             out = self.model.forward(scene.features, expr)
-            lf = frame_loss(out, scene.masks, cfg.lambda_cls, cfg.lambda_mask, cfg.lambda_dice)
-            ml = video_loss(out, scene.target_masks(expr), cfg.lambda_cls, cfg.lambda_mask,
-                            cfg.lambda_dice)
+            lf = frame_loss(out, scene.masks)
+            ml = video_loss(out, scene.target_masks(expr))
         except NonFiniteCosts as err:
             # parameters large enough to overflow the forward make it
             # non-finite, and a matcher meets that before any loss does
             raise TrainingDiverged(step) from err
         total = lf + ml.loss
         con_value = 0.0
-        # every training target has a slot, and a target always gets a match
-        if cfg.contrastive_enabled and expr.target_ids:
+        # every training target has a slot, and a target always gets a match;
+        # n_negatives 0 leaves the bank empty and the projector untrained
+        if cfg.n_negatives > 0 and expr.target_ids:
             slots = [self.slot_ids[(scene.seed, o)] for o in expr.target_ids]
             rows = take(out.video.tokens, np.array([m[0] for m in ml.matches]), axis=0)
             anchor = self.model.projector.project(rows.mean(axis=0))
             pos_slot = slots[min(ml.matches, key=lambda m: m[2])[1]]
             vec = anchor.data.copy()
             for slot in slots:
-                self.bank.update(slot, vec, cfg.ema_beta)
-            if step >= cfg.warmup_steps and cfg.n_negatives > 0:
+                self.bank.update(slot, vec)
+            if step >= cfg.warmup_steps:
                 negatives = self.bank.sample_negatives(
                     pos_slot, cfg.n_negatives, self.negative_rng, exclude=slots)
                 if negatives.size:
                     con = contrastive_loss(anchor, self.bank.vectors[pos_slot].copy(),
-                                           self.bank.vectors[negatives].copy(), cfg.tau)
+                                           self.bank.vectors[negatives].copy())
                     con_value = con.item()
-                    total = total + cfg.lambda_contrastive * con
+                    total = total + LAMBDA_CONTRASTIVE * con
         if not np.isfinite(total.data):
             raise TrainingDiverged(step)
         total.backward()
-        scale = 1.0
-        if cfg.max_grad_norm > 0:
-            norm = np.sqrt(sum(float((p.grad * p.grad).sum()) for p in self.model.params
-                               if p.grad is not None))
-            if norm > cfg.max_grad_norm:
-                scale = cfg.max_grad_norm / norm
+        norm = np.sqrt(sum(float((p.grad * p.grad).sum()) for p in self.model.params
+                           if p.grad is not None))
+        scale = MAX_GRAD_NORM / norm if norm > MAX_GRAD_NORM else 1.0
         # a parameter that no op reached (grad None) only decays its velocity
         for p in self.model.params:
             v = self.velocity[p.name]
-            v *= cfg.momentum
+            v *= MOMENTUM
             if p.grad is not None:
                 v += p.grad * scale
             p.data -= cfg.learning_rate * v
@@ -220,7 +221,7 @@ class Trainer:
         prediction or target scores 0 on both and fails identification, and
         nothing predicted for no target scores 1."""
         out = self.model.forward(scene.features, expr)
-        masks, selected = predict_video_masks(out.video, out.mask_features, self.cfg.threshold)
+        masks, selected = predict_video_masks(out.video, out.mask_features)
         gt = scene.target_masks(expr)
         iou = video_iou(masks, gt)
         tokens = tuple((obj_idx, out.video.tokens.data[best_q].copy())
@@ -329,7 +330,8 @@ def axis_variants(base: TrainConfig, axis: str) -> list[tuple[str, TrainConfig]]
             label = "+".join(n for n, on in (("ds", ds), ("hmp", hmp), ("cl", cl)) if on) or "none"
             out.append((label, base.replace(
                 query_variant=base.query_variant if ds else "sentence_only",
-                hmp_stages=base.hmp_stages if hmp else 0, contrastive_enabled=cl)))
+                hmp_stages=base.hmp_stages if hmp else 0,
+                n_negatives=base.n_negatives if cl else 0)))
         return out
     if axis == "input-query":
         return [
@@ -339,8 +341,7 @@ def axis_variants(base: TrainConfig, axis: str) -> list[tuple[str, TrainConfig]]
     if axis == "nh":
         return [(str(n), base.replace(hmp_stages=n)) for n in (0, 1, 2, 3)]
     if axis == "nn":
-        return [(str(n), base.replace(contrastive_enabled=True, n_negatives=n))
-                for n in (0, 10, 100, 200)]
+        return [(str(n), base.replace(n_negatives=n)) for n in (0, 10, 100, 200)]
     if axis == "hungarian":
         return [("off", base.replace(hungarian_enabled=False)),
                 ("on", base.replace(hungarian_enabled=True))]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from motionscope.bank import ContrastiveProjector, MemoryBank, contrastive_loss
+from motionscope.bank import EMA_BETA, TAU, ContrastiveProjector, MemoryBank, contrastive_loss
 from motionscope.tensor import Parameter, Tensor
 
 from gradcheck import grad_check
@@ -46,64 +46,43 @@ class TestProjector:
 
 
 class TestMemoryBankUpdate:
-    def test_beta_one_keeps_slot_after_init(self):
-        bank = MemoryBank([0], [0], 3)
-        first = unit(np.array([1.0, 2.0, 3.0]))
-        bank.update(0, first, beta=1.0)
-        bank.update(0, unit(np.array([-1.0, 0.5, 0.0])), beta=1.0)
-        assert np.array_equal(bank.vectors[0], first)
-
-    def test_beta_zero_copies_anchor(self):
-        bank = MemoryBank([0], [0], 3)
-        bank.update(0, unit(np.array([1.0, 0.0, 0.0])), beta=0.0)
-        v = unit(np.array([0.0, 1.0, 0.0]))
-        bank.update(0, v, beta=0.0)
-        assert np.array_equal(bank.vectors[0], v)
-
-    @pytest.mark.parametrize("beta", [0.0, 0.2, 0.9, 1.0])
-    def test_normalized_ema_closed_form(self, beta):
+    def test_normalized_ema_closed_form(self):
         rng = np.random.default_rng(7)
         bank = MemoryBank([0], [0], 8)
         m0 = unit(rng.normal(size=8))
         v = unit(rng.normal(size=8))
-        bank.update(0, m0, beta=beta)
+        bank.update(0, m0)
         gap = np.linalg.norm(bank.vectors[0] - v)
         for _ in range(100):
-            expected = unit(beta * bank.vectors[0] + (1.0 - beta) * v)
-            bank.update(0, v, beta=beta)
+            expected = unit(EMA_BETA * bank.vectors[0] + (1.0 - EMA_BETA) * v)
+            bank.update(0, v)
             assert np.allclose(bank.vectors[0], expected, atol=1e-12)
             new_gap = np.linalg.norm(bank.vectors[0] - v)
             assert new_gap <= gap + 1e-12
             gap = new_gap
-        if beta < 1.0:
-            assert gap < 1e-3
+        assert gap < 1e-3
 
     def test_other_slots_untouched(self):
         rng = np.random.default_rng(8)
         bank = MemoryBank([0, 1, 0], [0, 0, 1], 4)
         for slot in range(3):
-            bank.update(slot, unit(rng.normal(size=4)), beta=0.2)
+            bank.update(slot, unit(rng.normal(size=4)))
         before = bank.vectors.copy()
-        bank.update(1, unit(rng.normal(size=4)), beta=0.2)
+        bank.update(1, unit(rng.normal(size=4)))
         assert np.array_equal(bank.vectors[0], before[0])
         assert np.array_equal(bank.vectors[2], before[2])
 
     def test_renormalized_by_default(self):
         rng = np.random.default_rng(9)
         bank = MemoryBank([0], [0], 5)
-        bank.update(0, unit(rng.normal(size=5)), beta=0.2)
-        bank.update(0, unit(rng.normal(size=5)), beta=0.2)
+        bank.update(0, unit(rng.normal(size=5)))
+        bank.update(0, unit(rng.normal(size=5)))
         assert abs(np.linalg.norm(bank.vectors[0]) - 1.0) < 1e-12
 
     def test_bad_slot_rejected(self):
         bank = MemoryBank([0], [0], 2)
         with pytest.raises(IndexError):
-            bank.update(3, np.zeros(2), beta=0.5)
-
-    def test_bad_beta_rejected(self):
-        bank = MemoryBank([0], [0], 2)
-        with pytest.raises(ValueError):
-            bank.update(0, np.zeros(2), beta=1.5)
+            bank.update(3, np.zeros(2))
 
 
 class TestNegativeSampling:
@@ -111,7 +90,7 @@ class TestNegativeSampling:
         bank = MemoryBank(categories, videos, channels)
         rng = np.random.default_rng(10)
         for slot in range(bank.size):
-            bank.update(slot, unit(rng.normal(size=channels)), beta=0.2)
+            bank.update(slot, unit(rng.normal(size=channels)))
         return bank
 
     def test_two_object_bank_returns_the_other(self):
@@ -158,14 +137,14 @@ class TestNegativeSampling:
 
     def test_uninitialized_never_sampled(self):
         bank = MemoryBank([0, 0, 0], [0, 1, 2], 3)
-        bank.update(0, np.ones(3), beta=0.2)
-        bank.update(2, np.ones(3), beta=0.2)
+        bank.update(0, np.ones(3))
+        bank.update(2, np.ones(3))
         rng = np.random.default_rng(15)
         assert bank.sample_negatives(0, 10, rng).tolist() == [2]
 
     def test_no_eligible_returns_empty(self):
         bank = MemoryBank([0], [0], 3)
-        bank.update(0, np.ones(3), beta=0.2)
+        bank.update(0, np.ones(3))
         rng = np.random.default_rng(16)
         assert bank.sample_negatives(0, 10, rng).size == 0
 
@@ -174,14 +153,14 @@ class TestContrastiveLoss:
     def test_zero_negatives_gives_exact_zero(self):
         rng = np.random.default_rng(17)
         a = unit(rng.normal(size=6))
-        loss = contrastive_loss(Tensor(a), unit(rng.normal(size=6)), np.zeros((0, 6)), tau=0.07)
+        loss = contrastive_loss(Tensor(a), unit(rng.normal(size=6)), np.zeros((0, 6)))
         assert loss.item() == 0.0
 
     def test_symmetric_logits_give_log_two(self):
         a = np.array([1.0, 0.0])
         pos = np.array([0.0, 1.0])
         neg = np.array([[0.0, 1.0]])
-        loss = contrastive_loss(Tensor(a), pos, neg, tau=0.07)
+        loss = contrastive_loss(Tensor(a), pos, neg)
         assert abs(loss.item() - np.log(2.0)) < 1e-12
 
     def test_matches_direct_formula(self):
@@ -190,12 +169,11 @@ class TestContrastiveLoss:
             a = unit(rng.normal(size=8))
             pos = unit(rng.normal(size=8))
             negs = np.stack([unit(rng.normal(size=8)) for _ in range(5)])
-            tau = 0.07
             expected = -np.log(
-                np.exp(a @ pos / tau)
-                / (np.exp(a @ pos / tau) + np.sum(np.exp(negs @ a / tau)))
+                np.exp(a @ pos / TAU)
+                / (np.exp(a @ pos / TAU) + np.sum(np.exp(negs @ a / TAU)))
             )
-            got = contrastive_loss(Tensor(a), pos, negs, tau).item()
+            got = contrastive_loss(Tensor(a), pos, negs).item()
             assert abs(got - expected) < 1e-12
 
     def test_monotone_in_similarities(self):
@@ -203,14 +181,14 @@ class TestContrastiveLoss:
         a = unit(rng.normal(size=6))
         pos = unit(rng.normal(size=6))
         negs = np.stack([unit(rng.normal(size=6)) for _ in range(4)])
-        base = contrastive_loss(Tensor(a), pos, negs, tau=0.1).item()
+        base = contrastive_loss(Tensor(a), pos, negs).item()
         # raising the positive similarity lowers the loss
         better_pos = unit(pos + 0.2 * a)
-        assert contrastive_loss(Tensor(a), better_pos, negs, tau=0.1).item() < base
+        assert contrastive_loss(Tensor(a), better_pos, negs).item() < base
         # raising any negative similarity raises the loss
         worse = negs.copy()
         worse[2] = unit(worse[2] + 0.2 * a)
-        assert contrastive_loss(Tensor(a), pos, worse, tau=0.1).item() > base
+        assert contrastive_loss(Tensor(a), pos, worse).item() > base
 
     def test_anchor_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(20)
@@ -219,18 +197,14 @@ class TestContrastiveLoss:
         negs = np.stack([unit(rng.normal(size=6)) for _ in range(5)])
 
         def loss():
-            return contrastive_loss(anchor, pos, negs, tau=0.07)
+            return contrastive_loss(anchor, pos, negs)
 
         assert grad_check([anchor], loss) < 1e-6
-
-    def test_bad_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            contrastive_loss(Tensor(np.ones(2)), np.ones(2), np.zeros((0, 2)), tau=0.0)
 
 
 def test_snapshot_exports_initialized_slots(tmp_path):
     bank = MemoryBank([3, 4], [0, 1], 2)
-    bank.update(1, np.array([0.6, 0.8]), beta=0.2)
+    bank.update(1, np.array([0.6, 0.8]))
     snap = bank.snapshot()
     assert len(snap) == 1
     assert snap[0]["target_id"] == 1 and snap[0]["category"] == 4

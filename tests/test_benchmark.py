@@ -104,6 +104,24 @@ class TestGenerator:
             # lane placement keeps objects disjoint in every frame
             assert np.all(scene.masks.sum(axis=0) <= 1.0)
 
+    def test_masks_equal_a_per_frame_loop_over_the_motion_programs(self):
+        """The squares that `generate` draws and `load_scene` checks equal one
+        slice per frame at start + direction * max(0, min(t, onset + duration)
+        - onset), the reference form of a motion program's path."""
+        for probe in (False, True):
+            cfg = small_config(probe=probe)
+            for seed in range(20):
+                scene = generate(seed, cfg)
+                want = np.zeros_like(scene.masks)
+                for i, obj in enumerate(scene.objects):
+                    m = obj.motion
+                    for t in range(cfg.frames):
+                        moved = max(0, min(t, m.onset + m.duration) - m.onset)
+                        y = obj.start[0] + m.direction[0] * moved
+                        x = obj.start[1] + m.direction[1] * moved
+                        want[i, t, y:y + OBJECT_SIZE, x:x + OBJECT_SIZE] = True
+                assert np.array_equal(scene.masks, want)
+
     def test_expression_tokens_have_valid_vocab_ids(self):
         scene = generate(3, small_config())
         for expr in scene.expressions:
@@ -360,6 +378,72 @@ class TestSceneIO:
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}{where} must be a JSON object, got {got}")):
+            load_scene(tmp_path, 6)
+
+    @pytest.mark.parametrize("key", ["objects", "expressions"])
+    def test_list_that_is_not_a_list_names_file_and_key(self, tmp_path, key):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        meta[key] = 5
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {key} must be a JSON list, "
+                                                       f"got int")):
+            load_scene(tmp_path, 6)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("start", "ab", "is not a pair of ints"),
+        ("start", [1.0, 2], "is not a pair of ints"),
+        ("direction", [1], "is not a pair of ints"),
+        ("onset", 1.5, "is not an int"),
+        ("duration", True, "is not an int"),
+        ("direction", [5, 5], "is neither a unit step nor \\[0, 0\\]"),
+        ("direction", [1, 1], "is neither a unit step nor \\[0, 0\\]"),
+        ("onset", 1000000, "is outside \\[0, 8\\]"),
+        ("onset", -1, "is outside \\[0, 8\\]"),
+        ("duration", -2, "is outside \\[0, 8\\]"),
+        ("duration", 9, "is outside \\[0, 8\\]"),
+        ("start", [2, 2], "moves its square off the 10x10 grid"),
+        ("start", [1, 9], "moves its square off the 10x10 grid"),
+        ("start", [-1, 2], "moves its square off the 10x10 grid"),
+    ])
+    def test_bad_motion_program_names_file_object_and_field(self, tmp_path, field, value,
+                                                            message):
+        """Object 1 of this scene starts at (1, 2) and moves down on frames
+        0..6 of 8, so its square reaches row 8 of the 10x10 grid."""
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        assert meta["objects"][1]["start"] == [1, 2] and meta["objects"][1]["duration"] == 7
+        meta["objects"][1][field] = value
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(str(path))}: object 1: {field} .*{message}"):
+            load_scene(tmp_path, 6)
+
+    @pytest.mark.parametrize("edit", ["start", "onset", "mask cell"])
+    def test_masks_that_contradict_the_motion_program_name_file_and_object(self, tmp_path,
+                                                                           edit):
+        """A program that fits the grid but not the stored masks, or one mask
+        cell set outside the stamped squares, is rejected."""
+        scene = generate(6, small_config())
+        save_scene(scene, tmp_path)
+        json_path, bin_path = tmp_path / "6.json", tmp_path / "6.bin"
+        meta = json.loads(json_path.read_text())
+        if edit == "start":
+            meta["objects"][1]["start"] = [0, 2]
+        elif edit == "onset":
+            meta["objects"][1]["onset"] = 1
+        else:
+            masks = scene.masks.copy()
+            assert not masks[1, 0, 9, 9]
+            masks[1, 0, 9, 9] = True
+            bin_path.write_bytes(b"MSCOPE02" + scene.features.astype("<f4").tobytes()
+                                 + masks.astype("u1").tobytes())
+        json_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{bin_path}: the masks of object 1 differ from the squares its motion "
+                f"program in 6.json stamps")):
             load_scene(tmp_path, 6)
 
     @pytest.mark.parametrize("key,value,expected", [("probe", "yes", "bool"), ("probe", 1, "bool"),

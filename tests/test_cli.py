@@ -38,8 +38,8 @@ def test_config_json_roundtrip_and_validation(tmp_path):
     cfg = TrainConfig(steps=7, channels=24, query_variant="ds_no_query", train_dir="x")
     cfg.to_json(tmp_path / "config.json")
     assert TrainConfig.from_json(tmp_path / "config.json") == cfg
-    with pytest.raises(ValueError, match="threshold"):
-        cfg.replace(threshold=1.5)
+    with pytest.raises(ValueError, match="n_negatives"):
+        cfg.replace(n_negatives=-1)
 
 
 def test_config_with_unknown_keys_rejected(tmp_path):
@@ -51,11 +51,23 @@ def test_config_with_unknown_keys_rejected(tmp_path):
     assert "decouple_sentence" in str(exc.value) and "hmp_enabled" in str(exc.value)
 
 
+def test_config_with_recipe_keys_rejected(tmp_path):
+    """A config file of an earlier version, which set the training recipe,
+    is rejected with both removed keys named, not read with them ignored."""
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"steps": 3, "tau": 0.07, "contrastive_enabled": False}))
+    with pytest.raises(ValueError) as exc:
+        TrainConfig.from_json(path)
+    assert str(path) in str(exc.value)
+    assert "'contrastive_enabled', 'tau'" in str(exc.value)
+    assert "fixed in the code" in str(exc.value)
+
+
 @pytest.mark.parametrize("key, value, expected", [
     ("steps", "10", "int"),
     ("steps", True, "int"),  # bool is an int subclass, but not a count
     ("learning_rate", "0.1", "float"),
-    ("contrastive_enabled", 1, "bool"),
+    ("hungarian_enabled", 1, "bool"),
     ("query_variant", 3, "str"),
 ])
 def test_config_field_of_wrong_type_rejected(tmp_path, key, value, expected):
@@ -69,9 +81,8 @@ def test_config_field_of_wrong_type_rejected(tmp_path, key, value, expected):
 
 def test_config_int_accepted_for_float_field(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"learning_rate": 1, "tau": 2}))
-    cfg = TrainConfig.from_json(path)
-    assert (cfg.learning_rate, cfg.tau) == (1, 2)
+    path.write_text(json.dumps({"learning_rate": 1}))
+    assert TrainConfig.from_json(path).learning_rate == 1
 
 
 def test_unreadable_config_names_the_file(tmp_path):

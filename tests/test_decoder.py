@@ -94,8 +94,7 @@ class TestVideoMasks:
         rng = np.random.default_rng(8)
         out = decoder.decode(Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(2, 2, 6))))
         out.score_logits.data[...] = np.log(0.25)  # every score 0.2
-        _, selected = predict_video_masks(out, identity_head(rng.normal(size=(2, 3, 3, 6))),
-                                          threshold=0.5)
+        _, selected = predict_video_masks(out, identity_head(rng.normal(size=(2, 3, 3, 6))))
         assert selected.size == 0
 
     def test_zero_token_gives_empty_masks(self, decoder):
@@ -121,20 +120,3 @@ class TestVideoMasks:
                     for x in range(2):
                         assert abs(logits[j, t, y, x] - tokens[j] @ mf[t, y, x]) < 1e-12
                         assert masks[j, t, y, x] == (stable_sigmoid(logits[j, t, y, x]) > 0.5)
-
-    def test_threshold_monotonicity(self, decoder):
-        rng = np.random.default_rng(11)
-        out = decoder.decode(Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(2, 3, 6))))
-        mf = identity_head(rng.normal(size=(2, 3, 3, 6)))
-        previous = None
-        for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
-            _, selected = predict_video_masks(out, mf, threshold=threshold)
-            if previous is not None:
-                assert set(selected).issubset(previous)
-            previous = set(selected)
-
-    def test_threshold_bounds_validated(self, decoder):
-        rng = np.random.default_rng(12)
-        out = decoder.decode(Tensor(rng.normal(size=(2, 6))), Tensor(rng.normal(size=(1, 2, 6))))
-        with pytest.raises(ValueError):
-            predict_video_masks(out, Tensor(rng.normal(size=(2, 2, 2, 6))), threshold=1.5)

@@ -7,10 +7,11 @@ from motionscope import losses
 from motionscope.bank import contrastive_loss
 from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
-from motionscope.losses import DICE_SMOOTH, _assign, _match_costs, _set_loss, frame_loss, video_loss
+from motionscope.losses import (DICE_SMOOTH, LAMBDA_CLS, LAMBDA_DICE, LAMBDA_MASK, _assign,
+                                _match_costs, _set_loss, frame_loss, video_loss)
 from motionscope.model import MotionSegModel
 from motionscope.tensor import Parameter, Tensor, node, softplus_sigmoid, stable_sigmoid, take
-from motionscope.trainer import Trainer
+from motionscope.trainer import LAMBDA_CONTRASTIVE, Trainer
 
 from gradcheck import grad_check, sigmoid
 
@@ -87,8 +88,7 @@ class TestMatching:
             logits = rng.normal(scale=2.0, size=(4, 12))
             cls = rng.normal(size=4)
             gt = (rng.random((2, 12)) > 0.5).astype(float)
-            costs = _match_costs(logits, np.logaddexp(0.0, logits), stable_sigmoid(logits), cls, gt,
-                                 2.0, 5.0, 5.0)
+            costs = _match_costs(logits, np.logaddexp(0.0, logits), stable_sigmoid(logits), cls, gt)
             matches = _assign(costs)
             got = sum(c for _, _, c in matches)
             best = min(
@@ -122,7 +122,7 @@ class TestFrameLoss:
             cls[:, j] = 10.0
         out.frame_logits.data[...] = forged
         out.class_logits.data[...] = cls
-        loss = frame_loss(out, scene.masks, 2.0, 5.0, 5.0)
+        loss = frame_loss(out, scene.masks)
         assert loss.item() < 0.01
 
     def test_zero_objects_gives_pure_class_negative(self):
@@ -130,7 +130,7 @@ class TestFrameLoss:
         scene = small_scene()
         out = model.forward(scene.features, scene.expressions[0])
         empty = np.zeros((0,) + scene.masks.shape[1:])
-        loss = frame_loss(out, empty, 2.0, 5.0, 5.0)
+        loss = frame_loss(out, empty)
         expected = 2.0 * bce_with_logits(out.class_logits,
                                          np.zeros(out.class_logits.shape)).mean().item()
         assert abs(loss.item() - expected) < 1e-12
@@ -141,7 +141,7 @@ class TestFrameLoss:
 
         def loss():
             out = model.forward(scene.features, scene.expressions[0])
-            return frame_loss(out, scene.masks, 2.0, 5.0, 5.0)
+            return frame_loss(out, scene.masks)
 
         l = loss()
         l.backward()
@@ -165,7 +165,7 @@ class TestVideoLoss:
             cls[j] = 10.0
         out.video_logits.data[...] = forged.reshape(cfg.n_motion_queries, t, h * w)
         out.video.score_logits.data[...] = cls
-        result = video_loss(out, targets, 2.0, 5.0, 5.0)
+        result = video_loss(out, targets)
         assert result.loss.item() < 0.01
         assert len(result.matches) == k
 
@@ -173,7 +173,7 @@ class TestVideoLoss:
         cfg, model = small_model()
         scene = small_scene(seed=4)
         out = model.forward(scene.features, scene.expressions[0])
-        result = video_loss(out, np.zeros((0,) + scene.masks.shape[1:]), 2.0, 5.0, 5.0)
+        result = video_loss(out, np.zeros((0,) + scene.masks.shape[1:]))
         expected = 2.0 * bce_with_logits(out.video.score_logits,
                                          np.zeros(cfg.n_motion_queries)).mean().item()
         assert abs(result.loss.item() - expected) < 1e-12
@@ -185,11 +185,11 @@ class TestVideoLoss:
         scene = small_scene(seed=7)
         out = model.forward(scene.features, scene.expressions[0])
         targets = (rng.random((2,) + scene.masks.shape[1:]) > 0.7).astype(float)
-        result = video_loss(out, targets, 2.0, 5.0, 5.0)
+        result = video_loss(out, targets)
         flat = targets.reshape(2, -1)
         logits = out.video_logits.data.reshape(cfg.n_motion_queries, -1)
         costs = _match_costs(logits, np.logaddexp(0.0, logits), stable_sigmoid(logits),
-                             out.video.score_logits.data, flat, 2.0, 5.0, 5.0)
+                             out.video.score_logits.data, flat)
         best = min(
             costs[a, 0] + costs[b, 1]
             for a, b in itertools.permutations(range(cfg.n_motion_queries), 2)
@@ -203,17 +203,17 @@ class TestVideoLoss:
         scene = small_scene(seed=10)
         out = model.forward(scene.features, scene.expressions[0])
         targets = (rng.random((3,) + scene.masks.shape[1:]) > 0.7).astype(float)
-        result = video_loss(out, targets, 2.0, 5.0, 5.0)
+        result = video_loss(out, targets)
         logits = out.video_logits.data.reshape(cfg.n_motion_queries, -1)
         costs = _match_costs(logits, np.logaddexp(0.0, logits), stable_sigmoid(logits),
-                             out.video.score_logits.data, targets.reshape(3, -1), 2.0, 5.0, 5.0)
+                             out.video.score_logits.data, targets.reshape(3, -1))
         best = min(sum(costs[q, t] for q, t in enumerate(chosen))
                    for chosen in itertools.permutations(range(3), cfg.n_motion_queries))
         assert [m[0] for m in result.matches] == list(range(cfg.n_motion_queries))
         assert abs(sum(c for _, _, c in result.matches) - best) < 1e-12
 
 
-def reference_set_loss(mask_logits, class_logits, gt, lambda_cls, lambda_mask, lambda_dice):
+def reference_set_loss(mask_logits, class_logits, gt):
     """The matched set loss built from its plain ops, with `_set_loss`'s
     signature and results: the class and matched rows' BCE by this file's
     `bce_with_logits`, and its `dice_loss` on `gradcheck.sigmoid` of the rows
@@ -222,18 +222,17 @@ def reference_set_loss(mask_logits, class_logits, gt, lambda_cls, lambda_mask, l
     matches = [[] for _ in range(n_sets)]
     if gt.shape[1] > 0:
         x = mask_logits.data
-        costs = _match_costs(x, *softplus_sigmoid(x), class_logits.data, gt,
-                             lambda_cls, lambda_mask, lambda_dice)
+        costs = _match_costs(x, *softplus_sigmoid(x), class_logits.data, gt)
         matches = [_assign(c) for c in costs]
     pairs = [(s, p, t) for s, set_matches in enumerate(matches) for p, t, _ in set_matches]
     b, i, j = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
     class_targets = np.zeros((n_sets, n_pred))
     class_targets[b, i] = 1.0
-    loss = lambda_cls * bce_with_logits(class_logits, class_targets).mean()
+    loss = LAMBDA_CLS * bce_with_logits(class_logits, class_targets).mean()
     if len(b):
         logits = take(mask_logits.reshape(n_sets * n_pred, n_pixels), b * n_pred + i, axis=0)
-        loss = loss + lambda_mask * bce_with_logits(logits, gt[b, j]).mean()
-        loss = loss + lambda_dice * dice_loss(sigmoid(logits), gt[b, j])
+        loss = loss + LAMBDA_MASK * bce_with_logits(logits, gt[b, j]).mean()
+        loss = loss + LAMBDA_DICE * dice_loss(sigmoid(logits), gt[b, j])
     return loss, matches
 
 
@@ -261,16 +260,16 @@ def test_set_losses_equal_reference_bit_for_bit(level, mask_dtype, n_targets):
         return loss.data, [p.grad for p in model.params]
 
     if level == "frame":
-        got = run(lambda out: frame_loss(out, masks.astype(mask_dtype), 2.0, 5.0, 5.0))
+        got = run(lambda out: frame_loss(out, masks.astype(mask_dtype)))
         want = run(lambda out: reference_set_loss(
             out.frame_logits, out.class_logits,
-            targets.reshape(n_targets, t_frames, h * w).swapaxes(0, 1), 2.0, 5.0, 5.0)[0])
+            targets.reshape(n_targets, t_frames, h * w).swapaxes(0, 1))[0])
     else:
-        got = run(lambda out: video_loss(out, masks.astype(mask_dtype), 2.0, 5.0, 5.0).loss)
+        got = run(lambda out: video_loss(out, masks.astype(mask_dtype)).loss)
         want = run(lambda out: reference_set_loss(
             out.video_logits.reshape(1, cfg.n_motion_queries, -1),
             out.video.score_logits.reshape(1, cfg.n_motion_queries),
-            targets.reshape(1, n_targets, t_frames * h * w), 2.0, 5.0, 5.0)[0])
+            targets.reshape(1, n_targets, t_frames * h * w))[0])
     assert np.array_equal(got[0], want[0])
     assert [g is None for g in got[1]] == [g is None for g in want[1]]
     assert all(np.array_equal(g, w) for g, w in zip(got[1], want[1]) if g is not None)
@@ -290,7 +289,7 @@ def test_set_loss_equals_reference_bit_for_bit_on_random_sets():
         results = []
         for loss_fn in (_set_loss, reference_set_loss):
             mask_logits, class_logits = Parameter("m", masks), Parameter("c", scores)
-            loss, _ = loss_fn(mask_logits, class_logits, gt, 2.0, 5.0, 5.0)
+            loss, _ = loss_fn(mask_logits, class_logits, gt)
             loss.backward()
             results.append((loss.data, mask_logits.grad, class_logits.grad))
         (loss, d_mask, d_class), (ref_loss, ref_mask, ref_class) = results
@@ -305,8 +304,8 @@ def test_no_per_pixel_projection_is_differentiated():
     cfg, model = small_model(grid_height=32, grid_width=32, img_channels=6)
     scene = small_scene(height=32, width=32, channels=6)
     out = model.forward(scene.features, scene.expressions[0])
-    loss = (frame_loss(out, scene.masks, 2.0, 5.0, 5.0)
-            + video_loss(out, scene.target_masks(scene.expressions[0]), 2.0, 5.0, 5.0).loss)
+    loss = (frame_loss(out, scene.masks)
+            + video_loss(out, scene.target_masks(scene.expressions[0])).loss)
     t, h, w, _ = scene.features.shape
     per_pixel = []
     seen, stack = set(), [loss]
@@ -326,11 +325,11 @@ def test_no_per_pixel_projection_is_differentiated():
 
 
 def toy_trainer():
-    """A Trainer at toy sizes over four scenes, with the contrastive term live
-    from the first step on."""
+    """A Trainer at toy sizes over four scenes; its steps are numbered from
+    `cfg.warmup_steps` on, so the contrastive term is live from the first."""
     cfg = TrainConfig(channels=8, img_channels=8, grid_height=10, grid_width=10,
                       n_static_queries=4, n_motion_queries=2, hmp_blocks=1, hmp_stages=1,
-                      n_negatives=4, warmup_frac=0.0, steps=12, eval_every=12)
+                      n_negatives=4, steps=12, eval_every=12)
     return Trainer(cfg, [small_scene(seed) for seed in range(4)], [])
 
 
@@ -346,7 +345,9 @@ def test_training_steps_equal_reference_bit_for_bit(monkeypatch):
         for step in range(12):
             si, ei = trainer.pairs[step % len(trainer.pairs)]
             scene = trainer.train_scenes[si]
-            active += trainer.train_step(scene, scene.expressions[ei], step)["contrastive"] > 0
+            parts = trainer.train_step(scene, scene.expressions[ei],
+                                       trainer.cfg.warmup_steps + step)
+            active += parts["contrastive"] > 0
         return [p.data for p in trainer.model.params], active
 
     fused, active = train(toy_trainer())
@@ -369,11 +370,11 @@ def test_whole_objective_gradient_check():
 
     def objective():
         out = model.forward(scene.features, expr)
-        matched = video_loss(out, scene.target_masks(expr), 2.0, 5.0, 5.0)
+        matched = video_loss(out, scene.target_masks(expr))
         rows = take(out.video.tokens, np.array([m[0] for m in matched.matches]), axis=0)
         anchor = model.projector.project(rows.mean(axis=0))
-        return (frame_loss(out, scene.masks, 2.0, 5.0, 5.0) + matched.loss
-                + 0.5 * contrastive_loss(anchor, positive, negatives, 0.5))
+        return (frame_loss(out, scene.masks) + matched.loss
+                + LAMBDA_CONTRASTIVE * contrastive_loss(anchor, positive, negatives))
 
     assert grad_check(model.params, objective) < 1e-7
 
@@ -386,7 +387,7 @@ def test_set_loss_leaves_its_inputs_alone():
     inputs = (rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4)),
               (rng.random((3, 2, 6)) > 0.5).astype(float), np.array(0.75))
     masks, scores, gt, g = (a.copy() for a in inputs)
-    loss, _ = _set_loss(Parameter("m", masks), Parameter("c", scores), gt, 2.0, 5.0, 5.0)
+    loss, _ = _set_loss(Parameter("m", masks), Parameter("c", scores), gt)
     d_class, d_mask = loss._backward(g, (True, True))
     assert d_class.shape == scores.shape and d_mask.shape == masks.shape
     assert all(np.array_equal(a, b) for a, b in zip((masks, scores, gt, g), inputs))

@@ -44,15 +44,16 @@ def test_run_without_training_expressions_raises():
 
 
 def test_overflowing_run_raises_training_diverged():
-    """Without clipping, this learning rate ends step 3 with finite
-    parameters near 6e31 and a finite loss; step 4's forward is then
-    non-finite, and the matchers meet it before any loss does."""
-    trainer = Trainer(TrainConfig(max_grad_norm=0.0, learning_rate=0.5, steps=200, eval_every=100),
+    """Clipping bounds each step's gradient, not the learning rate's reach:
+    at this rate step 6 ends with finite parameters near 4e10 and a finite
+    loss; step 7's forward is then non-finite, and the matchers meet it
+    before any loss does."""
+    trainer = Trainer(TrainConfig(learning_rate=1e10, steps=200, eval_every=100),
                       [generate(s) for s in range(8)], [generate(1000)])
     # overflow and invalid arithmetic are what a diverging run looks like
     with deadline(60), np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
         trainer.run()
-    assert info.value.step == 4
+    assert info.value.step == 7
 
 
 @pytest.mark.parametrize("scene_config,split", [(BenchmarkConfig(height=32, width=32), "train"),
@@ -122,7 +123,7 @@ def test_evaluate_scores_unmatched_predictions_and_targets_zero(monkeypatch, cas
         masks[query] = gt[target]
     selected = np.array(selected, dtype=np.intp)
     monkeypatch.setattr(trainer_module, "predict_video_masks",
-                        lambda video, mask_features, threshold: (masks, selected))
+                        lambda video, mask_features: (masks, selected))
     metrics = trainer.evaluate()
     assert len(copies) == len(expr.target_ids)
     assert (metrics.j, metrics.f, metrics.ident_acc) == (expected, expected, ident)
@@ -170,7 +171,9 @@ def test_separation_margin_groups_tokens_by_scene_and_object():
 
 def test_only_the_final_evaluation_is_projected(monkeypatch):
     """`evaluate` keeps raw tokens and runs no projector; `run` projects the
-    final evaluation's tokens once each, for the separation margin."""
+    final evaluation's tokens once each, for the separation margin.  With
+    `n_negatives` 0, training leaves the bank empty and the projector as
+    initialised."""
     calls = []
     project = ContrastiveProjector.project
 
@@ -180,13 +183,15 @@ def test_only_the_final_evaluation_is_projected(monkeypatch):
 
     monkeypatch.setattr(ContrastiveProjector, "project", counted)
     scene = generate(5)
-    trainer = Trainer(TrainConfig(steps=2, eval_every=1, contrastive_enabled=False),
-                      [scene], [scene])
+    trainer = Trainer(TrainConfig(steps=2, eval_every=1, n_negatives=0), [scene], [scene])
+    initial = [p.data.copy() for p in trainer.model.projector.params]
     trainer.evaluate()
     assert calls == []
     result = trainer.run()
     n_tokens = sum(len(r.target_tokens) for r in result.final.records)
     assert calls == [(trainer.cfg.channels,)] * n_tokens and n_tokens > 0
+    assert not trainer.bank.initialized.any() and trainer.bank.snapshot() == []
+    assert all(np.array_equal(p.data, q) for p, q in zip(trainer.model.projector.params, initial))
 
 
 def test_every_node_backward_runs_once_per_pass(monkeypatch):
@@ -213,8 +218,8 @@ def test_every_node_backward_runs_once_per_pass(monkeypatch):
 
     monkeypatch.setattr(Tensor, "backward", counted)
     scenes = [generate(seed) for seed in range(3)]
-    trainer = Trainer(TrainConfig(warmup_frac=0.0), scenes, scenes)
-    for step, (si, ei) in enumerate(trainer.pairs):
+    trainer = Trainer(TrainConfig(), scenes, scenes)
+    for step, (si, ei) in enumerate(trainer.pairs, start=trainer.cfg.warmup_steps):
         calls.clear()
         parts = trainer.train_step(scenes[si], scenes[si].expressions[ei], step)
         if parts["contrastive"] != 0.0:
