@@ -70,8 +70,8 @@ class MemoryBank:
 
     def sample_negatives(self, anchor_slot: int, n_negatives: int,
                          rng: np.random.Generator, exclude=()) -> np.ndarray:
-        """Slot indices of up to n_negatives initialized non-anchor centroids,
-        filled tier by tier, uniform within a tier."""
+        """Slot indices of up to n_negatives (>= 1) initialized non-anchor
+        centroids, filled tier by tier, uniform within a tier."""
         banned = np.zeros(self.size, dtype=bool)
         banned[anchor_slot] = True
         for slot in exclude:
@@ -95,8 +95,6 @@ class MemoryBank:
             else:
                 chosen.append(rng.choice(tier, size=remaining, replace=False))
                 remaining = 0
-        if not chosen:
-            return np.zeros(0, dtype=np.intp)
         return np.concatenate(chosen).astype(np.intp)
 
     def snapshot(self) -> list[dict]:
@@ -120,14 +118,12 @@ def contrastive_loss(anchor: Tensor, positive: np.ndarray,
     """Softmax-over-similarities loss of the anchor against its centroid, at
     temperature TAU.
 
-    Stabilized by max subtraction; with no negatives the loss is exactly 0.
-    Centroids enter as constants, so gradient flows only into the anchor.
+    Stabilized by max subtraction.  Centroids enter as constants, so
+    gradient flows only into the anchor.
     """
     pos_logit = (anchor * Tensor(positive)).sum() * (1.0 / TAU)
-    logits = pos_logit.reshape(1)
-    if len(negatives):
-        neg = (anchor.reshape(1, -1) @ Tensor(np.asarray(negatives).T)) * (1.0 / TAU)
-        logits = concat([logits, neg.reshape(len(negatives))], axis=0)
+    neg = (anchor.reshape(1, -1) @ Tensor(np.asarray(negatives).T)) * (1.0 / TAU)
+    logits = concat([pos_logit.reshape(1), neg.reshape(len(negatives))], axis=0)
     shift = Tensor(logits.data.max())
     lse = (logits - shift).exp().sum().log() + shift
     return lse - pos_logit

@@ -9,11 +9,14 @@ back into float64, exactly.  Every standard scene contains at least two
 objects of the same category and near-identical appearance that differ only in
 their motion, so expressions can only be resolved by motion understanding.
 
-Expressions are pre-tagged token lists; their semantics are deterministic:
-the head noun fixes the category, an adjective fixes the colour, the verb
-fixes the motion kind and an optional adverb fixes the direction.  The
-generator audits every emitted expression against the motion programs so the
-stored target ids always equal the semantic matches.
+Expressions are token lists, each word's tag and vocab id fixed by `VOCAB`;
+their semantics are deterministic: the head noun fixes the category, an
+adjective fixes the colour, the verb fixes the motion kind and an optional
+adverb fixes the direction.  An expression's target ids are the objects its
+words select (`evaluate_expression`), and a motion program's kind is the one
+whose range of durations (`_durations`) holds its duration, so a scene file
+stores neither: `load_scene` derives them, and the masks, from the words and
+the motion programs.
 
 The recipe is fixed, as a benchmark dataset's is: the module constants
 `OBJECT_SIZE`, `MIN_OBJECTS`, `MAX_OBJECTS`, `EXPRESSIONS_PER_SCENE`,
@@ -32,12 +35,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import json_object, read_json
-from .language import (ADJ, ADV, NOUN, OTHER, PREP, VERB, ExprToken, TaggedExpression,
-                       expression_from_json, expression_to_json)
+from .config import check_field_types, json_object, read_json
+from .language import ADJ, ADV, NOUN, OTHER, PREP, VERB, ExprToken, TaggedExpression
 from .perceiver import sinusoidal_grid
 
-MAGIC = b"MSCOPE02"
+MAGIC = b"MSCOPE03"
 
 STATIC = "static"
 SHORT_BURST = "short-burst"
@@ -78,7 +80,8 @@ VOCAB: list[tuple[str, str]] = (
     + [(w, VERB) for w in VERB_KINDS]
     + [(w, ADV) for w in ADVERB_DIRECTIONS]
 )
-VOCAB_IDS = {surface: i for i, (surface, _) in enumerate(VOCAB)}
+# a word's token: its tag and vocab id are fixed by VOCAB
+TOKENS = {surface: ExprToken(surface, tag, i) for i, (surface, tag) in enumerate(VOCAB)}
 MOTION_DIRECTIONS = {(0, 0), *ADVERB_DIRECTIONS.values()}  # what a motion program may take
 
 OBJECT_SIZE = 2  # an object is an OBJECT_SIZE x OBJECT_SIZE square of cells
@@ -93,6 +96,18 @@ ADJECTIVE_PROB = 0.6
 ADVERB_PROB = 0.35
 NO_TARGET_PROB = 0.1
 MULTI_TARGET_PROB = 0.1
+
+
+def _durations(kind: str, frames: int) -> range:
+    """The moving frames a motion program of `kind` may take in a scene of
+    `frames` frames; `_sample_motion` further caps it by the grid.  For every
+    config that `BenchmarkConfig.validate` accepts, the three ranges are
+    disjoint, so a program's duration names its kind."""
+    if kind == STATIC:
+        return range(0, 1)
+    if kind == SHORT_BURST:
+        return range(2, max(frames // 4, 2) + 1)
+    return range(-(-3 * frames // 4), frames + 1)  # ceil(3T/4)..T
 
 
 class GenerationError(ValueError):
@@ -129,7 +144,7 @@ class BenchmarkConfig:
 
     def validate(self) -> None:
         travel = min(self.width, self.height) - OBJECT_SIZE
-        long_min = -(-3 * self.frames // 4)  # ceil
+        long_min = _durations(LONG_HORIZON, self.frames).start
         if long_min > min(self.frames, travel):
             raise GenerationError(
                 f"long-horizon motion needs {long_min} moving frames but only "
@@ -137,6 +152,9 @@ class BenchmarkConfig:
             )
         if self.frames // 4 < 1:
             raise GenerationError(f"{self.frames} frames leave no room for short bursts")
+        if self.channels < 1:
+            raise GenerationError(f"a scene needs at least one feature channel, "
+                                  f"got {self.channels}")
         # lanes run across the motion axis, which is either one
         lanes = min(self.height, self.width) // OBJECT_SIZE
         if MAX_OBJECTS > lanes:
@@ -209,17 +227,12 @@ def evaluate_expression(tokens: list[ExprToken], objects: list[SceneObject]) -> 
 
 def _sample_motion(rng, kind, cfg: BenchmarkConfig, axis: int, sign: int) -> MotionProgram:
     """Motion along `axis` (0=vertical, 1=horizontal) with unit speed."""
-    t = cfg.frames
     if kind == STATIC:
         return MotionProgram(STATIC, 0, 0, (0, 0))
     travel = (cfg.height if axis == 0 else cfg.width) - OBJECT_SIZE
-    if kind == SHORT_BURST:
-        duration = int(rng.integers(2, max(t // 4, 2) + 1))
-    else:
-        low = -(-3 * t // 4)
-        high = min(t, travel)
-        duration = int(rng.integers(low, high + 1))
-    onset = int(rng.integers(0, t - duration + 1))
+    durations = _durations(kind, cfg.frames)
+    duration = int(rng.integers(durations.start, min(durations.stop, travel + 1)))
+    onset = int(rng.integers(0, cfg.frames - duration + 1))
     direction = (sign, 0) if axis == 0 else (0, sign)
     return MotionProgram(kind, onset, duration, direction)
 
@@ -240,21 +253,28 @@ def _sample_start(rng, motion: MotionProgram, cfg: BenchmarkConfig, axis: int, l
     return (coord, lane_coord) if axis == 0 else (lane_coord, coord)
 
 
-def _stamps(objects, frames: int):
-    """Per object, the (frame, row, column) index arrays, broadcasting to
-    [frames, OBJECT_SIZE, OBJECT_SIZE], of the square that its motion program
-    stamps on each frame: the square starts at `start` and, from frame
-    `onset` on, moves one cell in `direction` per frame until it has moved
-    `duration` cells."""
+def _masks(objects, frames: int, height: int, width: int) -> np.ndarray:
+    """Each object's square along its motion program's path, as a bool
+    [n_objects, frames, height, width] array: the square starts at `start`
+    and, from frame `onset` on, moves one cell in `direction` per frame until
+    it has moved `duration` cells.  A square that leaves the grid raises
+    ValueError naming the object."""
     t = np.arange(frames)
     offsets = np.arange(OBJECT_SIZE)
-    for obj in objects:
+    masks = np.zeros((len(objects), frames * height * width), dtype=bool)
+    for idx, obj in enumerate(objects):
         m = obj.motion
         moved = np.minimum(np.maximum(t, m.onset), m.onset + m.duration) - m.onset
         rows = obj.start[0] + m.direction[0] * moved
         cols = obj.start[1] + m.direction[1] * moved
-        yield (t[:, None, None], rows[:, None, None] + offsets[:, None],
-               cols[:, None, None] + offsets)
+        cells = (t[:, None, None], rows[:, None, None] + offsets[:, None],
+                 cols[:, None, None] + offsets)
+        try:
+            masks[idx, np.ravel_multi_index(cells, (frames, height, width))] = True
+        except ValueError:  # a cell off the grid, negative ones included
+            raise ValueError(f"object {idx}: start {list(obj.start)} moves its square off "
+                             f"the {height}x{width} grid") from None
+    return masks.reshape(len(objects), frames, height, width)
 
 
 def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -262,10 +282,10 @@ def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]
     position_field = sinusoidal_grid(h, w, c).reshape(h, w, c) * POSITION_FIELD_SCALE
     features = rng.normal(scale=BACKGROUND_NOISE, size=(t, h, w, c))
     features += position_field
-    masks = np.zeros((len(objects), t, h, w), dtype=bool)
-    appearances = []
+    masks = _masks(objects, t, h, w)
+    cells = features.reshape(t * h * w, c)  # a view: one row a cell
     jitter_start = len(NOUNS) + len(COLORS)
-    for obj in objects:
+    for obj, mask in zip(objects, masks):
         # per-instance signature: same base look, unit-length jitter scaled to
         # APPEARANCE_NOISE (instances stay visually similar but separable);
         # jitter avoids the category/colour block when the space allows it
@@ -273,10 +293,7 @@ def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]
         if c >= jitter_start + 2:
             jitter[:jitter_start] = 0.0
         jitter *= APPEARANCE_NOISE / np.linalg.norm(jitter)
-        appearances.append(base_appearance(obj.category, obj.color, c) + jitter)
-    for idx, cells in enumerate(_stamps(objects, t)):
-        features[cells] += appearances[idx]
-        masks[idx][cells] = True
+        cells[np.flatnonzero(mask)] += base_appearance(obj.category, obj.color, c) + jitter
     return features.astype(np.float32), masks
 
 
@@ -301,24 +318,23 @@ def _build_expression(rng, objects, target_idx: int | None,
     for _ in range(8):
         tokens: list[ExprToken] = []
 
-        def add(surface, tag):
-            tokens.append(ExprToken(surface, tag, VOCAB_IDS[surface]))
+        def add(surface):
+            tokens.append(TOKENS[surface])
 
         if rng.random() < 0.5:
-            add(FILLERS[int(rng.integers(0, len(FILLERS)))], OTHER)
+            add(FILLERS[int(rng.integers(0, len(FILLERS)))])
         if color is not None and rng.random() < ADJECTIVE_PROB:
-            add(COLORS[color], ADJ)
-        add(NOUNS[category], NOUN)
+            add(COLORS[color])
+        add(NOUNS[category])
         verbs = KIND_VERBS[kind]
-        add(verbs[int(rng.integers(0, len(verbs)))], VERB)
+        add(verbs[int(rng.integers(0, len(verbs)))])
         if direction is not None and direction != (0, 0) and rng.random() < ADVERB_PROB:
-            adverb = next(a for a, d in ADVERB_DIRECTIONS.items() if d == direction)
-            add(adverb, ADV)
+            add(next(a for a, d in ADVERB_DIRECTIONS.items() if d == direction))
         if rng.random() < LANDMARK_PROB:
             other_cats = sorted({o.category for o in objects if o.category != category})
             if other_cats:
-                add(PREPOSITIONS[int(rng.integers(0, len(PREPOSITIONS)))], PREP)
-                add(NOUNS[other_cats[int(rng.integers(0, len(other_cats)))]], NOUN)
+                add(PREPOSITIONS[int(rng.integers(0, len(PREPOSITIONS)))])
+                add(NOUNS[other_cats[int(rng.integers(0, len(other_cats)))]])
         matches = evaluate_expression(tokens, objects)
         if matches == sorted(want_targets):
             return TaggedExpression(tokens=tokens, target_ids=matches)
@@ -402,105 +418,108 @@ def generate(seed: int, config: BenchmarkConfig | None = None) -> Scene:
 
 # -- dataset io ---------------------------------------------------------------
 
+REGENERATE = "regenerate a scene file of an earlier version with `motionscope gen`"
+
 
 def save_scene(scene: Scene, directory) -> None:
-    """Write `scene` as `<seed>.json` (config, objects, expressions) and
-    `<seed>.bin`: the header `MSCOPE02`, then the features [T, H, W, C] as
-    little-endian float32 and the masks [n_objects, T, H, W] as one byte a
-    cell, 0 or 1, both in C order.  The float32 features are written from
-    their own buffer and the bool masks converted once."""
+    """Write `scene` as `<seed>.json` and `<seed>.bin`, which hold only what
+    `load_scene` cannot work out itself.  The `.json` holds the config, each
+    object's category, color, start, onset, duration and direction, and each
+    expression as its list of words.  The `.bin` holds the header `MSCOPE03`,
+    then the features [T, H, W, C] as little-endian float32 in C order,
+    written from their own buffer.  Motion kinds, tokens, target ids and
+    masks are derived on load."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
-        "seed": scene.seed,
         "config": asdict(scene.config),
         "objects": [
             {
                 "category": o.category,
                 "color": o.color,
                 "start": list(o.start),
-                "kind": o.motion.kind,
                 "onset": o.motion.onset,
                 "duration": o.motion.duration,
                 "direction": list(o.motion.direction),
             }
             for o in scene.objects
         ],
-        "expressions": [expression_to_json(e) for e in scene.expressions],
+        "expressions": [[t.surface for t in e.tokens] for e in scene.expressions],
     }
     with open(directory / f"{scene.seed}.json", "w") as fh:
         json.dump(meta, fh)
     with open(directory / f"{scene.seed}.bin", "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.ascontiguousarray(scene.features, dtype="<f4"))
-        fh.write(np.ascontiguousarray(scene.masks, dtype="u1"))
+
+
+def _check_keys(entry: dict, keys, where: str) -> None:
+    """ValueError naming `where` and the keys unless `entry` holds exactly `keys`."""
+    problems = [f"{text} {names}" for text, names in (
+        ("lacks the keys", sorted(set(keys) - set(entry))),
+        ("holds unknown keys", sorted(set(entry) - set(keys)))) if names]
+    if problems:
+        raise ValueError(f"{where} {' and '.join(problems)}; {REGENERATE}")
 
 
 def load_scene(directory, seed: int) -> Scene:
-    """Read the scene `<seed>.json` and `<seed>.bin` of `directory`.
+    """Read the scene `<seed>.json` and `<seed>.bin` of `directory`, as
+    `save_scene` writes them, and derive what they do not store: each motion
+    program's kind from its duration, each expression's tokens from its
+    words through `VOCAB` and its target ids through `evaluate_expression`,
+    and the masks from the motion programs.  The features are read straight
+    into a float32 [T, H, W, C] array, and the masks are a bool
+    [n_objects, T, H, W] array.
 
     Raises ValueError, naming the file and the field, for a `.json` that is
-    not JSON, a top level, `config` or object entry that is not a JSON
-    object, `objects` or `expressions` that is not a JSON list, a missing
-    top-level key, a `seed` field that differs from `seed`, a config key
-    that `BenchmarkConfig` does not have, a config value whose type is not
-    its field's, an object that lacks a key or whose category, color or
-    motion kind is unknown, a motion program whose fields are not ints, whose
-    direction is not a unit step or [0, 0], or whose path leaves the scene's
-    frames or grid, an expression entry that cannot be read or has no tokens,
-    a vocab id outside the vocabulary, a token whose surface or tag is not
-    its vocab entry's, a target id that names no object or repeats one, a
-    `.bin` without the header or whose size does not fit the scene,
-    non-finite features, mask bytes other than 0 and 1, and an object's masks
-    that differ from the squares its motion program stamps.  Scene files of
-    earlier versions, whose config holds the recipe or whose `.bin` is in the
-    float64 `MSCOPE01` format, raise ValueError asking for the scene to be
-    regenerated with `motionscope gen`, which rebuilds it from its seed and
-    config.
-
-    The `.bin` layout is the one `save_scene` writes.  Each block is read
-    straight into its array: the features into a float32 [T, H, W, C] array,
-    the masks into a bool [n_objects, T, H, W] array."""
+    not JSON; a top level, `config` or object entry that is not a JSON object,
+    or that lacks a key or holds an unknown one; `objects` or `expressions`
+    that is not a JSON list; a config value whose type is not its field's, or
+    a config that `BenchmarkConfig.validate` rejects; fewer than MIN_OBJECTS
+    or more than MAX_OBJECTS objects; an object whose category or color is
+    unknown, or whose motion program has fields that are not ints, a
+    direction that is not a unit step or [0, 0], moving frames outside the
+    scene's, a duration that fits no motion kind, a unit direction with
+    duration 0 or [0, 0] with a positive one, or a square that leaves the
+    grid; an expression that is not a non-empty list of vocabulary words; and
+    a `.bin` without the header or whose size does not fit the scene, or with
+    non-finite features.  A file of an earlier version, whose JSON holds keys
+    that are now derived or fixed by the recipe or whose `.bin` starts with
+    `MSCOPE01` or `MSCOPE02`, is rejected with a request to regenerate it with
+    `motionscope gen`, which rebuilds a scene from its seed and config."""
     directory = Path(directory)
     json_path = directory / f"{seed}.json"
     meta = json_object(read_json(json_path), json_path)
-    missing = sorted({"config", "objects", "expressions", "seed"} - set(meta))
-    if missing:
-        raise ValueError(f"{json_path}: scene lacks the keys {missing}")
+    _check_keys(meta, ("config", "objects", "expressions"), f"{json_path}: scene")
     for key in ("objects", "expressions"):
         if not isinstance(meta[key], list):
             raise ValueError(f"{json_path}: {key} must be a JSON list, "
                              f"got {type(meta[key]).__name__}")
-    if meta["seed"] != seed:
-        raise ValueError(f"{json_path}: seed field says {meta['seed']!r}, "
-                         f"but the file name says {seed}")
     config = json_object(meta["config"], f"{json_path}: config")
-    unknown = sorted(set(config) - {f.name for f in fields(BenchmarkConfig)})
-    if unknown:
-        raise ValueError(f"{json_path}: config holds unknown keys {unknown}; regenerate a "
-                         f"scene file of an earlier version with `motionscope gen`")
+    _check_keys(config, [f.name for f in fields(BenchmarkConfig)], f"{json_path}: config")
     cfg = BenchmarkConfig(**config)
-    for f in fields(cfg):
-        # the probe flag is stored once, here, so a non-bool must not pass as one
-        if type(getattr(cfg, f.name)) is not type(f.default):
-            raise ValueError(f"{json_path}: config {f.name} is {getattr(cfg, f.name)!r}, "
-                             f"not {type(f.default).__name__}")
+    try:
+        check_field_types(cfg)
+        cfg.validate()
+    except ValueError as err:
+        raise ValueError(f"{json_path}: config: {err}") from None
+    # the recipe's object count also bounds the masks that loading builds
+    if not MIN_OBJECTS <= len(meta["objects"]) <= MAX_OBJECTS:
+        raise ValueError(f"{json_path}: {len(meta['objects'])} objects, but a scene holds "
+                         f"{MIN_OBJECTS} to {MAX_OBJECTS}")
+    durations = {kind: _durations(kind, cfg.frames) for kind in KIND_VERBS}
     objects = []
     for index, o in enumerate(meta["objects"]):
         where = f"{json_path}: object {index}"
-        missing = sorted({"category", "color", "start", "kind", "onset", "duration",
-                          "direction"} - set(json_object(o, where)))
-        if missing:
-            raise ValueError(f"{where} lacks the keys {missing}")
-        if o["category"] not in range(len(NOUNS)):
-            raise ValueError(f"{where}: category {o['category']!r} is outside [0, {len(NOUNS)})")
-        if o["color"] not in range(len(COLORS)):
-            raise ValueError(f"{where}: color {o['color']!r} is outside [0, {len(COLORS)})")
-        if o["kind"] not in KIND_VERBS:
-            raise ValueError(f"{where}: kind {o['kind']!r} is not one of {list(KIND_VERBS)}")
-        for key in ("onset", "duration"):
+        _check_keys(json_object(o, where),
+                    ("category", "color", "start", "onset", "duration", "direction"), where)
+        for key in ("category", "color", "onset", "duration"):
             if type(o[key]) is not int:
                 raise ValueError(f"{where}: {key} {o[key]!r} is not an int")
+        if not 0 <= o["category"] < len(NOUNS):
+            raise ValueError(f"{where}: category {o['category']!r} is outside [0, {len(NOUNS)})")
+        if not 0 <= o["color"] < len(COLORS):
+            raise ValueError(f"{where}: color {o['color']!r} is outside [0, {len(COLORS)})")
         for key in ("start", "direction"):
             if not (isinstance(o[key], list) and len(o[key]) == 2
                     and all(type(v) is int for v in o[key])):
@@ -513,73 +532,61 @@ def load_scene(directory, seed: int) -> Scene:
         if not 0 <= o["duration"] <= cfg.frames - o["onset"]:
             raise ValueError(f"{where}: duration {o['duration']} is outside "
                              f"[0, {cfg.frames - o['onset']}], the frames from its onset on")
+        kind = next((k for k, span in durations.items() if o["duration"] in span), None)
+        if kind is None:
+            ranges = ", ".join(f"{k} {span[0]}..{span[-1]}" for k, span in durations.items())
+            raise ValueError(f"{where}: duration {o['duration']} fits no motion kind of a "
+                             f"{cfg.frames}-frame scene ({ranges})")
+        if (o["duration"] == 0) != (o["direction"] == [0, 0]):
+            raise ValueError(f"{where}: direction {o['direction']} does not fit duration "
+                             f"{o['duration']}: a program has a unit direction exactly "
+                             f"when it moves")
         objects.append(SceneObject(
             category=o["category"],
             color=o["color"],
             start=tuple(o["start"]),
-            motion=MotionProgram(o["kind"], o["onset"], o["duration"], tuple(o["direction"])),
+            motion=MotionProgram(kind, o["onset"], o["duration"], tuple(o["direction"])),
         ))
     expressions = []
-    for index, entry in enumerate(meta["expressions"]):
+    for index, words in enumerate(meta["expressions"]):
         where = f"{json_path}: expression {index}"
-        try:
-            expr = expression_from_json(entry)
-        except (KeyError, TypeError, ValueError) as err:
-            raise ValueError(f"{where}: malformed entry ({err!r})") from None
-        if not expr.tokens:
+        if not isinstance(words, list):
+            got = (f"an object with the keys {sorted(words)}" if isinstance(words, dict)
+                   else type(words).__name__)
+            raise ValueError(f"{where} must be a JSON list of words, got {got}; {REGENERATE}")
+        if not words:
             raise ValueError(f"{where} has no tokens")
-        for tok in expr.tokens:
-            if not 0 <= tok.vocab_id < len(VOCAB):
-                raise ValueError(f"{where}: token {tok.surface!r} has vocab id {tok.vocab_id}, "
-                                 f"outside [0, {len(VOCAB)})")
-            if (tok.surface, tok.tag) != VOCAB[tok.vocab_id]:
-                raise ValueError(f"{where}: token {tok.surface!r} has (surface, tag) "
-                                 f"{(tok.surface, tok.tag)}, but vocab entry {tok.vocab_id} "
-                                 f"is {VOCAB[tok.vocab_id]}")
-        for obj_idx in expr.target_ids:
-            if not 0 <= obj_idx < len(objects):
-                raise ValueError(f"{where}: target id {obj_idx} is outside [0, {len(objects)})")
-        if len(set(expr.target_ids)) != len(expr.target_ids):
-            raise ValueError(f"{where}: target ids {expr.target_ids} name an object twice")
-        expressions.append(expr)
+        for word in words:
+            if not (isinstance(word, str) and word in TOKENS):
+                raise ValueError(f"{where}: {word!r} is not a word of the vocabulary")
+        tokens = [TOKENS[word] for word in words]
+        expressions.append(TaggedExpression(tokens, evaluate_expression(tokens, objects)))
     bin_path = directory / f"{seed}.bin"
     t, h, w, c = cfg.frames, cfg.height, cfg.width, cfg.channels
-    n = len(objects)
-    expected = len(MAGIC) + t * h * w * (4 * c + n)
+    expected = len(MAGIC) + 4 * t * h * w * c
     with open(bin_path, "rb") as fh:
         header = fh.read(len(MAGIC))
-        if header == b"MSCOPE01":
-            raise ValueError(f"{bin_path} is a float64 MSCOPE01 scene file, which is no longer "
-                             f"read; regenerate it with `motionscope gen`")
+        if header in (b"MSCOPE01", b"MSCOPE02"):
+            raise ValueError(f"{bin_path} is an {header.decode()} scene file of an earlier "
+                             f"version, which is no longer read; regenerate it with "
+                             f"`motionscope gen`")
         if header != MAGIC:
             raise ValueError(f"{bin_path} does not start with the {MAGIC!r} header")
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise ValueError(f"{bin_path} holds {size} bytes, but a {t}x{h}x{w}x{c} scene "
-                             f"with {n} objects needs {expected}")
+                             f"needs {expected}")
         # allocated only once the file is known to hold them
         features = np.empty((t, h, w, c), dtype="<f4")
-        masks = np.empty((n, t, h, w), dtype=bool)
-        for block in (features, masks):
-            if fh.readinto(block) != block.nbytes:
-                raise ValueError(f"{bin_path} held fewer than {expected} bytes when read")
+        if fh.readinto(features) != features.nbytes:
+            raise ValueError(f"{bin_path} held fewer than {expected} bytes when read")
     if not np.all(np.isfinite(features)):
         raise ValueError(f"{bin_path}: features hold a non-finite value")
-    # a bool array holds whatever bytes were read; only 0 and 1 are booleans
-    if np.any(masks.view(np.uint8) > 1):
-        raise ValueError(f"{bin_path}: masks hold a byte other than 0 and 1")
-    stamped = np.zeros((n, t * h * w), dtype=bool)
-    for idx, cells in enumerate(_stamps(objects, t)):
-        try:
-            stamped[idx, np.ravel_multi_index(cells, (t, h, w))] = True
-        except ValueError:  # a cell off the grid, negative ones included
-            raise ValueError(f"{json_path}: object {idx}: start {list(objects[idx].start)} "
-                             f"moves its square off the {h}x{w} grid") from None
-    wrong = np.flatnonzero((stamped != masks.reshape(n, -1)).any(axis=1))
-    if wrong.size:
-        raise ValueError(f"{bin_path}: the masks of object {wrong[0]} differ from the squares "
-                         f"its motion program in {json_path.name} stamps")
-    return Scene(seed=meta["seed"], config=cfg, objects=objects, expressions=expressions,
+    try:
+        masks = _masks(objects, t, h, w)
+    except ValueError as err:
+        raise ValueError(f"{json_path}: {err}") from None
+    return Scene(seed=seed, config=cfg, objects=objects, expressions=expressions,
                  features=features, masks=masks)
 
 

@@ -16,6 +16,16 @@ ACCEPTED_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": 
 WARMUP_FRAC = 0.2  # share of the steps before the contrastive term switches on
 
 
+def check_field_types(obj) -> None:
+    """ValueError naming the field when a field of the dataclass instance
+    `obj` holds a value that its annotated type does not accept."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if (not isinstance(value, ACCEPTED_TYPES[f.type])
+                or (f.type != "bool" and isinstance(value, bool))):
+            raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+
+
 def read_json(path):
     """The JSON value held by the file `path`.  A file that is not UTF-8
     JSON raises ValueError naming it."""
@@ -58,11 +68,7 @@ class TrainConfig:
     val_dir: str = ""
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (not isinstance(value, ACCEPTED_TYPES[f.type])
-                    or (f.type != "bool" and isinstance(value, bool))):
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        check_field_types(self)
         if self.query_variant not in QUERY_VARIANTS:
             raise ValueError(f"query_variant must be one of {QUERY_VARIANTS}")
         for name in ("channels", "img_channels", "grid_height", "grid_width", "hmp_blocks",

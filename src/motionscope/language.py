@@ -85,18 +85,3 @@ def decouple(expr: TaggedExpression, embedding: Tensor, add_sentence: bool = Tru
         motion=cue_rows(motion_pos),
         sentence=sentence,
     )
-
-
-def expression_to_json(expr: TaggedExpression) -> dict:
-    return {
-        "tokens": [[t.surface, t.tag, t.vocab_id] for t in expr.tokens],
-        "target_ids": list(expr.target_ids),
-    }
-
-
-def expression_from_json(obj: dict) -> TaggedExpression:
-    return TaggedExpression(
-        tokens=[ExprToken(s, tag, int(v)) for s, tag, v in obj["tokens"]],
-        target_ids=[int(i) for i in obj["target_ids"]],
-    )
-

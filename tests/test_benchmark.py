@@ -8,13 +8,16 @@ import pytest
 from motionscope.benchmark import (
     LONG_HORIZON,
     MAX_OBJECTS,
+    MIN_OBJECTS,
     OBJECT_SIZE,
     SHORT_BURST,
     STATIC,
     VOCAB,
+    MAGIC,
     BenchmarkConfig,
     GenerationError,
     _dilate,
+    _durations,
     _pad_border,
     boundary,
     evaluate_expression,
@@ -95,6 +98,21 @@ class TestGenerator:
                     assert 0 < m.duration <= cfg.frames // 4
                 if m.kind == LONG_HORIZON:
                     assert m.duration >= 3 * cfg.frames // 4
+                assert m.duration in _durations(m.kind, cfg.frames)
+
+    def test_kind_ranges_of_every_valid_config_are_disjoint(self):
+        """`load_scene` names a program's kind by its duration, so the kinds'
+        ranges may not overlap in any config that `validate` accepts."""
+        for frames in range(1, 65):
+            cfg = BenchmarkConfig(frames=frames, height=64, width=64)
+            try:
+                cfg.validate()
+            except GenerationError:
+                assert frames < 4
+                continue
+            spans = [set(_durations(kind, frames)) for kind in (STATIC, SHORT_BURST, LONG_HORIZON)]
+            assert sum(map(len, spans)) == len(set().union(*spans))
+            assert set().union(*spans) <= set(range(frames + 1))
 
     def test_masks_stay_on_grid_and_disjoint(self):
         cfg = small_config()
@@ -105,7 +123,7 @@ class TestGenerator:
             assert np.all(scene.masks.sum(axis=0) <= 1.0)
 
     def test_masks_equal_a_per_frame_loop_over_the_motion_programs(self):
-        """The squares that `generate` draws and `load_scene` checks equal one
+        """The squares that `generate` draws and `load_scene` derives equal one
         slice per frame at start + direction * max(0, min(t, onset + duration)
         - onset), the reference form of a motion program's path."""
         for probe in (False, True):
@@ -149,17 +167,23 @@ class TestGenerator:
         with pytest.raises(GenerationError, match=message):
             generate(9, cfg)
 
-    @pytest.mark.parametrize("seed,overrides,digest", [
-        (0, {}, "b9e258d5540f0657ab469449947a4743202822b6d254473325bb9d41824a4451"),
-        (1000, {}, "06a28b880591bd653ddebb3bffd28f75ce9e125b8d26e06f615f08b919b1e1fa"),
-        (2000, {"probe": True}, "7777e4267c17c34ac081772ce5f45005067b9825205e1a9f260e888a086d77d7"),
+    @pytest.mark.parametrize("seed,overrides,bin_digest,json_digest", [
+        (0, {}, "84153a73d9dd8d2bc4e2c6a75e671fdd969055adbdff0025644d2756d329dc88",
+         "f80a7b9c1abe9337af7248f4156b8c05aa9f74d231c96c4ce4745b81808a05fa"),
+        (1000, {}, "c9c3a5cde26bc5c40f16593eb6a52c01d6b39458884048990b1fafc3d54f5cd6",
+         "a90265712b1400164ccf6434cca660644d129a79b02b94a77756d3f6916f541e"),
+        (2000, {"probe": True}, "caa16563e1634bdaf61b0e8fa708d4ec9d57ccf12c9f4a0d10de44af9b8b212b",
+         "679a4a524eb93a18d2de3e1b8c9fd560f52fe6041c0e5f330faa02146a88cbcc"),
         (0, {"height": 32, "width": 32},
-         "200c827429330447966828bd828b26a2b40855d80c12d0d22e918e93d471d652"),
+         "11e6c873510b21e15dfae417ce1b07f034d9fffb2a7c397a0d49cb5dd04bd867",
+         "2e5b9a0d63bf7e12c5bad9744080aa21b7855ae458bef57b868004c09a5f1d64"),
     ], ids=["default", "val-seed", "probe", "hires"])
-    def test_default_recipe_is_pinned(self, tmp_path, seed, overrides, digest):
-        """The `.bin` bytes of full-size scenes pin the recipe constants."""
+    def test_default_recipe_is_pinned(self, tmp_path, seed, overrides, bin_digest, json_digest):
+        """The bytes of full-size scene files pin the recipe constants: the
+        `.bin` the features, the `.json` the objects and the words."""
         save_scene(generate(seed, BenchmarkConfig(**overrides)), tmp_path)
-        assert hashlib.sha256((tmp_path / f"{seed}.bin").read_bytes()).hexdigest() == digest
+        assert hashlib.sha256((tmp_path / f"{seed}.bin").read_bytes()).hexdigest() == bin_digest
+        assert hashlib.sha256((tmp_path / f"{seed}.json").read_bytes()).hexdigest() == json_digest
 
 
 class TestSceneIO:
@@ -172,27 +196,71 @@ class TestSceneIO:
         assert scene.masks.dtype == bool and loaded.masks.dtype == bool
         assert loaded.expressions == scene.expressions
         assert loaded.probe == scene.probe
-        assert [o.start for o in loaded.objects] == [o.start for o in scene.objects]
+        assert loaded.objects == scene.objects
+
+    @pytest.mark.parametrize("overrides,seeds", [
+        ({}, range(0, 8)),
+        ({"probe": True}, range(2000, 2008)),
+        ({"height": 32, "width": 32}, range(0, 4)),
+        (dict(frames=8, height=10, width=10, channels=8), range(0, 40)),
+    ], ids=["default", "probe", "hires", "10x10x8"])
+    def test_derived_kinds_targets_and_masks_equal_the_generated_ones(self, tmp_path, overrides,
+                                                                      seeds):
+        """A file stores no kind, tag, vocab id, target id or mask, yet loads
+        them back equal to what the generator drew."""
+        for seed in seeds:
+            scene = generate(seed, BenchmarkConfig(**overrides))
+            save_scene(scene, tmp_path)
+            loaded = load_scene(tmp_path, seed)
+            assert [o.motion.kind for o in loaded.objects] == [o.motion.kind for o in scene.objects]
+            assert loaded.objects == scene.objects
+            assert [e.tokens for e in loaded.expressions] == [e.tokens for e in scene.expressions]
+            assert ([e.target_ids for e in loaded.expressions]
+                    == [e.target_ids for e in scene.expressions])
+            assert loaded.masks.dtype == bool and np.array_equal(loaded.masks, scene.masks)
+
+    def test_edited_duration_and_word_give_the_derived_kind_masks_and_targets(self, tmp_path):
+        """Object 1 of this scene walks down from (1, 2) for 7 of 8 frames.
+        Shortened to 2 moving frames it loads as a short burst, with masks
+        along the shorter path, and every expression's targets are what
+        `evaluate_expression` gives for its words in the edited scene."""
+        scene = generate(6, small_config())
+        save_scene(scene, tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        assert meta["objects"][1]["duration"] == 7
+        assert meta["expressions"][0] == ["the", "dot", "resting"]
+        assert [e.target_ids for e in scene.expressions] == [[0], [1], [0]]
+        meta["objects"][1]["duration"] = 2
+        meta["expressions"][0][2] = "darting"
+        path.write_text(json.dumps(meta))
+        loaded = load_scene(tmp_path, 6)
+        assert loaded.objects[1].motion.kind == SHORT_BURST
+        for expr in loaded.expressions:
+            assert expr.target_ids == evaluate_expression(expr.tokens, loaded.objects)
+        assert [e.target_ids for e in loaded.expressions] == [[1, 2], [], [0]]
+        assert loaded.masks[1].sum() == 8 * OBJECT_SIZE ** 2
+        assert loaded.masks[1, 2:, 3:5, 2:4].all()
+        assert np.array_equal(loaded.masks[[0, 2, 3]], scene.masks[[0, 2, 3]])
 
     def test_magic_header(self, tmp_path):
         scene = generate(6, small_config())
         save_scene(scene, tmp_path)
         raw = (tmp_path / "6.bin").read_bytes()
-        assert raw[:8] == b"MSCOPE02"
+        assert raw[:8] == MAGIC == b"MSCOPE03"
         (tmp_path / "6.bin").write_bytes(b"BADMAGIC" + raw[8:])
         with pytest.raises(ValueError):
             load_scene(tmp_path, 6)
 
     def test_bin_layout_is_pinned(self, tmp_path):
-        """The `.bin` format: header, features as little-endian float32 and
-        masks as one byte a cell, 0 or 1.  The digest pins the bytes."""
+        """The `.bin` format: the header, then the features as little-endian
+        float32, and nothing else.  The digest pins the bytes."""
         scene = generate(6, small_config())
         save_scene(scene, tmp_path)
         raw = (tmp_path / "6.bin").read_bytes()
-        assert raw == (b"MSCOPE02" + scene.features.astype("<f4").tobytes()
-                       + np.where(scene.masks, 1, 0).astype("u1").tobytes())
+        assert raw == MAGIC + scene.features.astype("<f4").tobytes()
         assert hashlib.sha256(raw).hexdigest() == (
-            "daf2cef477f1cfe6afb765ba659f7d1b8ad798577061975c4b0f6b57cf5c89f8")
+            "8c86423ce793f2c1cceb03d0e5463fdcc1a4711baf78381afb74c1e7aab6ac8d")
 
     def test_float64_format_is_rejected_with_the_regenerate_hint(self, tmp_path):
         """An `MSCOPE01` file of earlier versions, float64 features and float64
@@ -206,6 +274,18 @@ class TestSceneIO:
                            + re.escape("regenerate it with `motionscope gen`")):
             load_scene(tmp_path, 6)
 
+    def test_mscope02_format_is_rejected_with_the_regenerate_hint(self, tmp_path):
+        """An `MSCOPE02` file of earlier versions, float32 features and one
+        mask byte a cell, is not read either."""
+        scene = generate(6, small_config())
+        save_scene(scene, tmp_path)
+        path = tmp_path / "6.bin"
+        path.write_bytes(b"MSCOPE02" + scene.features.astype("<f4").tobytes()
+                         + scene.masks.astype("u1").tobytes())
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*MSCOPE02.*"
+                           + re.escape("regenerate it with `motionscope gen`")):
+            load_scene(tmp_path, 6)
+
     @pytest.mark.parametrize("edit", ["trailing", "truncated"])
     def test_bin_size_mismatch_names_file_and_byte_counts(self, tmp_path, edit):
         scene = generate(6, small_config())
@@ -213,7 +293,7 @@ class TestSceneIO:
         path = tmp_path / "6.bin"
         raw = path.read_bytes()
         t, h, w, c = scene.features.shape
-        assert len(raw) == 8 + t * h * w * (4 * c + len(scene.objects))
+        assert len(raw) == 8 + 4 * t * h * w * c
         bad = raw + b"\0" * 8 if edit == "trailing" else raw[:-10]
         path.write_bytes(bad)
         with pytest.raises(ValueError) as exc:
@@ -223,65 +303,41 @@ class TestSceneIO:
         assert str(len(raw)) in message and str(len(bad)) in message
 
     def test_size_is_checked_before_arrays_are_allocated(self, tmp_path):
-        """A config that claims 2**40 frames fails the size check, not an
+        """A config that claims 2**40 channels fails the size check, not an
         allocation of the arrays it implies."""
         save_scene(generate(6, small_config()), tmp_path)
         path = tmp_path / "6.json"
         meta = json.loads(path.read_text())
-        meta["config"]["frames"] = 2 ** 40
+        meta["config"]["channels"] = 2 ** 40
         path.write_text(json.dumps(meta))
         cfg = small_config()
-        needed = 8 + 2 ** 40 * cfg.height * cfg.width * (4 * cfg.channels + len(meta["objects"]))
+        needed = 8 + 4 * cfg.frames * cfg.height * cfg.width * 2 ** 40
         with pytest.raises(ValueError, match=re.escape(f"{tmp_path / '6.bin'} holds") + ".*"
                            + re.escape(f"needs {needed}")):
             load_scene(tmp_path, 6)
 
-    @pytest.mark.parametrize("edit", ["nan_feature", "mask_byte_2"])
+    @pytest.mark.parametrize("edit", ["nan_feature"])
     def test_bad_bin_values_name_file_and_field(self, tmp_path, edit):
         scene = generate(6, small_config())
         save_scene(scene, tmp_path)
         path = tmp_path / "6.bin"
-        raw = path.read_bytes()
-        features = np.frombuffer(raw, dtype="<f4", count=scene.features.size, offset=8).copy()
-        masks = np.frombuffer(raw, dtype="u1", offset=8 + features.nbytes).copy()
-        if edit == "nan_feature":
-            features[3], field = np.nan, "features"
-        else:
-            masks[5], field = 2, "masks"
-        path.write_bytes(b"MSCOPE02" + features.tobytes() + masks.tobytes())
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {field}"):
+        features = scene.features.astype("<f4")
+        features.reshape(-1)[3] = np.nan
+        path.write_bytes(MAGIC + features.tobytes())
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: features"):
             load_scene(tmp_path, 6)
 
-    @pytest.mark.parametrize("field,value", [("tag", "NUON"), ("vocab id", 999),
-                                             ("target id", 42)])
-    def test_bad_expression_names_file_and_field(self, tmp_path, field, value):
+    @pytest.mark.parametrize("word", ["bogus", "Red", 11, None, ["red", "ADJ", 11]])
+    def test_bad_expression_names_file_and_field(self, tmp_path, word):
+        """A word is a string of the vocabulary, which fixes its tag and vocab
+        id; a (surface, tag, vocab id) triple of earlier versions is not one."""
         save_scene(generate(6, small_config()), tmp_path)
         path = tmp_path / "6.json"
         meta = json.loads(path.read_text())
-        expr = meta["expressions"][1]
-        if field == "target id":
-            expr["target_ids"] = [value]
-        else:
-            expr["tokens"][0][1 if field == "tag" else 2] = value
+        meta["expressions"][1][0] = word
         path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: expression 1: .*{field}"):
-            load_scene(tmp_path, 6)
-
-    @pytest.mark.parametrize("token", [["square", "VERB", 1], ["bogus", "OTHER", 19]],
-                             ids=["noun-as-verb", "unknown-surface"])
-    def test_token_contradicting_the_vocabulary_names_file_token_and_entry(self, tmp_path, token):
-        """A token is its vocab entry: a noun's id tagged VERB would route the
-        noun's embedding into the motion cues."""
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        meta["expressions"][1]["tokens"][0] = token
-        path.write_text(json.dumps(meta))
-        surface, tag, vocab_id = token
-        entry = VOCAB[vocab_id]
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: expression 1: token {surface!r} has (surface, tag) {(surface, tag)}, "
-                f"but vocab entry {vocab_id} is {entry}")):
+                f"{path}: expression 1: {word!r} is not a word of the vocabulary")):
             load_scene(tmp_path, 6)
 
     @pytest.mark.parametrize("text", [b'{"seed": 6,', b"\xff\xfe{}"], ids=["truncated", "not-utf8"])
@@ -304,26 +360,25 @@ class TestSceneIO:
 
     @pytest.mark.parametrize("edit,message", [
         ("tokens", "has no tokens"),
-        ("token entry", "malformed entry .*not enough values to unpack"),
-        ("target twice", "target ids \\[0, 0\\] name an object twice"),
-    ], ids=["no tokens", "short token entry", "repeated target"])
+        ("token entry", "\\['red', 'ADJ'\\] is not a word of the vocabulary"),
+        ("entry", "must be a JSON list of words, got str"),
+    ], ids=["no tokens", "short token entry", "string entry"])
     def test_malformed_expression_names_file_and_index(self, tmp_path, edit, message):
         save_scene(generate(6, small_config()), tmp_path)
         path = tmp_path / "6.json"
         meta = json.loads(path.read_text())
-        expr = meta["expressions"][1]
         if edit == "tokens":
-            expr["tokens"] = []
+            meta["expressions"][1] = []
         elif edit == "token entry":
-            expr["tokens"][0] = ["red", "ADJ"]
+            meta["expressions"][1][0] = ["red", "ADJ"]
         else:
-            expr["target_ids"] = [0, 0]
+            meta["expressions"][1] = "the red dot"
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: expression 1:? {message}"):
             load_scene(tmp_path, 6)
 
     @pytest.mark.parametrize("field,value", [("category", 99), ("category", -1),
-                                             ("color", 4), ("kind", "flying")])
+                                             ("category", True), ("color", 4)])
     def test_bad_object_names_file_index_and_field(self, tmp_path, field, value):
         save_scene(generate(6, small_config()), tmp_path)
         path = tmp_path / "6.json"
@@ -339,13 +394,43 @@ class TestSceneIO:
         save_scene(generate(6, small_config()), tmp_path)
         path = tmp_path / "6.json"
         meta = json.loads(path.read_text())
-        meta["probe"] = False
         meta["config"].update(object_size=2, min_objects=3, max_objects=5, ensure_contrast=True)
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: config holds unknown keys "
                 f"['ensure_contrast', 'max_objects', 'min_objects', 'object_size']") + ".*"
                 + re.escape("`motionscope gen`")):
+            load_scene(tmp_path, 6)
+        meta["probe"] = False
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: scene holds unknown keys ['probe']") + ".*"
+                + re.escape("`motionscope gen`")):
+            load_scene(tmp_path, 6)
+
+    @pytest.mark.parametrize("key", ["kind", "target_ids", "seed"])
+    def test_derived_key_names_file_key_and_regenerate_hint(self, tmp_path, key):
+        """The keys that earlier versions stored beside what they derive from
+        are rejected, not read or ignored: an object's kind, an expression's
+        tokens and target ids, and the scene's seed."""
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        if key == "kind":
+            meta["objects"][1]["kind"] = "static"
+            where = "object 1 holds unknown keys ['kind']"
+        elif key == "target_ids":
+            meta["expressions"][1] = {"tokens": [[w, "OTHER", 0] for w in meta["expressions"][1]],
+                                      "target_ids": [1]}
+            where = ("expression 1 must be a JSON list of words, got an object with the keys "
+                     "['target_ids', 'tokens']")
+        else:
+            meta["seed"] = 6
+            where = "scene holds unknown keys ['seed']"
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {where}; regenerate a scene file of an earlier version with "
+                f"`motionscope gen`")):
             load_scene(tmp_path, 6)
 
     def test_probe_flag_is_stored_once(self, tmp_path):
@@ -421,29 +506,67 @@ class TestSceneIO:
                            match=f"{re.escape(str(path))}: object 1: {field} .*{message}"):
             load_scene(tmp_path, 6)
 
-    @pytest.mark.parametrize("edit", ["start", "onset", "mask cell"])
-    def test_masks_that_contradict_the_motion_program_name_file_and_object(self, tmp_path,
-                                                                           edit):
-        """A program that fits the grid but not the stored masks, or one mask
-        cell set outside the stamped squares, is rejected."""
-        scene = generate(6, small_config())
-        save_scene(scene, tmp_path)
-        json_path, bin_path = tmp_path / "6.json", tmp_path / "6.bin"
-        meta = json.loads(json_path.read_text())
-        if edit == "start":
-            meta["objects"][1]["start"] = [0, 2]
-        elif edit == "onset":
-            meta["objects"][1]["onset"] = 1
-        else:
-            masks = scene.masks.copy()
-            assert not masks[1, 0, 9, 9]
-            masks[1, 0, 9, 9] = True
-            bin_path.write_bytes(b"MSCOPE02" + scene.features.astype("<f4").tobytes()
-                                 + masks.astype("u1").tobytes())
-        json_path.write_text(json.dumps(meta))
+    @pytest.mark.parametrize("duration", [1, 5, 8, 11])
+    def test_duration_that_fits_no_kind_names_file_object_and_field(self, tmp_path, duration):
+        """In a 16-frame scene a static program takes 0 moving frames, a short
+        burst 2 to 4 and a long-horizon one 12 to 16; object 0 of this scene
+        walks up from frame 0 for 14 frames."""
+        save_scene(generate(6), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        assert meta["objects"][0]["onset"] == 0 and meta["objects"][0]["duration"] == 14
+        meta["objects"][0]["duration"] = duration
+        path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=re.escape(
-                f"{bin_path}: the masks of object 1 differ from the squares its motion "
-                f"program in 6.json stamps")):
+                f"{path}: object 0: duration {duration} fits no motion kind of a 16-frame scene "
+                f"(static 0..0, short-burst 2..4, long-horizon 12..16)")):
+            load_scene(tmp_path, 6)
+
+    @pytest.mark.parametrize("index,field,value,direction,duration", [
+        (0, "direction", [1, 0], [1, 0], 0),
+        (0, "direction", [0, -1], [0, -1], 0),
+        (1, "duration", 0, [1, 0], 0),
+        (1, "direction", [0, 0], [0, 0], 7),
+    ], ids=["static-moves-down", "static-moves-left", "walker-stopped", "walker-without-step"])
+    def test_direction_that_does_not_fit_the_duration_names_file_object_and_field(
+            self, tmp_path, index, field, value, direction, duration):
+        """Object 0 of this scene is static and object 1 walks down for 7
+        frames: a program has a unit direction exactly when it moves."""
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        assert meta["objects"][0]["duration"] == 0 and meta["objects"][1]["duration"] == 7
+        meta["objects"][index][field] = value
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: object {index}: direction {direction} does not fit duration "
+                f"{duration}")):
+            load_scene(tmp_path, 6)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("frames", 3, "3 frames leave no room for short bursts"),
+        ("frames", 16, "long-horizon motion needs 12 moving frames but only 8 fit the grid"),
+        ("width", 8, "a 10x8 grid has 4 disjoint lanes"),
+        ("channels", 0, "a scene needs at least one feature channel, got 0"),
+    ])
+    def test_config_that_validate_rejects_names_file(self, tmp_path, key, value, message):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        meta["config"][key] = value
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: config: {message}")):
+            load_scene(tmp_path, 6)
+
+    @pytest.mark.parametrize("count", [MIN_OBJECTS - 1, MAX_OBJECTS + 1])
+    def test_object_count_outside_the_recipe_names_file(self, tmp_path, count):
+        save_scene(generate(6, small_config()), tmp_path)
+        path = tmp_path / "6.json"
+        meta = json.loads(path.read_text())
+        meta["objects"] = (meta["objects"] * 2)[:count]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: {count} objects, but a scene holds {MIN_OBJECTS} to {MAX_OBJECTS}")):
             load_scene(tmp_path, 6)
 
     @pytest.mark.parametrize("key,value,expected", [("probe", "yes", "bool"), ("probe", 1, "bool"),
@@ -455,7 +578,7 @@ class TestSceneIO:
         meta["config"][key] = value
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: config {key} is {value!r}, not {expected}")):
+                f"{path}: config: {key} must be of type {expected}, got {value!r}")):
             load_scene(tmp_path, 6)
 
     def test_unknown_config_key_names_file_and_key(self, tmp_path):
@@ -467,7 +590,7 @@ class TestSceneIO:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'frame'"):
             load_scene(tmp_path, 6)
 
-    @pytest.mark.parametrize("key", ["objects", "expressions", "config", "seed"])
+    @pytest.mark.parametrize("key", ["objects", "expressions", "config"])
     def test_missing_top_level_key_names_file_and_key(self, tmp_path, key):
         save_scene(generate(6, small_config()), tmp_path)
         path = tmp_path / "6.json"
@@ -476,17 +599,6 @@ class TestSceneIO:
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*\\['{key}'\\]"):
             load_scene(tmp_path, 6)
-
-    def test_seed_field_must_match_file_name(self, tmp_path):
-        """A `4.json` whose seed field says 3 would load as a second scene 3."""
-        save_scene(generate(3, small_config()), tmp_path)
-        save_scene(generate(4, small_config()), tmp_path)
-        path = tmp_path / "4.json"
-        meta = json.loads(path.read_text())
-        meta["seed"] = 3
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: seed field says 3, .* 4"):
-            load_dataset(tmp_path)
 
     def test_load_dataset_sorted(self, tmp_path):
         for seed in (11, 2, 7):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,6 @@ from motionscope.language import (
     ExprToken,
     TaggedExpression,
     decouple,
-    expression_from_json,
-    expression_to_json,
 )
 from motionscope.tensor import Parameter, Tensor
 
@@ -132,28 +128,3 @@ class TestDecouple:
 
         assert grad_check([emb], loss) < 1e-8
 
-
-class TestExpressionIO:
-    def test_json_roundtrip(self):
-        exprs = [
-            make_expr(BIRD_SENTENCE, targets=[1]),
-            make_expr([("circle", NOUN), ("drifting", VERB)], targets=[]),
-        ]
-        loaded = [expression_from_json(json.loads(json.dumps(expression_to_json(e))))
-                  for e in exprs]
-        assert len(loaded) == 2
-        assert loaded[0].tokens == exprs[0].tokens
-        assert loaded[0].target_ids == [1]
-        assert loaded == exprs
-
-    def test_json_shape(self):
-        obj = {"tokens": [["bird", "NOUN", 0]], "target_ids": [2]}
-        expr = expression_from_json(obj)
-        assert expr.tokens[0] == ExprToken("bird", "NOUN", 0)
-
-    @pytest.mark.parametrize("missing", ["tokens", "target_ids"])
-    def test_missing_key_rejected(self, missing):
-        obj = {"tokens": [["bird", "NOUN", 0]], "target_ids": [2]}
-        del obj[missing]
-        with pytest.raises(KeyError):
-            expression_from_json(obj)
