@@ -13,10 +13,10 @@ Expressions are token lists, each word's tag and vocab id fixed by `VOCAB`;
 their semantics are deterministic: the head noun fixes the category, an
 adjective fixes the colour, the verb fixes the motion kind and an optional
 adverb fixes the direction.  An expression's target ids are the objects its
-words select (`evaluate_expression`), and a motion program's kind is the one
-whose range of durations (`_durations`) holds its duration, so a scene file
-stores neither: `load_scene` derives them, and the masks, from the words and
-the motion programs.
+words select (`evaluate_expression`).  A scene file stores the features, and
+the objects and words only to be checked: `load_scene` replays the generator
+for the file's seed and config, and rejects a file that does not hold what
+the replay draws.
 
 The recipe is fixed, as a benchmark dataset's is: the module constants
 `OBJECT_SIZE`, `MIN_OBJECTS`, `MAX_OBJECTS`, `EXPRESSIONS_PER_SCENE`,
@@ -82,7 +82,6 @@ VOCAB: list[tuple[str, str]] = (
 )
 # a word's token: its tag and vocab id are fixed by VOCAB
 TOKENS = {surface: ExprToken(surface, tag, i) for i, (surface, tag) in enumerate(VOCAB)}
-MOTION_DIRECTIONS = {(0, 0), *ADVERB_DIRECTIONS.values()}  # what a motion program may take
 
 OBJECT_SIZE = 2  # an object is an OBJECT_SIZE x OBJECT_SIZE square of cells
 MIN_OBJECTS = 3
@@ -102,7 +101,8 @@ def _durations(kind: str, frames: int) -> range:
     """The moving frames a motion program of `kind` may take in a scene of
     `frames` frames; `_sample_motion` further caps it by the grid.  For every
     config that `BenchmarkConfig.validate` accepts, the three ranges are
-    disjoint, so a program's duration names its kind."""
+    disjoint, so objects of different kinds never move for the same number
+    of frames and a verb's kind shows in the motion."""
     if kind == STATIC:
         return range(0, 1)
     if kind == SHORT_BURST:
@@ -257,8 +257,7 @@ def _masks(objects, frames: int, height: int, width: int) -> np.ndarray:
     """Each object's square along its motion program's path, as a bool
     [n_objects, frames, height, width] array: the square starts at `start`
     and, from frame `onset` on, moves one cell in `direction` per frame until
-    it has moved `duration` cells.  A square that leaves the grid raises
-    ValueError naming the object."""
+    it has moved `duration` cells."""
     t = np.arange(frames)
     offsets = np.arange(OBJECT_SIZE)
     masks = np.zeros((len(objects), frames * height * width), dtype=bool)
@@ -269,11 +268,7 @@ def _masks(objects, frames: int, height: int, width: int) -> np.ndarray:
         cols = obj.start[1] + m.direction[1] * moved
         cells = (t[:, None, None], rows[:, None, None] + offsets[:, None],
                  cols[:, None, None] + offsets)
-        try:
-            masks[idx, np.ravel_multi_index(cells, (frames, height, width))] = True
-        except ValueError:  # a cell off the grid, negative ones included
-            raise ValueError(f"object {idx}: start {list(obj.start)} moves its square off "
-                             f"the {height}x{width} grid") from None
+        masks[idx, np.ravel_multi_index(cells, (frames, height, width))] = True
     return masks.reshape(len(objects), frames, height, width)
 
 
@@ -341,7 +336,9 @@ def _build_expression(rng, objects, target_idx: int | None,
     raise _Retry
 
 
-def _build_scene(seed: int, cfg: BenchmarkConfig, rng) -> Scene:
+def _draw(cfg: BenchmarkConfig, rng) -> tuple[list[SceneObject], list[TaggedExpression]]:
+    """One try at a scene's objects and expressions; raises _Retry when the
+    draw cannot satisfy the scene constraints."""
     axis = int(rng.integers(0, 2))
     n_objects = int(rng.integers(MIN_OBJECTS, MAX_OBJECTS + 1))
     lanes = rng.choice((cfg.height if axis == 1 else cfg.width) // OBJECT_SIZE,
@@ -397,42 +394,42 @@ def _build_scene(seed: int, cfg: BenchmarkConfig, rng) -> Scene:
             else:
                 target = int(rng.integers(0, n_objects))
             expressions.append(_build_expression(rng, objects, target, [target]))
-
-    features, masks = _render(objects, cfg, rng)
-    return Scene(seed=seed, config=cfg, objects=objects, expressions=expressions,
-                 features=features, masks=masks)
+    return objects, expressions
 
 
-def generate(seed: int, config: BenchmarkConfig | None = None) -> Scene:
-    """Deterministic scene for a seed; identical inputs give identical bytes."""
-    cfg = config if config is not None else BenchmarkConfig()
+def _plan(seed: int, cfg: BenchmarkConfig):
+    """The rng of `seed`, and the objects and expressions drawn from it for
+    `cfg` once a try satisfies the scene constraints.  `_render` goes on
+    drawing the features from the same rng."""
     cfg.validate()
     rng = np.random.default_rng(seed)
     for _ in range(64):
         try:
-            return _build_scene(seed, cfg, rng)
+            return rng, *_draw(cfg, rng)
         except _Retry:
             continue
     raise GenerationError(f"could not satisfy scene constraints for seed {seed}")
 
 
+def generate(seed: int, config: BenchmarkConfig | None = None) -> Scene:
+    """Deterministic scene for a seed; identical inputs give identical bytes."""
+    cfg = config if config is not None else BenchmarkConfig()
+    rng, objects, expressions = _plan(seed, cfg)
+    features, masks = _render(objects, cfg, rng)
+    return Scene(seed=seed, config=cfg, objects=objects, expressions=expressions,
+                 features=features, masks=masks)
+
+
 # -- dataset io ---------------------------------------------------------------
 
-REGENERATE = "regenerate a scene file of an earlier version with `motionscope gen`"
+REGENERATE = "regenerate it with `motionscope gen`"
 
 
-def save_scene(scene: Scene, directory) -> None:
-    """Write `scene` as `<seed>.json` and `<seed>.bin`, which hold only what
-    `load_scene` cannot work out itself.  The `.json` holds the config, each
+def _describe(objects, expressions) -> dict:
+    """A scene's objects and expressions as its `.json` holds them: each
     object's category, color, start, onset, duration and direction, and each
-    expression as its list of words.  The `.bin` holds the header `MSCOPE03`,
-    then the features [T, H, W, C] as little-endian float32 in C order,
-    written from their own buffer.  Motion kinds, tokens, target ids and
-    masks are derived on load."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "config": asdict(scene.config),
+    expression as its list of words."""
+    return {
         "objects": [
             {
                 "category": o.category,
@@ -442,10 +439,20 @@ def save_scene(scene: Scene, directory) -> None:
                 "duration": o.motion.duration,
                 "direction": list(o.motion.direction),
             }
-            for o in scene.objects
+            for o in objects
         ],
-        "expressions": [[t.surface for t in e.tokens] for e in scene.expressions],
+        "expressions": [[t.surface for t in e.tokens] for e in expressions],
     }
+
+
+def save_scene(scene: Scene, directory) -> None:
+    """Write `scene` as `<seed>.json` and `<seed>.bin`.  The `.json` holds the
+    config and the objects and expressions as `_describe` writes them.  The
+    `.bin` holds the header `MSCOPE03`, then the features [T, H, W, C] as
+    little-endian float32 in C order, written from their own buffer."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    meta = {"config": asdict(scene.config), **_describe(scene.objects, scene.expressions)}
     with open(directory / f"{scene.seed}.json", "w") as fh:
         json.dump(meta, fh)
     with open(directory / f"{scene.seed}.bin", "wb") as fh:
@@ -462,31 +469,40 @@ def _check_keys(entry: dict, keys, where: str) -> None:
         raise ValueError(f"{where} {' and '.join(problems)}; {REGENERATE}")
 
 
+def _first_difference(meta: dict, replay: dict, seed: int) -> str | None:
+    """The first entry of a scene file's objects and expressions that is not
+    the replay's, named as `object 1`, `expression 0` or a count; None when
+    the file holds the replay's.  Entries compare as JSON text, so `true` is
+    neither `1` nor `1.0`."""
+    for key, entry in (("objects", "object"), ("expressions", "expression")):
+        stored, replayed = meta[key], replay[key]
+        for index, pair in enumerate(zip(stored, replayed)):
+            got, want = (json.dumps(value, sort_keys=True) for value in pair)
+            if got != want:
+                return f"{entry} {index} is {got}, but seed {seed} gives {want}"
+        if len(stored) != len(replayed):
+            return f"{len(stored)} {key}, but seed {seed} gives {len(replayed)}"
+    return None
+
+
 def load_scene(directory, seed: int) -> Scene:
     """Read the scene `<seed>.json` and `<seed>.bin` of `directory`, as
-    `save_scene` writes them, and derive what they do not store: each motion
-    program's kind from its duration, each expression's tokens from its
-    words through `VOCAB` and its target ids through `evaluate_expression`,
-    and the masks from the motion programs.  The features are read straight
-    into a float32 [T, H, W, C] array, and the masks are a bool
-    [n_objects, T, H, W] array.
+    `save_scene` writes them.  The features are read straight into a float32
+    [T, H, W, C] array.  The rest is a replay of the generator: `_plan` draws
+    the objects and expressions of `seed` for the file's config, the file
+    must hold exactly those, and the targets and the bool [n_objects, T, H, W]
+    masks are the replay's.
 
-    Raises ValueError, naming the file and the field, for a `.json` that is
-    not JSON; a top level, `config` or object entry that is not a JSON object,
-    or that lacks a key or holds an unknown one; `objects` or `expressions`
-    that is not a JSON list; a config value whose type is not its field's, or
-    a config that `BenchmarkConfig.validate` rejects; fewer than MIN_OBJECTS
-    or more than MAX_OBJECTS objects; an object whose category or color is
-    unknown, or whose motion program has fields that are not ints, a
-    direction that is not a unit step or [0, 0], moving frames outside the
-    scene's, a duration that fits no motion kind, a unit direction with
-    duration 0 or [0, 0] with a positive one, or a square that leaves the
-    grid; an expression that is not a non-empty list of vocabulary words; and
-    a `.bin` without the header or whose size does not fit the scene, or with
-    non-finite features.  A file of an earlier version, whose JSON holds keys
-    that are now derived or fixed by the recipe or whose `.bin` starts with
-    `MSCOPE01` or `MSCOPE02`, is rejected with a request to regenerate it with
-    `motionscope gen`, which rebuilds a scene from its seed and config."""
+    Raises ValueError, naming the file, for a `.json` that is not JSON; a top
+    level or `config` that is not a JSON object, or that lacks a key or holds
+    an unknown one; `objects` or `expressions` that is not a JSON list; a
+    config value whose type is not its field's, or a config that
+    `BenchmarkConfig.validate` rejects; a `.bin` without the `MSCOPE03`
+    header, whose size does not fit the config, or with non-finite features;
+    and objects or expressions that are not the replay's, naming the first
+    entry that differs.  So an edited or renamed file, and one of an earlier
+    version or of a numpy that draws other random streams, is rejected with a
+    request to regenerate it with `motionscope gen`."""
     directory = Path(directory)
     json_path = directory / f"{seed}.json"
     meta = json_object(read_json(json_path), json_path)
@@ -503,75 +519,14 @@ def load_scene(directory, seed: int) -> Scene:
         cfg.validate()
     except ValueError as err:
         raise ValueError(f"{json_path}: config: {err}") from None
-    # the recipe's object count also bounds the masks that loading builds
-    if not MIN_OBJECTS <= len(meta["objects"]) <= MAX_OBJECTS:
-        raise ValueError(f"{json_path}: {len(meta['objects'])} objects, but a scene holds "
-                         f"{MIN_OBJECTS} to {MAX_OBJECTS}")
-    durations = {kind: _durations(kind, cfg.frames) for kind in KIND_VERBS}
-    objects = []
-    for index, o in enumerate(meta["objects"]):
-        where = f"{json_path}: object {index}"
-        _check_keys(json_object(o, where),
-                    ("category", "color", "start", "onset", "duration", "direction"), where)
-        for key in ("category", "color", "onset", "duration"):
-            if type(o[key]) is not int:
-                raise ValueError(f"{where}: {key} {o[key]!r} is not an int")
-        if not 0 <= o["category"] < len(NOUNS):
-            raise ValueError(f"{where}: category {o['category']!r} is outside [0, {len(NOUNS)})")
-        if not 0 <= o["color"] < len(COLORS):
-            raise ValueError(f"{where}: color {o['color']!r} is outside [0, {len(COLORS)})")
-        for key in ("start", "direction"):
-            if not (isinstance(o[key], list) and len(o[key]) == 2
-                    and all(type(v) is int for v in o[key])):
-                raise ValueError(f"{where}: {key} {o[key]!r} is not a pair of ints")
-        if tuple(o["direction"]) not in MOTION_DIRECTIONS:
-            raise ValueError(f"{where}: direction {o['direction']} is neither a unit step "
-                             f"nor [0, 0]")
-        if not 0 <= o["onset"] <= cfg.frames:
-            raise ValueError(f"{where}: onset {o['onset']} is outside [0, {cfg.frames}]")
-        if not 0 <= o["duration"] <= cfg.frames - o["onset"]:
-            raise ValueError(f"{where}: duration {o['duration']} is outside "
-                             f"[0, {cfg.frames - o['onset']}], the frames from its onset on")
-        kind = next((k for k, span in durations.items() if o["duration"] in span), None)
-        if kind is None:
-            ranges = ", ".join(f"{k} {span[0]}..{span[-1]}" for k, span in durations.items())
-            raise ValueError(f"{where}: duration {o['duration']} fits no motion kind of a "
-                             f"{cfg.frames}-frame scene ({ranges})")
-        if (o["duration"] == 0) != (o["direction"] == [0, 0]):
-            raise ValueError(f"{where}: direction {o['direction']} does not fit duration "
-                             f"{o['duration']}: a program has a unit direction exactly "
-                             f"when it moves")
-        objects.append(SceneObject(
-            category=o["category"],
-            color=o["color"],
-            start=tuple(o["start"]),
-            motion=MotionProgram(kind, o["onset"], o["duration"], tuple(o["direction"])),
-        ))
-    expressions = []
-    for index, words in enumerate(meta["expressions"]):
-        where = f"{json_path}: expression {index}"
-        if not isinstance(words, list):
-            got = (f"an object with the keys {sorted(words)}" if isinstance(words, dict)
-                   else type(words).__name__)
-            raise ValueError(f"{where} must be a JSON list of words, got {got}; {REGENERATE}")
-        if not words:
-            raise ValueError(f"{where} has no tokens")
-        for word in words:
-            if not (isinstance(word, str) and word in TOKENS):
-                raise ValueError(f"{where}: {word!r} is not a word of the vocabulary")
-        tokens = [TOKENS[word] for word in words]
-        expressions.append(TaggedExpression(tokens, evaluate_expression(tokens, objects)))
     bin_path = directory / f"{seed}.bin"
     t, h, w, c = cfg.frames, cfg.height, cfg.width, cfg.channels
     expected = len(MAGIC) + 4 * t * h * w * c
     with open(bin_path, "rb") as fh:
         header = fh.read(len(MAGIC))
-        if header in (b"MSCOPE01", b"MSCOPE02"):
-            raise ValueError(f"{bin_path} is an {header.decode()} scene file of an earlier "
-                             f"version, which is no longer read; regenerate it with "
-                             f"`motionscope gen`")
         if header != MAGIC:
-            raise ValueError(f"{bin_path} does not start with the {MAGIC!r} header")
+            raise ValueError(f"{bin_path} starts with {header!r}, not the {MAGIC!r} header; "
+                             f"{REGENERATE}")
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise ValueError(f"{bin_path} holds {size} bytes, but a {t}x{h}x{w}x{c} scene "
@@ -582,12 +537,12 @@ def load_scene(directory, seed: int) -> Scene:
             raise ValueError(f"{bin_path} held fewer than {expected} bytes when read")
     if not np.all(np.isfinite(features)):
         raise ValueError(f"{bin_path}: features hold a non-finite value")
-    try:
-        masks = _masks(objects, t, h, w)
-    except ValueError as err:
-        raise ValueError(f"{json_path}: {err}") from None
+    _, objects, expressions = _plan(seed, cfg)
+    difference = _first_difference(meta, _describe(objects, expressions), seed)
+    if difference:
+        raise ValueError(f"{json_path}: {difference}; {REGENERATE}")
     return Scene(seed=seed, config=cfg, objects=objects, expressions=expressions,
-                 features=features, masks=masks)
+                 features=features, masks=_masks(objects, t, h, w))
 
 
 def load_dataset(directory) -> list[Scene]:

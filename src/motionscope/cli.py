@@ -38,21 +38,17 @@ def cmd_gen(args) -> int:
 
 
 def _load_splits(args, cfg: TrainConfig, command: str):
-    """Training and validation scenes from `--data`/`--val-data`, else from the
-    config's directories; None, after a message, when either is not given."""
-    train_dir = args.data or cfg.train_dir
-    val_dir = args.val_data or cfg.val_dir
-    if not train_dir or not val_dir:
-        print(f"{command} needs train/val data directories (config or flags)", file=sys.stderr)
-        return None
-    return load_dataset(train_dir), load_dataset(val_dir)
+    """`cfg` with the directories that `--data`/`--val-data` give in place of
+    its own, and the training and validation scenes they hold."""
+    cfg = cfg.replace(train_dir=args.data or cfg.train_dir,
+                      val_dir=args.val_data or cfg.val_dir)
+    if not cfg.train_dir or not cfg.val_dir:
+        raise ValueError(f"{command} needs train/val data directories (config or flags)")
+    return cfg, load_dataset(cfg.train_dir), load_dataset(cfg.val_dir)
 
 
 def cmd_train(args) -> int:
-    cfg = TrainConfig.from_json(args.config)
-    splits = _load_splits(args, cfg, "training")
-    if splits is None:
-        return 2
+    cfg, *splits = _load_splits(args, TrainConfig.from_json(args.config), "training")
     result = Trainer(cfg, *splits).run(out_dir=args.out, quiet=False)
     final = result.final
     print(f"final: J={final.j:.4f} F={final.f:.4f} J&F={final.jf:.4f} "
@@ -76,9 +72,7 @@ def cmd_ablate(args) -> int:
     cfg = TrainConfig.from_json(args.config) if args.config else TrainConfig()
     if args.steps is not None:
         cfg = cfg.replace(steps=args.steps)
-    splits = _load_splits(args, cfg, "ablation")
-    if splits is None:
-        return 2
+    cfg, *splits = _load_splits(args, cfg, "ablation")
     rows = ablate(cfg, args.axis, args.seeds, *splits, quiet=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -147,8 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Bad input, a `ValueError` or an `OSError` that names
+    it, ends the command with that one line on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as err:
+        print(f"motionscope {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

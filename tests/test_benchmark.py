@@ -14,6 +14,7 @@ from motionscope.benchmark import (
     STATIC,
     VOCAB,
     MAGIC,
+    REGENERATE,
     BenchmarkConfig,
     GenerationError,
     _dilate,
@@ -29,7 +30,7 @@ from motionscope.benchmark import (
     save_scene,
     video_iou,
 )
-from motionscope.language import MOTION_TAGS, STATIC_TAGS, VERB
+from motionscope.language import STATIC_TAGS, VERB
 
 
 def small_config(**overrides):
@@ -37,6 +38,33 @@ def small_config(**overrides):
     base = dict(frames=8, height=10, width=10, channels=8)
     base.update(overrides)
     return BenchmarkConfig(**base)
+
+
+def edited_scene(tmp_path, edit, seed=6, config=None):
+    """Save scene `seed` of `config` (the small one unless given), let `edit`
+    change its parsed `.json` in place and write it back; returns its path."""
+    save_scene(generate(seed, config or small_config()), tmp_path)
+    path = tmp_path / f"{seed}.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+    return path
+
+
+def assert_not_replayed(path, where, seed=6):
+    """Loading the scene at `path` fails naming the file, `where` (the first
+    entry that differs from what `seed` generates) and the regenerate hint."""
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {where}") + ".*"
+                       + re.escape(f"but seed {seed} gives") + ".*" + re.escape(REGENERATE)):
+        load_scene(path.parent, seed)
+
+
+def set_entry(meta, keys, value):
+    """Set the entry that the path `keys` names in the parsed JSON `meta`."""
+    *parents, last = keys
+    for key in parents:
+        meta = meta[key]
+    meta[last] = value
 
 
 class TestGenerator:
@@ -101,8 +129,9 @@ class TestGenerator:
                 assert m.duration in _durations(m.kind, cfg.frames)
 
     def test_kind_ranges_of_every_valid_config_are_disjoint(self):
-        """`load_scene` names a program's kind by its duration, so the kinds'
-        ranges may not overlap in any config that `validate` accepts."""
+        """Twins that differ in motion kind must move for different numbers
+        of frames, so the kinds' ranges may not overlap in any config that
+        `validate` accepts."""
         for frames in range(1, 65):
             cfg = BenchmarkConfig(frames=frames, height=64, width=64)
             try:
@@ -219,29 +248,53 @@ class TestSceneIO:
                     == [e.target_ids for e in scene.expressions])
             assert loaded.masks.dtype == bool and np.array_equal(loaded.masks, scene.masks)
 
-    def test_edited_duration_and_word_give_the_derived_kind_masks_and_targets(self, tmp_path):
+    def test_edited_duration_and_word_are_rejected(self, tmp_path):
         """Object 1 of this scene walks down from (1, 2) for 7 of 8 frames.
-        Shortened to 2 moving frames it loads as a short burst, with masks
-        along the shorter path, and every expression's targets are what
-        `evaluate_expression` gives for its words in the edited scene."""
-        scene = generate(6, small_config())
-        save_scene(scene, tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        assert meta["objects"][1]["duration"] == 7
-        assert meta["expressions"][0] == ["the", "dot", "resting"]
-        assert [e.target_ids for e in scene.expressions] == [[0], [1], [0]]
-        meta["objects"][1]["duration"] = 2
-        meta["expressions"][0][2] = "darting"
-        path.write_text(json.dumps(meta))
-        loaded = load_scene(tmp_path, 6)
-        assert loaded.objects[1].motion.kind == SHORT_BURST
-        for expr in loaded.expressions:
-            assert expr.target_ids == evaluate_expression(expr.tokens, loaded.objects)
-        assert [e.target_ids for e in loaded.expressions] == [[1, 2], [], [0]]
-        assert loaded.masks[1].sum() == 8 * OBJECT_SIZE ** 2
-        assert loaded.masks[1, 2:, 3:5, 2:4].all()
-        assert np.array_equal(loaded.masks[[0, 2, 3]], scene.masks[[0, 2, 3]])
+        Shortened to 2 moving frames, its masks would leave the path that its
+        features show; loading names it, the first of the two edits."""
+        def edit(meta):
+            assert meta["objects"][1]["duration"] == 7
+            assert meta["expressions"][0] == ["the", "dot", "resting"]
+            meta["objects"][1]["duration"] = 2
+            meta["expressions"][0][2] = "darting"
+
+        assert_not_replayed(edited_scene(tmp_path, edit), "object 1")
+
+    def test_scene_files_renamed_to_another_seed_are_rejected(self, tmp_path):
+        save_scene(generate(5, small_config()), tmp_path)
+        for suffix in (".json", ".bin"):
+            (tmp_path / f"5{suffix}").rename(tmp_path / f"6{suffix}")
+        assert_not_replayed(tmp_path / "6.json", "object 0")
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path / "6.json"))):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("keys,value,where", [
+        pytest.param(("expressions", 0, 2), "darting", "expression 0", id="verb"),
+        pytest.param(("objects", 1), 5, "object 1", id="object-entry"),
+        pytest.param(("config", "probe"), True, "object 0", id="other-config"),
+        pytest.param(("objects", 1, "start"), "ab", "object 1", id="start-not-a-pair"),
+        pytest.param(("objects", 1, "start"), [1.0, 2], "object 1", id="start-float"),
+        pytest.param(("objects", 1, "start"), [2, 2], "object 1", id="start-off-grid"),
+        pytest.param(("objects", 1, "start"), [1, 9], "object 1", id="start-past-edge"),
+        pytest.param(("objects", 1, "start"), [-1, 2], "object 1", id="start-negative"),
+        pytest.param(("objects", 1, "onset"), 0.0, "object 1", id="onset-float"),
+        pytest.param(("objects", 1, "onset"), 1.5, "object 1", id="onset-fraction"),
+        pytest.param(("objects", 1, "onset"), -1, "object 1", id="onset-negative"),
+        pytest.param(("objects", 1, "onset"), 1000000, "object 1", id="onset-past-end"),
+        pytest.param(("objects", 1, "duration"), True, "object 1", id="duration-bool"),
+        pytest.param(("objects", 1, "duration"), -2, "object 1", id="duration-negative"),
+        pytest.param(("objects", 1, "duration"), 9, "object 1", id="duration-past-end"),
+        pytest.param(("objects", 1, "direction"), [1], "object 1", id="direction-short"),
+        pytest.param(("objects", 1, "direction"), [5, 5], "object 1", id="direction-long-step"),
+        pytest.param(("objects", 1, "direction"), [1, 1], "object 1", id="direction-diagonal"),
+    ])
+    def test_scene_its_seed_does_not_replay_is_rejected(self, tmp_path, keys, value, where):
+        """Object 1 of this scene starts at (1, 2) and walks down on frames
+        0..6 of 8.  Any entry the generator did not draw for this seed and
+        config is rejected, even one that Python compares equal to it (0.0
+        for the onset 0)."""
+        assert_not_replayed(edited_scene(tmp_path, lambda meta: set_entry(meta, keys, value)),
+                            where)
 
     def test_magic_header(self, tmp_path):
         scene = generate(6, small_config())
@@ -329,16 +382,10 @@ class TestSceneIO:
 
     @pytest.mark.parametrize("word", ["bogus", "Red", 11, None, ["red", "ADJ", 11]])
     def test_bad_expression_names_file_and_field(self, tmp_path, word):
-        """A word is a string of the vocabulary, which fixes its tag and vocab
-        id; a (surface, tag, vocab id) triple of earlier versions is not one."""
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        meta["expressions"][1][0] = word
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: expression 1: {word!r} is not a word of the vocabulary")):
-            load_scene(tmp_path, 6)
+        """A word that is not the replay's is rejected, whether or not it is
+        one of the vocabulary."""
+        path = edited_scene(tmp_path, lambda meta: set_entry(meta, ("expressions", 1, 0), word))
+        assert_not_replayed(path, "expression 1")
 
     @pytest.mark.parametrize("text", [b'{"seed": 6,', b"\xff\xfe{}"], ids=["truncated", "not-utf8"])
     def test_unreadable_json_names_the_file(self, tmp_path, text):
@@ -349,44 +396,25 @@ class TestSceneIO:
             load_scene(tmp_path, 6)
 
     def test_object_without_a_key_names_file_index_and_key(self, tmp_path):
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        del meta["objects"][1]["onset"]
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError,
-                           match=f"{re.escape(str(path))}: object 1 lacks the keys \\['onset'\\]"):
-            load_scene(tmp_path, 6)
+        assert_not_replayed(edited_scene(tmp_path, lambda meta: meta["objects"][1].pop("onset")),
+                            "object 1")
 
-    @pytest.mark.parametrize("edit,message", [
-        ("tokens", "has no tokens"),
-        ("token entry", "\\['red', 'ADJ'\\] is not a word of the vocabulary"),
-        ("entry", "must be a JSON list of words, got str"),
+    @pytest.mark.parametrize("keys,value", [
+        (("expressions", 1), []),
+        (("expressions", 1, 0), ["red", "ADJ"]),
+        (("expressions", 1), "the red dot"),
     ], ids=["no tokens", "short token entry", "string entry"])
-    def test_malformed_expression_names_file_and_index(self, tmp_path, edit, message):
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        if edit == "tokens":
-            meta["expressions"][1] = []
-        elif edit == "token entry":
-            meta["expressions"][1][0] = ["red", "ADJ"]
-        else:
-            meta["expressions"][1] = "the red dot"
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: expression 1:? {message}"):
-            load_scene(tmp_path, 6)
+    def test_malformed_expression_names_file_and_index(self, tmp_path, keys, value):
+        path = edited_scene(tmp_path, lambda meta: set_entry(meta, keys, value))
+        assert_not_replayed(path, "expression 1")
 
     @pytest.mark.parametrize("field,value", [("category", 99), ("category", -1),
-                                             ("category", True), ("color", 4)])
+                                             ("category", True), ("color", 4), ("color", False)])
     def test_bad_object_names_file_index_and_field(self, tmp_path, field, value):
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        meta["objects"][1][field] = value
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: object 1: {field} {value!r}"):
-            load_scene(tmp_path, 6)
+        """Object 1 of this scene has color 0, which Python compares equal to
+        False."""
+        path = edited_scene(tmp_path, lambda meta: set_entry(meta, ("objects", 1, field), value))
+        assert_not_replayed(path, "object 1")
 
     def test_scene_of_an_earlier_version_names_file_keys_and_regenerate_hint(self, tmp_path):
         """Earlier versions stored the recipe in the config and the probe flag
@@ -413,24 +441,19 @@ class TestSceneIO:
         """The keys that earlier versions stored beside what they derive from
         are rejected, not read or ignored: an object's kind, an expression's
         tokens and target ids, and the scene's seed."""
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        if key == "kind":
-            meta["objects"][1]["kind"] = "static"
-            where = "object 1 holds unknown keys ['kind']"
-        elif key == "target_ids":
-            meta["expressions"][1] = {"tokens": [[w, "OTHER", 0] for w in meta["expressions"][1]],
-                                      "target_ids": [1]}
-            where = ("expression 1 must be a JSON list of words, got an object with the keys "
-                     "['target_ids', 'tokens']")
-        else:
-            meta["seed"] = 6
-            where = "scene holds unknown keys ['seed']"
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: {where}; regenerate a scene file of an earlier version with "
-                f"`motionscope gen`")):
+        def edit(meta):
+            if key == "kind":
+                meta["objects"][1]["kind"] = "static"
+            elif key == "target_ids":
+                meta["expressions"][1] = {"tokens": meta["expressions"][1], "target_ids": [1]}
+            else:
+                meta["seed"] = 6
+
+        path = edited_scene(tmp_path, edit)
+        where = {"kind": "object 1 is", "target_ids": "expression 1 is",
+                 "seed": "scene holds unknown keys ['seed']"}[key]
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {where}") + ".*"
+                           + re.escape(REGENERATE)):
             load_scene(tmp_path, 6)
 
     def test_probe_flag_is_stored_once(self, tmp_path):
@@ -446,7 +469,6 @@ class TestSceneIO:
         ("top level 5", "", "int"),
         ("top level null", "", "NoneType"),
         ("config", ": config", "list"),
-        ("object entry", ": object 1", "int"),
     ])
     def test_json_of_the_wrong_shape_names_file_and_entry(self, tmp_path, edit, where, got):
         save_scene(generate(6, small_config()), tmp_path)
@@ -456,10 +478,8 @@ class TestSceneIO:
             meta = 5
         elif edit == "top level null":
             meta = None
-        elif edit == "config":
-            meta["config"] = [8, 10, 10, 8]
         else:
-            meta["objects"][1] = 5
+            meta["config"] = [8, 10, 10, 8]
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}{where} must be a JSON object, got {got}")):
@@ -476,72 +496,32 @@ class TestSceneIO:
                                                        f"got int")):
             load_scene(tmp_path, 6)
 
-    @pytest.mark.parametrize("field,value,message", [
-        ("start", "ab", "is not a pair of ints"),
-        ("start", [1.0, 2], "is not a pair of ints"),
-        ("direction", [1], "is not a pair of ints"),
-        ("onset", 1.5, "is not an int"),
-        ("duration", True, "is not an int"),
-        ("direction", [5, 5], "is neither a unit step nor \\[0, 0\\]"),
-        ("direction", [1, 1], "is neither a unit step nor \\[0, 0\\]"),
-        ("onset", 1000000, "is outside \\[0, 8\\]"),
-        ("onset", -1, "is outside \\[0, 8\\]"),
-        ("duration", -2, "is outside \\[0, 8\\]"),
-        ("duration", 9, "is outside \\[0, 8\\]"),
-        ("start", [2, 2], "moves its square off the 10x10 grid"),
-        ("start", [1, 9], "moves its square off the 10x10 grid"),
-        ("start", [-1, 2], "moves its square off the 10x10 grid"),
-    ])
-    def test_bad_motion_program_names_file_object_and_field(self, tmp_path, field, value,
-                                                            message):
-        """Object 1 of this scene starts at (1, 2) and moves down on frames
-        0..6 of 8, so its square reaches row 8 of the 10x10 grid."""
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        assert meta["objects"][1]["start"] == [1, 2] and meta["objects"][1]["duration"] == 7
-        meta["objects"][1][field] = value
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError,
-                           match=f"{re.escape(str(path))}: object 1: {field} .*{message}"):
-            load_scene(tmp_path, 6)
-
     @pytest.mark.parametrize("duration", [1, 5, 8, 11])
     def test_duration_that_fits_no_kind_names_file_object_and_field(self, tmp_path, duration):
         """In a 16-frame scene a static program takes 0 moving frames, a short
         burst 2 to 4 and a long-horizon one 12 to 16; object 0 of this scene
         walks up from frame 0 for 14 frames."""
-        save_scene(generate(6), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        assert meta["objects"][0]["onset"] == 0 and meta["objects"][0]["duration"] == 14
-        meta["objects"][0]["duration"] = duration
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: object 0: duration {duration} fits no motion kind of a 16-frame scene "
-                f"(static 0..0, short-burst 2..4, long-horizon 12..16)")):
-            load_scene(tmp_path, 6)
+        def edit(meta):
+            assert meta["objects"][0]["onset"] == 0 and meta["objects"][0]["duration"] == 14
+            meta["objects"][0]["duration"] = duration
 
-    @pytest.mark.parametrize("index,field,value,direction,duration", [
-        (0, "direction", [1, 0], [1, 0], 0),
-        (0, "direction", [0, -1], [0, -1], 0),
-        (1, "duration", 0, [1, 0], 0),
-        (1, "direction", [0, 0], [0, 0], 7),
+        assert_not_replayed(edited_scene(tmp_path, edit, config=BenchmarkConfig()), "object 0")
+
+    @pytest.mark.parametrize("index,field,value", [
+        (0, "direction", [1, 0]),
+        (0, "direction", [0, -1]),
+        (1, "duration", 0),
+        (1, "direction", [0, 0]),
     ], ids=["static-moves-down", "static-moves-left", "walker-stopped", "walker-without-step"])
     def test_direction_that_does_not_fit_the_duration_names_file_object_and_field(
-            self, tmp_path, index, field, value, direction, duration):
+            self, tmp_path, index, field, value):
         """Object 0 of this scene is static and object 1 walks down for 7
-        frames: a program has a unit direction exactly when it moves."""
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        assert meta["objects"][0]["duration"] == 0 and meta["objects"][1]["duration"] == 7
-        meta["objects"][index][field] = value
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: object {index}: direction {direction} does not fit duration "
-                f"{duration}")):
-            load_scene(tmp_path, 6)
+        frames."""
+        def edit(meta):
+            assert meta["objects"][0]["duration"] == 0 and meta["objects"][1]["duration"] == 7
+            meta["objects"][index][field] = value
+
+        assert_not_replayed(edited_scene(tmp_path, edit), f"object {index}")
 
     @pytest.mark.parametrize("key,value,message", [
         ("frames", 3, "3 frames leave no room for short bursts"),
@@ -560,14 +540,12 @@ class TestSceneIO:
 
     @pytest.mark.parametrize("count", [MIN_OBJECTS - 1, MAX_OBJECTS + 1])
     def test_object_count_outside_the_recipe_names_file(self, tmp_path, count):
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        meta["objects"] = (meta["objects"] * 2)[:count]
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: {count} objects, but a scene holds {MIN_OBJECTS} to {MAX_OBJECTS}")):
-            load_scene(tmp_path, 6)
+        """This scene holds 4 objects; the edit repeats them and cuts the list
+        to `count`."""
+        def edit(meta):
+            meta["objects"] = (meta["objects"] * 2)[:count]
+
+        assert_not_replayed(edited_scene(tmp_path, edit), f"{count} objects")
 
     @pytest.mark.parametrize("key,value,expected", [("probe", "yes", "bool"), ("probe", 1, "bool"),
                                                     ("frames", "8", "int"), ("height", True, "int")])

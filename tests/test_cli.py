@@ -101,21 +101,54 @@ def test_config_top_level_must_be_an_object(tmp_path):
     assert "unknown config keys" not in str(exc.value)
 
 
-def test_report_names_a_summary_that_is_not_an_object(tmp_path):
+def test_report_names_a_summary_that_is_not_an_object(tmp_path, capsys):
     summary = tmp_path / "runs" / "a" / "summary.json"
     summary.parent.mkdir(parents=True)
     summary.write_text(json.dumps([1, 2]))
-    with pytest.raises(ValueError, match=re.escape(f"{summary} must be a JSON object, got list")):
-        main(["report", "--runs", str(tmp_path / "runs"), "--csv", str(tmp_path / "report.csv")])
+    assert main(["report", "--runs", str(tmp_path / "runs"),
+                 "--csv", str(tmp_path / "report.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"motionscope report: {summary} must be a JSON object, got list\n")
 
 
-def test_train_names_a_missing_data_directory(tmp_path):
+def test_train_names_a_missing_data_directory(tmp_path, capsys):
     config = tmp_path / "config.json"
     TrainConfig(steps=2, eval_every=1).to_json(config)
     typo = tmp_path / "typo"
-    with pytest.raises(ValueError, match=re.escape(str(typo))):
-        main(["train", "--config", str(config), "--out", str(tmp_path / "run"),
-              "--data", str(typo), "--val-data", str(typo)])
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run"),
+                 "--data", str(typo), "--val-data", str(typo)]) == 2
+    assert capsys.readouterr().err == (
+        f"motionscope train: scene directory {typo} does not exist\n")
+
+
+def test_eval_names_an_edited_scene_in_one_line(tmp_path, capsys):
+    """A scene whose words are not what its seed generates fails evaluation
+    with one line naming its file, not a traceback."""
+    data = tmp_path / "val"
+    assert main(["gen", "--seeds", "1000", "--out", str(data)]) == 0
+    path = data / "1000.json"
+    meta = json.loads(path.read_text())
+    meta["expressions"][0][-1] = "ring" if meta["expressions"][0][-1] != "ring" else "dot"
+    path.write_text(json.dumps(meta))
+    TrainConfig().to_json(tmp_path / "config.json")
+    capsys.readouterr()
+    # the scenes are read before the model, which does not exist
+    assert main(["eval", "--model", str(tmp_path / "model.bin"), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"motionscope eval: {path}: expression 0 is ")
+    assert err.count("\n") == 1
+
+
+def test_run_config_names_the_data_directories_of_the_flags(tmp_path):
+    train, val = tmp_path / "train", tmp_path / "val"
+    assert main(["gen", "--seeds", "0..1", "--out", str(train)]) == 0
+    assert main(["gen", "--seeds", "10", "--out", str(val)]) == 0
+    config = tmp_path / "config.json"
+    TrainConfig(steps=1, eval_every=1).to_json(config)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "run"),
+                 "--data", str(train), "--val-data", str(val)]) == 0
+    written = TrainConfig.from_json(tmp_path / "run" / "config.json")
+    assert (written.train_dir, written.val_dir) == (str(train), str(val))
 
 
 @pytest.mark.parametrize("args, value", [
