@@ -547,17 +547,17 @@ def load_scene(directory, seed: int) -> Scene:
 
 def load_dataset(directory) -> list[Scene]:
     """Every scene of `directory` in seed order.  A missing directory, one
-    that holds no `*.json` scene, or a `*.json` not named by an integer seed
-    raises ValueError naming it."""
+    that holds no `*.json` scene, or a `*.json` whose stem is not a seed >= 0
+    written in decimal without a sign, separator or leading zero (`-3`, `03`,
+    `+3` and `1_0` are not) raises ValueError naming it."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ValueError(f"scene directory {directory} does not exist")
     seeds = []
     for path in sorted(directory.glob("*.json")):
-        try:
-            seeds.append(int(path.stem))
-        except ValueError:
-            raise ValueError(f"{path} is not a scene: scene files are named <seed>.json") from None
+        if not (path.stem.isdecimal() and str(int(path.stem)) == path.stem):
+            raise ValueError(f"{path} is not a scene: scene files are named <seed>.json")
+        seeds.append(int(path.stem))
     seeds.sort()
     if not seeds:
         raise ValueError(f"scene directory {directory} holds no *.json scene")

@@ -10,7 +10,7 @@ from pathlib import Path
 from .benchmark import BenchmarkConfig, generate, load_dataset, save_scene
 from .config import TrainConfig, json_object, read_json
 from .model import load_model_weights
-from .trainer import SCORES, Trainer, ablate, write_ablation_csv, write_csv
+from .trainer import AXES, SCORES, Trainer, ablate, write_ablation_csv, write_csv
 
 
 def _seed_range(text: str) -> range:
@@ -90,8 +90,7 @@ def cmd_report(args) -> int:
         data["run"] = summary.parent.name
         rows.append(data)
     if not rows:
-        print(f"no run summaries under {runs}", file=sys.stderr)
-        return 1
+        raise ValueError(f"{runs} holds no run summaries (*/summary.json)")
     write_csv(args.csv, ("run", *SCORES, "separation_margin"), rows)
     print(f"wrote {args.csv} ({len(rows)} runs)")
     return 0
@@ -123,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="run an ablation axis")
-    p.add_argument("--axis", required=True,
-                   choices=["components", "input-query", "nh", "nn", "hungarian"])
+    p.add_argument("--axis", required=True, choices=AXES)
     p.add_argument("--seeds", type=_positive_int, default=5, help="number of run seeds")
     p.add_argument("--config", help="base TrainConfig JSON")
     p.add_argument("--data", help="training scene directory")

@@ -61,7 +61,6 @@ class TrainConfig:
     # component switches and variants
     hmp_stages: int = 3  # 0 turns the hierarchical branch (HMP) off
     n_negatives: int = 100  # 0 turns the memory bank and contrastive term off
-    hungarian_enabled: bool = True
     query_variant: str = "ds"  # "sentence_only" turns cue decoupling off
     # data locations (used by the CLI)
     train_dir: str = ""
@@ -95,8 +94,10 @@ class TrainConfig:
         data = json_object(read_json(path), path)
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
-            raise ValueError(f"{path} holds unknown config keys {unknown}; the training "
-                             f"recipe, such as loss weights and tau, is now fixed in the code")
+            raise ValueError(f"{path} holds unknown config keys {unknown}; keys of an earlier "
+                             f"version are no longer read: the training recipe, such as loss "
+                             f"weights and tau, is fixed in the code, and trajectories are "
+                             f"always linked")
         cfg = cls(**data)
         try:
             cfg.validate()

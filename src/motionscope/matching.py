@@ -28,8 +28,6 @@ So the other gives r a padded column, larger than this answer's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import ShapeError, Tensor, take
@@ -139,16 +137,10 @@ def cosine_cost(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     return -(a @ b.swapaxes(-1, -2))
 
 
-@dataclass
-class TrajectorySet:
-    """Per-frame tokens re-indexed into per-object trajectories."""
-
-    trajectories: Tensor  # [N, T, C]
-    assignments: np.ndarray  # [T, N]; assignments[t, i] = source row at frame t
-
-
-def link(tokens: Tensor) -> TrajectorySet:
-    """Chain adjacent frames by minimum-cost matching on detached values.
+def link(tokens: Tensor) -> Tensor:
+    """Per-frame tokens [T, N, C] re-indexed into per-object trajectories
+    [N, T, C], by chaining adjacent frames with minimum-cost matching on
+    detached values.
 
     Frame 1 is kept as-is; every later frame is permuted to follow the
     matched slot of the previous frame.  Gradients flow through the gathered
@@ -167,11 +159,4 @@ def link(tokens: Tensor) -> TrajectorySet:
     # t comes from flat row t*n + assignments[t, i]
     flat_idx = (np.arange(t_frames)[None, :] * n + assignments.T).reshape(-1)
     gathered = take(tokens.reshape(t_frames * n, c), flat_idx, axis=0)
-    return TrajectorySet(trajectories=gathered.reshape(n, t_frames, c), assignments=assignments)
-
-
-def identity_trajectories(tokens: Tensor) -> TrajectorySet:
-    """Linker ablation: keep per-frame slot order, no matching."""
-    t_frames, n, _ = tokens.shape
-    assignments = np.tile(np.arange(n, dtype=np.intp), (t_frames, 1))
-    return TrajectorySet(trajectories=tokens.swapaxes(0, 1), assignments=assignments)
+    return gathered.reshape(n, t_frames, c)

@@ -21,7 +21,7 @@ from .config import TrainConfig
 from .decoder import MotionDecoder, VideoTokens, video_mask_logits
 from .hmp import HmpStack
 from .language import CueSet, TaggedExpression, decouple
-from .matching import TrajectorySet, identity_trajectories, link
+from .matching import link
 from .perceiver import (
     MaskFeatures,
     StaticPerceiver,
@@ -34,13 +34,9 @@ from .tensor import Parameter, Tensor, take
 
 @dataclass
 class ForwardOutput:
-    cues: CueSet
-    motion_cues: Tensor          # cues actually fed to the motion path [K, C]
     object_tokens: Tensor        # [T, N_s, C]
     mask_features: MaskFeatures  # stands for [T, H, W, C]
     class_logits: Tensor         # [T, N_s]
-    trajectories: TrajectorySet  # tokens re-indexed to [N_s, T, C]
-    motion_tokens: Tensor        # [N_s, T, C]
     video: VideoTokens
 
     # mask logits are built on first read: the losses read each once, and
@@ -141,28 +137,17 @@ class MotionSegModel:
     # -- forward -----------------------------------------------------------------
 
     def forward(self, features: np.ndarray, expr: TaggedExpression) -> ForwardOutput:
-        cfg = self.config
-        add_sentence = cfg.query_variant != "ds_no_sentence"
+        add_sentence = self.config.query_variant != "ds_no_sentence"
         cues = decouple(expr, self.embedding, add_sentence=add_sentence)
         q_static, q_motion, motion_cues = self.build_queries(cues)
 
         tokens, mask_features, class_logits = self.perceiver.perceive(features, q_static)
-
-        if cfg.hungarian_enabled:
-            trajectories = link(tokens)
-        else:
-            trajectories = identity_trajectories(tokens)
-
-        motion_tokens = self.hmp.forward(trajectories.trajectories, motion_cues)
+        motion_tokens = self.hmp.forward(link(tokens), motion_cues)
         video = self.decoder.decode(q_motion, motion_tokens)
         return ForwardOutput(
-            cues=cues,
-            motion_cues=motion_cues,
             object_tokens=tokens,
             mask_features=mask_features,
             class_logits=class_logits,
-            trajectories=trajectories,
-            motion_tokens=motion_tokens,
             video=video,
         )
 

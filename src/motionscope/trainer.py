@@ -322,6 +322,8 @@ def write_csv(path, columns, rows: list[dict], footer: list[str] = ()) -> None:
 
 # -- ablation harness -----------------------------------------------------------------
 
+AXES = ("components", "input-query", "nh", "nn")  # the ablation axes `axis_variants` knows
+
 
 def axis_variants(base: TrainConfig, axis: str) -> list[tuple[str, TrainConfig]]:
     if axis == "components":
@@ -342,9 +344,6 @@ def axis_variants(base: TrainConfig, axis: str) -> list[tuple[str, TrainConfig]]
         return [(str(n), base.replace(hmp_stages=n)) for n in (0, 1, 2, 3)]
     if axis == "nn":
         return [(str(n), base.replace(n_negatives=n)) for n in (0, 10, 100, 200)]
-    if axis == "hungarian":
-        return [("off", base.replace(hungarian_enabled=False)),
-                ("on", base.replace(hungarian_enabled=True))]
     raise ValueError(f"unknown ablation axis {axis!r}")
 
 

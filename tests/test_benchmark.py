@@ -599,6 +599,17 @@ class TestSceneIO:
         with pytest.raises(ValueError, match=re.escape(str(notes))):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("stem", ["-3", "03", "+3", "1_0"])
+    def test_load_dataset_names_a_scene_whose_stem_is_not_a_canonical_seed(self, tmp_path, stem):
+        """`int` reads each of these stems, but none is how `save_scene`
+        names a seed, and `load_scene` would open another file or none."""
+        save_scene(generate(3, small_config()), tmp_path)
+        for suffix in (".json", ".bin"):
+            (tmp_path / f"3{suffix}").rename(tmp_path / f"{stem}{suffix}")
+        path = tmp_path / f"{stem}.json"
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not a scene"):
+            load_dataset(tmp_path)
+
 
 class TestMetricJ:
     def test_perfect(self):

@@ -52,22 +52,24 @@ def test_config_with_unknown_keys_rejected(tmp_path):
 
 
 def test_config_with_recipe_keys_rejected(tmp_path):
-    """A config file of an earlier version, which set the training recipe,
-    is rejected with both removed keys named, not read with them ignored."""
+    """A config file of an earlier version, which set the training recipe
+    and could turn trajectory linking off, is rejected with every removed key
+    named, not read with them ignored."""
     path = tmp_path / "old.json"
-    path.write_text(json.dumps({"steps": 3, "tau": 0.07, "contrastive_enabled": False}))
+    path.write_text(json.dumps({"steps": 3, "tau": 0.07, "contrastive_enabled": False,
+                                "hungarian_enabled": True}))
     with pytest.raises(ValueError) as exc:
         TrainConfig.from_json(path)
     assert str(path) in str(exc.value)
-    assert "'contrastive_enabled', 'tau'" in str(exc.value)
+    assert "'contrastive_enabled', 'hungarian_enabled', 'tau'" in str(exc.value)
     assert "fixed in the code" in str(exc.value)
+    assert "always linked" in str(exc.value)
 
 
 @pytest.mark.parametrize("key, value, expected", [
     ("steps", "10", "int"),
     ("steps", True, "int"),  # bool is an int subclass, but not a count
     ("learning_rate", "0.1", "float"),
-    ("hungarian_enabled", 1, "bool"),
     ("query_variant", 3, "str"),
 ])
 def test_config_field_of_wrong_type_rejected(tmp_path, key, value, expected):
@@ -109,6 +111,16 @@ def test_report_names_a_summary_that_is_not_an_object(tmp_path, capsys):
                  "--csv", str(tmp_path / "report.csv")]) == 2
     assert capsys.readouterr().err == (
         f"motionscope report: {summary} must be a JSON object, got list\n")
+
+
+def test_report_without_summaries_is_one_line_and_exit_2(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    (runs / "a").mkdir(parents=True)
+    assert main(["report", "--runs", str(runs), "--csv", str(tmp_path / "report.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"motionscope report: {runs} ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_train_names_a_missing_data_directory(tmp_path, capsys):
@@ -162,3 +174,11 @@ def test_bad_integer_argument_is_a_usage_error(tmp_path, capsys, args, value):
         main([*args, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert value in capsys.readouterr().err
+
+
+def test_unknown_ablation_axis_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--axis", "hungarian"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'hungarian'" in err and "'components', 'input-query', 'nh', 'nn'" in err

@@ -14,11 +14,6 @@ import motionscope
 
 SOURCES = sorted(Path(motionscope.__file__).parent.glob("*.py"))
 REPO = Path(__file__).resolve().parents[1]
-# forward-pass intermediates the package never reads back: test_model checks
-# through the first three how each ablation switch routes the forward pass, and
-# a linked-trajectory IoU of the video masks needs the linker's assignments
-UNREAD_FIELDS_ALLOWED = {"ForwardOutput.cues", "ForwardOutput.motion_cues",
-                         "ForwardOutput.motion_tokens", "TrajectorySet.assignments"}
 # a tensor and a graph node start with no gradient, `backward` alone computes
 # and accumulates gradients, and the optimizer clears them between steps
 GRAD_WRITERS_ALLOWED = {"Tensor.__init__", "node", "Tensor.backward", "Parameter.zero_grad"}
@@ -111,15 +106,15 @@ def unread_fields(defining: dict[str, str], referencing: list[str]) -> list[str]
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return [f"{module}:{line}: {cls}.{name}" for module, source in sorted(defining.items())
             for cls, name, line in dataclass_fields(source)
-            if name not in read and f"{cls}.{name}" not in UNREAD_FIELDS_ALLOWED]
+            if name not in read]
 
 
 def test_guard_flags_unread_dataclass_fields():
     defining = {"m": "@dataclass\nclass D:\n    read: int\n    stored: int\n"
-                     "@dataclasses.dataclass(frozen=True)\nclass ForwardOutput:\n    cues: int\n"
+                     "@dataclasses.dataclass(frozen=True)\nclass E:\n    cues: int\n"
                      "class Plain:\n    never: int\n"}
-    assert unread_fields(defining, ["d.read\nd.stored = 1\n"]) == ["m:4: D.stored"]
-    assert unread_fields(defining, ["d.read\nd.stored\n"]) == []
+    assert unread_fields(defining, ["d.read\nd.stored = 1\n"]) == ["m:4: D.stored", "m:7: E.cues"]
+    assert unread_fields(defining, ["d.read\nd.stored\ne.cues\n"]) == []
 
 
 def test_no_unread_dataclass_fields():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from motionscope import matching
-from motionscope.matching import TrajectorySet, cosine_cost, hungarian, identity_trajectories, link
+from motionscope.matching import cosine_cost, hungarian, link
 from motionscope.tensor import Parameter, ShapeError, Tensor
 
 from gradcheck import grad_check
@@ -67,17 +67,12 @@ def short_side_first_minima(costs):
 
 def link_by_frame(values):
     """Reference linking: one cosine cost and one solve per frame, each
-    against the previous frame's tokens in their linked order."""
-    t_frames, n, _ = values.shape
-    assignments = [np.arange(n)]
-    prev = values[0]
-    for t in range(1, t_frames):
-        perm = hungarian(cosine_cost(prev, values[t]))
-        assignments.append(perm)
-        prev = values[t][perm]
-    assignments = np.stack(assignments)
-    trajectories = np.stack([values[t][assignments[t]] for t in range(t_frames)], axis=1)
-    return assignments, trajectories
+    against the previous frame's tokens in their linked order.  Returns the
+    [N, T, C] trajectories."""
+    linked = [values[0]]
+    for frame in values[1:]:
+        linked.append(frame[hungarian(cosine_cost(linked[-1], frame))])
+    return np.stack(linked, axis=1)
 
 
 class TestHungarian:
@@ -231,26 +226,25 @@ class TestLink:
         rng = np.random.default_rng(0)
         tokens = rng.normal(size=(1, 3, 4))
         out = link(Tensor(tokens))
-        assert np.array_equal(out.trajectories.data[:, 0, :], tokens[0])
+        assert np.array_equal(out.data[:, 0, :], tokens[0])
 
     def test_constant_tokens_identity_assignment(self):
         rng = np.random.default_rng(1)
         frame = rng.normal(size=(4, 5))
         tokens = np.stack([frame] * 6)
         out = link(Tensor(tokens))
-        for t in range(6):
-            assert out.assignments[t].tolist() == [0, 1, 2, 3]
+        assert np.array_equal(out.data, tokens.swapaxes(0, 1))
 
     def test_swapped_signatures_are_swapped_back(self):
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])
         tokens = np.stack([np.stack([a, b]), np.stack([b, a])])
         out = link(Tensor(tokens))
-        assert out.assignments[1].tolist() == [1, 0]
+        assert np.array_equal(out.data[:, 1], tokens[1][[1, 0]])
         # brute-force check on the 2x2 cost
         costs = cosine_cost(tokens[0], tokens[1])
         best_total, best_perm = brute_force_min(costs)
-        assert tuple(out.assignments[1]) == best_perm
+        assert np.array_equal(out.data[:, 1], tokens[1][list(best_perm)])
 
     def test_multiset_of_tokens_preserved_per_frame(self):
         rng = np.random.default_rng(2)
@@ -258,7 +252,7 @@ class TestLink:
         out = link(Tensor(tokens))
         for t in range(5):
             frame_rows = {tuple(r) for r in tokens[t]}
-            traj_rows = {tuple(r) for r in out.trajectories.data[:, t, :]}
+            traj_rows = {tuple(r) for r in out.data[:, t, :]}
             assert frame_rows == traj_rows
 
     def test_permutation_consistency(self):
@@ -269,8 +263,8 @@ class TestLink:
         permuted = tokens[:, pi, :]
         out2 = link(Tensor(permuted))
         # same trajectories as a set, relabeled by frame-1 order
-        set_a = {tuple(out.trajectories.data[i].reshape(-1)) for i in range(5)}
-        set_b = {tuple(out2.trajectories.data[i].reshape(-1)) for i in range(5)}
+        set_a = {tuple(out.data[i].reshape(-1)) for i in range(5)}
+        set_b = {tuple(out2.data[i].reshape(-1)) for i in range(5)}
         assert set_a == set_b
 
     def test_gradients_flow_through_chosen_rows(self):
@@ -281,32 +275,25 @@ class TestLink:
         def loss():
             tokens = Tensor(base.reshape(6, 3)) @ w
             out = link(tokens.reshape(3, 2, 3))
-            return (out.trajectories * out.trajectories).sum()
+            return (out * out).sum()
 
         assert grad_check([w], loss) < 1e-8
 
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_per_frame_linking(self, seed):
         """Tokens that drift slowly, with zero rows and near-duplicate rows,
-        give the same assignments and trajectories as solving each frame
-        against the previous frame's linked tokens.  The frames mix solves
-        whose row minima are distinct with solves whose minima collide."""
+        give the same trajectories as solving each frame against the previous
+        frame's linked tokens; the rows are distinct, so equal trajectories
+        mean equal assignments.  The frames mix solves whose row minima are
+        distinct with solves whose minima collide."""
         rng = np.random.default_rng(seed)
         tokens = rng.normal(size=(6, 5)) + 0.1 * rng.normal(size=(9, 6, 5))
         tokens[4:7, 2] = tokens[4:7, 1] + 1e-12 * rng.normal(size=(3, 5))
         tokens[rng.integers(0, 9, size=2), rng.integers(0, 6, size=2)] = 0.0
         tokens = np.stack([frame[rng.permutation(6)] for frame in tokens])
-        out = link(Tensor(tokens))
-        assignments, trajectories = link_by_frame(tokens)
-        assert np.array_equal(out.assignments, assignments)
-        assert np.array_equal(out.trajectories.data, trajectories)
+        assert all(len({r.tobytes() for r in frame}) == 6 for frame in tokens)
+        trajectories = link_by_frame(tokens)
+        assert np.array_equal(link(Tensor(tokens)).data, trajectories)
         minima = [cosine_cost(trajectories[:, t - 1], tokens[t]).argmin(axis=1) for t in range(1, 9)]
         distinct = sum(len(set(m.tolist())) == 6 for m in minima)
         assert 0 < distinct < 8
-
-    def test_identity_trajectories(self):
-        rng = np.random.default_rng(5)
-        tokens = rng.normal(size=(3, 4, 2))
-        out = identity_trajectories(Tensor(tokens))
-        assert isinstance(out, TrajectorySet)
-        assert np.array_equal(out.trajectories.data, tokens.swapaxes(0, 1))

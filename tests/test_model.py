@@ -29,8 +29,6 @@ class TestForward:
         assert out.mask_features.shape == (t, h, w, 8)
         assert out.class_logits.shape == (t, 4)
         assert out.frame_logits.shape == (t, 4, h * w)
-        assert out.trajectories.trajectories.shape == (4, t, 8)
-        assert out.motion_tokens.shape == (4, t, 8)
         assert out.video.tokens.shape == (2, 8)
         assert out.video_logits.shape == (2, t, h * w)
 
@@ -70,13 +68,6 @@ class TestForward:
         names = [p.name for p in model.params]
         assert len(names) == len(set(names))
 
-    def test_hungarian_toggle_changes_trajectories_only_by_permutation(self):
-        cfg, model = make(hungarian_enabled=False)
-        scene = scene_for(cfg)
-        out = model.forward(scene.features, scene.expressions[0])
-        assert np.array_equal(out.trajectories.assignments,
-                              np.tile(np.arange(4), (scene.features.shape[0], 1)))
-
     def test_default_forward_builds_at_most_90_graph_nodes(self):
         """Each attention block, each cue injection's attention and each
         hierarchical branch (padding and expansion included) is one node: a
@@ -86,7 +77,7 @@ class TestForward:
         model = MotionSegModel(TrainConfig(), np.random.default_rng(0))
         scene = generate(3)
         out = model.forward(scene.features, scene.expressions[0])
-        seen, stack = set(), [out.class_logits, out.motion_tokens, out.video.score_logits]
+        seen, stack = set(), [out.class_logits, out.video.score_logits]
         while stack:
             node = stack.pop()
             if node._parents and id(node) not in seen:
@@ -95,33 +86,50 @@ class TestForward:
         assert len(seen) <= 90
 
 
+def routed_queries(model, expr, features, monkeypatch):
+    """The cues that `forward` builds for `expr` and the (static queries,
+    motion queries, motion cues) that it builds from them, read by a spy on
+    the model's `build_queries`."""
+    seen = []
+    build = model.build_queries
+
+    def spy(cues):
+        seen.append((cues, build(cues)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(model, "build_queries", spy)
+    model.forward(features, expr)
+    (routed,) = seen
+    return routed
+
+
 class TestQueryVariants:
-    def test_sentence_only_uses_one_cue_row(self):
+    def test_sentence_only_uses_one_cue_row(self, monkeypatch):
         cfg, model = make(query_variant="sentence_only")
         scene = scene_for(cfg)
-        out = model.forward(scene.features, scene.expressions[0])
-        assert out.motion_cues.shape == (1, 8)
-        assert np.array_equal(out.motion_cues.data[0], out.cues.sentence.data)
+        cues, (_, _, motion_cues) = routed_queries(model, scene.expressions[0], scene.features,
+                                                   monkeypatch)
+        assert motion_cues.shape == (1, 8)
+        assert np.array_equal(motion_cues.data[0], cues.sentence.data)
 
-    def test_no_sentence_variant_drops_sentence_add(self):
+    def test_no_sentence_variant_drops_sentence_add(self, monkeypatch):
         cfg, model = make(query_variant="ds_no_sentence")
         scene = scene_for(cfg)
         expr = scene.expressions[0]
-        out = model.forward(scene.features, expr)
+        _, (_, _, motion_cues) = routed_queries(model, expr, scene.features, monkeypatch)
         motion_ids = [t.vocab_id for t in expr.tokens if t.tag in ("VERB", "ADV")]
         if motion_ids:
             expected = model.embedding.data[motion_ids]
-            assert np.allclose(out.motion_cues.data, expected, atol=1e-12)
+            assert np.allclose(motion_cues.data, expected, atol=1e-12)
 
-    def test_no_query_variant_tiles_cues(self):
+    def test_no_query_variant_tiles_cues(self, monkeypatch):
         cfg, model = make(query_variant="ds_no_query")
         scene = scene_for(cfg)
-        out = model.forward(scene.features, scene.expressions[0])
-        k = out.cues.motion.shape[0]
-        tiled = out.cues.motion.data[np.arange(2) % k]
+        cues, (_, q_motion, _) = routed_queries(model, scene.expressions[0], scene.features,
+                                                monkeypatch)
+        k = cues.motion.shape[0]
         # motion queries are exactly the tiled cue rows
-        q_static, q_motion, _ = model.build_queries(out.cues)
-        assert np.array_equal(q_motion.data, tiled)
+        assert np.array_equal(q_motion.data, cues.motion.data[np.arange(2) % k])
 
 
 class TestSerialization:

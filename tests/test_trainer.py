@@ -12,8 +12,8 @@ from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.perceiver import MaskFeatures
 from motionscope.tensor import Tensor
-from motionscope.trainer import (EvalMetrics, ExpressionRecord, Trainer, TrainingDiverged,
-                                 separation_margin)
+from motionscope.trainer import (AXES, EvalMetrics, ExpressionRecord, Trainer, TrainingDiverged,
+                                 axis_variants, separation_margin)
 
 
 @contextmanager
@@ -271,3 +271,17 @@ def test_parameters_no_op_reads_keep_their_values(hmp_stages):
             assert not trainer.velocity[p.name].any()
     assert all(not p.data.any() for p in unread if p.name.endswith(".attn.bk"))
     assert any(not np.array_equal(p.data, initial[p.name]) for p in params)
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_every_ablation_axis_has_distinct_valid_variants(axis):
+    variants = axis_variants(TrainConfig(), axis)
+    labels = [label for label, _ in variants]
+    assert len(variants) > 1 and len(set(labels)) == len(labels)
+    for _, cfg in variants:
+        cfg.validate()
+
+
+def test_unknown_ablation_axis_rejected():
+    with pytest.raises(ValueError, match="'hungarian'"):
+        axis_variants(TrainConfig(), "hungarian")
