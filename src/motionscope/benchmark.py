@@ -47,6 +47,10 @@ LONG_HORIZON = "long-horizon"
 
 NOUNS = ["circle", "square", "triangle", "diamond", "star", "cross", "hexagon", "ring", "arrow", "dot"]
 COLORS = ["red", "blue", "green", "yellow"]
+# the appearance layout's width: an axis per category and per colour, and at
+# least two more for instance jitter; scene features, and so the model that
+# reads them, are at least this wide
+APPEARANCE_CHANNELS = len(NOUNS) + len(COLORS) + 2
 PREPOSITIONS = ["on", "near", "above"]
 FILLERS = ["the", "that", "then"]
 VERB_KINDS = {
@@ -152,9 +156,9 @@ class BenchmarkConfig:
             )
         if self.frames // 4 < 1:
             raise GenerationError(f"{self.frames} frames leave no room for short bursts")
-        if self.channels < 1:
-            raise GenerationError(f"a scene needs at least one feature channel, "
-                                  f"got {self.channels}")
+        if self.channels < APPEARANCE_CHANNELS:
+            raise GenerationError(f"channels must be at least {APPEARANCE_CHANNELS}, the width of "
+                                  f"the appearance layout, got {self.channels}")
         # lanes run across the motion axis, which is either one
         lanes = min(self.height, self.width) // OBJECT_SIZE
         if MAX_OBJECTS > lanes:
@@ -181,35 +185,27 @@ class Scene:
 
 
 def base_appearance(category: int, color: int, channels: int) -> np.ndarray:
-    """Shared appearance vector for a (category, colour) pair, fixed across scenes.
-
-    With enough channels the category and colour live in disjoint coordinate
-    blocks (instance jitter later occupies the remainder); narrow feature
-    spaces fall back to dense random directions.
-    """
-    if channels >= len(NOUNS) + len(COLORS) + 2:
-        vec = np.zeros(channels)
-        vec[category] = 1.2
-        vec[len(NOUNS) + color] = 0.6
-        return vec
-    rng = np.random.default_rng(np.random.SeedSequence([917, category, color]))
-    cat = rng.normal(size=channels)
-    tint = rng.normal(size=channels)
-    return cat / np.linalg.norm(cat) + 0.5 * tint / np.linalg.norm(tint)
+    """Shared appearance vector for a (category, colour) pair, fixed across
+    scenes: the category and colour live in disjoint coordinate blocks, and
+    instance jitter later occupies the remaining channels."""
+    vec = np.zeros(channels)
+    vec[category] = 1.2
+    vec[len(NOUNS) + color] = 0.6
+    return vec
 
 
 def evaluate_expression(tokens: list[ExprToken], objects: list[SceneObject]) -> list[int]:
     """Deterministic expression semantics: indices of objects matching the
-    head noun, optional adjective/adverb filters and the verb's motion kind."""
+    head noun, the verb's motion kind and the optional adjective/adverb
+    filters.  `tokens` hold a noun and a verb, as every generated expression
+    does."""
     nouns = [t.surface for t in tokens if t.tag == NOUN]
     adjectives = [t.surface for t in tokens if t.tag == ADJ]
     verbs = [t.surface for t in tokens if t.tag == VERB]
     adverbs = [t.surface for t in tokens if t.tag == ADV]
-    if not nouns:
-        return []
     category = NOUNS.index(nouns[0])
     color = COLORS.index(adjectives[0]) if adjectives else None
-    kind = VERB_KINDS[verbs[0]] if verbs else None
+    kind = VERB_KINDS[verbs[0]]
     direction = ADVERB_DIRECTIONS[adverbs[0]] if adverbs else None
     out = []
     for i, obj in enumerate(objects):
@@ -217,7 +213,7 @@ def evaluate_expression(tokens: list[ExprToken], objects: list[SceneObject]) -> 
             continue
         if color is not None and obj.color != color:
             continue
-        if kind is not None and obj.motion.kind != kind:
+        if obj.motion.kind != kind:
             continue
         if direction is not None and tuple(obj.motion.direction) != direction:
             continue
@@ -279,14 +275,12 @@ def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]
     features += position_field
     masks = _masks(objects, t, h, w)
     cells = features.reshape(t * h * w, c)  # a view: one row a cell
-    jitter_start = len(NOUNS) + len(COLORS)
     for obj, mask in zip(objects, masks):
         # per-instance signature: same base look, unit-length jitter scaled to
         # APPEARANCE_NOISE (instances stay visually similar but separable);
-        # jitter avoids the category/colour block when the space allows it
+        # jitter avoids the category/colour block
         jitter = rng.normal(size=c)
-        if c >= jitter_start + 2:
-            jitter[:jitter_start] = 0.0
+        jitter[:len(NOUNS) + len(COLORS)] = 0.0
         jitter *= APPEARANCE_NOISE / np.linalg.norm(jitter)
         cells[np.flatnonzero(mask)] += base_appearance(obj.category, obj.color, c) + jitter
     return features.astype(np.float32), masks

@@ -46,8 +46,7 @@ def json_object(value, where) -> dict:
 @dataclass
 class TrainConfig:
     # architecture
-    channels: int = 32
-    img_channels: int = 32
+    channels: int = 32  # also the width of the scene features the model reads
     grid_height: int = 16
     grid_width: int = 16
     n_static_queries: int = 8
@@ -70,8 +69,8 @@ class TrainConfig:
         check_field_types(self)
         if self.query_variant not in QUERY_VARIANTS:
             raise ValueError(f"query_variant must be one of {QUERY_VARIANTS}")
-        for name in ("channels", "img_channels", "grid_height", "grid_width", "hmp_blocks",
-                     "n_static_queries", "n_motion_queries", "steps", "eval_every"):
+        for name in ("channels", "grid_height", "grid_width", "hmp_blocks", "n_static_queries",
+                     "n_motion_queries", "steps", "eval_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("hmp_stages", "n_negatives"):
@@ -96,8 +95,9 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"{path} holds unknown config keys {unknown}; keys of an earlier "
                              f"version are no longer read: the training recipe, such as loss "
-                             f"weights and tau, is fixed in the code, and trajectories are "
-                             f"always linked")
+                             f"weights and tau, is fixed in the code, trajectories are "
+                             f"always linked, and the model reads scene features at its own "
+                             f"width, channels")
         cfg = cls(**data)
         try:
             cfg.validate()

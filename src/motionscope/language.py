@@ -51,30 +51,31 @@ class CueSet:
 def decouple(expr: TaggedExpression, embedding: Tensor, add_sentence: bool = True) -> CueSet:
     """Split an expression into static/motion cue matrices.
 
-    The sentence embedding is the mean over all token embeddings; an empty
-    cue class falls back to a single row equal to the sentence embedding so
-    downstream attention stays well-posed.  `add_sentence=False` drops the
+    The sentence embedding is the mean over all token embeddings.  An
+    expression needs at least one word of each cue class, static and motion,
+    as every generated expression holds a noun and a verb; one without raises
+    ValueError naming the missing class.  `add_sentence=False` drops the
     element-wise sentence add from the cue rows (ablation path).
     """
-    if not expr.tokens:
-        raise ValueError("expression has no tokens")
     vocab_size = embedding.shape[0]
     for tok in expr.tokens:
         if tok.tag not in ALL_TAGS:
             raise ValueError(f"unknown POS tag {tok.tag!r}")
         if not 0 <= tok.vocab_id < vocab_size:
             raise ValueError(f"vocab id {tok.vocab_id} out of range for table of {vocab_size}")
+    static_pos = [i for i, t in enumerate(expr.tokens) if t.tag in STATIC_TAGS]
+    motion_pos = [i for i, t in enumerate(expr.tokens) if t.tag in MOTION_TAGS]
+    for name, positions, tags in (("static", static_pos, STATIC_TAGS),
+                                  ("motion", motion_pos, MOTION_TAGS)):
+        if not positions:
+            raise ValueError(f"expression {[t.surface for t in expr.tokens]} has no {name} cue: "
+                             f"it needs a word tagged one of {sorted(tags)}")
 
     ids = np.array([t.vocab_id for t in expr.tokens], dtype=np.intp)
     word_rows = take(embedding, ids, axis=0)
     sentence = word_rows.mean(axis=0)
 
-    static_pos = [i for i, t in enumerate(expr.tokens) if t.tag in STATIC_TAGS]
-    motion_pos = [i for i, t in enumerate(expr.tokens) if t.tag in MOTION_TAGS]
-
     def cue_rows(positions):
-        if not positions:
-            return sentence.reshape(1, -1)
         rows = take(word_rows, np.array(positions, dtype=np.intp), axis=0)
         if add_sentence:
             rows = rows + sentence

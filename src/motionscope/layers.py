@@ -38,9 +38,9 @@ def registry(prefix: str, params: list[Parameter]):
 
 class Attention:
     """Projected attention: queries from `q_in`, keys from `k_in` and values
-    from `v_in` (the last two with `kv_channels` inputs), then an output
-    projection.  Weights are drawn in the order wq, wk, wv, wo; a caller that
-    passes `wq` or `wk` in draws those itself.
+    from `v_in`, all `channels` wide, then an output projection.  Weights
+    are drawn in the order wq, wk, wv, wo; a caller that passes `wq` or `wk`
+    in draws those itself.
 
     The key and value projections are reassociated onto the query side, so no
     projection of the key/value rows is ever built: scores are
@@ -50,20 +50,18 @@ class Attention:
     node, which forms key and value gradients only where needed."""
 
     def __init__(self, p, rng: np.random.Generator, channels: int,
-                 kv_channels: int | None = None, wq: np.ndarray | None = None,
-                 wk: np.ndarray | None = None):
+                 wq: np.ndarray | None = None, wk: np.ndarray | None = None):
         c = channels
-        ckv = kv_channels if kv_channels is not None else c
         self.wq = p("attn.wq", wq if wq is not None else init_weight(rng, c, c))
         self.bq = p("attn.bq", np.zeros(c))
-        self.wk = p("attn.wk", wk if wk is not None else init_weight(rng, ckv, c))
+        self.wk = p("attn.wk", wk if wk is not None else init_weight(rng, c, c))
         self.bk = p("attn.bk", np.zeros(c))
-        self.wv = p("attn.wv", init_weight(rng, ckv, c))
+        self.wv = p("attn.wv", init_weight(rng, c, c))
         self.bv = p("attn.bv", np.zeros(c))
         # residual-branch outputs start small so the stream scale stays stable
         self.wo = p("attn.wo", 0.1 * init_weight(rng, c, c))
         self.bo = p("attn.bo", np.zeros(c))
-        self.scale = 1.0 / np.sqrt(c)  # of the projected channels, not of k_in's
+        self.scale = 1.0 / np.sqrt(c)
 
     def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor) -> Tensor:
         params = (self.wq, self.bq, self.wk, self.wv, self.bv, self.wo, self.bo)

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .bank import ContrastiveProjector
-from .benchmark import COLORS, NOUNS, VOCAB, base_appearance
+from .benchmark import APPEARANCE_CHANNELS, COLORS, NOUNS, VOCAB, base_appearance
 from .config import TrainConfig
 from .decoder import MotionDecoder, VideoTokens, video_mask_logits
 from .hmp import HmpStack
@@ -54,15 +54,14 @@ class ForwardOutput:
 
 def _grounded_embedding_init(channels: int, rng: np.random.Generator) -> np.ndarray:
     """Word embedding init: nouns and colours start on their appearance axes
-    (the pretrained-grounding stand-in); all other words start random.  In a
-    feature space too narrow for a colour block, colours start random too."""
+    (the pretrained-grounding stand-in); all other words start random."""
     table = rng.normal(scale=0.5, size=(len(VOCAB), channels))
     for idx, (surface, tag) in enumerate(VOCAB):
         if tag == "NOUN":
             vec = base_appearance(NOUNS.index(surface), 0, channels)
             vec[len(NOUNS):len(NOUNS) + len(COLORS)] = 0.0  # category part only
             table[idx] = vec
-        elif tag == "ADJ" and channels >= len(NOUNS) + len(COLORS) + 2:
+        elif tag == "ADJ":
             table[idx] = 0.0
             table[idx, len(NOUNS) + COLORS.index(surface)] = 1.0
     return table
@@ -83,9 +82,14 @@ def _query_anchor_codes(n_queries: int, height: int, width: int, channels: int) 
 
 class MotionSegModel:
     def __init__(self, config: TrainConfig, rng: np.random.Generator):
+        """The model reads scene features `channels` wide; a width below the
+        scenes' appearance layout raises ValueError."""
         config.validate()
         self.config = config
         c = config.channels
+        if c < APPEARANCE_CHANNELS:
+            raise ValueError(f"channels must be at least {APPEARANCE_CHANNELS}, the width of the "
+                             f"scenes' appearance layout, got {c}")
         self.embedding = Parameter(
             "embed.table", _grounded_embedding_init(c, rng))
         self.static_queries = Parameter(
@@ -96,10 +100,9 @@ class MotionSegModel:
         self.motion_queries = Parameter(
             "queries.motion", rng.normal(scale=0.5, size=(config.n_motion_queries, c)))
         self.perceiver = StaticPerceiver(
-            c, config.img_channels, 2 * c, (config.grid_height, config.grid_width), rng)
-        if config.img_channels == c:
-            self.perceiver.attend.wv.data[...] = np.eye(c)
-            self.perceiver.wm.data[...] = np.eye(c)
+            c, 2 * c, (config.grid_height, config.grid_width), rng)
+        self.perceiver.attend.wv.data[...] = np.eye(c)
+        self.perceiver.wm.data[...] = np.eye(c)
         self.hmp = HmpStack(c, 2 * c, config.hmp_blocks, config.hmp_stages, rng)
         self.decoder = MotionDecoder(c, 2 * c, rng)
         self.projector = ContrastiveProjector(c, rng)

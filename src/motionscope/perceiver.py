@@ -57,28 +57,27 @@ def sinusoidal_grid(height: int, width: int, channels: int) -> np.ndarray:
 class StaticPerceiver:
     POSITION_SCALE = 0.3  # keep the key position code below pixel content scale
 
-    def __init__(self, channels: int, img_channels: int, hidden: int,
-                 grid: tuple[int, int], rng: np.random.Generator):
-        """`grid` is the (H, W) of every frame this perceiver will see."""
-        self.frame_shape = (*grid, img_channels)
-        self.position_code = Tensor(
-            self.POSITION_SCALE * sinusoidal_grid(*grid, img_channels))
-        c, ci = channels, img_channels
+    def __init__(self, channels: int, hidden: int, grid: tuple[int, int],
+                 rng: np.random.Generator):
+        """`grid` is the (H, W) of every frame this perceiver will see, and
+        `channels` both its own width and that of the frames' features."""
+        c = channels
+        self.frame_shape = (*grid, c)
+        self.position_code = Tensor(self.POSITION_SCALE * sinusoidal_grid(*grid, c))
         self.params: list[Parameter] = []
         p = registry("perceiver", self.params)
         # query and key projections start equal: spatial codes placed in the
         # query initialization then line up with pixel position codes at init
-        wk = init_weight(rng, ci, c)
-        wq = wk.copy() if ci == c else init_weight(rng, c, c)
-        self.attend = Attention(p, rng, c, kv_channels=ci, wq=wq, wk=wk)
+        wk = init_weight(rng, c, c)
+        self.attend = Attention(p, rng, c, wq=wk.copy(), wk=wk)
         self.ffn = FeedForward(p, rng, c, hidden)
-        self.wm = p("mask.w", init_weight(rng, ci, c))
+        self.wm = p("mask.w", init_weight(rng, c, c))
         self.bm = p("mask.b", np.zeros(c))
         self.wc = p("cls.w", init_weight(rng, c, 1))
         self.bc = p("cls.b", np.zeros(1))
 
     def perceive(self, frames: np.ndarray, q_hat: Tensor):
-        """Batched perception over a [T, H, W, C_img] feature video.
+        """Batched perception over a [T, H, W, C] feature video.
 
         Frames may be float32, as scenes hold them: they are converted to
         float64 once, exactly, and all that follows computes in float64.
@@ -87,11 +86,11 @@ class StaticPerceiver:
         """
         if frames.shape[1:] != self.frame_shape:
             raise ValueError(f"frames have shape {frames.shape}, but the perceiver was built for "
-                             f"[T, H, W, C_img] frames whose grid and channels (H, W, C_img) "
+                             f"[T, H, W, C] frames whose grid and channels (H, W, C) "
                              f"are {self.frame_shape}")
-        t, h, w, ci = frames.shape
+        t, h, w, c = frames.shape
         pixels = Tensor(frames)
-        flat = pixels.reshape(t, h * w, ci)
+        flat = pixels.reshape(t, h * w, c)
         # keys see pixel + position, values the raw pixel features only, so a
         # constant grid contributes the same vector to every query
         keys = flat + self.position_code
@@ -108,23 +107,23 @@ class StaticPerceiver:
 
 @dataclass(frozen=True)
 class MaskFeatures:
-    """The mask head over a [T, H, W, C_img] pixel video, kept factored: the
+    """The mask head over a [T, H, W, C] pixel video, kept factored: the
     mask features p·wm + bm of each pixel are never formed."""
 
-    pixels: Tensor  # [T, H, W, C_img], gradient-free
-    w: Tensor  # mask.w [C_img, C]
+    pixels: Tensor  # [T, H, W, C], gradient-free
+    w: Tensor  # mask.w [C, C]
     b: Tensor  # mask.b [C]
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
         """(T, H, W, C) of the mask features this value stands for."""
-        return self.pixels.shape[:3] + self.w.shape[1:]
+        return self.pixels.shape
 
     def logits(self, tokens: Tensor) -> Tensor:
         """Tokens [N, C] or [T, N, C] -> mask logits [T, N, H*W], as
         (x·wmᵀ)·pᵀ + x·bm."""
-        t, *_, ci = self.pixels.shape
-        flat = self.pixels.reshape(t, -1, ci)
+        t, *_, c = self.pixels.shape
+        flat = self.pixels.reshape(t, -1, c)
         by_pixel = (tokens @ self.w.swapaxes(-1, -2)) @ flat.swapaxes(-1, -2)
         return by_pixel + tokens @ self.b.reshape(-1, 1)
 

@@ -113,13 +113,13 @@ def _require_expressions(scenes: list[Scene]) -> None:
 def _require_grid(config: TrainConfig, scenes) -> None:
     """Every scene has the config's grid and channels, and a frame count that
     the HMP stages' 2^hmp_stages-frame tokens divide."""
-    grid = (config.grid_height, config.grid_width, config.img_channels)
+    grid = (config.grid_height, config.grid_width, config.channels)
     factor = 2 ** config.hmp_stages
     for scene in scenes:
         if scene.features.shape[1:] != grid:
             raise ValueError(
                 f"scene {scene.seed} has {scene.features.shape[1:]} (H, W, C) features, "
-                f"but the config expects {grid}")
+                f"but the config's (grid_height, grid_width, channels) are {grid}")
         frames = scene.features.shape[0]
         if frames % factor:
             raise ValueError(
@@ -131,14 +131,16 @@ def _require_grid(config: TrainConfig, scenes) -> None:
 class Trainer:
     def __init__(self, config: TrainConfig, train_scenes: list[Scene], val_scenes: list[Scene]):
         config.validate()
+        init_seed, order_seed, negative_seed = np.random.SeedSequence(config.seed).spawn(3)
+        # the model rejects a width below the scenes' appearance layout, so
+        # that rule is reported before any scene is checked against the width
+        self.model = MotionSegModel(config, np.random.default_rng(init_seed))
         _require_grid(config, itertools.chain(train_scenes, val_scenes))
         self.cfg = config
         self.train_scenes = train_scenes
         self.val_scenes = val_scenes
-        init_seed, order_seed, negative_seed = np.random.SeedSequence(config.seed).spawn(3)
         self.order_rng = np.random.default_rng(order_seed)
         self.negative_rng = np.random.default_rng(negative_seed)
-        self.model = MotionSegModel(config, np.random.default_rng(init_seed))
 
         # one bank slot per distinct target object in the training set
         self.slot_ids: dict[tuple[int, int], int] = {}

@@ -14,9 +14,11 @@ def sigmoid(x):
     return node(data, (x,), lambda g, needs: (g * data * (1.0 - data),))
 
 
-def grad_check(params, loss_fn, h: float = 1e-5) -> float:
+def grad_check(params, loss_fn, h: float = 1e-5, entries: int | None = None) -> float:
     """Max over all parameter entries of |analytic - central difference|
-    normalized by max(1, |central difference|)."""
+    normalized by max(1, |central difference|).  With `entries`, each
+    parameter is checked at that many of its entries (all of a smaller one),
+    drawn by a fixed-seed generator, instead of at every entry."""
     params = list(params)
     for p in params:
         p.zero_grad()
@@ -29,10 +31,13 @@ def grad_check(params, loss_fn, h: float = 1e-5) -> float:
                 for p in params}
 
     worst = 0.0
+    pick = np.random.default_rng(0)
     for p in params:
         flat = p.data.reshape(-1)
         ana = analytic[p.name].reshape(-1)
-        for i in range(flat.size):
+        chosen = range(flat.size) if entries is None or entries >= flat.size else (
+            pick.choice(flat.size, size=entries, replace=False))
+        for i in chosen:
             orig = flat[i]
             flat[i] = orig + h
             f_plus = float(loss_fn().data)

@@ -35,7 +35,7 @@ from motionscope.language import STATIC_TAGS, VERB
 
 def small_config(**overrides):
     # the narrowest square grid that holds MAX_OBJECTS lanes
-    base = dict(frames=8, height=10, width=10, channels=8)
+    base = dict(frames=8, height=10, width=10, channels=16)
     base.update(overrides)
     return BenchmarkConfig(**base)
 
@@ -231,8 +231,8 @@ class TestSceneIO:
         ({}, range(0, 8)),
         ({"probe": True}, range(2000, 2008)),
         ({"height": 32, "width": 32}, range(0, 4)),
-        (dict(frames=8, height=10, width=10, channels=8), range(0, 40)),
-    ], ids=["default", "probe", "hires", "10x10x8"])
+        (dict(frames=8, height=10, width=10, channels=16), range(0, 40)),
+    ], ids=["default", "probe", "hires", "10x10x16"])
     def test_derived_kinds_targets_and_masks_equal_the_generated_ones(self, tmp_path, overrides,
                                                                       seeds):
         """A file stores no kind, tag, vocab id, target id or mask, yet loads
@@ -313,7 +313,7 @@ class TestSceneIO:
         raw = (tmp_path / "6.bin").read_bytes()
         assert raw == MAGIC + scene.features.astype("<f4").tobytes()
         assert hashlib.sha256(raw).hexdigest() == (
-            "8c86423ce793f2c1cceb03d0e5463fdcc1a4711baf78381afb74c1e7aab6ac8d")
+            "3d182831f38ecfd11606b28f2380cd3b8b51c7699184c6fb99c8bb544459eca4")
 
     def test_float64_format_is_rejected_with_the_regenerate_hint(self, tmp_path):
         """An `MSCOPE01` file of earlier versions, float64 features and float64
@@ -527,7 +527,8 @@ class TestSceneIO:
         ("frames", 3, "3 frames leave no room for short bursts"),
         ("frames", 16, "long-horizon motion needs 12 moving frames but only 8 fit the grid"),
         ("width", 8, "a 10x8 grid has 4 disjoint lanes"),
-        ("channels", 0, "a scene needs at least one feature channel, got 0"),
+        ("channels", 15, "channels must be at least 16, the width of the appearance layout, "
+                         "got 15"),
     ])
     def test_config_that_validate_rejects_names_file(self, tmp_path, key, value, message):
         save_scene(generate(6, small_config()), tmp_path)

@@ -52,18 +52,37 @@ def test_config_with_unknown_keys_rejected(tmp_path):
 
 
 def test_config_with_recipe_keys_rejected(tmp_path):
-    """A config file of an earlier version, which set the training recipe
-    and could turn trajectory linking off, is rejected with every removed key
-    named, not read with them ignored."""
+    """A config file of an earlier version, which set the training recipe,
+    could turn trajectory linking off or set the scene features' width apart
+    from the model's, is rejected with every removed key named, not read
+    with them ignored."""
     path = tmp_path / "old.json"
     path.write_text(json.dumps({"steps": 3, "tau": 0.07, "contrastive_enabled": False,
-                                "hungarian_enabled": True}))
+                                "hungarian_enabled": True, "img_channels": 32}))
     with pytest.raises(ValueError) as exc:
         TrainConfig.from_json(path)
     assert str(path) in str(exc.value)
-    assert "'contrastive_enabled', 'hungarian_enabled', 'tau'" in str(exc.value)
+    assert "'contrastive_enabled', 'hungarian_enabled', 'img_channels', 'tau'" in str(exc.value)
     assert "fixed in the code" in str(exc.value)
     assert "always linked" in str(exc.value)
+    assert "reads scene features at its own width, channels" in str(exc.value)
+
+
+@pytest.mark.parametrize("config, key", [({"steps": 4, "img_channels": 32}, "img_channels"),
+                                         ({"steps": 4, "channels": 8}, "channels")],
+                         ids=["img_channels", "channels-8"])
+def test_train_rejects_a_feature_width_config_in_one_line(tmp_path, capsys, config, key):
+    data = tmp_path / "scenes"
+    assert main(["gen", "--seeds", "0", "--out", str(data)]) == 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run"),
+                 "--data", str(data), "--val-data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("motionscope train: ") and key in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("key, value, expected", [

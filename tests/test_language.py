@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,20 +49,18 @@ class TestDecouple:
         assert cues.static.shape == (3, 4)
         assert cues.motion.shape == (3, 4)
 
-    def test_all_noun_expression_falls_back_to_sentence_row(self):
-        rng = np.random.default_rng(1)
-        emb = Tensor(rng.normal(size=(3, 5)))
+    def test_all_noun_expression_names_the_missing_motion_cue(self):
         expr = make_expr([("cat", NOUN), ("dog", NOUN)])
-        cues = decouple(expr, emb)
-        assert cues.motion.shape == (1, 5)
-        assert np.array_equal(cues.motion.data[0], cues.sentence.data)
+        with pytest.raises(ValueError, match=re.escape(
+                "expression ['cat', 'dog'] has no motion cue: it needs a word tagged one of "
+                "['ADV', 'VERB']")):
+            decouple(expr, Tensor(np.zeros((2, 5))))
 
-    def test_single_verb_doubles_embedding(self):
-        rng = np.random.default_rng(2)
-        emb = Tensor(rng.normal(size=(1, 6)))
-        cues = decouple(make_expr([("running", VERB)]), emb)
-        assert np.allclose(cues.sentence.data, emb.data[0])
-        assert np.allclose(cues.motion.data[0], 2.0 * emb.data[0])
+    def test_single_verb_expression_names_the_missing_static_cue(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "expression ['running'] has no static cue: it needs a word tagged one of "
+                "['ADJ', 'NOUN', 'PREP']")):
+            decouple(make_expr([("running", VERB)]), Tensor(np.zeros((1, 6))))
 
     def test_sentence_is_mean_of_all_tokens(self):
         rng = np.random.default_rng(3)

@@ -7,11 +7,11 @@ from motionscope.tensor import Parameter, Tensor, linear
 from gradcheck import grad_check
 
 
-def block(channels, kv_channels=None, seed=0):
+def block(channels, seed=0):
     """An `Attention` block whose biases, `bk` included, are random and non-zero."""
     rng = np.random.default_rng(seed)
     params: list[Parameter] = []
-    attn = Attention(registry("m", params), rng, channels, kv_channels=kv_channels)
+    attn = Attention(registry("m", params), rng, channels)
     for param in (attn.bq, attn.bk, attn.bv, attn.bo):
         param.data[...] = rng.normal(size=channels)
     return attn, params
@@ -47,27 +47,27 @@ def assert_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-# name -> (channels, kv_channels, query shape, key/value shape, self-attention)
+# name -> (channels, query shape, key/value shape, self-attention)
 CASES = {
     # HMP: trajectories [N_s, T, C] attend over their own frames
-    "hmp_self": (8, None, (5, 6, 8), (5, 6, 8), True),
+    "hmp_self": (8, (5, 6, 8), (5, 6, 8), True),
     # decoder: motion queries over the flattened trajectory-frame tokens
-    "decoder_cross": (8, None, (4, 8), (40, 8), False),
-    # perceiver: shared queries over each frame's pixels, img_channels != channels;
-    # keys carry a position code the values lack
-    "perceiver_pixels": (8, 5, (3, 8), (2, 12, 5), False),
+    "decoder_cross": (8, (4, 8), (40, 8), False),
+    # perceiver: queries shared by every frame over that frame's pixels; keys
+    # carry a position code the values lack
+    "perceiver_pixels": (8, (3, 8), (2, 12, 8), False),
 }
 # the same callers at sizes a finite-difference check runs through quickly
 TOY = {
-    "hmp_self": (3, None, (2, 3, 3), (2, 3, 3), True),
-    "decoder_cross": (3, None, (2, 3), (4, 3), False),
-    "perceiver_pixels": (3, 2, (2, 3), (2, 3, 2), False),
+    "hmp_self": (3, (2, 3, 3), (2, 3, 3), True),
+    "decoder_cross": (3, (2, 3), (4, 3), False),
+    "perceiver_pixels": (3, (2, 3), (2, 3, 3), False),
 }
 
 
 def inputs(case, rng):
     """(q_in, k_in, v_in) arrays; keys and values differ unless self-attention."""
-    _, _, q_shape, kv_shape, self_attention = case
+    _, q_shape, kv_shape, self_attention = case
     q_in = rng.normal(size=q_shape)
     if self_attention:
         return q_in, q_in, q_in
@@ -76,7 +76,7 @@ def inputs(case, rng):
 
 @pytest.mark.parametrize("name", CASES)
 def test_equals_projected_formula(name):
-    attn, _ = block(*CASES[name][:2])
+    attn, _ = block(CASES[name][0])
     q_in, k_in, v_in = (Tensor(x) for x in inputs(CASES[name], np.random.default_rng(1)))
     got = attn(q_in, k_in, v_in).data
     expected = projected(attn, q_in, k_in, v_in).data
@@ -85,19 +85,19 @@ def test_equals_projected_formula(name):
 
 
 @pytest.mark.parametrize("name,kv_grad", [(name, kv_grad) for name in CASES for kv_grad in (True, False)
-                                          if kv_grad or not CASES[name][4]])
+                                          if kv_grad or not CASES[name][3]])
 def test_equals_graph_composition(name, kv_grad):
     """The node's value equals the graph's bit for bit, and every
     gradient (weights and the inputs that need one) agrees within 1e-12
     relative; keys and values that need no gradient get none."""
-    attn, params = block(*CASES[name][:2])
+    attn, params = block(CASES[name][0])
     rng = np.random.default_rng(5)
     arrays = inputs(CASES[name], rng)
     g = rng.normal(size=attn(*(Tensor(a) for a in arrays)).shape)
 
     def run(fn):
         q_in = Tensor(arrays[0], requires_grad=True)
-        if CASES[name][4]:
+        if CASES[name][3]:
             k_in = v_in = q_in
         else:
             k_in, v_in = (Tensor(a, requires_grad=kv_grad) for a in arrays[1:])
@@ -120,11 +120,11 @@ def test_equals_graph_composition(name, kv_grad):
 @pytest.mark.parametrize("name", TOY)
 def test_gradcheck(name):
     """Gradients of the block's weights and of its inputs."""
-    attn, params = block(*TOY[name][:2], seed=2)
+    attn, params = block(TOY[name][0], seed=2)
     rng = np.random.default_rng(3)
     arrays = inputs(TOY[name], rng)
     q_in = Parameter("q_in", arrays[0])
-    k_in, v_in = (q_in, q_in) if TOY[name][4] else (Parameter("k_in", arrays[1]),
+    k_in, v_in = (q_in, q_in) if TOY[name][3] else (Parameter("k_in", arrays[1]),
                                                     Parameter("v_in", arrays[2]))
     target = rng.normal(size=attn(q_in, k_in, v_in).shape)
 
@@ -140,8 +140,7 @@ def test_gradcheck(name):
 def test_bk_has_no_effect(name):
     """Softmax cancels q·bk, the same for every key: shifting `bk` leaves the
     output as it is, and no gradient reaches `bk`."""
-    channels, kv_channels = CASES[name][:2]
-    attn, params = block(channels, kv_channels)
+    attn, params = block(CASES[name][0])
     q_in, k_in, v_in = (Tensor(x) for x in inputs(CASES[name], np.random.default_rng(4)))
     before = attn(q_in, k_in, v_in)
     attn.bk.data[...] += 10.0

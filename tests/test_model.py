@@ -7,7 +7,7 @@ from motionscope.model import MotionSegModel, load_model_weights, save_model
 
 
 def make(seed=0, **overrides):
-    base = dict(channels=8, img_channels=8, grid_height=10, grid_width=10,
+    base = dict(channels=16, grid_height=10, grid_width=10,
                 n_static_queries=4, n_motion_queries=2, hmp_blocks=2, hmp_stages=1)
     base.update(overrides)
     cfg = TrainConfig(**base)
@@ -16,7 +16,7 @@ def make(seed=0, **overrides):
 
 def scene_for(cfg, seed=0):
     return generate(seed, BenchmarkConfig(frames=8, height=cfg.grid_height,
-                                          width=cfg.grid_width, channels=cfg.img_channels))
+                                          width=cfg.grid_width, channels=cfg.channels))
 
 
 class TestForward:
@@ -25,11 +25,11 @@ class TestForward:
         scene = scene_for(cfg)
         out = model.forward(scene.features, scene.expressions[0])
         t, h, w, _ = scene.features.shape
-        assert out.object_tokens.shape == (t, 4, 8)
-        assert out.mask_features.shape == (t, h, w, 8)
+        assert out.object_tokens.shape == (t, 4, 16)
+        assert out.mask_features.shape == (t, h, w, 16)
         assert out.class_logits.shape == (t, 4)
         assert out.frame_logits.shape == (t, 4, h * w)
-        assert out.video.tokens.shape == (2, 8)
+        assert out.video.tokens.shape == (2, 16)
         assert out.video_logits.shape == (2, t, h * w)
 
     def test_deterministic_given_seed(self):
@@ -58,10 +58,17 @@ class TestForward:
 
     def test_scene_of_another_grid_rejected(self):
         cfg, model = make(grid_height=16, grid_width=16)
-        scene = generate(0, BenchmarkConfig(height=32, width=32, channels=cfg.img_channels))
+        scene = generate(0, BenchmarkConfig(height=32, width=32, channels=cfg.channels))
         with pytest.raises(ValueError, match="grid") as exc:
             model.forward(scene.features, scene.expressions[0])
-        assert str(scene.features.shape) in str(exc.value) and "(16, 16, 8)" in str(exc.value)
+        assert str(scene.features.shape) in str(exc.value) and "(16, 16, 16)" in str(exc.value)
+
+    def test_width_below_the_appearance_layout_rejected(self):
+        """The model reads scene features at its own width, and the grounding
+        init puts 10 categories, 4 colours and 2 jitter axes on them."""
+        make(channels=16)
+        with pytest.raises(ValueError, match="channels must be at least 16.*got 15"):
+            make(channels=15)
 
     def test_unique_parameter_names(self):
         _, model = make()
@@ -109,7 +116,7 @@ class TestQueryVariants:
         scene = scene_for(cfg)
         cues, (_, _, motion_cues) = routed_queries(model, scene.expressions[0], scene.features,
                                                    monkeypatch)
-        assert motion_cues.shape == (1, 8)
+        assert motion_cues.shape == (1, cfg.channels)
         assert np.array_equal(motion_cues.data[0], cues.sentence.data)
 
     def test_no_sentence_variant_drops_sentence_add(self, monkeypatch):
@@ -165,7 +172,7 @@ class TestSerialization:
         assert str(path) in str(exc.value)
 
     def test_shape_mismatch_names_path(self, tmp_path):
-        cfg, model = make(channels=16)
+        cfg, model = make(channels=24)
         path = tmp_path / "model.bin"
         save_model(model, path)
         _, fresh = make()

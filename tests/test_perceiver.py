@@ -48,7 +48,7 @@ def graph_injection(queries, cues):
 
 
 def make_perceiver(grid=(4, 4)):
-    return StaticPerceiver(channels=8, img_channels=8, hidden=16, grid=grid,
+    return StaticPerceiver(channels=8, hidden=16, grid=grid,
                            rng=np.random.default_rng(0))
 
 

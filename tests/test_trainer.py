@@ -57,9 +57,12 @@ def test_overflowing_run_raises_training_diverged():
 
 
 @pytest.mark.parametrize("scene_config,split", [(BenchmarkConfig(height=32, width=32), "train"),
+                                                 (BenchmarkConfig(channels=16), "train"),
                                                  (BenchmarkConfig(channels=16), "val"),
-                                                 (BenchmarkConfig(height=32, width=32), "evaluate")],
-                         ids=["grid-train", "channels-val", "grid-evaluate"])
+                                                 (BenchmarkConfig(height=32, width=32), "evaluate"),
+                                                 (BenchmarkConfig(channels=48), "evaluate")],
+                         ids=["grid-train", "channels-train", "channels-val", "grid-evaluate",
+                              "channels-evaluate"])
 def test_scene_config_mismatch_names_seed_and_shapes(scene_config, split):
     scene = generate(4, scene_config)
     splits = {"train": ([scene], []), "val": ([], [scene]), "evaluate": ([], [])}[split]
