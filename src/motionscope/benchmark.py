@@ -377,8 +377,6 @@ def _draw(cfg: BenchmarkConfig, rng) -> tuple[list[SceneObject], list[TaggedExpr
             want = [i for i, o in enumerate(objects)
                     if o.category == category and o.color == color
                     and o.motion.kind == group_kinds[0]]
-            if len(want) < 2:
-                raise _Retry
             expressions.append(_build_expression(rng, objects, want[0], want))
         elif rng.random() < NO_TARGET_PROB:
             expressions.append(_build_expression(rng, objects, None, []))

@@ -73,7 +73,7 @@ def cmd_ablate(args) -> int:
     if args.steps is not None:
         cfg = cfg.replace(steps=args.steps)
     cfg, *splits = _load_splits(args, cfg, "ablation")
-    rows = ablate(cfg, args.axis, args.seeds, *splits, quiet=False)
+    rows = ablate(cfg, args.axis, args.seeds, *splits)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"ablate_{args.axis.replace('-', '_')}.csv"

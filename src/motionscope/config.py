@@ -49,9 +49,6 @@ class TrainConfig:
     channels: int = 32  # also the width of the scene features the model reads
     grid_height: int = 16
     grid_width: int = 16
-    n_static_queries: int = 8
-    n_motion_queries: int = 4
-    hmp_blocks: int = 3
     # schedule
     learning_rate: float = 0.05
     steps: int = 2000
@@ -69,8 +66,7 @@ class TrainConfig:
         check_field_types(self)
         if self.query_variant not in QUERY_VARIANTS:
             raise ValueError(f"query_variant must be one of {QUERY_VARIANTS}")
-        for name in ("channels", "grid_height", "grid_width", "hmp_blocks", "n_static_queries",
-                     "n_motion_queries", "steps", "eval_every"):
+        for name in ("channels", "grid_height", "grid_width", "steps", "eval_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("hmp_stages", "n_negatives"):
@@ -96,8 +92,9 @@ class TrainConfig:
             raise ValueError(f"{path} holds unknown config keys {unknown}; keys of an earlier "
                              f"version are no longer read: the training recipe, such as loss "
                              f"weights and tau, is fixed in the code, trajectories are "
-                             f"always linked, and the model reads scene features at its own "
-                             f"width, channels")
+                             f"always linked, the model reads scene features at its own "
+                             f"width, channels, and its query counts and HMP depth are fixed "
+                             f"in the code")
         cfg = cls(**data)
         try:
             cfg.validate()

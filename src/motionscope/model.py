@@ -80,6 +80,12 @@ def _query_anchor_codes(n_queries: int, height: int, width: int, channels: int) 
     return ANCHOR_SCALE * codes[rows * width + cols]
 
 
+# the model's fixed shape: object queries per frame, video queries, HMP blocks
+N_STATIC_QUERIES = 8
+N_MOTION_QUERIES = 4
+HMP_BLOCKS = 3
+
+
 class MotionSegModel:
     def __init__(self, config: TrainConfig, rng: np.random.Generator):
         """The model reads scene features `channels` wide; a width below the
@@ -94,16 +100,15 @@ class MotionSegModel:
             "embed.table", _grounded_embedding_init(c, rng))
         self.static_queries = Parameter(
             "queries.static",
-            rng.normal(scale=0.2, size=(config.n_static_queries, c))
-            + _query_anchor_codes(config.n_static_queries, config.grid_height,
-                                  config.grid_width, c))
+            rng.normal(scale=0.2, size=(N_STATIC_QUERIES, c))
+            + _query_anchor_codes(N_STATIC_QUERIES, config.grid_height, config.grid_width, c))
         self.motion_queries = Parameter(
-            "queries.motion", rng.normal(scale=0.5, size=(config.n_motion_queries, c)))
+            "queries.motion", rng.normal(scale=0.5, size=(N_MOTION_QUERIES, c)))
         self.perceiver = StaticPerceiver(
             c, 2 * c, (config.grid_height, config.grid_width), rng)
         self.perceiver.attend.wv.data[...] = np.eye(c)
         self.perceiver.wm.data[...] = np.eye(c)
-        self.hmp = HmpStack(c, 2 * c, config.hmp_blocks, config.hmp_stages, rng)
+        self.hmp = HmpStack(c, 2 * c, HMP_BLOCKS, config.hmp_stages, rng)
         self.decoder = MotionDecoder(c, 2 * c, rng)
         self.projector = ContrastiveProjector(c, rng)
         # the checkpoint order, which is also the order of the seeded draws
@@ -130,8 +135,8 @@ class MotionSegModel:
         else:
             static_cues, motion_cues = cues.static, cues.motion
         if variant == "ds_no_query":
-            q_static = self._tile_rows(static_cues, self.config.n_static_queries)
-            q_motion = self._tile_rows(motion_cues, self.config.n_motion_queries)
+            q_static = self._tile_rows(static_cues, N_STATIC_QUERIES)
+            q_motion = self._tile_rows(motion_cues, N_MOTION_QUERIES)
         else:
             q_static = inject_cues(self.static_queries, static_cues)
             q_motion = inject_cues(self.motion_queries, motion_cues)

@@ -350,13 +350,12 @@ def axis_variants(base: TrainConfig, axis: str) -> list[tuple[str, TrainConfig]]
 
 
 def ablate(base: TrainConfig, axis: str, seeds: int, train_scenes: list[Scene],
-           val_scenes: list[Scene], quiet: bool = True) -> list[dict]:
-    """Run every variant of `axis` over `seeds` run seeds."""
+           val_scenes: list[Scene]) -> list[dict]:
+    """Run every variant of `axis` over `seeds` run seeds, printing each start."""
     rows = []
     for label, cfg in axis_variants(base, axis):
         for seed in range(seeds):
-            if not quiet:
-                print(f"[ablate] {axis}/{label} seed {seed}")
+            print(f"[ablate] {axis}/{label} seed {seed}")
             result = Trainer(cfg.replace(seed=seed), train_scenes, val_scenes).run()
             rows.append({"axis": axis, "variant": label, "seed": seed,
                          **result.final.scores(), "margin": result.margin})

@@ -53,25 +53,35 @@ def test_config_with_unknown_keys_rejected(tmp_path):
 
 def test_config_with_recipe_keys_rejected(tmp_path):
     """A config file of an earlier version, which set the training recipe,
-    could turn trajectory linking off or set the scene features' width apart
-    from the model's, is rejected with every removed key named, not read
-    with them ignored."""
+    could turn trajectory linking off, set the scene features' width apart
+    from the model's or set the model's HMP depth, is rejected with every
+    removed key named, not read with them ignored."""
     path = tmp_path / "old.json"
     path.write_text(json.dumps({"steps": 3, "tau": 0.07, "contrastive_enabled": False,
-                                "hungarian_enabled": True, "img_channels": 32}))
+                                "hungarian_enabled": True, "img_channels": 32,
+                                "hmp_blocks": 3}))
     with pytest.raises(ValueError) as exc:
         TrainConfig.from_json(path)
     assert str(path) in str(exc.value)
-    assert "'contrastive_enabled', 'hungarian_enabled', 'img_channels', 'tau'" in str(exc.value)
+    assert ("'contrastive_enabled', 'hmp_blocks', 'hungarian_enabled', 'img_channels', 'tau'"
+            in str(exc.value))
     assert "fixed in the code" in str(exc.value)
     assert "always linked" in str(exc.value)
     assert "reads scene features at its own width, channels" in str(exc.value)
+    assert "query counts and HMP depth are fixed" in str(exc.value)
 
 
 @pytest.mark.parametrize("config, key", [({"steps": 4, "img_channels": 32}, "img_channels"),
-                                         ({"steps": 4, "channels": 8}, "channels")],
-                         ids=["img_channels", "channels-8"])
+                                         ({"steps": 4, "channels": 8}, "channels"),
+                                         ({"steps": 4, "n_static_queries": 8}, "n_static_queries"),
+                                         ({"steps": 4, "n_motion_queries": 4}, "n_motion_queries"),
+                                         ({"steps": 4, "hmp_blocks": 3}, "hmp_blocks")],
+                         ids=["img_channels", "channels-8", "n_static_queries",
+                              "n_motion_queries", "hmp_blocks"])
 def test_train_rejects_a_feature_width_config_in_one_line(tmp_path, capsys, config, key):
+    """A config that sets the feature width apart from `channels`, a width
+    below the appearance layout, or one of the model's fixed query counts
+    and HMP depth makes `train` exit with one stderr line naming the key."""
     data = tmp_path / "scenes"
     assert main(["gen", "--seeds", "0", "--out", str(data)]) == 0
     path = tmp_path / "config.json"

@@ -9,7 +9,7 @@ from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.losses import (DICE_SMOOTH, LAMBDA_CLS, LAMBDA_DICE, LAMBDA_MASK, _assign,
                                 _match_costs, _set_loss, frame_loss, video_loss)
-from motionscope.model import MotionSegModel
+from motionscope.model import N_MOTION_QUERIES, N_STATIC_QUERIES, MotionSegModel
 from motionscope.tensor import Parameter, Tensor, node, softplus_sigmoid, stable_sigmoid, take
 from motionscope.trainer import LAMBDA_CONTRASTIVE, Trainer
 
@@ -33,8 +33,7 @@ def dice_loss(probs, targets):
 
 
 def small_model(seed=0, **overrides):
-    base = dict(channels=16, grid_height=10, grid_width=10,
-                n_static_queries=4, n_motion_queries=2, hmp_blocks=1, hmp_stages=1)
+    base = dict(channels=16, grid_height=10, grid_width=10, hmp_stages=1)
     base.update(overrides)
     cfg = TrainConfig(**base)
     return cfg, MotionSegModel(cfg, np.random.default_rng(seed))
@@ -109,14 +108,14 @@ class TestMatching:
 
 class TestFrameLoss:
     def test_saturated_perfect_predictions_near_zero(self):
-        cfg, model = small_model()
+        _, model = small_model()
         scene = small_scene()
         out = model.forward(scene.features, scene.expressions[0])
         n_obj, t, h, w = scene.masks.shape
         # overwrite logits with saturated ground truth for the first n_obj tokens
         gt = scene.masks.reshape(n_obj, t, h * w)
-        forged = np.full((t, cfg.n_static_queries, h * w), -10.0)
-        cls = np.full((t, cfg.n_static_queries), -10.0)
+        forged = np.full((t, N_STATIC_QUERIES, h * w), -10.0)
+        cls = np.full((t, N_STATIC_QUERIES), -10.0)
         for j in range(n_obj):
             forged[:, j, :] = np.where(gt[j] > 0, 10.0, -10.0)
             cls[:, j] = 10.0
@@ -126,7 +125,7 @@ class TestFrameLoss:
         assert loss.item() < 0.01
 
     def test_zero_objects_gives_pure_class_negative(self):
-        cfg, model = small_model()
+        _, model = small_model()
         scene = small_scene()
         out = model.forward(scene.features, scene.expressions[0])
         empty = np.zeros((0,) + scene.masks.shape[1:])
@@ -136,7 +135,7 @@ class TestFrameLoss:
         assert abs(loss.item() - expected) < 1e-12
 
     def test_gradients_flow(self):
-        cfg, model = small_model()
+        _, model = small_model()
         scene = small_scene()
 
         def loss():
@@ -151,65 +150,65 @@ class TestFrameLoss:
 
 class TestVideoLoss:
     def test_saturated_perfect_predictions_near_zero(self):
-        cfg, model = small_model()
+        _, model = small_model()
         scene = small_scene(seed=3)
         expr = next(e for s in [scene] for e in s.expressions if e.target_ids)
         out = model.forward(scene.features, expr)
         targets = scene.target_masks(expr)
         k, t, h, w = targets.shape
-        forged = np.full((cfg.n_motion_queries, t, h * w), -10.0)
-        cls = np.full(cfg.n_motion_queries, -10.0)
+        forged = np.full((N_MOTION_QUERIES, t, h * w), -10.0)
+        cls = np.full(N_MOTION_QUERIES, -10.0)
         flat = targets.reshape(k, t, h * w)
         for j in range(k):
             forged[j] = np.where(flat[j] > 0, 10.0, -10.0)
             cls[j] = 10.0
-        out.video_logits.data[...] = forged.reshape(cfg.n_motion_queries, t, h * w)
+        out.video_logits.data[...] = forged.reshape(N_MOTION_QUERIES, t, h * w)
         out.video.score_logits.data[...] = cls
         result = video_loss(out, targets)
         assert result.loss.item() < 0.01
         assert len(result.matches) == k
 
     def test_no_targets_class_negative_only(self):
-        cfg, model = small_model()
+        _, model = small_model()
         scene = small_scene(seed=4)
         out = model.forward(scene.features, scene.expressions[0])
         result = video_loss(out, np.zeros((0,) + scene.masks.shape[1:]))
         expected = 2.0 * bce_with_logits(out.video.score_logits,
-                                         np.zeros(cfg.n_motion_queries)).mean().item()
+                                         np.zeros(N_MOTION_QUERIES)).mean().item()
         assert abs(result.loss.item() - expected) < 1e-12
         assert result.matches == []
 
     def test_two_target_matching_matches_brute_force(self):
         rng = np.random.default_rng(5)
-        cfg, model = small_model(seed=6)
+        _, model = small_model(seed=6)
         scene = small_scene(seed=7)
         out = model.forward(scene.features, scene.expressions[0])
         targets = (rng.random((2,) + scene.masks.shape[1:]) > 0.7).astype(float)
         result = video_loss(out, targets)
         flat = targets.reshape(2, -1)
-        logits = out.video_logits.data.reshape(cfg.n_motion_queries, -1)
+        logits = out.video_logits.data.reshape(N_MOTION_QUERIES, -1)
         costs = _match_costs(logits, np.logaddexp(0.0, logits), stable_sigmoid(logits),
                              out.video.score_logits.data, flat)
         best = min(
             costs[a, 0] + costs[b, 1]
-            for a, b in itertools.permutations(range(cfg.n_motion_queries), 2)
+            for a, b in itertools.permutations(range(N_MOTION_QUERIES), 2)
         )
         got = sum(c for _, _, c in result.matches)
         assert abs(got - best) < 1e-12
 
     def test_more_targets_than_queries_matches_every_query(self):
         rng = np.random.default_rng(8)
-        cfg, model = small_model(seed=9)
+        _, model = small_model(seed=9)
         scene = small_scene(seed=10)
         out = model.forward(scene.features, scene.expressions[0])
-        targets = (rng.random((3,) + scene.masks.shape[1:]) > 0.7).astype(float)
+        targets = (rng.random((5,) + scene.masks.shape[1:]) > 0.7).astype(float)
         result = video_loss(out, targets)
-        logits = out.video_logits.data.reshape(cfg.n_motion_queries, -1)
+        logits = out.video_logits.data.reshape(N_MOTION_QUERIES, -1)
         costs = _match_costs(logits, np.logaddexp(0.0, logits), stable_sigmoid(logits),
-                             out.video.score_logits.data, targets.reshape(3, -1))
+                             out.video.score_logits.data, targets.reshape(5, -1))
         best = min(sum(costs[q, t] for q, t in enumerate(chosen))
-                   for chosen in itertools.permutations(range(3), cfg.n_motion_queries))
-        assert [m[0] for m in result.matches] == list(range(cfg.n_motion_queries))
+                   for chosen in itertools.permutations(range(5), N_MOTION_QUERIES))
+        assert [m[0] for m in result.matches] == list(range(N_MOTION_QUERIES))
         assert abs(sum(c for _, _, c in result.matches) - best) < 1e-12
 
 
@@ -236,16 +235,17 @@ def reference_set_loss(mask_logits, class_logits, gt):
     return loss, matches
 
 
-@pytest.mark.parametrize("n_targets", [0, 1, 2, 5])
+@pytest.mark.parametrize("n_targets", [0, 1, 2, 5, 9])
 @pytest.mark.parametrize("level,mask_dtype", [("frame", float), ("video", float),
                                               ("frame", bool), ("video", bool)],
                          ids=["frame", "video", "frame-bool", "video-bool"])
 def test_set_losses_equal_reference_bit_for_bit(level, mask_dtype, n_targets):
     """Loss value and every parameter gradient equal the plain-op reference
     on 0/1 float targets exactly, for no target, one, two, and more targets
-    than queries (4 static, 2 motion), whether the losses receive the targets
-    as float64 or as bool, the dtype of scene masks."""
-    cfg, model = small_model(seed=11)
+    than queries (5 against the 4 video queries, 9 against the 8 object
+    queries), whether the losses receive the targets as float64 or as bool,
+    the dtype of scene masks."""
+    _, model = small_model(seed=11)
     scene = small_scene(seed=12)
     rng = np.random.default_rng(n_targets)
     masks = rng.random((n_targets,) + scene.masks.shape[1:]) > 0.7
@@ -267,8 +267,8 @@ def test_set_losses_equal_reference_bit_for_bit(level, mask_dtype, n_targets):
     else:
         got = run(lambda out: video_loss(out, masks.astype(mask_dtype)).loss)
         want = run(lambda out: reference_set_loss(
-            out.video_logits.reshape(1, cfg.n_motion_queries, -1),
-            out.video.score_logits.reshape(1, cfg.n_motion_queries),
+            out.video_logits.reshape(1, N_MOTION_QUERIES, -1),
+            out.video.score_logits.reshape(1, N_MOTION_QUERIES),
             targets.reshape(1, n_targets, t_frames * h * w))[0])
     assert np.array_equal(got[0], want[0])
     assert [g is None for g in got[1]] == [g is None for g in want[1]]
@@ -327,8 +327,7 @@ def test_no_per_pixel_projection_is_differentiated():
 def toy_trainer():
     """A Trainer at toy sizes over four scenes; its steps are numbered from
     `cfg.warmup_steps` on, so the contrastive term is live from the first."""
-    cfg = TrainConfig(channels=16, grid_height=10, grid_width=10,
-                      n_static_queries=4, n_motion_queries=2, hmp_blocks=1, hmp_stages=1,
+    cfg = TrainConfig(channels=16, grid_height=10, grid_width=10, hmp_stages=1,
                       n_negatives=4, steps=12, eval_every=12)
     return Trainer(cfg, [small_scene(seed) for seed in range(4)], [])
 
@@ -362,9 +361,9 @@ def test_training_steps_equal_reference_bit_for_bit(monkeypatch):
 def test_whole_objective_gradient_check():
     """Finite differences of frame + video + contrastive loss, the objective a
     training step minimises, against backward, over every model parameter.
-    At the model's smallest width, 16, the parameters hold 8,210 entries;
-    14 of each (all of a smaller one), 688 in all, keep the check near the
-    710 entries of the 4-channel model it was written for."""
+    At the model's smallest width, 16, with its 8 object queries, 4 video
+    queries and 3 HMP blocks, the parameters hold 13,170 entries; 14 of each
+    (all of a smaller one), 1,080 in all, are checked."""
     cfg, model = small_model(seed=13)
     scene = small_scene(seed=14, frames=4)
     expr = next(e for e in scene.expressions if e.target_ids)

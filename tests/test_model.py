@@ -3,12 +3,11 @@ import pytest
 
 from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
-from motionscope.model import MotionSegModel, load_model_weights, save_model
+from motionscope.model import N_MOTION_QUERIES, MotionSegModel, load_model_weights, save_model
 
 
 def make(seed=0, **overrides):
-    base = dict(channels=16, grid_height=10, grid_width=10,
-                n_static_queries=4, n_motion_queries=2, hmp_blocks=2, hmp_stages=1)
+    base = dict(channels=16, grid_height=10, grid_width=10, hmp_stages=1)
     base.update(overrides)
     cfg = TrainConfig(**base)
     return cfg, MotionSegModel(cfg, np.random.default_rng(seed))
@@ -25,12 +24,12 @@ class TestForward:
         scene = scene_for(cfg)
         out = model.forward(scene.features, scene.expressions[0])
         t, h, w, _ = scene.features.shape
-        assert out.object_tokens.shape == (t, 4, 16)
+        assert out.object_tokens.shape == (t, 8, 16)
         assert out.mask_features.shape == (t, h, w, 16)
-        assert out.class_logits.shape == (t, 4)
-        assert out.frame_logits.shape == (t, 4, h * w)
-        assert out.video.tokens.shape == (2, 16)
-        assert out.video_logits.shape == (2, t, h * w)
+        assert out.class_logits.shape == (t, 8)
+        assert out.frame_logits.shape == (t, 8, h * w)
+        assert out.video.tokens.shape == (4, 16)
+        assert out.video_logits.shape == (4, t, h * w)
 
     def test_deterministic_given_seed(self):
         cfg, model_a = make(seed=3)
@@ -136,7 +135,7 @@ class TestQueryVariants:
                                                 monkeypatch)
         k = cues.motion.shape[0]
         # motion queries are exactly the tiled cue rows
-        assert np.array_equal(q_motion.data, cues.motion.data[np.arange(2) % k])
+        assert np.array_equal(q_motion.data, cues.motion.data[np.arange(N_MOTION_QUERIES) % k])
 
 
 class TestSerialization:

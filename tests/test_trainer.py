@@ -10,6 +10,7 @@ from motionscope import trainer as trainer_module
 from motionscope.bank import ContrastiveProjector
 from motionscope.benchmark import BenchmarkConfig, generate
 from motionscope.config import TrainConfig
+from motionscope.model import N_MOTION_QUERIES
 from motionscope.perceiver import MaskFeatures
 from motionscope.tensor import Tensor
 from motionscope.trainer import (AXES, EvalMetrics, ExpressionRecord, Trainer, TrainingDiverged,
@@ -121,7 +122,7 @@ def test_evaluate_scores_unmatched_predictions_and_targets_zero(monkeypatch, cas
     scene = dataclasses.replace(scene, expressions=[expr])
     trainer = Trainer(TrainConfig(), [], [scene])
     gt = scene.target_masks(expr)
-    masks = np.zeros((trainer.cfg.n_motion_queries,) + gt.shape[1:], dtype=bool)
+    masks = np.zeros((N_MOTION_QUERIES,) + gt.shape[1:], dtype=bool)
     for target, query in enumerate(copies):
         masks[query] = gt[target]
     selected = np.array(selected, dtype=np.intp)
