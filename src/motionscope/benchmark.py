@@ -169,19 +169,28 @@ class BenchmarkConfig:
 
 @dataclass
 class Scene:
+    """A generated scene.  Its masks are never stored: each read of `masks`
+    or `target_masks` derives them from the objects' motion programs."""
+
     seed: int
     config: BenchmarkConfig
     objects: list[SceneObject]
     expressions: list[TaggedExpression]
     features: np.ndarray  # [T, H, W, C], float32
-    masks: np.ndarray  # [n_objects, T, H, W], bool
 
     @property
     def probe(self) -> bool:
         return self.config.probe
 
+    @property
+    def masks(self) -> np.ndarray:
+        """Every object's masks, bool [n_objects, T, H, W]."""
+        return _masks(self.objects, self.config.frames, self.config.height, self.config.width)
+
     def target_masks(self, expr: TaggedExpression) -> np.ndarray:
-        return self.masks[list(expr.target_ids)]
+        """The masks of `expr`'s targets only, bool [len(target_ids), T, H, W]."""
+        return _masks([self.objects[i] for i in expr.target_ids],
+                      self.config.frames, self.config.height, self.config.width)
 
 
 def base_appearance(category: int, color: int, channels: int) -> np.ndarray:
@@ -268,7 +277,7 @@ def _masks(objects, frames: int, height: int, width: int) -> np.ndarray:
     return masks.reshape(len(objects), frames, height, width)
 
 
-def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
+def _render(objects, cfg: BenchmarkConfig, rng) -> np.ndarray:
     t, h, w, c = cfg.frames, cfg.height, cfg.width, cfg.channels
     position_field = sinusoidal_grid(h, w, c).reshape(h, w, c) * POSITION_FIELD_SCALE
     features = rng.normal(scale=BACKGROUND_NOISE, size=(t, h, w, c))
@@ -283,7 +292,7 @@ def _render(objects, cfg: BenchmarkConfig, rng) -> tuple[np.ndarray, np.ndarray]
         jitter[:len(NOUNS) + len(COLORS)] = 0.0
         jitter *= APPEARANCE_NOISE / np.linalg.norm(jitter)
         cells[np.flatnonzero(mask)] += base_appearance(obj.category, obj.color, c) + jitter
-    return features.astype(np.float32), masks
+    return features.astype(np.float32)
 
 
 def _build_expression(rng, objects, target_idx: int | None,
@@ -404,12 +413,13 @@ def _plan(seed: int, cfg: BenchmarkConfig):
 
 
 def generate(seed: int, config: BenchmarkConfig | None = None) -> Scene:
-    """Deterministic scene for a seed; identical inputs give identical bytes."""
+    """Deterministic scene for a seed; identical inputs give identical bytes.
+    The scene holds the features; its masks are derived from the objects'
+    motion programs on each read."""
     cfg = config if config is not None else BenchmarkConfig()
     rng, objects, expressions = _plan(seed, cfg)
-    features, masks = _render(objects, cfg, rng)
     return Scene(seed=seed, config=cfg, objects=objects, expressions=expressions,
-                 features=features, masks=masks)
+                 features=_render(objects, cfg, rng))
 
 
 # -- dataset io ---------------------------------------------------------------
@@ -482,8 +492,9 @@ def load_scene(directory, seed: int) -> Scene:
     `save_scene` writes them.  The features are read straight into a float32
     [T, H, W, C] array.  The rest is a replay of the generator: `_plan` draws
     the objects and expressions of `seed` for the file's config, the file
-    must hold exactly those, and the targets and the bool [n_objects, T, H, W]
-    masks are the replay's.
+    must hold exactly those, and the targets are the replay's.  The masks
+    are not stored: like a generated scene's, they are derived from the
+    replayed objects' motion programs on each read.
 
     Raises ValueError, naming the file, for a `.json` that is not JSON; a top
     level or `config` that is not a JSON object, or that lacks a key or holds
@@ -534,7 +545,7 @@ def load_scene(directory, seed: int) -> Scene:
     if difference:
         raise ValueError(f"{json_path}: {difference}; {REGENERATE}")
     return Scene(seed=seed, config=cfg, objects=objects, expressions=expressions,
-                 features=features, masks=_masks(objects, t, h, w))
+                 features=features)
 
 
 def load_dataset(directory) -> list[Scene]:

@@ -9,6 +9,8 @@ system would bring; everything temporal starts from scratch."""
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -183,16 +185,19 @@ def save_model(model: MotionSegModel, path) -> None:
 def load_model_weights(model: MotionSegModel, path) -> None:
     """Read a `save_model` checkpoint into `model`; a truncated file, trailing
     bytes, a name that is not UTF-8, unknown, repeated or missing, a shape
-    mismatch or a NaN or infinite value raise ValueError."""
+    mismatch or a NaN or infinite value raise ValueError.  So does a name
+    length, rank or extent that asks for more bytes than the file has left,
+    before anything of that size is read or allocated."""
     by_name = {p.name: p for p in model.params}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
         def read(n: int, what: str) -> bytes:
-            data = fh.read(n)
-            if len(data) != n:
+            left = size - fh.tell()
+            if n > left:
                 raise ValueError(f"{path} is truncated: reading {what} needs {n} bytes, "
-                                 f"{len(data)} are left")
-            return data
+                                 f"{left} are left")
+            return fh.read(n)
 
         (count,) = struct.unpack("<Q", read(8, "the parameter count"))
         seen = set()
@@ -208,9 +213,9 @@ def load_model_weights(model: MotionSegModel, path) -> None:
                 raise ValueError(f"{path}: {what} repeats the name {name!r}")
             what = f"parameter {name!r}"
             (ndim,) = struct.unpack("<Q", read(8, f"the rank of {what}"))
-            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"the shape of {what}"))
-            size = int(np.prod(shape)) if ndim else 1
-            values = np.frombuffer(read(8 * size, f"the values of {what}"),
+            shape = struct.unpack(f"<{ndim}Q",
+                                  read(8 * ndim, f"the shape of {what} (rank {ndim})"))
+            values = np.frombuffer(read(8 * math.prod(shape), f"the values of {what} {shape}"),
                                    dtype="<f8").reshape(shape)
             if name not in by_name:
                 raise ValueError(f"{path}: unknown parameter {name!r} in checkpoint")

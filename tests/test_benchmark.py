@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -17,8 +18,10 @@ from motionscope.benchmark import (
     REGENERATE,
     BenchmarkConfig,
     GenerationError,
+    Scene,
     _dilate,
     _durations,
+    _masks,
     _pad_border,
     boundary,
     evaluate_expression,
@@ -59,6 +62,23 @@ def assert_not_replayed(path, where, seed=6):
         load_scene(path.parent, seed)
 
 
+def assert_masks_are_derived(scene) -> set[int]:
+    """`scene.masks` is the bool [n_objects, T, H, W] array that `_masks`
+    draws from the scene's objects, and each expression's `target_masks` are
+    its targets' rows of it, of shape (0, T, H, W) for no target.  Returns
+    the target counts of the scene's expressions."""
+    cfg = scene.config
+    masks = scene.masks
+    assert masks.dtype == bool
+    assert masks.shape == (len(scene.objects), cfg.frames, cfg.height, cfg.width)
+    assert np.array_equal(masks, _masks(scene.objects, cfg.frames, cfg.height, cfg.width))
+    for expr in scene.expressions:
+        targets = scene.target_masks(expr)
+        assert targets.dtype == bool
+        assert np.array_equal(targets, masks[expr.target_ids])  # shapes too
+    return {len(expr.target_ids) for expr in scene.expressions}
+
+
 def set_entry(meta, keys, value):
     """Set the entry that the path `keys` names in the parsed JSON `meta`."""
     *parents, last = keys
@@ -68,6 +88,11 @@ def set_entry(meta, keys, value):
 
 
 class TestGenerator:
+    def test_scene_stores_no_masks(self):
+        """The masks are derived from the objects on each read, not held."""
+        assert ([f.name for f in dataclasses.fields(Scene)]
+                == ["seed", "config", "objects", "expressions", "features"])
+
     def test_same_seed_bit_identical(self):
         cfg = small_config()
         a = generate(17, cfg)
@@ -227,16 +252,19 @@ class TestSceneIO:
         assert loaded.probe == scene.probe
         assert loaded.objects == scene.objects
 
-    @pytest.mark.parametrize("overrides,seeds", [
-        ({}, range(0, 8)),
-        ({"probe": True}, range(2000, 2008)),
-        ({"height": 32, "width": 32}, range(0, 4)),
-        (dict(frames=8, height=10, width=10, channels=16), range(0, 40)),
+    @pytest.mark.parametrize("overrides,seeds,target_counts", [
+        ({}, range(0, 8), {0, 1, 2, 3}),
+        ({"probe": True}, range(2000, 2008), {1}),
+        ({"height": 32, "width": 32}, range(0, 4), {0, 1}),
+        (dict(frames=8, height=10, width=10, channels=16), range(0, 40), {0, 1, 2, 3}),
     ], ids=["default", "probe", "hires", "10x10x16"])
     def test_derived_kinds_targets_and_masks_equal_the_generated_ones(self, tmp_path, overrides,
-                                                                      seeds):
+                                                                      seeds, target_counts):
         """A file stores no kind, tag, vocab id, target id or mask, yet loads
-        them back equal to what the generator drew."""
+        them back equal to what the generator drew.  Generated and loaded
+        scenes alike derive their masks from their objects, for expressions
+        of no, one and several targets."""
+        seen = set()
         for seed in seeds:
             scene = generate(seed, BenchmarkConfig(**overrides))
             save_scene(scene, tmp_path)
@@ -246,7 +274,9 @@ class TestSceneIO:
             assert [e.tokens for e in loaded.expressions] == [e.tokens for e in scene.expressions]
             assert ([e.target_ids for e in loaded.expressions]
                     == [e.target_ids for e in scene.expressions])
-            assert loaded.masks.dtype == bool and np.array_equal(loaded.masks, scene.masks)
+            seen |= assert_masks_are_derived(scene) | assert_masks_are_derived(loaded)
+            assert np.array_equal(loaded.masks, scene.masks)
+        assert seen == target_counts
 
     def test_edited_duration_and_word_are_rejected(self, tmp_path):
         """Object 1 of this scene walks down from (1, 2) for 7 of 8 frames.

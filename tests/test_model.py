@@ -248,6 +248,34 @@ class TestSerialization:
             load_model_weights(fresh, path)
         assert str(path) in str(exc.value) and f"#{index}" in str(exc.value)
 
+    @pytest.mark.parametrize("field,values,where", [
+        ("name length", [2**40], "the name of parameter #0"),
+        ("rank", [2**40], "the shape of parameter 'embed.table' (rank 1099511627776)"),
+        ("rank", [2**61], "the shape of parameter 'embed.table' (rank 2305843009213693952)"),
+        ("extents", [2**40], "the values of parameter 'embed.table' (1099511627776, 16)"),
+        ("extents", [2**40, 2**40],
+         "the values of parameter 'embed.table' (1099511627776, 1099511627776)"),
+    ], ids=["name-length", "rank", "rank-past-8-bytes", "extent", "extents-product"])
+    def test_corrupt_length_field_names_path_and_field(self, tmp_path, field, values, where):
+        """A length field of the first parameter set far past the file's size
+        fails on the bytes left, before anything of that size is allocated,
+        and extents whose product passes 2**64 do not wrap around."""
+        import struct
+
+        cfg, model = make()
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        raw = path.read_bytes()
+        name_len = len(model.params[0].name)
+        offset = {"name length": 8, "rank": 16 + name_len, "extents": 24 + name_len}[field]
+        patch = struct.pack(f"<{len(values)}Q", *values)
+        path.write_bytes(raw[:offset] + patch + raw[offset + len(patch):])
+        _, fresh = make()
+        with pytest.raises(ValueError) as exc:
+            load_model_weights(fresh, path)
+        message = str(exc.value)
+        assert str(path) in message and where in message and "are left" in message
+
     def test_format_layout(self, tmp_path):
         import struct
 
