@@ -22,8 +22,9 @@ The recipe is fixed, as a benchmark dataset's is: the module constants
 `OBJECT_SIZE`, `MIN_OBJECTS`, `MAX_OBJECTS`, `EXPRESSIONS_PER_SCENE`,
 `BACKGROUND_NOISE`, `APPEARANCE_NOISE`, `POSITION_FIELD_SCALE`,
 `LANDMARK_PROB`, `ADJECTIVE_PROB`, `ADVERB_PROB`, `NO_TARGET_PROB` and
-`MULTI_TARGET_PROB` set it.  A scene is a function of its seed and a
-`BenchmarkConfig`, which holds only the data's shape and the probe switch.
+`MULTI_TARGET_PROB` set it, and `FEATURE_CHANNELS` fixes every scene's width
+at 32, as a backbone's.  A scene is a function of its seed and a
+`BenchmarkConfig`, which holds only the frames, the grid and the probe switch.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ LONG_HORIZON = "long-horizon"
 
 NOUNS = ["circle", "square", "triangle", "diamond", "star", "cross", "hexagon", "ring", "arrow", "dot"]
 COLORS = ["red", "blue", "green", "yellow"]
-# the appearance layout's width: an axis per category and per colour, and at
-# least two more for instance jitter; scene features, and so the model that
-# reads them, are at least this wide
-APPEARANCE_CHANNELS = len(NOUNS) + len(COLORS) + 2
+# the width of every scene's features, and so of the model that reads them:
+# the appearance layout puts a category and a colour on their own axes, and
+# instance jitter fills the rest
+FEATURE_CHANNELS = 32
 PREPOSITIONS = ["on", "near", "above"]
 FILLERS = ["the", "that", "then"]
 VERB_KINDS = {
@@ -143,7 +144,6 @@ class BenchmarkConfig:
     frames: int = 16
     height: int = 16
     width: int = 16
-    channels: int = 32
     probe: bool = False  # probe scenes contrast long-horizon vs short-burst movers
 
     def validate(self) -> None:
@@ -156,9 +156,6 @@ class BenchmarkConfig:
             )
         if self.frames // 4 < 1:
             raise GenerationError(f"{self.frames} frames leave no room for short bursts")
-        if self.channels < APPEARANCE_CHANNELS:
-            raise GenerationError(f"channels must be at least {APPEARANCE_CHANNELS}, the width of "
-                                  f"the appearance layout, got {self.channels}")
         # lanes run across the motion axis, which is either one
         lanes = min(self.height, self.width) // OBJECT_SIZE
         if MAX_OBJECTS > lanes:
@@ -278,7 +275,7 @@ def _masks(objects, frames: int, height: int, width: int) -> np.ndarray:
 
 
 def _render(objects, cfg: BenchmarkConfig, rng) -> np.ndarray:
-    t, h, w, c = cfg.frames, cfg.height, cfg.width, cfg.channels
+    t, h, w, c = cfg.frames, cfg.height, cfg.width, FEATURE_CHANNELS
     position_field = sinusoidal_grid(h, w, c).reshape(h, w, c) * POSITION_FIELD_SCALE
     features = rng.normal(scale=BACKGROUND_NOISE, size=(t, h, w, c))
     features += position_field
@@ -523,7 +520,7 @@ def load_scene(directory, seed: int) -> Scene:
     except ValueError as err:
         raise ValueError(f"{json_path}: config: {err}") from None
     bin_path = directory / f"{seed}.bin"
-    t, h, w, c = cfg.frames, cfg.height, cfg.width, cfg.channels
+    t, h, w, c = cfg.frames, cfg.height, cfg.width, FEATURE_CHANNELS
     expected = len(MAGIC) + 4 * t * h * w * c
     with open(bin_path, "rb") as fh:
         header = fh.read(len(MAGIC))

@@ -10,7 +10,7 @@ from pathlib import Path
 from .benchmark import BenchmarkConfig, generate, load_dataset, save_scene
 from .config import TrainConfig, json_object, read_json
 from .model import load_model_weights
-from .trainer import AXES, SCORES, Trainer, ablate, write_ablation_csv, write_csv
+from .trainer import AXES, SCORES, Trainer, TrainingDiverged, ablate, write_ablation_csv, write_csv
 
 
 def _seed_range(text: str) -> range:
@@ -140,11 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  Bad input, a `ValueError` or an `OSError` that names
-    it, ends the command with that one line on stderr and exit code 2."""
+    it, and a diverged training run, a `TrainingDiverged` that names its
+    step, end the command with that one line on stderr and exit code 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, TrainingDiverged) as err:
         print(f"motionscope {args.command}: {err}", file=sys.stderr)
         return 2
 

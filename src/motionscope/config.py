@@ -45,8 +45,8 @@ def json_object(value, where) -> dict:
 
 @dataclass
 class TrainConfig:
-    # architecture
-    channels: int = 32  # also the width of the scene features the model reads
+    # architecture: the grid of the scenes the model reads; their feature
+    # width is fixed, as benchmark.FEATURE_CHANNELS
     grid_height: int = 16
     grid_width: int = 16
     # schedule
@@ -66,7 +66,7 @@ class TrainConfig:
         check_field_types(self)
         if self.query_variant not in QUERY_VARIANTS:
             raise ValueError(f"query_variant must be one of {QUERY_VARIANTS}")
-        for name in ("channels", "grid_height", "grid_width", "steps", "eval_every"):
+        for name in ("grid_height", "grid_width", "steps", "eval_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("hmp_stages", "n_negatives"):
@@ -92,9 +92,9 @@ class TrainConfig:
             raise ValueError(f"{path} holds unknown config keys {unknown}; keys of an earlier "
                              f"version are no longer read: the training recipe, such as loss "
                              f"weights and tau, is fixed in the code, trajectories are "
-                             f"always linked, the model reads scene features at its own "
-                             f"width, channels, and its query counts and HMP depth are fixed "
-                             f"in the code")
+                             f"always linked, the model's width (channels) is the scenes' "
+                             f"feature width, 32, fixed in benchmark.py, and its query counts "
+                             f"and HMP depth are fixed in the code")
         cfg = cls(**data)
         try:
             cfg.validate()

@@ -23,12 +23,12 @@ class VideoTokens:
 
 
 class MotionDecoder:
-    def __init__(self, channels: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, channels: int, rng: np.random.Generator):
         c = channels
         self.params: list[Parameter] = []
         p = registry("decoder", self.params)
         self.attend = Attention(p, rng, c)
-        self.ffn = FeedForward(p, rng, c, hidden)
+        self.ffn = FeedForward(p, rng, c)
         self.ws = p("score.w", init_weight(rng, c, 1))
         self.bs = p("score.b", np.zeros(1))
 

@@ -95,8 +95,7 @@ def hierarchical_branch(traj: Tensor, motion_cues: Tensor, n_stages: int) -> Ten
 
 
 class HmpBlock:
-    def __init__(self, channels: int, hidden: int, n_stages: int,
-                 rng: np.random.Generator, prefix: str):
+    def __init__(self, channels: int, n_stages: int, rng: np.random.Generator, prefix: str):
         self.n_stages = n_stages
         c = channels
         self.params: list[Parameter] = []
@@ -106,7 +105,7 @@ class HmpBlock:
         self.attend = Attention(p, rng, c)
         self.wh = p("hier.wo", 0.1 * init_weight(rng, c, c))
         self.bh = p("hier.bo", np.zeros(c))
-        self.ffn = FeedForward(p, rng, c, hidden)
+        self.ffn = FeedForward(p, rng, c)
 
     def forward(self, traj: Tensor, motion_cues: Tensor) -> Tensor:
         # branches read a standardized view of the stream so attention logits
@@ -122,14 +121,13 @@ class HmpBlock:
 class HmpStack:
     """Cascade of motion perception blocks applied per trajectory."""
 
-    def __init__(self, channels: int, hidden: int, n_blocks: int, n_stages: int,
-                 rng: np.random.Generator):
+    def __init__(self, channels: int, n_blocks: int, n_stages: int, rng: np.random.Generator):
         if n_blocks < 1:
             raise ValueError(f"need at least one block, got {n_blocks}")
         if n_stages < 0:
             raise ValueError(f"stage count must be non-negative, got {n_stages}")
         self.blocks = [
-            HmpBlock(channels, hidden, n_stages, rng, prefix=f"hmp.block{i}")
+            HmpBlock(channels, n_stages, rng, prefix=f"hmp.block{i}")
             for i in range(n_blocks)
         ]
         self.params = [p for block in self.blocks for p in block.params]

@@ -85,9 +85,11 @@ class Attention:
 
 
 class FeedForward:
-    """Two-layer ReLU MLP whose output projection starts small."""
+    """Two-layer ReLU MLP, `channels` -> 2·`channels` -> `channels`, whose
+    output projection starts small."""
 
-    def __init__(self, p, rng: np.random.Generator, channels: int, hidden: int):
+    def __init__(self, p, rng: np.random.Generator, channels: int):
+        hidden = 2 * channels
         self.w1 = p("ffn.w1", init_weight(rng, channels, hidden))
         self.b1 = p("ffn.b1", np.zeros(hidden))
         self.w2 = p("ffn.w2", 0.1 * init_weight(rng, hidden, channels))

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .bank import ContrastiveProjector
-from .benchmark import APPEARANCE_CHANNELS, COLORS, NOUNS, VOCAB, base_appearance
+from .benchmark import COLORS, FEATURE_CHANNELS, NOUNS, VOCAB, base_appearance
 from .config import TrainConfig
 from .decoder import MotionDecoder, VideoTokens, video_mask_logits
 from .hmp import HmpStack
@@ -90,14 +90,12 @@ HMP_BLOCKS = 3
 
 class MotionSegModel:
     def __init__(self, config: TrainConfig, rng: np.random.Generator):
-        """The model reads scene features `channels` wide; a width below the
-        scenes' appearance layout raises ValueError."""
+        """The model is as wide as the scene features it reads,
+        `benchmark.FEATURE_CHANNELS` (32) channels; every block's feed-forward
+        layer is twice that."""
         config.validate()
         self.config = config
-        c = config.channels
-        if c < APPEARANCE_CHANNELS:
-            raise ValueError(f"channels must be at least {APPEARANCE_CHANNELS}, the width of the "
-                             f"scenes' appearance layout, got {c}")
+        c = FEATURE_CHANNELS
         self.embedding = Parameter(
             "embed.table", _grounded_embedding_init(c, rng))
         self.static_queries = Parameter(
@@ -106,12 +104,11 @@ class MotionSegModel:
             + _query_anchor_codes(N_STATIC_QUERIES, config.grid_height, config.grid_width, c))
         self.motion_queries = Parameter(
             "queries.motion", rng.normal(scale=0.5, size=(N_MOTION_QUERIES, c)))
-        self.perceiver = StaticPerceiver(
-            c, 2 * c, (config.grid_height, config.grid_width), rng)
+        self.perceiver = StaticPerceiver(c, (config.grid_height, config.grid_width), rng)
         self.perceiver.attend.wv.data[...] = np.eye(c)
         self.perceiver.wm.data[...] = np.eye(c)
-        self.hmp = HmpStack(c, 2 * c, HMP_BLOCKS, config.hmp_stages, rng)
-        self.decoder = MotionDecoder(c, 2 * c, rng)
+        self.hmp = HmpStack(c, HMP_BLOCKS, config.hmp_stages, rng)
+        self.decoder = MotionDecoder(c, rng)
         self.projector = ContrastiveProjector(c, rng)
         # the checkpoint order, which is also the order of the seeded draws
         self.params: list[Parameter] = [

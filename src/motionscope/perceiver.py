@@ -7,6 +7,9 @@ objectness logit.  The positional code is added to the attention keys only, so
 the values (and the attention contribution) vanish on an all-zero grid with
 zero biases.
 
+The perceiver is as wide as the frames' features, a multiple of 4: in the
+model, the scenes' 32 channels, fixed as `FEATURE_CHANNELS` in `benchmark.py`.
+
 No per-pixel projection is built: attention multiplies its key and value
 weights into the queries, and a mask logit x·(p·wm + bm) is computed as
 (x·wmᵀ)·pᵀ + x·bm, so the pixel features stay a gradient-free constant.
@@ -38,8 +41,9 @@ def inject_cues(queries: Tensor, cues: Tensor) -> Tensor:
 
 
 def sinusoidal_grid(height: int, width: int, channels: int) -> np.ndarray:
-    """Fixed 2-d sin/cos position code, flattened to [height*width, channels]."""
-    quarter = max(channels // 4, 1)
+    """Fixed 2-d sin/cos position code, flattened to [height*width, channels]:
+    sin and cos of x and of y, each `channels`/4 wide (a multiple of 4)."""
+    quarter = channels // 4
     freqs = np.power(10_000.0, -np.arange(quarter) / quarter)
     ys, xs = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     parts = [
@@ -48,19 +52,16 @@ def sinusoidal_grid(height: int, width: int, channels: int) -> np.ndarray:
         np.sin(ys.reshape(-1, 1) * freqs),
         np.cos(ys.reshape(-1, 1) * freqs),
     ]
-    code = np.concatenate(parts, axis=1)
-    if code.shape[1] < channels:
-        code = np.pad(code, ((0, 0), (0, channels - code.shape[1])))
-    return code[:, :channels]
+    return np.concatenate(parts, axis=1)
 
 
 class StaticPerceiver:
     POSITION_SCALE = 0.3  # keep the key position code below pixel content scale
 
-    def __init__(self, channels: int, hidden: int, grid: tuple[int, int],
-                 rng: np.random.Generator):
+    def __init__(self, channels: int, grid: tuple[int, int], rng: np.random.Generator):
         """`grid` is the (H, W) of every frame this perceiver will see, and
-        `channels` both its own width and that of the frames' features."""
+        `channels`, a multiple of 4, both its own width and that of the
+        frames' features."""
         c = channels
         self.frame_shape = (*grid, c)
         self.position_code = Tensor(self.POSITION_SCALE * sinusoidal_grid(*grid, c))
@@ -70,7 +71,7 @@ class StaticPerceiver:
         # query initialization then line up with pixel position codes at init
         wk = init_weight(rng, c, c)
         self.attend = Attention(p, rng, c, wq=wk.copy(), wk=wk)
-        self.ffn = FeedForward(p, rng, c, hidden)
+        self.ffn = FeedForward(p, rng, c)
         self.wm = p("mask.w", init_weight(rng, c, c))
         self.bm = p("mask.b", np.zeros(c))
         self.wc = p("cls.w", init_weight(rng, c, 1))

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bank import MemoryBank, contrastive_loss
-from .benchmark import Scene, metric_f, metric_j, video_iou
+from .benchmark import FEATURE_CHANNELS, Scene, metric_f, metric_j, video_iou
 from .config import TrainConfig
 from .decoder import predict_video_masks
 from .language import TaggedExpression
@@ -111,15 +111,15 @@ def _require_expressions(scenes: list[Scene]) -> None:
 
 
 def _require_grid(config: TrainConfig, scenes) -> None:
-    """Every scene has the config's grid and channels, and a frame count that
-    the HMP stages' 2^hmp_stages-frame tokens divide."""
-    grid = (config.grid_height, config.grid_width, config.channels)
+    """Every scene has the config's grid and the fixed feature width, and a
+    frame count that the HMP stages' 2^hmp_stages-frame tokens divide."""
+    grid = (config.grid_height, config.grid_width, FEATURE_CHANNELS)
     factor = 2 ** config.hmp_stages
     for scene in scenes:
         if scene.features.shape[1:] != grid:
             raise ValueError(
                 f"scene {scene.seed} has {scene.features.shape[1:]} (H, W, C) features, "
-                f"but the config's (grid_height, grid_width, channels) are {grid}")
+                f"but the config's (grid_height, grid_width) and the feature width give {grid}")
         frames = scene.features.shape[0]
         if frames % factor:
             raise ValueError(
@@ -132,8 +132,6 @@ class Trainer:
     def __init__(self, config: TrainConfig, train_scenes: list[Scene], val_scenes: list[Scene]):
         config.validate()
         init_seed, order_seed, negative_seed = np.random.SeedSequence(config.seed).spawn(3)
-        # the model rejects a width below the scenes' appearance layout, so
-        # that rule is reported before any scene is checked against the width
         self.model = MotionSegModel(config, np.random.default_rng(init_seed))
         _require_grid(config, itertools.chain(train_scenes, val_scenes))
         self.cfg = config
@@ -153,7 +151,7 @@ class Trainer:
                         self.slot_ids[key] = len(categories)
                         categories.append(scene.objects[obj_idx].category)
                         videos.append(video_idx)
-        self.bank = MemoryBank(categories, videos, config.channels)
+        self.bank = MemoryBank(categories, videos, FEATURE_CHANNELS)
 
         self.velocity = {p.name: np.zeros_like(p.data) for p in self.model.params}
         self.pairs = [

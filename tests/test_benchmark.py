@@ -16,6 +16,7 @@ from motionscope.benchmark import (
     VOCAB,
     MAGIC,
     REGENERATE,
+    FEATURE_CHANNELS,
     BenchmarkConfig,
     GenerationError,
     Scene,
@@ -38,7 +39,7 @@ from motionscope.language import STATIC_TAGS, VERB
 
 def small_config(**overrides):
     # the narrowest square grid that holds MAX_OBJECTS lanes
-    base = dict(frames=8, height=10, width=10, channels=16)
+    base = dict(frames=8, height=10, width=10)
     base.update(overrides)
     return BenchmarkConfig(**base)
 
@@ -223,14 +224,14 @@ class TestGenerator:
 
     @pytest.mark.parametrize("seed,overrides,bin_digest,json_digest", [
         (0, {}, "84153a73d9dd8d2bc4e2c6a75e671fdd969055adbdff0025644d2756d329dc88",
-         "f80a7b9c1abe9337af7248f4156b8c05aa9f74d231c96c4ce4745b81808a05fa"),
+         "87ab58bd0763b5676c46be224f0905e71b79cbae4549befca31219b77e0d7047"),
         (1000, {}, "c9c3a5cde26bc5c40f16593eb6a52c01d6b39458884048990b1fafc3d54f5cd6",
-         "a90265712b1400164ccf6434cca660644d129a79b02b94a77756d3f6916f541e"),
+         "080355ad91246cce31ce8fddb03f503098132931dd1fd33bf95284935ae2ec7a"),
         (2000, {"probe": True}, "caa16563e1634bdaf61b0e8fa708d4ec9d57ccf12c9f4a0d10de44af9b8b212b",
-         "679a4a524eb93a18d2de3e1b8c9fd560f52fe6041c0e5f330faa02146a88cbcc"),
+         "794c3783d2839c4f3a2004bad701006d6cf6c7fb8015525cc1fe9462ac7ec0c2"),
         (0, {"height": 32, "width": 32},
          "11e6c873510b21e15dfae417ce1b07f034d9fffb2a7c397a0d49cb5dd04bd867",
-         "2e5b9a0d63bf7e12c5bad9744080aa21b7855ae458bef57b868004c09a5f1d64"),
+         "40d52b60b1f9be819a1d1329abe869a910d4c524973a1e644fde05a90a975618"),
     ], ids=["default", "val-seed", "probe", "hires"])
     def test_default_recipe_is_pinned(self, tmp_path, seed, overrides, bin_digest, json_digest):
         """The bytes of full-size scene files pin the recipe constants: the
@@ -256,8 +257,8 @@ class TestSceneIO:
         ({}, range(0, 8), {0, 1, 2, 3}),
         ({"probe": True}, range(2000, 2008), {1}),
         ({"height": 32, "width": 32}, range(0, 4), {0, 1}),
-        (dict(frames=8, height=10, width=10, channels=16), range(0, 40), {0, 1, 2, 3}),
-    ], ids=["default", "probe", "hires", "10x10x16"])
+        (dict(frames=8, height=10, width=10), range(0, 40), {0, 1, 2, 3}),
+    ], ids=["default", "probe", "hires", "10x10"])
     def test_derived_kinds_targets_and_masks_equal_the_generated_ones(self, tmp_path, overrides,
                                                                       seeds, target_counts):
         """A file stores no kind, tag, vocab id, target id or mask, yet loads
@@ -343,7 +344,7 @@ class TestSceneIO:
         raw = (tmp_path / "6.bin").read_bytes()
         assert raw == MAGIC + scene.features.astype("<f4").tobytes()
         assert hashlib.sha256(raw).hexdigest() == (
-            "3d182831f38ecfd11606b28f2380cd3b8b51c7699184c6fb99c8bb544459eca4")
+            "084f9a4f3c134108da1eebd3fe94f1f72cfc98a2d10cbdee29d7aa9be2207494")
 
     def test_float64_format_is_rejected_with_the_regenerate_hint(self, tmp_path):
         """An `MSCOPE01` file of earlier versions, float64 features and float64
@@ -386,15 +387,15 @@ class TestSceneIO:
         assert str(len(raw)) in message and str(len(bad)) in message
 
     def test_size_is_checked_before_arrays_are_allocated(self, tmp_path):
-        """A config that claims 2**40 channels fails the size check, not an
+        """A config that claims 2**40 rows fails the size check, not an
         allocation of the arrays it implies."""
         save_scene(generate(6, small_config()), tmp_path)
         path = tmp_path / "6.json"
         meta = json.loads(path.read_text())
-        meta["config"]["channels"] = 2 ** 40
+        meta["config"]["height"] = 2 ** 40
         path.write_text(json.dumps(meta))
         cfg = small_config()
-        needed = 8 + 4 * cfg.frames * cfg.height * cfg.width * 2 ** 40
+        needed = 8 + 4 * cfg.frames * 2 ** 40 * cfg.width * FEATURE_CHANNELS
         with pytest.raises(ValueError, match=re.escape(f"{tmp_path / '6.bin'} holds") + ".*"
                            + re.escape(f"needs {needed}")):
             load_scene(tmp_path, 6)
@@ -557,8 +558,6 @@ class TestSceneIO:
         ("frames", 3, "3 frames leave no room for short bursts"),
         ("frames", 16, "long-horizon motion needs 12 moving frames but only 8 fit the grid"),
         ("width", 8, "a 10x8 grid has 4 disjoint lanes"),
-        ("channels", 15, "channels must be at least 16, the width of the appearance layout, "
-                         "got 15"),
     ])
     def test_config_that_validate_rejects_names_file(self, tmp_path, key, value, message):
         save_scene(generate(6, small_config()), tmp_path)
@@ -591,13 +590,18 @@ class TestSceneIO:
             load_scene(tmp_path, 6)
 
     def test_unknown_config_key_names_file_and_key(self, tmp_path):
-        save_scene(generate(6, small_config()), tmp_path)
+        """A misspelt key, and `channels`, which earlier versions wrote and
+        which is now fixed as FEATURE_CHANNELS, even at that value."""
         path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        meta["config"]["frame"] = meta["config"].pop("frames")
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'frame'"):
-            load_scene(tmp_path, 6)
+        for edit, key in ((lambda cfg: cfg.update(frame=cfg.pop("frames")), "frame"),
+                          (lambda cfg: cfg.update(channels=FEATURE_CHANNELS), "channels")):
+            save_scene(generate(6, small_config()), tmp_path)
+            meta = json.loads(path.read_text())
+            edit(meta["config"])
+            path.write_text(json.dumps(meta))
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*unknown keys "
+                               f"\\['{key}'\\]"):
+                load_scene(tmp_path, 6)
 
     @pytest.mark.parametrize("key", ["objects", "expressions", "config"])
     def test_missing_top_level_key_names_file_and_key(self, tmp_path, key):

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from motionscope.cli import main
@@ -35,7 +36,7 @@ def test_gen_train_eval_report(tmp_path, capsys):
 
 
 def test_config_json_roundtrip_and_validation(tmp_path):
-    cfg = TrainConfig(steps=7, channels=24, query_variant="ds_no_query", train_dir="x")
+    cfg = TrainConfig(steps=7, grid_height=24, query_variant="ds_no_query", train_dir="x")
     cfg.to_json(tmp_path / "config.json")
     assert TrainConfig.from_json(tmp_path / "config.json") == cfg
     with pytest.raises(ValueError, match="n_negatives"):
@@ -53,21 +54,23 @@ def test_config_with_unknown_keys_rejected(tmp_path):
 
 def test_config_with_recipe_keys_rejected(tmp_path):
     """A config file of an earlier version, which set the training recipe,
-    could turn trajectory linking off, set the scene features' width apart
-    from the model's or set the model's HMP depth, is rejected with every
-    removed key named, not read with them ignored."""
+    could turn trajectory linking off, set the model's width (even to its
+    one value, 32) or the scene features' width apart from it, or set the
+    model's HMP depth, is rejected with every removed key named, not read
+    with them ignored."""
     path = tmp_path / "old.json"
     path.write_text(json.dumps({"steps": 3, "tau": 0.07, "contrastive_enabled": False,
-                                "hungarian_enabled": True, "img_channels": 32,
+                                "hungarian_enabled": True, "channels": 32, "img_channels": 32,
                                 "hmp_blocks": 3}))
     with pytest.raises(ValueError) as exc:
         TrainConfig.from_json(path)
     assert str(path) in str(exc.value)
-    assert ("'contrastive_enabled', 'hmp_blocks', 'hungarian_enabled', 'img_channels', 'tau'"
-            in str(exc.value))
+    assert ("'channels', 'contrastive_enabled', 'hmp_blocks', 'hungarian_enabled', "
+            "'img_channels', 'tau'" in str(exc.value))
     assert "fixed in the code" in str(exc.value)
     assert "always linked" in str(exc.value)
-    assert "reads scene features at its own width, channels" in str(exc.value)
+    assert "width (channels) is the scenes' feature width, 32, fixed in benchmark.py" \
+        in str(exc.value)
     assert "query counts and HMP depth are fixed" in str(exc.value)
 
 
@@ -79,9 +82,10 @@ def test_config_with_recipe_keys_rejected(tmp_path):
                          ids=["img_channels", "channels-8", "n_static_queries",
                               "n_motion_queries", "hmp_blocks"])
 def test_train_rejects_a_feature_width_config_in_one_line(tmp_path, capsys, config, key):
-    """A config that sets the feature width apart from `channels`, a width
-    below the appearance layout, or one of the model's fixed query counts
-    and HMP depth makes `train` exit with one stderr line naming the key."""
+    """A config that sets the model's fixed width (`channels`), the feature
+    width apart from it (`img_channels`), or one of the model's fixed query
+    counts and HMP depth makes `train` exit with one stderr line naming the
+    key."""
     data = tmp_path / "scenes"
     assert main(["gen", "--seeds", "0", "--out", str(data)]) == 0
     path = tmp_path / "config.json"
@@ -178,6 +182,29 @@ def test_eval_names_an_edited_scene_in_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"motionscope eval: {path}: expression 0 is ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--axis", "nn", "--seeds", "1"]],
+                         ids=["train", "ablate"])
+def test_diverged_run_ends_in_one_line(tmp_path, capsys, command):
+    """At a learning rate of 1e10 the run's forward overflows at step 7
+    (see test_trainer.test_overflowing_run_raises_training_diverged; in
+    `ablate`, in its first variant): the command exits 2 with one stderr
+    line naming the step, not a traceback."""
+    train, val = tmp_path / "train", tmp_path / "val"
+    assert main(["gen", "--seeds", "0..7", "--out", str(train)]) == 0
+    assert main(["gen", "--seeds", "1000", "--out", str(val)]) == 0
+    config = tmp_path / "config.json"
+    TrainConfig(learning_rate=1e10, steps=200, eval_every=100).to_json(config)
+    capsys.readouterr()
+    # overflow and invalid arithmetic are what a diverging run looks like
+    with np.errstate(all="ignore"):
+        code = main([*command, "--out", str(tmp_path / "run"), "--config", str(config),
+                     "--data", str(train), "--val-data", str(val)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"motionscope {command[0]}: non-finite loss or assignment costs at step 7\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_config_names_the_data_directories_of_the_flags(tmp_path):

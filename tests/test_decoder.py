@@ -17,7 +17,7 @@ def identity_head(grid):
 
 @pytest.fixture
 def decoder():
-    return MotionDecoder(channels=6, hidden=12, rng=np.random.default_rng(0))
+    return MotionDecoder(channels=6, rng=np.random.default_rng(0))
 
 
 class TestInjectMotion:

@@ -15,7 +15,7 @@ from gradcheck import grad_check
 
 
 def make_stack(n_blocks=2, n_stages=2, channels=6, seed=0):
-    return HmpStack(channels, 2 * channels, n_blocks, n_stages, np.random.default_rng(seed))
+    return HmpStack(channels, n_blocks, n_stages, np.random.default_rng(seed))
 
 
 def graph_branch(traj, motion_cues, n_stages):
@@ -256,7 +256,7 @@ class TestHmpBlock:
             var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
             return (a - mu) / np.sqrt(var + 1e-6)
 
-        block = HmpBlock(4, 8, 0, np.random.default_rng(16), prefix="b")
+        block = HmpBlock(4, 0, np.random.default_rng(16), prefix="b")
         rng = np.random.default_rng(17)
         x = rng.normal(size=(1, 4))
         out = block.forward(Tensor(x), Tensor(rng.normal(size=(2, 4))))
@@ -274,7 +274,7 @@ class TestHmpBlock:
         assert np.allclose(out2.data, expected2, atol=1e-12)
 
     def test_hierarchical_branch_is_projected_and_added(self):
-        block = HmpBlock(4, 8, 2, np.random.default_rng(23), prefix="b")
+        block = HmpBlock(4, 2, np.random.default_rng(23), prefix="b")
         for param in (block.attend.wo, block.attend.bo, block.ffn.w2, block.ffn.b2):
             param.data[...] = 0.0
         rng = np.random.default_rng(24)
@@ -285,7 +285,7 @@ class TestHmpBlock:
         assert np.allclose(block.forward(traj, cues).data, expected, atol=1e-12)
 
     def test_gradcheck_full_block(self):
-        stack = HmpStack(6, 12, 1, 2, np.random.default_rng(18))
+        stack = HmpStack(6, 1, 2, np.random.default_rng(18))
         rng = np.random.default_rng(19)
         trajs = rng.normal(size=(2, 8, 6))
         cues_base = rng.normal(size=(2, 6))
@@ -302,7 +302,7 @@ class TestHmpBlock:
 class TestHmpStack:
     def test_rejects_zero_blocks(self):
         with pytest.raises(ValueError):
-            HmpStack(4, 8, 0, 2, np.random.default_rng(0))
+            HmpStack(4, 0, 2, np.random.default_rng(0))
 
     def test_identical_trajectories_stay_identical(self):
         stack = make_stack()

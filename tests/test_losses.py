@@ -5,7 +5,7 @@ import pytest
 
 from motionscope import losses
 from motionscope.bank import contrastive_loss
-from motionscope.benchmark import BenchmarkConfig, generate
+from motionscope.benchmark import FEATURE_CHANNELS, BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.losses import (DICE_SMOOTH, LAMBDA_CLS, LAMBDA_DICE, LAMBDA_MASK, _assign,
                                 _match_costs, _set_loss, frame_loss, video_loss)
@@ -33,14 +33,14 @@ def dice_loss(probs, targets):
 
 
 def small_model(seed=0, **overrides):
-    base = dict(channels=16, grid_height=10, grid_width=10, hmp_stages=1)
+    base = dict(grid_height=10, grid_width=10, hmp_stages=1)
     base.update(overrides)
     cfg = TrainConfig(**base)
     return cfg, MotionSegModel(cfg, np.random.default_rng(seed))
 
 
 def small_scene(seed=0, **overrides):
-    base = dict(frames=8, height=10, width=10, channels=16)
+    base = dict(frames=8, height=10, width=10)
     base.update(overrides)
     return generate(seed, BenchmarkConfig(**base))
 
@@ -301,7 +301,7 @@ def test_no_per_pixel_projection_is_differentiated():
     """Structural guard, no timing: on a 32x32 scene no node of the training
     graph that needs a gradient holds T*H*W rows of channel vectors, so keys,
     values and mask features are never projected per pixel."""
-    cfg, model = small_model(grid_height=32, grid_width=32)
+    _, model = small_model(grid_height=32, grid_width=32)
     scene = small_scene(height=32, width=32)
     out = model.forward(scene.features, scene.expressions[0])
     loss = (frame_loss(out, scene.masks)
@@ -316,7 +316,7 @@ def test_no_per_pixel_projection_is_differentiated():
         seen.add(id(node))
         assert node.requires_grad
         shape = node.shape
-        if (len(shape) >= 2 and shape[-1] == cfg.channels
+        if (len(shape) >= 2 and shape[-1] == FEATURE_CHANNELS
                 and int(np.prod(shape[:-1])) == t * h * w):
             per_pixel.append(shape)
         stack.extend(node._parents)
@@ -327,7 +327,7 @@ def test_no_per_pixel_projection_is_differentiated():
 def toy_trainer():
     """A Trainer at toy sizes over four scenes; its steps are numbered from
     `cfg.warmup_steps` on, so the contrastive term is live from the first."""
-    cfg = TrainConfig(channels=16, grid_height=10, grid_width=10, hmp_stages=1,
+    cfg = TrainConfig(grid_height=10, grid_width=10, hmp_stages=1,
                       n_negatives=4, steps=12, eval_every=12)
     return Trainer(cfg, [small_scene(seed) for seed in range(4)], [])
 
@@ -361,14 +361,14 @@ def test_training_steps_equal_reference_bit_for_bit(monkeypatch):
 def test_whole_objective_gradient_check():
     """Finite differences of frame + video + contrastive loss, the objective a
     training step minimises, against backward, over every model parameter.
-    At the model's smallest width, 16, with its 8 object queries, 4 video
-    queries and 3 HMP blocks, the parameters hold 13,170 entries; 14 of each
-    (all of a smaller one), 1,080 in all, are checked."""
-    cfg, model = small_model(seed=13)
+    At the model's width, 32, with its 8 object queries, 4 video queries and
+    3 HMP blocks, the parameters hold 49,890 entries; 14 of each (all of a
+    smaller one), 1,080 in all, are checked."""
+    _, model = small_model(seed=13)
     scene = small_scene(seed=14, frames=4)
     expr = next(e for e in scene.expressions if e.target_ids)
     rng = np.random.default_rng(15)
-    positive, negatives = rng.normal(size=cfg.channels), rng.normal(size=(3, cfg.channels))
+    positive, negatives = rng.normal(size=FEATURE_CHANNELS), rng.normal(size=(3, FEATURE_CHANNELS))
 
     def objective():
         out = model.forward(scene.features, expr)

@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
 
-from motionscope.benchmark import BenchmarkConfig, generate
+from motionscope.benchmark import FEATURE_CHANNELS, BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.model import N_MOTION_QUERIES, MotionSegModel, load_model_weights, save_model
+from motionscope.tensor import Parameter
+
+C = FEATURE_CHANNELS
 
 
 def make(seed=0, **overrides):
-    base = dict(channels=16, grid_height=10, grid_width=10, hmp_stages=1)
+    base = dict(grid_height=10, grid_width=10, hmp_stages=1)
     base.update(overrides)
     cfg = TrainConfig(**base)
     return cfg, MotionSegModel(cfg, np.random.default_rng(seed))
 
 
 def scene_for(cfg, seed=0):
-    return generate(seed, BenchmarkConfig(frames=8, height=cfg.grid_height,
-                                          width=cfg.grid_width, channels=cfg.channels))
+    return generate(seed, BenchmarkConfig(frames=8, height=cfg.grid_height, width=cfg.grid_width))
 
 
 class TestForward:
@@ -24,11 +26,11 @@ class TestForward:
         scene = scene_for(cfg)
         out = model.forward(scene.features, scene.expressions[0])
         t, h, w, _ = scene.features.shape
-        assert out.object_tokens.shape == (t, 8, 16)
-        assert out.mask_features.shape == (t, h, w, 16)
+        assert out.object_tokens.shape == (t, 8, C)
+        assert out.mask_features.shape == (t, h, w, C)
         assert out.class_logits.shape == (t, 8)
         assert out.frame_logits.shape == (t, 8, h * w)
-        assert out.video.tokens.shape == (4, 16)
+        assert out.video.tokens.shape == (4, C)
         assert out.video_logits.shape == (4, t, h * w)
 
     def test_deterministic_given_seed(self):
@@ -57,17 +59,10 @@ class TestForward:
 
     def test_scene_of_another_grid_rejected(self):
         cfg, model = make(grid_height=16, grid_width=16)
-        scene = generate(0, BenchmarkConfig(height=32, width=32, channels=cfg.channels))
+        scene = generate(0, BenchmarkConfig(height=32, width=32))
         with pytest.raises(ValueError, match="grid") as exc:
             model.forward(scene.features, scene.expressions[0])
-        assert str(scene.features.shape) in str(exc.value) and "(16, 16, 16)" in str(exc.value)
-
-    def test_width_below_the_appearance_layout_rejected(self):
-        """The model reads scene features at its own width, and the grounding
-        init puts 10 categories, 4 colours and 2 jitter axes on them."""
-        make(channels=16)
-        with pytest.raises(ValueError, match="channels must be at least 16.*got 15"):
-            make(channels=15)
+        assert str(scene.features.shape) in str(exc.value) and "(16, 16, 32)" in str(exc.value)
 
     def test_unique_parameter_names(self):
         _, model = make()
@@ -115,7 +110,7 @@ class TestQueryVariants:
         scene = scene_for(cfg)
         cues, (_, _, motion_cues) = routed_queries(model, scene.expressions[0], scene.features,
                                                    monkeypatch)
-        assert motion_cues.shape == (1, cfg.channels)
+        assert motion_cues.shape == (1, C)
         assert np.array_equal(motion_cues.data[0], cues.sentence.data)
 
     def test_no_sentence_variant_drops_sentence_add(self, monkeypatch):
@@ -171,7 +166,8 @@ class TestSerialization:
         assert str(path) in str(exc.value)
 
     def test_shape_mismatch_names_path(self, tmp_path):
-        cfg, model = make(channels=24)
+        cfg, model = make()
+        model.params[0] = Parameter("embed.table", model.embedding.data[:, :24])
         path = tmp_path / "model.bin"
         save_model(model, path)
         _, fresh = make()
@@ -252,7 +248,7 @@ class TestSerialization:
         ("name length", [2**40], "the name of parameter #0"),
         ("rank", [2**40], "the shape of parameter 'embed.table' (rank 1099511627776)"),
         ("rank", [2**61], "the shape of parameter 'embed.table' (rank 2305843009213693952)"),
-        ("extents", [2**40], "the values of parameter 'embed.table' (1099511627776, 16)"),
+        ("extents", [2**40], "the values of parameter 'embed.table' (1099511627776, 32)"),
         ("extents", [2**40, 2**40],
          "the values of parameter 'embed.table' (1099511627776, 1099511627776)"),
     ], ids=["name-length", "rank", "rank-past-8-bytes", "extent", "extents-product"])

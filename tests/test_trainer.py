@@ -8,7 +8,7 @@ import pytest
 
 from motionscope import trainer as trainer_module
 from motionscope.bank import ContrastiveProjector
-from motionscope.benchmark import BenchmarkConfig, generate
+from motionscope.benchmark import FEATURE_CHANNELS, BenchmarkConfig, generate
 from motionscope.config import TrainConfig
 from motionscope.model import N_MOTION_QUERIES
 from motionscope.perceiver import MaskFeatures
@@ -57,15 +57,26 @@ def test_overflowing_run_raises_training_diverged():
     assert info.value.step == 7
 
 
-@pytest.mark.parametrize("scene_config,split", [(BenchmarkConfig(height=32, width=32), "train"),
-                                                 (BenchmarkConfig(channels=16), "train"),
-                                                 (BenchmarkConfig(channels=16), "val"),
-                                                 (BenchmarkConfig(height=32, width=32), "evaluate"),
-                                                 (BenchmarkConfig(channels=48), "evaluate")],
+def hires_scene():
+    return generate(4, BenchmarkConfig(height=32, width=32))
+
+
+def scene_with_channels(width):
+    """Scene 4 with its features cut or tiled to `width` channels: every
+    generated scene is FEATURE_CHANNELS wide."""
+    scene = generate(4)
+    return dataclasses.replace(scene, features=np.tile(scene.features, 2)[..., :width])
+
+
+@pytest.mark.parametrize("make_scene,split", [(hires_scene, "train"),
+                                              (lambda: scene_with_channels(16), "train"),
+                                              (lambda: scene_with_channels(16), "val"),
+                                              (hires_scene, "evaluate"),
+                                              (lambda: scene_with_channels(48), "evaluate")],
                          ids=["grid-train", "channels-train", "channels-val", "grid-evaluate",
                               "channels-evaluate"])
-def test_scene_config_mismatch_names_seed_and_shapes(scene_config, split):
-    scene = generate(4, scene_config)
+def test_scene_config_mismatch_names_seed_and_shapes(make_scene, split):
+    scene = make_scene()
     splits = {"train": ([scene], []), "val": ([], [scene]), "evaluate": ([], [])}[split]
     expected = re.escape(f"scene 4 has {scene.features.shape[1:]}") + ".*" + re.escape("(16, 16, 32)")
     with pytest.raises(ValueError, match=expected):
@@ -193,7 +204,7 @@ def test_only_the_final_evaluation_is_projected(monkeypatch):
     assert calls == []
     result = trainer.run()
     n_tokens = sum(len(r.target_tokens) for r in result.final.records)
-    assert calls == [(trainer.cfg.channels,)] * n_tokens and n_tokens > 0
+    assert calls == [(FEATURE_CHANNELS,)] * n_tokens and n_tokens > 0
     assert not trainer.bank.initialized.any() and trainer.bank.snapshot() == []
     assert all(np.array_equal(p.data, q) for p, q in zip(trainer.model.projector.params, initial))
 
