@@ -13,10 +13,11 @@ Expressions are token lists, each word's tag and vocab id fixed by `VOCAB`;
 their semantics are deterministic: the head noun fixes the category, an
 adjective fixes the colour, the verb fixes the motion kind and an optional
 adverb fixes the direction.  An expression's target ids are the objects its
-words select (`evaluate_expression`).  A scene file stores the features, and
-the objects and words only to be checked: `load_scene` replays the generator
-for the file's seed and config, and rejects a file that does not hold what
-the replay draws.
+words select (`evaluate_expression`).  A scene is one file, `<seed>.bin`: a
+header with the seed, the config and a SHA-256 digest of the objects and
+words, then the features.  `load_scene` replays the generator for the
+header's seed and config, and rejects a file whose seed is not its name or
+whose digest is not the replay's.
 
 The recipe is fixed, as a benchmark dataset's is: the module constants
 `OBJECT_SIZE`, `MIN_OBJECTS`, `MAX_OBJECTS`, `EXPRESSIONS_PER_SCENE`,
@@ -29,18 +30,17 @@ at 32, as a backbone's.  A scene is a function of its seed and a
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import check_field_types, json_object, read_json
 from .language import ADJ, ADV, NOUN, OTHER, PREP, VERB, ExprToken, TaggedExpression
 from .perceiver import sinusoidal_grid
-
-MAGIC = b"MSCOPE03"
 
 STATIC = "static"
 SHORT_BURST = "short-burst"
@@ -422,12 +422,15 @@ def generate(seed: int, config: BenchmarkConfig | None = None) -> Scene:
 # -- dataset io ---------------------------------------------------------------
 
 REGENERATE = "regenerate it with `motionscope gen`"
+MAGIC = b"MSCOPE04"
+# a scene file's header, little-endian: the magic, the seed, the config's
+# frames, height, width and probe switch (0 or 1), and the plan's `_digest`
+HEADER = struct.Struct("<8sQ4I32s")
 
 
 def _describe(objects, expressions) -> dict:
-    """A scene's objects and expressions as its `.json` holds them: each
-    object's category, color, start, onset, duration and direction, and each
-    expression as its list of words."""
+    """A scene's plan: each object's category, color, start, onset, duration
+    and direction, and each expression as its list of words."""
     return {
         "objects": [
             {
@@ -444,123 +447,101 @@ def _describe(objects, expressions) -> dict:
     }
 
 
+def _digest(plan: dict) -> bytes:
+    """The SHA-256 of `plan`, a `_describe` value, written as JSON text."""
+    return hashlib.sha256(json.dumps(plan).encode()).digest()
+
+
 def save_scene(scene: Scene, directory) -> None:
-    """Write `scene` as `<seed>.json` and `<seed>.bin`.  The `.json` holds the
-    config and the objects and expressions as `_describe` writes them.  The
-    `.bin` holds the header `MSCOPE03`, then the features [T, H, W, C] as
-    little-endian float32 in C order, written from their own buffer."""
+    """Write `scene` as `<seed>.bin`: the `HEADER` (the magic `MSCOPE04`, the
+    seed, the config and the digest of the objects and expressions), then
+    the features [T, H, W, C] as little-endian float32 in C order, written
+    from their own buffer.  A seed outside 0..2^64-1 raises ValueError."""
+    if not 0 <= scene.seed < 2 ** 64:
+        raise ValueError(f"scene seed {scene.seed} does not fit a scene file's 64-bit seed")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    meta = {"config": asdict(scene.config), **_describe(scene.objects, scene.expressions)}
-    with open(directory / f"{scene.seed}.json", "w") as fh:
-        json.dump(meta, fh)
+    cfg = scene.config
     with open(directory / f"{scene.seed}.bin", "wb") as fh:
-        fh.write(MAGIC)
+        fh.write(HEADER.pack(MAGIC, scene.seed, cfg.frames, cfg.height, cfg.width, cfg.probe,
+                             _digest(_describe(scene.objects, scene.expressions))))
         fh.write(np.ascontiguousarray(scene.features, dtype="<f4"))
 
 
-def _check_keys(entry: dict, keys, where: str) -> None:
-    """ValueError naming `where` and the keys unless `entry` holds exactly `keys`."""
-    problems = [f"{text} {names}" for text, names in (
-        ("lacks the keys", sorted(set(keys) - set(entry))),
-        ("holds unknown keys", sorted(set(entry) - set(keys)))) if names]
-    if problems:
-        raise ValueError(f"{where} {' and '.join(problems)}; {REGENERATE}")
-
-
-def _first_difference(meta: dict, replay: dict, seed: int) -> str | None:
-    """The first entry of a scene file's objects and expressions that is not
-    the replay's, named as `object 1`, `expression 0` or a count; None when
-    the file holds the replay's.  Entries compare as JSON text, so `true` is
-    neither `1` nor `1.0`."""
-    for key, entry in (("objects", "object"), ("expressions", "expression")):
-        stored, replayed = meta[key], replay[key]
-        for index, pair in enumerate(zip(stored, replayed)):
-            got, want = (json.dumps(value, sort_keys=True) for value in pair)
-            if got != want:
-                return f"{entry} {index} is {got}, but seed {seed} gives {want}"
-        if len(stored) != len(replayed):
-            return f"{len(stored)} {key}, but seed {seed} gives {len(replayed)}"
-    return None
-
-
 def load_scene(directory, seed: int) -> Scene:
-    """Read the scene `<seed>.json` and `<seed>.bin` of `directory`, as
-    `save_scene` writes them.  The features are read straight into a float32
-    [T, H, W, C] array.  The rest is a replay of the generator: `_plan` draws
-    the objects and expressions of `seed` for the file's config, the file
-    must hold exactly those, and the targets are the replay's.  The masks
-    are not stored: like a generated scene's, they are derived from the
-    replayed objects' motion programs on each read.
+    """Read the scene `<seed>.bin` of `directory`, as `save_scene` writes it.
+    The features are read straight into a float32 [T, H, W, C] array.  The
+    rest is a replay of the generator: `_plan` draws the objects and
+    expressions of `seed` for the header's config, and their digest must be
+    the header's.  The masks are not stored: like a generated scene's, they
+    are derived from the replayed objects' motion programs on each read.
 
-    Raises ValueError, naming the file, for a `.json` that is not JSON; a top
-    level or `config` that is not a JSON object, or that lacks a key or holds
-    an unknown one; `objects` or `expressions` that is not a JSON list; a
-    config value whose type is not its field's, or a config that
-    `BenchmarkConfig.validate` rejects; a `.bin` without the `MSCOPE03`
-    header, whose size does not fit the config, or with non-finite features;
-    and objects or expressions that are not the replay's, naming the first
-    entry that differs.  So an edited or renamed file, and one of an earlier
-    version or of a numpy that draws other random streams, is rejected with a
-    request to regenerate it with `motionscope gen`."""
-    directory = Path(directory)
-    json_path = directory / f"{seed}.json"
-    meta = json_object(read_json(json_path), json_path)
-    _check_keys(meta, ("config", "objects", "expressions"), f"{json_path}: scene")
-    for key in ("objects", "expressions"):
-        if not isinstance(meta[key], list):
-            raise ValueError(f"{json_path}: {key} must be a JSON list, "
-                             f"got {type(meta[key]).__name__}")
-    config = json_object(meta["config"], f"{json_path}: config")
-    _check_keys(config, [f.name for f in fields(BenchmarkConfig)], f"{json_path}: config")
-    cfg = BenchmarkConfig(**config)
-    try:
-        check_field_types(cfg)
-        cfg.validate()
-    except ValueError as err:
-        raise ValueError(f"{json_path}: config: {err}") from None
-    bin_path = directory / f"{seed}.bin"
-    t, h, w, c = cfg.frames, cfg.height, cfg.width, FEATURE_CHANNELS
-    expected = len(MAGIC) + 4 * t * h * w * c
-    with open(bin_path, "rb") as fh:
-        header = fh.read(len(MAGIC))
-        if header != MAGIC:
-            raise ValueError(f"{bin_path} starts with {header!r}, not the {MAGIC!r} header; "
-                             f"{REGENERATE}")
+    Raises ValueError, naming the file, for a file that does not start with
+    the `MSCOPE04` magic (as the two-file `MSCOPE03` scenes of earlier
+    versions do not) or is shorter than the header; a header seed that is not
+    the file's name, so a file copied over another seed's is rejected; a
+    probe switch other than 0 or 1, or a config that `BenchmarkConfig.validate`
+    rejects; a size that does not fit the config, checked before the features
+    are allocated; non-finite features; and a digest that is not the
+    replay's, which an edited header or a generator or numpy that draws other
+    random streams gives.  Each rejection that regenerating mends asks for it
+    with `motionscope gen`."""
+    path = Path(directory) / f"{seed}.bin"
+    with open(path, "rb") as fh:
+        header = fh.read(HEADER.size)
+        if header[:len(MAGIC)] != MAGIC:
+            raise ValueError(f"{path} starts with {header[:len(MAGIC)]!r}, not the {MAGIC!r} "
+                             f"header; {REGENERATE}")
+        if len(header) < HEADER.size:
+            raise ValueError(f"{path} holds {len(header)} bytes, fewer than its "
+                             f"{HEADER.size}-byte header")
+        _, stored_seed, t, h, w, probe, digest = HEADER.unpack(header)
+        if stored_seed != seed:
+            raise ValueError(f"{path} holds scene {stored_seed}, not scene {seed}; {REGENERATE}")
+        if probe not in (0, 1):
+            raise ValueError(f"{path}: config: probe must be 0 or 1, got {probe}")
+        cfg = BenchmarkConfig(frames=t, height=h, width=w, probe=bool(probe))
+        try:
+            cfg.validate()
+        except ValueError as err:
+            raise ValueError(f"{path}: config: {err}") from None
+        c = FEATURE_CHANNELS
+        expected = HEADER.size + 4 * t * h * w * c
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
-            raise ValueError(f"{bin_path} holds {size} bytes, but a {t}x{h}x{w}x{c} scene "
+            raise ValueError(f"{path} holds {size} bytes, but a {t}x{h}x{w}x{c} scene "
                              f"needs {expected}")
         # allocated only once the file is known to hold them
         features = np.empty((t, h, w, c), dtype="<f4")
         if fh.readinto(features) != features.nbytes:
-            raise ValueError(f"{bin_path} held fewer than {expected} bytes when read")
+            raise ValueError(f"{path} held fewer than {expected} bytes when read")
     if not np.all(np.isfinite(features)):
-        raise ValueError(f"{bin_path}: features hold a non-finite value")
+        raise ValueError(f"{path}: features hold a non-finite value")
     _, objects, expressions = _plan(seed, cfg)
-    difference = _first_difference(meta, _describe(objects, expressions), seed)
-    if difference:
-        raise ValueError(f"{json_path}: {difference}; {REGENERATE}")
+    if _digest(_describe(objects, expressions)) != digest:
+        raise ValueError(f"{path}: the objects and expressions that seed {seed} draws do not "
+                         f"have the file's digest; {REGENERATE}")
     return Scene(seed=seed, config=cfg, objects=objects, expressions=expressions,
                  features=features)
 
 
 def load_dataset(directory) -> list[Scene]:
     """Every scene of `directory` in seed order.  A missing directory, one
-    that holds no `*.json` scene, or a `*.json` whose stem is not a seed >= 0
+    that holds no `*.bin` scene, or a `*.bin` whose stem is not a seed >= 0
     written in decimal without a sign, separator or leading zero (`-3`, `03`,
-    `+3` and `1_0` are not) raises ValueError naming it."""
+    `+3` and `1_0` are not) raises ValueError naming it; `load_scene` checks
+    each file."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ValueError(f"scene directory {directory} does not exist")
     seeds = []
-    for path in sorted(directory.glob("*.json")):
+    for path in sorted(directory.glob("*.bin")):
         if not (path.stem.isdecimal() and str(int(path.stem)) == path.stem):
-            raise ValueError(f"{path} is not a scene: scene files are named <seed>.json")
+            raise ValueError(f"{path} is not a scene: scene files are named <seed>.bin")
         seeds.append(int(path.stem))
     seeds.sort()
     if not seeds:
-        raise ValueError(f"scene directory {directory} holds no *.json scene")
+        raise ValueError(f"scene directory {directory} holds no *.bin scene")
     return [load_scene(directory, s) for s in seeds]
 
 

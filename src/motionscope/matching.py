@@ -35,10 +35,6 @@ from .tensor import ShapeError, Tensor, take
 _INF = float("inf")
 
 
-class NonFiniteCosts(ValueError):
-    """Raised by `hungarian` for a cost matrix that holds NaN or an infinity."""
-
-
 def _search(cost: np.ndarray, tiebreak: list[list[int]]) -> list[int]:
     """Shortest augmenting paths over the k rows of a [k, m] cost table,
     k <= m, on pairs (float cost, exact-integer tiebreak) compared in that
@@ -108,7 +104,7 @@ def hungarian(costs: np.ndarray) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"hungarian needs a 2-d matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise NonFiniteCosts("hungarian needs finite costs")
+        raise ValueError("hungarian needs finite costs")
     n_rows, n_cols = a.shape
     tall = n_rows > n_cols
     short = a.T if tall else a

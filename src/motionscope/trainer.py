@@ -24,7 +24,7 @@ from .config import TrainConfig
 from .decoder import predict_video_masks
 from .language import TaggedExpression
 from .losses import frame_loss, video_loss
-from .matching import NonFiniteCosts, hungarian
+from .matching import hungarian
 from .model import MotionSegModel, save_model
 from .tensor import Tensor, take
 
@@ -35,7 +35,8 @@ MAX_GRAD_NORM = 5.0  # the global gradient norm is clipped to this
 
 class TrainingDiverged(RuntimeError):
     def __init__(self, step: int):
-        super().__init__(f"non-finite loss or assignment costs at step {step}")
+        super().__init__(f"training diverged at step {step}: a value overflowed or "
+                         f"turned non-finite")
         self.step = step
 
 
@@ -163,16 +164,24 @@ class Trainer:
     # -- training ---------------------------------------------------------------
 
     def train_step(self, scene: Scene, expr: TaggedExpression, step: int) -> dict:
+        """One optimizer step on one expression.  The step's first overflow,
+        invalid operation or division by zero ends it with
+        `TrainingDiverged(step)` before numpy warns of it.  Scenes and
+        parameters start finite, so no step computes a non-finite value
+        without one, and a step without one computes what it would
+        unchecked."""
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return self._step(scene, expr, step)
+        except FloatingPointError as err:
+            raise TrainingDiverged(step) from err
+
+    def _step(self, scene: Scene, expr: TaggedExpression, step: int) -> dict:
         cfg = self.cfg
         self.model.zero_grad()
-        try:
-            out = self.model.forward(scene.features, expr)
-            lf = frame_loss(out, scene.masks)
-            ml = video_loss(out, scene.target_masks(expr))
-        except NonFiniteCosts as err:
-            # parameters large enough to overflow the forward make it
-            # non-finite, and a matcher meets that before any loss does
-            raise TrainingDiverged(step) from err
+        out = self.model.forward(scene.features, expr)
+        lf = frame_loss(out, scene.masks)
+        ml = video_loss(out, scene.target_masks(expr))
         total = lf + ml.loss
         con_value = 0.0
         # every training target has a slot, and a target always gets a match;
@@ -193,8 +202,6 @@ class Trainer:
                                            self.bank.vectors[negatives].copy())
                     con_value = con.item()
                     total = total + LAMBDA_CONTRASTIVE * con
-        if not np.isfinite(total.data):
-            raise TrainingDiverged(step)
         total.backward()
         norm = np.sqrt(sum(float((p.grad * p.grad).sum()) for p in self.model.params
                            if p.grad is not None))

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import re
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -14,12 +16,15 @@ from motionscope.benchmark import (
     SHORT_BURST,
     STATIC,
     VOCAB,
+    HEADER,
     MAGIC,
     REGENERATE,
     FEATURE_CHANNELS,
     BenchmarkConfig,
     GenerationError,
     Scene,
+    _describe,
+    _digest,
     _dilate,
     _durations,
     _masks,
@@ -44,22 +49,38 @@ def small_config(**overrides):
     return BenchmarkConfig(**base)
 
 
+def rewrite_header(path, **values):
+    """Rewrite the named `HEADER` fields of the scene file at `path`:
+    `magic`, `seed`, `frames`, `height`, `width`, `probe` or `digest`."""
+    raw = path.read_bytes()
+    names = ("magic", "seed", "frames", "height", "width", "probe", "digest")
+    header = dict(zip(names, HEADER.unpack_from(raw)))
+    header.update(values)
+    path.write_bytes(HEADER.pack(*header.values()) + raw[HEADER.size:])
+
+
 def edited_scene(tmp_path, edit, seed=6, config=None):
     """Save scene `seed` of `config` (the small one unless given), let `edit`
-    change its parsed `.json` in place and write it back; returns its path."""
-    save_scene(generate(seed, config or small_config()), tmp_path)
-    path = tmp_path / f"{seed}.json"
-    meta = json.loads(path.read_text())
-    edit(meta)
-    path.write_text(json.dumps(meta))
+    change its description in place (its config as a dict, and its objects
+    and expressions as `_describe` gives them), and write the file of what
+    the edit left: the header holds that config and the digest of those
+    objects and expressions.  Returns the file's path."""
+    scene = generate(seed, config or small_config())
+    save_scene(scene, tmp_path)
+    described = {"config": dataclasses.asdict(scene.config),
+                 **_describe(scene.objects, scene.expressions)}
+    edit(described)
+    path = tmp_path / f"{seed}.bin"
+    rewrite_header(path, **described.pop("config"), digest=_digest(described))
     return path
 
 
-def assert_not_replayed(path, where, seed=6):
-    """Loading the scene at `path` fails naming the file, `where` (the first
-    entry that differs from what `seed` generates) and the regenerate hint."""
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {where}") + ".*"
-                       + re.escape(f"but seed {seed} gives") + ".*" + re.escape(REGENERATE)):
+def assert_not_replayed(path, seed=6):
+    """Loading the scene at `path` fails naming the file, the seed whose
+    replay does not have the file's digest, and the regenerate hint."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: the objects and expressions that seed {seed} draws do not have the "
+            f"file's digest; {REGENERATE}")):
         load_scene(path.parent, seed)
 
 
@@ -80,12 +101,13 @@ def assert_masks_are_derived(scene) -> set[int]:
     return {len(expr.target_ids) for expr in scene.expressions}
 
 
-def set_entry(meta, keys, value):
-    """Set the entry that the path `keys` names in the parsed JSON `meta`."""
+def set_entry(described, keys, value):
+    """Set the entry that the path `keys` names in the nested dicts and lists
+    `described`."""
     *parents, last = keys
     for key in parents:
-        meta = meta[key]
-    meta[last] = value
+        described = described[key]
+    described[last] = value
 
 
 class TestGenerator:
@@ -222,23 +244,25 @@ class TestGenerator:
         with pytest.raises(GenerationError, match=message):
             generate(9, cfg)
 
-    @pytest.mark.parametrize("seed,overrides,bin_digest,json_digest", [
-        (0, {}, "84153a73d9dd8d2bc4e2c6a75e671fdd969055adbdff0025644d2756d329dc88",
-         "87ab58bd0763b5676c46be224f0905e71b79cbae4549befca31219b77e0d7047"),
-        (1000, {}, "c9c3a5cde26bc5c40f16593eb6a52c01d6b39458884048990b1fafc3d54f5cd6",
-         "080355ad91246cce31ce8fddb03f503098132931dd1fd33bf95284935ae2ec7a"),
-        (2000, {"probe": True}, "caa16563e1634bdaf61b0e8fa708d4ec9d57ccf12c9f4a0d10de44af9b8b212b",
-         "794c3783d2839c4f3a2004bad701006d6cf6c7fb8015525cc1fe9462ac7ec0c2"),
+    @pytest.mark.parametrize("seed,overrides,file_digest,plan_digest", [
+        (0, {}, "341a8a692408ef329ae01324a839eb27c528435e82716b79d17146adf449136c",
+         "a379d27a67c4c201a42ae1cc2f251e71da89a77d1fea642009d56f0b3fa271e9"),
+        (1000, {}, "e689a630b330e2abc6732d0f76b1ce6ffa1bdeb6258339f91759ad7a834e4807",
+         "798aee56d13ba06b3bf951b8927c21634e7fd08298b1e95e718e061b38b835bf"),
+        (2000, {"probe": True}, "183f63da00ab6f9d6098e7319578afceff3525c29c50d46f3c461ddc600aac0f",
+         "89982491736e5470d46e209284bc0b647be69a749929f7fff6d2dcf0e63cad0d"),
         (0, {"height": 32, "width": 32},
-         "11e6c873510b21e15dfae417ce1b07f034d9fffb2a7c397a0d49cb5dd04bd867",
-         "40d52b60b1f9be819a1d1329abe869a910d4c524973a1e644fde05a90a975618"),
+         "76de22f48cde362ebabb59ec50e72551d98a9906799bbb60f670b348aa6a2426",
+         "86e487624afac8ff585d6d09435fb7a762fe1dbf8db9ab2ee07997f7143ba69d"),
     ], ids=["default", "val-seed", "probe", "hires"])
-    def test_default_recipe_is_pinned(self, tmp_path, seed, overrides, bin_digest, json_digest):
+    def test_default_recipe_is_pinned(self, tmp_path, seed, overrides, file_digest, plan_digest):
         """The bytes of full-size scene files pin the recipe constants: the
-        `.bin` the features, the `.json` the objects and the words."""
+        file's digest every feature byte, and the header's digest the objects
+        and the words."""
         save_scene(generate(seed, BenchmarkConfig(**overrides)), tmp_path)
-        assert hashlib.sha256((tmp_path / f"{seed}.bin").read_bytes()).hexdigest() == bin_digest
-        assert hashlib.sha256((tmp_path / f"{seed}.json").read_bytes()).hexdigest() == json_digest
+        raw = (tmp_path / f"{seed}.bin").read_bytes()
+        assert HEADER.unpack_from(raw)[-1].hex() == plan_digest
+        assert hashlib.sha256(raw).hexdigest() == file_digest
 
 
 class TestSceneIO:
@@ -261,7 +285,7 @@ class TestSceneIO:
     ], ids=["default", "probe", "hires", "10x10"])
     def test_derived_kinds_targets_and_masks_equal_the_generated_ones(self, tmp_path, overrides,
                                                                       seeds, target_counts):
-        """A file stores no kind, tag, vocab id, target id or mask, yet loads
+        """A file stores no object, kind, word, target id or mask, yet loads
         them back equal to what the generator drew.  Generated and loaded
         scenes alike derive their masks from their objects, for expressions
         of no, one and several targets."""
@@ -281,70 +305,87 @@ class TestSceneIO:
 
     def test_edited_duration_and_word_are_rejected(self, tmp_path):
         """Object 1 of this scene walks down from (1, 2) for 7 of 8 frames.
-        Shortened to 2 moving frames, its masks would leave the path that its
-        features show; loading names it, the first of the two edits."""
-        def edit(meta):
-            assert meta["objects"][1]["duration"] == 7
-            assert meta["expressions"][0] == ["the", "dot", "resting"]
-            meta["objects"][1]["duration"] = 2
-            meta["expressions"][0][2] = "darting"
+        A file whose digest is that of a plan in which it moves 2 frames and
+        expression 0 says `darting` is not what seed 6 draws."""
+        def edit(described):
+            assert described["objects"][1]["duration"] == 7
+            assert described["expressions"][0] == ["the", "dot", "resting"]
+            described["objects"][1]["duration"] = 2
+            described["expressions"][0][2] = "darting"
 
-        assert_not_replayed(edited_scene(tmp_path, edit), "object 1")
+        assert_not_replayed(edited_scene(tmp_path, edit))
 
     def test_scene_files_renamed_to_another_seed_are_rejected(self, tmp_path):
         save_scene(generate(5, small_config()), tmp_path)
-        for suffix in (".json", ".bin"):
-            (tmp_path / f"5{suffix}").rename(tmp_path / f"6{suffix}")
-        assert_not_replayed(tmp_path / "6.json", "object 0")
-        with pytest.raises(ValueError, match=re.escape(str(tmp_path / "6.json"))):
+        (tmp_path / "5.bin").rename(tmp_path / "6.bin")
+        message = re.escape(f"{tmp_path / '6.bin'} holds scene 5, not scene 6; {REGENERATE}")
+        with pytest.raises(ValueError, match=message):
+            load_scene(tmp_path, 6)
+        with pytest.raises(ValueError, match=message):
             load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("keys,value,where", [
-        pytest.param(("expressions", 0, 2), "darting", "expression 0", id="verb"),
-        pytest.param(("objects", 1), 5, "object 1", id="object-entry"),
-        pytest.param(("config", "probe"), True, "object 0", id="other-config"),
-        pytest.param(("objects", 1, "start"), "ab", "object 1", id="start-not-a-pair"),
-        pytest.param(("objects", 1, "start"), [1.0, 2], "object 1", id="start-float"),
-        pytest.param(("objects", 1, "start"), [2, 2], "object 1", id="start-off-grid"),
-        pytest.param(("objects", 1, "start"), [1, 9], "object 1", id="start-past-edge"),
-        pytest.param(("objects", 1, "start"), [-1, 2], "object 1", id="start-negative"),
-        pytest.param(("objects", 1, "onset"), 0.0, "object 1", id="onset-float"),
-        pytest.param(("objects", 1, "onset"), 1.5, "object 1", id="onset-fraction"),
-        pytest.param(("objects", 1, "onset"), -1, "object 1", id="onset-negative"),
-        pytest.param(("objects", 1, "onset"), 1000000, "object 1", id="onset-past-end"),
-        pytest.param(("objects", 1, "duration"), True, "object 1", id="duration-bool"),
-        pytest.param(("objects", 1, "duration"), -2, "object 1", id="duration-negative"),
-        pytest.param(("objects", 1, "duration"), 9, "object 1", id="duration-past-end"),
-        pytest.param(("objects", 1, "direction"), [1], "object 1", id="direction-short"),
-        pytest.param(("objects", 1, "direction"), [5, 5], "object 1", id="direction-long-step"),
-        pytest.param(("objects", 1, "direction"), [1, 1], "object 1", id="direction-diagonal"),
+    def test_scene_file_copied_over_another_seeds_is_rejected(self, tmp_path):
+        """Scenes 5 and 6 of one config have the same shape, so a copy of
+        scene 5's file over scene 6's has the size that scene 6 needs; the
+        seed in its header names it."""
+        for seed in (5, 6):
+            save_scene(generate(seed, small_config()), tmp_path)
+        shutil.copyfile(tmp_path / "5.bin", tmp_path / "6.bin")
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / '6.bin'} holds scene 5")):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("keys,value", [
+        pytest.param(("expressions", 0, 2), "darting", id="verb"),
+        pytest.param(("objects", 1), 5, id="object-entry"),
+        pytest.param(("config", "probe"), True, id="other-config"),
+        pytest.param(("objects", 1, "start"), "ab", id="start-not-a-pair"),
+        pytest.param(("objects", 1, "start"), [1.0, 2], id="start-float"),
+        pytest.param(("objects", 1, "start"), [2, 2], id="start-off-grid"),
+        pytest.param(("objects", 1, "start"), [1, 9], id="start-past-edge"),
+        pytest.param(("objects", 1, "start"), [-1, 2], id="start-negative"),
+        pytest.param(("objects", 1, "onset"), 0.0, id="onset-float"),
+        pytest.param(("objects", 1, "onset"), 1.5, id="onset-fraction"),
+        pytest.param(("objects", 1, "onset"), -1, id="onset-negative"),
+        pytest.param(("objects", 1, "onset"), 1000000, id="onset-past-end"),
+        pytest.param(("objects", 1, "duration"), True, id="duration-bool"),
+        pytest.param(("objects", 1, "duration"), -2, id="duration-negative"),
+        pytest.param(("objects", 1, "duration"), 9, id="duration-past-end"),
+        pytest.param(("objects", 1, "direction"), [1], id="direction-short"),
+        pytest.param(("objects", 1, "direction"), [5, 5], id="direction-long-step"),
+        pytest.param(("objects", 1, "direction"), [1, 1], id="direction-diagonal"),
     ])
-    def test_scene_its_seed_does_not_replay_is_rejected(self, tmp_path, keys, value, where):
+    def test_scene_its_seed_does_not_replay_is_rejected(self, tmp_path, keys, value):
         """Object 1 of this scene starts at (1, 2) and walks down on frames
-        0..6 of 8.  Any entry the generator did not draw for this seed and
-        config is rejected, even one that Python compares equal to it (0.0
-        for the onset 0)."""
-        assert_not_replayed(edited_scene(tmp_path, lambda meta: set_entry(meta, keys, value)),
-                            where)
+        0..6 of 8.  A file whose digest is that of any plan the generator did
+        not draw for this seed and the header's config is rejected, even one
+        that Python compares equal to it (0.0 for the onset 0): the digest is
+        taken over the plan's JSON text.  With the probe switch on, seed 6
+        draws another plan."""
+        assert_not_replayed(edited_scene(tmp_path, lambda d: set_entry(d, keys, value)))
 
     def test_magic_header(self, tmp_path):
         scene = generate(6, small_config())
         save_scene(scene, tmp_path)
         raw = (tmp_path / "6.bin").read_bytes()
-        assert raw[:8] == MAGIC == b"MSCOPE03"
+        assert raw[:8] == MAGIC == b"MSCOPE04"
         (tmp_path / "6.bin").write_bytes(b"BADMAGIC" + raw[8:])
         with pytest.raises(ValueError):
             load_scene(tmp_path, 6)
 
     def test_bin_layout_is_pinned(self, tmp_path):
-        """The `.bin` format: the header, then the features as little-endian
-        float32, and nothing else.  The digest pins the bytes."""
+        """The scene file: the magic; the seed as a little-endian uint64; the
+        frames, height, width and probe switch as little-endian uint32s; the
+        SHA-256 of the objects and words as `_describe` gives them, written
+        as JSON text; then the features as little-endian float32, and nothing
+        else.  The digest pins the bytes."""
         scene = generate(6, small_config())
         save_scene(scene, tmp_path)
         raw = (tmp_path / "6.bin").read_bytes()
-        assert raw == MAGIC + scene.features.astype("<f4").tobytes()
+        plan = json.dumps(_describe(scene.objects, scene.expressions)).encode()
+        assert raw == (b"MSCOPE04" + struct.pack("<Q4I", 6, 8, 10, 10, 0)
+                       + hashlib.sha256(plan).digest() + scene.features.astype("<f4").tobytes())
         assert hashlib.sha256(raw).hexdigest() == (
-            "084f9a4f3c134108da1eebd3fe94f1f72cfc98a2d10cbdee29d7aa9be2207494")
+            "d125c3516179e5cce693c8345af7d435ded897ac99484780798b0b948eb7b4dd")
 
     def test_float64_format_is_rejected_with_the_regenerate_hint(self, tmp_path):
         """An `MSCOPE01` file of earlier versions, float64 features and float64
@@ -377,7 +418,7 @@ class TestSceneIO:
         path = tmp_path / "6.bin"
         raw = path.read_bytes()
         t, h, w, c = scene.features.shape
-        assert len(raw) == 8 + 4 * t * h * w * c
+        assert len(raw) == HEADER.size + 4 * t * h * w * c
         bad = raw + b"\0" * 8 if edit == "trailing" else raw[:-10]
         path.write_bytes(bad)
         with pytest.raises(ValueError) as exc:
@@ -387,16 +428,14 @@ class TestSceneIO:
         assert str(len(raw)) in message and str(len(bad)) in message
 
     def test_size_is_checked_before_arrays_are_allocated(self, tmp_path):
-        """A config that claims 2**40 rows fails the size check, not an
-        allocation of the arrays it implies."""
+        """A header that claims 2**31 rows fails the size check, not an
+        allocation of the features it implies."""
         save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        meta["config"]["height"] = 2 ** 40
-        path.write_text(json.dumps(meta))
+        path = tmp_path / "6.bin"
+        rewrite_header(path, height=2 ** 31)
         cfg = small_config()
-        needed = 8 + 4 * cfg.frames * 2 ** 40 * cfg.width * FEATURE_CHANNELS
-        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / '6.bin'} holds") + ".*"
+        needed = HEADER.size + 4 * cfg.frames * 2 ** 31 * cfg.width * FEATURE_CHANNELS
+        with pytest.raises(ValueError, match=re.escape(f"{path} holds") + ".*"
                            + re.escape(f"needs {needed}")):
             load_scene(tmp_path, 6)
 
@@ -407,28 +446,29 @@ class TestSceneIO:
         path = tmp_path / "6.bin"
         features = scene.features.astype("<f4")
         features.reshape(-1)[3] = np.nan
-        path.write_bytes(MAGIC + features.tobytes())
+        path.write_bytes(path.read_bytes()[:HEADER.size] + features.tobytes())
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: features"):
             load_scene(tmp_path, 6)
 
     @pytest.mark.parametrize("word", ["bogus", "Red", 11, None, ["red", "ADJ", 11]])
     def test_bad_expression_names_file_and_field(self, tmp_path, word):
-        """A word that is not the replay's is rejected, whether or not it is
-        one of the vocabulary."""
-        path = edited_scene(tmp_path, lambda meta: set_entry(meta, ("expressions", 1, 0), word))
-        assert_not_replayed(path, "expression 1")
+        """A word that is not the replay's changes the digest, whether or not
+        it is one of the vocabulary."""
+        assert_not_replayed(edited_scene(
+            tmp_path, lambda d: set_entry(d, ("expressions", 1, 0), word)))
 
     @pytest.mark.parametrize("text", [b'{"seed": 6,', b"\xff\xfe{}"], ids=["truncated", "not-utf8"])
     def test_unreadable_json_names_the_file(self, tmp_path, text):
+        """Bytes that are not a scene file, here JSON text that is cut short
+        or not UTF-8, fail on the magic, naming the file."""
         save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
+        path = tmp_path / "6.bin"
         path.write_bytes(text)
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not readable JSON"):
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} starts with "):
             load_scene(tmp_path, 6)
 
     def test_object_without_a_key_names_file_index_and_key(self, tmp_path):
-        assert_not_replayed(edited_scene(tmp_path, lambda meta: meta["objects"][1].pop("onset")),
-                            "object 1")
+        assert_not_replayed(edited_scene(tmp_path, lambda d: d["objects"][1].pop("onset")))
 
     @pytest.mark.parametrize("keys,value", [
         (("expressions", 1), []),
@@ -436,107 +476,81 @@ class TestSceneIO:
         (("expressions", 1), "the red dot"),
     ], ids=["no tokens", "short token entry", "string entry"])
     def test_malformed_expression_names_file_and_index(self, tmp_path, keys, value):
-        path = edited_scene(tmp_path, lambda meta: set_entry(meta, keys, value))
-        assert_not_replayed(path, "expression 1")
+        assert_not_replayed(edited_scene(tmp_path, lambda d: set_entry(d, keys, value)))
 
     @pytest.mark.parametrize("field,value", [("category", 99), ("category", -1),
                                              ("category", True), ("color", 4), ("color", False)])
     def test_bad_object_names_file_index_and_field(self, tmp_path, field, value):
         """Object 1 of this scene has color 0, which Python compares equal to
-        False."""
-        path = edited_scene(tmp_path, lambda meta: set_entry(meta, ("objects", 1, field), value))
-        assert_not_replayed(path, "object 1")
+        False, but JSON writes otherwise."""
+        assert_not_replayed(edited_scene(
+            tmp_path, lambda d: set_entry(d, ("objects", 1, field), value)))
 
     def test_scene_of_an_earlier_version_names_file_keys_and_regenerate_hint(self, tmp_path):
-        """Earlier versions stored the recipe in the config and the probe flag
-        a second time at the top level."""
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        meta["config"].update(object_size=2, min_objects=3, max_objects=5, ensure_contrast=True)
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: config holds unknown keys "
-                f"['ensure_contrast', 'max_objects', 'min_objects', 'object_size']") + ".*"
-                + re.escape("`motionscope gen`")):
-            load_scene(tmp_path, 6)
-        meta["probe"] = False
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: scene holds unknown keys ['probe']") + ".*"
-                + re.escape("`motionscope gen`")):
-            load_scene(tmp_path, 6)
+        """A directory of the two-file format of earlier versions, a
+        `<seed>.bin` with the `MSCOPE03` magic beside a `<seed>.json` that
+        holds the config, objects and words, is not read: the `.bin` is
+        named, with the request to regenerate it."""
+        scene = generate(6, small_config())
+        (tmp_path / "6.json").write_text(json.dumps(
+            {"config": dataclasses.asdict(scene.config),
+             **_describe(scene.objects, scene.expressions)}))
+        path = tmp_path / "6.bin"
+        path.write_bytes(b"MSCOPE03" + scene.features.astype("<f4").tobytes())
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*MSCOPE03.*"
+                           + re.escape(REGENERATE)):
+            load_dataset(tmp_path)
 
     @pytest.mark.parametrize("key", ["kind", "target_ids", "seed"])
     def test_derived_key_names_file_key_and_regenerate_hint(self, tmp_path, key):
-        """The keys that earlier versions stored beside what they derive from
-        are rejected, not read or ignored: an object's kind, an expression's
-        tokens and target ids, and the scene's seed."""
-        def edit(meta):
+        """A plan holding what earlier versions stored beside what it derives
+        from (an object's kind, an expression's target ids, the scene's seed)
+        is not the replay's plan."""
+        def edit(described):
             if key == "kind":
-                meta["objects"][1]["kind"] = "static"
+                described["objects"][1]["kind"] = "static"
             elif key == "target_ids":
-                meta["expressions"][1] = {"tokens": meta["expressions"][1], "target_ids": [1]}
+                described["expressions"][1] = {"tokens": described["expressions"][1],
+                                               "target_ids": [1]}
             else:
-                meta["seed"] = 6
+                described["seed"] = 6
 
-        path = edited_scene(tmp_path, edit)
-        where = {"kind": "object 1 is", "target_ids": "expression 1 is",
-                 "seed": "scene holds unknown keys ['seed']"}[key]
-        with pytest.raises(ValueError, match=re.escape(f"{path}: {where}") + ".*"
-                           + re.escape(REGENERATE)):
-            load_scene(tmp_path, 6)
+        assert_not_replayed(edited_scene(tmp_path, edit))
 
     def test_probe_flag_is_stored_once(self, tmp_path):
+        """The header holds the probe switch, and the plan does not."""
         for seed, probe in ((6, False), (7, True)):
             scene = generate(seed, small_config(probe=probe))
             assert scene.probe is probe
             save_scene(scene, tmp_path)
-            meta = json.loads((tmp_path / f"{seed}.json").read_text())
-            assert "probe" not in meta and meta["config"]["probe"] is probe
+            header = HEADER.unpack_from((tmp_path / f"{seed}.bin").read_bytes())
+            assert header[5] == probe
+            assert "probe" not in json.dumps(_describe(scene.objects, scene.expressions))
             assert load_scene(tmp_path, seed).probe is probe
 
-    @pytest.mark.parametrize("edit,where,got", [
-        ("top level 5", "", "int"),
-        ("top level null", "", "NoneType"),
-        ("config", ": config", "list"),
-    ])
-    def test_json_of_the_wrong_shape_names_file_and_entry(self, tmp_path, edit, where, got):
+    def test_probe_switch_other_than_0_or_1_names_file(self, tmp_path):
         save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        if edit == "top level 5":
-            meta = 5
-        elif edit == "top level null":
-            meta = None
-        else:
-            meta["config"] = [8, 10, 10, 8]
-        path.write_text(json.dumps(meta))
+        path = tmp_path / "6.bin"
+        rewrite_header(path, probe=2)
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}{where} must be a JSON object, got {got}")):
+                f"{path}: config: probe must be 0 or 1, got 2")):
             load_scene(tmp_path, 6)
 
     @pytest.mark.parametrize("key", ["objects", "expressions"])
     def test_list_that_is_not_a_list_names_file_and_key(self, tmp_path, key):
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        meta[key] = 5
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: {key} must be a JSON list, "
-                                                       f"got int")):
-            load_scene(tmp_path, 6)
+        assert_not_replayed(edited_scene(tmp_path, lambda d: d.update({key: 5})))
 
     @pytest.mark.parametrize("duration", [1, 5, 8, 11])
     def test_duration_that_fits_no_kind_names_file_object_and_field(self, tmp_path, duration):
         """In a 16-frame scene a static program takes 0 moving frames, a short
         burst 2 to 4 and a long-horizon one 12 to 16; object 0 of this scene
         walks up from frame 0 for 14 frames."""
-        def edit(meta):
-            assert meta["objects"][0]["onset"] == 0 and meta["objects"][0]["duration"] == 14
-            meta["objects"][0]["duration"] = duration
+        def edit(described):
+            assert (described["objects"][0]["onset"] == 0
+                    and described["objects"][0]["duration"] == 14)
+            described["objects"][0]["duration"] = duration
 
-        assert_not_replayed(edited_scene(tmp_path, edit, config=BenchmarkConfig()), "object 0")
+        assert_not_replayed(edited_scene(tmp_path, edit, config=BenchmarkConfig()))
 
     @pytest.mark.parametrize("index,field,value", [
         (0, "direction", [1, 0]),
@@ -548,11 +562,12 @@ class TestSceneIO:
             self, tmp_path, index, field, value):
         """Object 0 of this scene is static and object 1 walks down for 7
         frames."""
-        def edit(meta):
-            assert meta["objects"][0]["duration"] == 0 and meta["objects"][1]["duration"] == 7
-            meta["objects"][index][field] = value
+        def edit(described):
+            assert (described["objects"][0]["duration"] == 0
+                    and described["objects"][1]["duration"] == 7)
+            described["objects"][index][field] = value
 
-        assert_not_replayed(edited_scene(tmp_path, edit), f"object {index}")
+        assert_not_replayed(edited_scene(tmp_path, edit))
 
     @pytest.mark.parametrize("key,value,message", [
         ("frames", 3, "3 frames leave no room for short bursts"),
@@ -561,10 +576,8 @@ class TestSceneIO:
     ])
     def test_config_that_validate_rejects_names_file(self, tmp_path, key, value, message):
         save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        meta["config"][key] = value
-        path.write_text(json.dumps(meta))
+        path = tmp_path / "6.bin"
+        rewrite_header(path, **{key: value})
         with pytest.raises(ValueError, match=re.escape(f"{path}: config: {message}")):
             load_scene(tmp_path, 6)
 
@@ -572,46 +585,29 @@ class TestSceneIO:
     def test_object_count_outside_the_recipe_names_file(self, tmp_path, count):
         """This scene holds 4 objects; the edit repeats them and cuts the list
         to `count`."""
-        def edit(meta):
-            meta["objects"] = (meta["objects"] * 2)[:count]
+        def edit(described):
+            described["objects"] = (described["objects"] * 2)[:count]
 
-        assert_not_replayed(edited_scene(tmp_path, edit), f"{count} objects")
-
-    @pytest.mark.parametrize("key,value,expected", [("probe", "yes", "bool"), ("probe", 1, "bool"),
-                                                    ("frames", "8", "int"), ("height", True, "int")])
-    def test_config_value_of_wrong_type_names_file_and_key(self, tmp_path, key, value, expected):
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        meta["config"][key] = value
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: config: {key} must be of type {expected}, got {value!r}")):
-            load_scene(tmp_path, 6)
-
-    def test_unknown_config_key_names_file_and_key(self, tmp_path):
-        """A misspelt key, and `channels`, which earlier versions wrote and
-        which is now fixed as FEATURE_CHANNELS, even at that value."""
-        path = tmp_path / "6.json"
-        for edit, key in ((lambda cfg: cfg.update(frame=cfg.pop("frames")), "frame"),
-                          (lambda cfg: cfg.update(channels=FEATURE_CHANNELS), "channels")):
-            save_scene(generate(6, small_config()), tmp_path)
-            meta = json.loads(path.read_text())
-            edit(meta["config"])
-            path.write_text(json.dumps(meta))
-            with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*unknown keys "
-                               f"\\['{key}'\\]"):
-                load_scene(tmp_path, 6)
+        assert_not_replayed(edited_scene(tmp_path, edit))
 
     @pytest.mark.parametrize("key", ["objects", "expressions", "config"])
     def test_missing_top_level_key_names_file_and_key(self, tmp_path, key):
-        save_scene(generate(6, small_config()), tmp_path)
-        path = tmp_path / "6.json"
-        meta = json.loads(path.read_text())
-        del meta[key]
-        path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*\\['{key}'\\]"):
-            load_scene(tmp_path, 6)
+        """A plan without its objects or its expressions is not the replay's,
+        and a file cut after the seed lacks the header's config."""
+        if key == "config":
+            save_scene(generate(6, small_config()), tmp_path)
+            path = tmp_path / "6.bin"
+            path.write_bytes(path.read_bytes()[:16])
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path} holds 16 bytes, fewer than its {HEADER.size}-byte header")):
+                load_scene(tmp_path, 6)
+        else:
+            assert_not_replayed(edited_scene(tmp_path, lambda d: d.pop(key)))
+
+    def test_seed_outside_the_header_is_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(f"scene seed {2 ** 64} does not fit")):
+            save_scene(generate(2 ** 64, small_config()), tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_load_dataset_sorted(self, tmp_path):
         for seed in (11, 2, 7):
@@ -627,10 +623,10 @@ class TestSceneIO:
         with pytest.raises(ValueError, match=re.escape(str(directory))):
             load_dataset(directory)
 
-    def test_load_dataset_names_a_json_that_is_not_a_scene(self, tmp_path):
+    def test_load_dataset_names_a_bin_that_is_not_a_scene(self, tmp_path):
         save_scene(generate(2, small_config()), tmp_path)
-        notes = tmp_path / "notes.json"
-        notes.write_text("{}")
+        notes = tmp_path / "notes.bin"
+        notes.write_bytes(b"")
         with pytest.raises(ValueError, match=re.escape(str(notes))):
             load_dataset(tmp_path)
 
@@ -639,9 +635,8 @@ class TestSceneIO:
         """`int` reads each of these stems, but none is how `save_scene`
         names a seed, and `load_scene` would open another file or none."""
         save_scene(generate(3, small_config()), tmp_path)
-        for suffix in (".json", ".bin"):
-            (tmp_path / f"3{suffix}").rename(tmp_path / f"{stem}{suffix}")
-        path = tmp_path / f"{stem}.json"
+        path = tmp_path / f"{stem}.bin"
+        (tmp_path / "3.bin").rename(path)
         with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not a scene"):
             load_dataset(tmp_path)
 

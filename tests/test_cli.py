@@ -1,9 +1,9 @@
 import json
 import re
 
-import numpy as np
 import pytest
 
+from motionscope.benchmark import HEADER
 from motionscope.cli import main
 from motionscope.config import TrainConfig
 
@@ -167,43 +167,43 @@ def test_train_names_a_missing_data_directory(tmp_path, capsys):
 
 
 def test_eval_names_an_edited_scene_in_one_line(tmp_path, capsys):
-    """A scene whose words are not what its seed generates fails evaluation
-    with one line naming its file, not a traceback."""
+    """A scene file whose stored digest was edited is not what its seed
+    generates: evaluation fails with one line naming the file, not a
+    traceback."""
     data = tmp_path / "val"
     assert main(["gen", "--seeds", "1000", "--out", str(data)]) == 0
-    path = data / "1000.json"
-    meta = json.loads(path.read_text())
-    meta["expressions"][0][-1] = "ring" if meta["expressions"][0][-1] != "ring" else "dot"
-    path.write_text(json.dumps(meta))
+    path = data / "1000.bin"
+    raw = bytearray(path.read_bytes())
+    raw[HEADER.size - 1] ^= 1  # the digest's last byte
+    path.write_bytes(raw)
     TrainConfig().to_json(tmp_path / "config.json")
     capsys.readouterr()
     # the scenes are read before the model, which does not exist
     assert main(["eval", "--model", str(tmp_path / "model.bin"), "--data", str(data)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"motionscope eval: {path}: expression 0 is ")
+    assert err.startswith(f"motionscope eval: {path}: the objects and expressions that seed 1000 ")
     assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [["train"], ["ablate", "--axis", "nn", "--seeds", "1"]],
                          ids=["train", "ablate"])
 def test_diverged_run_ends_in_one_line(tmp_path, capsys, command):
-    """At a learning rate of 1e10 the run's forward overflows at step 7
-    (see test_trainer.test_overflowing_run_raises_training_diverged; in
-    `ablate`, in its first variant): the command exits 2 with one stderr
-    line naming the step, not a traceback."""
+    """At a learning rate of 1e10 the run's forward meets an invalid division
+    at step 7 (see test_trainer.test_overflowing_run_raises_training_diverged;
+    in `ablate`, in its first variant): the command exits 2 with one stderr
+    line naming the step, and numpy warns of nothing first."""
     train, val = tmp_path / "train", tmp_path / "val"
     assert main(["gen", "--seeds", "0..7", "--out", str(train)]) == 0
     assert main(["gen", "--seeds", "1000", "--out", str(val)]) == 0
     config = tmp_path / "config.json"
     TrainConfig(learning_rate=1e10, steps=200, eval_every=100).to_json(config)
     capsys.readouterr()
-    # overflow and invalid arithmetic are what a diverging run looks like
-    with np.errstate(all="ignore"):
-        code = main([*command, "--out", str(tmp_path / "run"), "--config", str(config),
-                     "--data", str(train), "--val-data", str(val)])
+    code = main([*command, "--out", str(tmp_path / "run"), "--config", str(config),
+                 "--data", str(train), "--val-data", str(val)])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"motionscope {command[0]}: non-finite loss or assignment costs at step 7\n")
+        f"motionscope {command[0]}: training diverged at step 7: a value overflowed or "
+        f"turned non-finite\n")
     assert not (tmp_path / "run").exists()
 
 

@@ -47,14 +47,14 @@ def test_run_without_training_expressions_raises():
 def test_overflowing_run_raises_training_diverged():
     """Clipping bounds each step's gradient, not the learning rate's reach:
     at this rate step 6 ends with finite parameters near 4e10 and a finite
-    loss; step 7's forward is then non-finite, and the matchers meet it
-    before any loss does."""
+    loss; step 7's forward then meets an invalid division in HMP's `enrich`,
+    and the step ends there, before numpy warns (warnings are errors here)."""
     trainer = Trainer(TrainConfig(learning_rate=1e10, steps=200, eval_every=100),
                       [generate(s) for s in range(8)], [generate(1000)])
-    # overflow and invalid arithmetic are what a diverging run looks like
-    with deadline(60), np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
+    with deadline(60), pytest.raises(TrainingDiverged) as info:
         trainer.run()
     assert info.value.step == 7
+    assert isinstance(info.value.__cause__, FloatingPointError)
 
 
 def hires_scene():
